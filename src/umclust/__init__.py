@@ -3,9 +3,11 @@
 Per-view autoencoders embed disjoint sample sets into a shared-size
 latent space; a schedule of coarse-to-fine clustering levels drives
 contrastive losses inside each view and against the concatenated
-common representation, while views with stronger silhouettes guide the
-rest through a KL term. Final assignments come from K-means on the
-concatenated latents.
+common representation. Views with stronger silhouettes guide the rest:
+each guided view's heavy-tailed cluster assignments are pulled, by
+cross-entropy, toward the common centroid matched to each sample's
+cluster, weighted by |reliable set| / V^2. Final assignments come from
+K-means on the concatenated latents.
 """
 
 from .cluster import Assignment, cosine, cosine_matrix, hungarian_max, kmeans, silhouette_view
@@ -37,16 +39,12 @@ from .losses import (
     PairSets,
     build_inner_pairs,
     common_contrastive_loss,
-    compose_matchings,
     cross_view_guidance_loss,
-    cross_view_kl,
     inner_contrastive_loss,
-    match_common,
     recon_orth_loss,
     recon_orth_term,
     select_reliable,
     total_loss,
-    view_distribution,
 )
 from .metrics import MetricsReport, acc, build_report, export_embeddings, nmi, pairwise_f1
 from .train import (

@@ -7,10 +7,13 @@ numerical failures during training.
 from __future__ import annotations
 
 import argparse
+import csv
+import functools
 import itertools
 import logging
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -112,12 +115,9 @@ def cmd_eval(args) -> int:
         run_config.train.hidden_dims,
         run_config.train.batchnorm,
         run_config.train.seeds.init,
-        latent_activation=run_config.train.latent_activation,
     )
     bundle.load_arrays(ck.params, ck.stats)
     bundle.eval()
-    import time
-
     started = time.time()
     latents = bundle.encode_all(ds.feature_matrices(), train=False)
     assignment = final_assignment(latents, ds.n_clusters, run_config.train)
@@ -152,6 +152,18 @@ def _sweep_point(task: tuple[str, str, dict, int | None, str]) -> dict:
     return {"nmi": all_view["nmi"], "acc": all_view["acc"], "f1": all_view["f1"]}
 
 
+def _sweep_outcome(label: str, result) -> tuple[dict | None, str]:
+    """(scores, "") from `result()`, or (None, "<Type>: <message>") when it
+    raises, so one failed grid point, or a crashed worker, costs only its
+    own row of the summary."""
+    try:
+        return result(), ""
+    except Exception as exc:
+        err = f"{type(exc).__name__}: {exc}"
+        logger.warning("sweep point %s failed: %s", label, err, exc_info=not isinstance(exc, UmclustError))
+        return None, err
+
+
 def cmd_sweep(args) -> int:
     run_config = _load_run_config(args)
     if not run_config.sweep:
@@ -165,31 +177,22 @@ def cmd_sweep(args) -> int:
         overrides = dict(zip(axes, values))
         label = "-".join(f"{a}={v:g}" for a, v in overrides.items())
         tasks.append((str(args.config), str(out / f"run-{label}"), overrides, args.seed, label))
-    results: list[tuple[dict, dict | None, str]] = []
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             futures = [pool.submit(_sweep_point, t) for t in tasks]
-            for task, fut in zip(tasks, futures):
-                try:
-                    results.append((dict(zip(axes, points[tasks.index(task)])), fut.result(), ""))
-                except UmclustError as exc:
-                    results.append((dict(zip(axes, points[tasks.index(task)])), None, str(exc)))
+            outcomes = [_sweep_outcome(task[4], fut.result) for task, fut in zip(tasks, futures)]
     else:
-        for task, values in zip(tasks, points):
-            try:
-                results.append((dict(zip(axes, values)), _sweep_point(task), ""))
-            except UmclustError as exc:
-                logger.warning("sweep point %s failed: %s", task[4], exc)
-                results.append((dict(zip(axes, values)), None, str(exc)))
+        outcomes = [_sweep_outcome(task[4], functools.partial(_sweep_point, task)) for task in tasks]
     summary = out / "summary.csv"
-    with open(summary, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(axes) + ",nmi,acc,f1,status\n")
-        for overrides, scores, err in results:
-            prefix = ",".join(f"{overrides[a]:g}" for a in axes)
+    with open(summary, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([*axes, "nmi", "acc", "f1", "status"])
+        for values, (scores, err) in zip(points, outcomes):
+            prefix = [f"{v:g}" for v in values]
             if scores is None:
-                fh.write(f"{prefix},,,,failed: {err}\n")
+                writer.writerow([*prefix, "", "", "", f"failed: {err}"])
             else:
-                fh.write(f"{prefix},{scores['nmi']:.2f},{scores['acc']:.2f},{scores['f1']:.2f},ok\n")
+                writer.writerow([*prefix, *(f"{scores[m]:.2f}" for m in ("nmi", "acc", "f1")), "ok"])
     print(summary)
     return 0
 

@@ -11,7 +11,7 @@ configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import yaml
@@ -19,9 +19,7 @@ import yaml
 from .data import STRATEGIES, SyntheticSpec, UnpairRecipe
 from .errors import ConfigError
 from .losses import LossWeights
-from .train import Seeds, TrainConfig
-
-_SWEEPABLE = ("lambda1", "lambda2", "lambda3", "lambda4")
+from .train import TrainConfig
 
 
 def _expect_mapping(obj, path: str) -> dict:
@@ -72,7 +70,7 @@ class RunConfig:
                 "manifest": self.dataset.manifest,
                 "scale": self.dataset.scale,
             },
-            "train": _train_to_dict(self.train),
+            "train": _plain(asdict(self.train)),
         }
         if self.dataset.synthetic is not None:
             s = self.dataset.synthetic
@@ -96,42 +94,11 @@ class RunConfig:
         return out
 
 
-def _train_to_dict(cfg: TrainConfig) -> dict:
-    return {
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
-        "latent_dim": cfg.latent_dim,
-        "hidden_dims": list(cfg.hidden_dims),
-        "batchnorm": cfg.batchnorm,
-        "learning_rate": cfg.learning_rate,
-        "beta1": cfg.beta1,
-        "beta2": cfg.beta2,
-        "adam_eps": cfg.adam_eps,
-        "refresh_every": cfg.refresh_every,
-        "final_restarts": cfg.final_restarts,
-        "kmeans_max_iter": cfg.kmeans_max_iter,
-        "kmeans_tol": cfg.kmeans_tol,
-        "cluster_levels": list(cfg.cluster_levels) if cfg.cluster_levels is not None else None,
-        "guidance_temperature": cfg.guidance_temperature,
-        "latent_activation": cfg.latent_activation,
-        "weights": {
-            "lambda1": cfg.weights.lambda1,
-            "lambda2": cfg.weights.lambda2,
-            "lambda3": cfg.weights.lambda3,
-            "lambda4": cfg.weights.lambda4,
-            "temperature": cfg.weights.temperature,
-        },
-        "reliability": {
-            "start": cfg.reliability_start,
-            "decay": cfg.reliability_decay,
-            "floor": cfg.reliability_floor,
-        },
-        "seeds": {
-            "init": cfg.seeds.init,
-            "shuffle": cfg.seeds.shuffle,
-            "kmeans": cfg.seeds.kmeans,
-        },
-    }
+def _plain(obj):
+    """`asdict` output with tuples turned into lists, as YAML expects."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    return list(obj) if isinstance(obj, tuple) else obj
 
 
 def _parse_dataset(section: dict) -> DatasetSection:
@@ -174,62 +141,34 @@ def _parse_dataset(section: dict) -> DatasetSection:
     return out
 
 
-def _parse_train(section: dict) -> TrainConfig:
-    """Train section to TrainConfig; every absent key takes the dataclass default."""
-    allowed = {
-        "epochs", "batch_size", "latent_dim", "hidden_dims", "batchnorm", "learning_rate",
-        "beta1", "beta2", "adam_eps", "refresh_every", "final_restarts", "kmeans_max_iter",
-        "kmeans_tol", "cluster_levels", "guidance_temperature", "latent_activation",
-        "weights", "reliability", "seeds",
-    }
-    _reject_unknown(section, allowed, "train")
-    d = TrainConfig()
-    w = _expect_mapping(section.get("weights"), "train.weights")
-    _reject_unknown(w, {"lambda1", "lambda2", "lambda3", "lambda4", "temperature"}, "train.weights")
-    weights = LossWeights(
-        lambda1=_get(w, "lambda1", d.weights.lambda1, "train.weights", float),
-        lambda2=_get(w, "lambda2", d.weights.lambda2, "train.weights", float),
-        lambda3=_get(w, "lambda3", d.weights.lambda3, "train.weights", float),
-        lambda4=_get(w, "lambda4", d.weights.lambda4, "train.weights", float),
-        temperature=_get(w, "temperature", d.weights.temperature, "train.weights", float),
-    )
-    rel = _expect_mapping(section.get("reliability"), "train.reliability")
-    _reject_unknown(rel, {"start", "decay", "floor"}, "train.reliability")
-    seeds_raw = _expect_mapping(section.get("seeds"), "train.seeds")
-    _reject_unknown(seeds_raw, {"init", "shuffle", "kmeans"}, "train.seeds")
-    seeds = Seeds(
-        init=_get(seeds_raw, "init", d.seeds.init, "train.seeds", int),
-        shuffle=_get(seeds_raw, "shuffle", d.seeds.shuffle, "train.seeds", int),
-        kmeans=_get(seeds_raw, "kmeans", d.seeds.kmeans, "train.seeds", int),
-    )
-    levels = section.get("cluster_levels")
-    return TrainConfig(
-        epochs=_get(section, "epochs", d.epochs, "train", int),
-        batch_size=_get(section, "batch_size", d.batch_size, "train", int),
-        latent_dim=_get(section, "latent_dim", d.latent_dim, "train", int),
-        hidden_dims=tuple(int(h) for h in section.get("hidden_dims", d.hidden_dims)),
-        batchnorm=bool(section.get("batchnorm", d.batchnorm)),
-        learning_rate=_get(section, "learning_rate", d.learning_rate, "train", float),
-        beta1=_get(section, "beta1", d.beta1, "train", float),
-        beta2=_get(section, "beta2", d.beta2, "train", float),
-        adam_eps=_get(section, "adam_eps", d.adam_eps, "train", float),
-        weights=weights,
-        reliability_start=_get(rel, "start", d.reliability_start, "train.reliability", float),
-        reliability_decay=_get(rel, "decay", d.reliability_decay, "train.reliability", float),
-        reliability_floor=_get(rel, "floor", d.reliability_floor, "train.reliability", float),
-        seeds=seeds,
-        refresh_every=_get(section, "refresh_every", d.refresh_every, "train", int),
-        final_restarts=_get(section, "final_restarts", d.final_restarts, "train", int),
-        kmeans_max_iter=_get(section, "kmeans_max_iter", d.kmeans_max_iter, "train", int),
-        kmeans_tol=_get(section, "kmeans_tol", d.kmeans_tol, "train", float),
-        cluster_levels=tuple(int(k) for k in levels) if levels is not None else None,
-        guidance_temperature=_get(section, "guidance_temperature", d.guidance_temperature, "train", float),
-        latent_activation=_get(section, "latent_activation", d.latent_activation, "train", str),
-    )
+def _parse_dataclass(cls, section: dict, path: str):
+    """`section` as a `cls` instance, its layout read from the dataclass.
+
+    Unknown keys are errors and absent keys keep the field's default.
+    A field whose default is a dataclass parses its mapping recursively;
+    a scalar is cast to its default's type; a sequence, or a value for a
+    field that defaults to None, goes to `__post_init__` as given.
+    """
+    known = fields(cls)
+    _reject_unknown(section, {f.name for f in known}, path)
+    defaults = cls()
+    values = {}
+    for f in known:
+        if f.name not in section:
+            continue
+        default = getattr(defaults, f.name)
+        if is_dataclass(default):
+            sub = f"{path}.{f.name}"
+            values[f.name] = _parse_dataclass(type(default), _expect_mapping(section[f.name], sub), sub)
+        elif default is None or isinstance(default, tuple):
+            values[f.name] = section[f.name]
+        else:
+            values[f.name] = _get(section, f.name, default, path, type(default))
+    return cls(**values)
 
 
 def _parse_sweep(section: dict) -> dict[str, list[float]]:
-    _reject_unknown(section, set(_SWEEPABLE), "sweep")
+    _reject_unknown(section, set(LossWeights.LAMBDAS), "sweep")
     grid: dict[str, list[float]] = {}
     for key, values in section.items():
         if not isinstance(values, (list, tuple)) or not values:
@@ -244,7 +183,7 @@ def parse_config(raw: dict) -> RunConfig:
     try:
         return RunConfig(
             dataset=_parse_dataset(_expect_mapping(raw.get("dataset"), "dataset")),
-            train=_parse_train(_expect_mapping(raw.get("train"), "train")),
+            train=_parse_dataclass(TrainConfig, _expect_mapping(raw.get("train"), "train"), "train"),
             sweep=_parse_sweep(_expect_mapping(raw.get("sweep"), "sweep")),
         )
     except ConfigError:
@@ -271,26 +210,17 @@ def write_resolved(config: RunConfig, path: str | Path) -> None:
 
 def apply_seed_override(config: RunConfig, seed: int) -> RunConfig:
     """Re-seed every stochastic component from one CLI-provided value."""
-    new_train = replace(config.train, seeds=Seeds(init=seed, shuffle=seed + 1, kmeans=seed + 2))
     dataset = config.dataset
-    new_dataset = DatasetSection(
-        manifest=dataset.manifest,
-        scale=dataset.scale,
-        synthetic=dataset.synthetic,
+    new_dataset = replace(
+        dataset,
         synthetic_seed=seed if dataset.synthetic is not None else dataset.synthetic_seed,
-        unpair_source=dataset.unpair_source,
-        unpair_recipe=(
-            UnpairRecipe(seed=seed, strategy=dataset.unpair_recipe.strategy, source=dataset.unpair_recipe.source)
-            if dataset.unpair_recipe is not None
-            else None
-        ),
+        unpair_recipe=replace(dataset.unpair_recipe, seed=seed) if dataset.unpair_recipe is not None else None,
     )
-    return RunConfig(dataset=new_dataset, train=new_train, sweep=dict(config.sweep))
+    return RunConfig(dataset=new_dataset, train=config.train.reseeded(seed), sweep=dict(config.sweep))
 
 
 def with_weights(config: RunConfig, **lambda_overrides: float) -> RunConfig:
-    """New config with some loss weights replaced (used by the sweep runner)."""
-    new_weights = replace(config.train.weights, **lambda_overrides)
-    new_train = replace(config.train, weights=new_weights)
-    return RunConfig(dataset=config.dataset, train=new_train, sweep=dict(config.sweep))
-
+    """New config with some lambdas replaced (used by the sweep runner)."""
+    return RunConfig(
+        dataset=config.dataset, train=config.train.with_weights(**lambda_overrides), sweep=dict(config.sweep)
+    )

@@ -1,20 +1,10 @@
-"""Six-view handwritten-digit benchmark builders.
+"""Six-view handwritten-digit benchmark loader.
 
-Two sources are supported:
-
-* :func:`load_uci_multiple_features` reads the official UCI Multiple
-  Features files (``mfeat-fou``, ``mfeat-fac``, ``mfeat-kar``,
-  ``mfeat-pix``, ``mfeat-zer``, ``mfeat-mor``; 2000 samples, 200 per
-  digit) from a local directory.
-
-* :func:`build_offline_digit` derives six heterogeneous feature views
-  (pixels, Fourier magnitudes, PCA projection, moment invariants,
-  morphological summaries, directional profiles) from the 8x8
-  handwritten-digit images bundled with scikit-learn, for environments
-  where the UCI files are unavailable.
-
-Both return a paired dataset; feed it through ``unpair`` to obtain the
-unpaired benchmark.
+:func:`load_uci_multiple_features` reads the official UCI Multiple
+Features files (``mfeat-fou``, ``mfeat-fac``, ``mfeat-kar``,
+``mfeat-pix``, ``mfeat-zer``, ``mfeat-mor``; 2000 samples, 200 per
+digit) from a local directory and returns a paired dataset; feed it
+through ``unpair`` to obtain the unpaired benchmark.
 """
 
 from __future__ import annotations
@@ -51,98 +41,5 @@ def load_uci_multiple_features(directory: str | Path) -> PairedDataset:
         n_clusters=10,
         ids=np.arange(2000, dtype=np.int64),
         features=features,
-        labels=labels,
-    )
-
-
-# ---------------------------------------------------------------------------
-# offline fallback views from 8x8 digit images
-
-
-def _fourier_view(images: np.ndarray) -> np.ndarray:
-    """Magnitudes of the low-frequency 2-D FFT block (translation-robust)."""
-    spectra = np.fft.fft2(images)
-    mags = np.abs(spectra)[:, :6, :6]
-    return mags.reshape(images.shape[0], -1)
-
-
-def _pca_view(flat: np.ndarray, dim: int = 40) -> np.ndarray:
-    """Karhunen-Loeve style projection fit on the full sample set."""
-    centered = flat - flat.mean(axis=0)
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    comps = vt[:dim]
-    # fix sign ambiguity so the construction is deterministic
-    signs = np.sign(comps[np.arange(dim), np.abs(comps).argmax(axis=1)])
-    comps = comps * signs[:, None]
-    return centered @ comps.T
-
-
-def _moment_view(images: np.ndarray) -> np.ndarray:
-    """Normalized central moments up to order four (rotation-sensitive
-    shape descriptors in the spirit of Zernike moments)."""
-    n, h, w = images.shape
-    ys, xs = np.mgrid[0:h, 0:w]
-    mass = images.sum(axis=(1, 2)) + 1e-12
-    cy = (images * ys).sum(axis=(1, 2)) / mass
-    cx = (images * xs).sum(axis=(1, 2)) / mass
-    feats = []
-    orders = [(p, q) for p in range(5) for q in range(5) if 2 <= p + q <= 4]
-    for p, q in orders:
-        yc = ys[None, :, :] - cy[:, None, None]
-        xc = xs[None, :, :] - cx[:, None, None]
-        mu = (images * (yc**p) * (xc**q)).sum(axis=(1, 2))
-        norm = mass ** (1 + (p + q) / 2.0)
-        feats.append(mu / norm)
-    return np.stack(feats, axis=1)
-
-
-def _morphology_view(images: np.ndarray) -> np.ndarray:
-    """Six coarse shape statistics: ink mass, ink area, centroid, spread."""
-    n, h, w = images.shape
-    ys, xs = np.mgrid[0:h, 0:w]
-    mass = images.sum(axis=(1, 2))
-    area = (images > images.max() * 0.25).sum(axis=(1, 2)).astype(np.float64)
-    denom = mass + 1e-12
-    cy = (images * ys).sum(axis=(1, 2)) / denom
-    cx = (images * xs).sum(axis=(1, 2)) / denom
-    var_y = (images * (ys[None] - cy[:, None, None]) ** 2).sum(axis=(1, 2)) / denom
-    var_x = (images * (xs[None] - cx[:, None, None]) ** 2).sum(axis=(1, 2)) / denom
-    return np.stack([mass, area, cy, cx, var_y, var_x], axis=1)
-
-
-def _profile_view(images: np.ndarray) -> np.ndarray:
-    """Row, column, diagonal and anti-diagonal ink profiles."""
-    n, h, w = images.shape
-    rows = images.sum(axis=2)
-    cols = images.sum(axis=1)
-    diags = np.stack([np.trace(images, offset=o, axis1=1, axis2=2) for o in range(-h + 1, w)], axis=1)
-    flipped = images[:, :, ::-1]
-    anti = np.stack([np.trace(flipped, offset=o, axis1=1, axis2=2) for o in range(-h + 1, w)], axis=1)
-    return np.concatenate([rows, cols, diags, anti], axis=1)
-
-
-def build_offline_digit(name: str = "digit-offline") -> PairedDataset:
-    """Six engineered views of scikit-learn's bundled 8x8 digit images."""
-    try:
-        from sklearn.datasets import load_digits
-    except ImportError as exc:  # pragma: no cover - environment guard
-        raise DataError("the offline digit benchmark needs scikit-learn installed") from exc
-    raw = load_digits()
-    images = raw.images.astype(np.float64)
-    flat = raw.data.astype(np.float64)
-    labels = raw.target.astype(np.int64)
-    views = [
-        flat,                       # pixel view
-        _fourier_view(images),      # frequency view
-        _pca_view(flat),            # subspace view
-        _moment_view(images),       # moment-invariant view
-        _morphology_view(images),   # morphological view
-        _profile_view(images),      # projection-profile view
-    ]
-    return PairedDataset(
-        name=name,
-        n_clusters=10,
-        ids=np.arange(flat.shape[0], dtype=np.int64),
-        features=views,
         labels=labels,
     )

@@ -9,9 +9,11 @@ orthogonality regularizer, l_in is an NT-Xent contrastive loss over
 sample pairs whose same/different-cluster relation holds at every
 active clustering level, l_co contrasts concatenated-representation
 anchors against view samples through the common view's matching of
-each view's clusters to common clusters, and l_cr pulls each view's
-soft cluster-assignment distribution toward the distributions of views
-with strictly better silhouettes.
+each view's clusters to common clusters, and l_cr guides every view
+that has peers with strictly better silhouettes: each of its samples'
+heavy-tailed assignments to the common centroids is pulled, by
+cross-entropy, toward the common centroid matched to the sample's
+cluster, weighted by |reliable set| / V^2.
 
 Cluster assignments, centroids, matchings, silhouettes and reliable
 sets are all recomputed outside the loss graph and enter it as
@@ -22,11 +24,11 @@ representations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .cluster import cosine_matrix, hungarian_max
 from .errors import ConfigError, ShapeError
 from .nn.mlp import AutoencoderBundle
 from .nn.tensor import Tensor, concat_rows, row_normalize
@@ -36,6 +38,8 @@ DISTRIBUTION_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class LossWeights:
+    LAMBDAS: ClassVar[tuple[str, ...]] = ("lambda1", "lambda2", "lambda3", "lambda4")
+
     lambda1: float = 1.0
     lambda2: float = 0.01
     lambda3: float = 0.01
@@ -43,7 +47,7 @@ class LossWeights:
     temperature: float = 0.1
 
     def __post_init__(self):
-        for name in ("lambda1", "lambda2", "lambda3", "lambda4"):
+        for name in self.LAMBDAS:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
         if self.temperature <= 0:
@@ -236,16 +240,6 @@ def inner_contrastive_loss(
 # common-view multi-level guidance
 
 
-def match_common(common_centroids: np.ndarray, view_centroids: np.ndarray) -> np.ndarray:
-    """Permutation matrix pairing common-view centroids with view centroids
-    by maximum total cosine similarity."""
-    if common_centroids.shape != view_centroids.shape:
-        raise ShapeError(
-            f"centroid shape mismatch: {common_centroids.shape} vs {view_centroids.shape}"
-        )
-    return hungarian_max(cosine_matrix(common_centroids, view_centroids))
-
-
 def common_contrastive_loss(
     z_batches: list[Tensor],
     batch_common_labels: dict[int, np.ndarray],
@@ -313,19 +307,6 @@ def common_contrastive_loss(
 # cross-view reliable guidance
 
 
-def compose_matchings(a_view: np.ndarray, a_other: np.ndarray) -> np.ndarray:
-    """Map each cluster of one view to its partner in another view.
-
-    Both matchings pair common-view centroids with view centroids, so
-    the composition runs through the common view: cluster j of the
-    first view corresponds to the common centroid matched to j, and
-    from there to the second view's matched cluster.
-    """
-    common_of = np.argmax(a_view, axis=0)
-    other_of_common = np.argmax(a_other, axis=1)
-    return other_of_common[common_of]
-
-
 def student_assignments(z: Tensor, centroids: np.ndarray) -> Tensor:
     """Heavy-tailed soft assignment of rows to centroids.
 
@@ -388,52 +369,6 @@ def select_reliable(silhouettes: np.ndarray, coeff: float) -> list[list[int]]:
         threshold = coeff * sv if sv > 0 else sv + coeff * abs(sv)
         out.append([r for r, sr in enumerate(sils.tolist()) if r != v and sr > threshold])
     return out
-
-
-def view_distribution(
-    z_batch: Tensor,
-    common_centroids: np.ndarray,
-    temperature: float,
-    floor: float = DISTRIBUTION_FLOOR,
-) -> Tensor:
-    """Batch-mean soft assignment of view samples to common-view centroids.
-
-    Each sample gets softmax(cos(z_i, c_k) / tau) over centroids; the
-    batch average is floored at `floor` and renormalized so cross-view
-    KL terms stay finite.
-    """
-    k = common_centroids.shape[0]
-    if k < 2:
-        raise ShapeError("view distribution needs at least 2 centroids")
-    norms = np.linalg.norm(common_centroids, axis=1, keepdims=True)
-    cn = common_centroids / np.where(norms > 0, norms, 1.0)
-    zn = row_normalize(z_batch)
-    sim = zn @ Tensor(cn.T)
-    inv_temp = 1.0 / float(temperature)
-    shift = (sim.data * inv_temp).max(axis=1)
-    e = (sim * inv_temp - Tensor(shift[:, None])).exp()
-    p_rows = e / e.sum(axis=1, keepdims=True)
-    p = p_rows.mean(axis=0)
-    p = p.clip_min(float(floor))
-    return p / p.sum()
-
-
-def cross_view_kl(distributions: list[Tensor], reliable: list[list[int]]) -> Tensor:
-    """Sum of KL(P_v || Q_r) over each view's reliable set, weighted 1/V^2.
-
-    Reliable-view distributions act as constants (guidance targets), so
-    gradient flows only into the guided view's distribution.
-    """
-    n_views = len(distributions)
-    total = Tensor(0.0)
-    weight = 1.0 / (n_views * n_views)
-    for v, targets in enumerate(reliable):
-        p = distributions[v]
-        for r in targets:
-            log_q = np.log(distributions[r].data)
-            kl = (p * (p.log() - Tensor(log_q))).sum()
-            total = total + kl * weight
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,17 @@
 Everything lives in one ``.npz`` container: raw float64 arrays for
 parameters, batch-norm running statistics, optimizer moments, and the
 warm-start centroids, plus a JSON metadata entry carrying the format
-version, config hash, and counters. Loading is all-or-nothing: the
-file is fully parsed and validated before any state is handed back.
+version, config hash, and counters. Saving is atomic: the file is
+written under a temporary name in the same directory and renamed over
+the target, so a crash mid-write leaves the previous checkpoint intact.
+Loading is all-or-nothing: the file is fully parsed and validated
+before any state is handed back.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -59,8 +63,13 @@ def save_checkpoint(
         arrays[f"warm/{scope}/{int(level)}"] = arr
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path, *, expect_config_hash: str | None = None) -> CheckpointData:

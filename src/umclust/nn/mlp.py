@@ -9,47 +9,40 @@ from (dims, seed) alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import NumericalError, ShapeError
-from .tensor import Tensor, softmax_rows
+from .tensor import Tensor
 
 
 @dataclass(frozen=True)
 class MlpSpec:
     """Shape of one MLP: input -> hidden... -> output.
 
-    `head` selects the activation after the final linear layer. The
-    default, "linear", leaves it untouched, so encoder latents are plain
-    affine outputs; "softmax" maps every row onto the probability
-    simplex. The default here is the package-wide latent-head default:
-    `build_bundle` and `TrainConfig.latent_activation` both read it.
+    The final layer has no activation, so encoder latents are plain
+    affine outputs and decoder outputs live in feature space.
     """
 
     input_dim: int
     hidden_dims: tuple[int, ...]
     output_dim: int
     batchnorm: bool = True
-    head: str = "linear"
 
     def __post_init__(self):
         dims = (self.input_dim, *self.hidden_dims, self.output_dim)
         if any(int(d) < 1 for d in dims):
             raise ShapeError(f"all layer dims must be >= 1, got {dims}")
-        if self.head not in ("linear", "softmax"):
-            raise ShapeError(f"unknown head '{self.head}'")
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
 
     def mirrored(self) -> "MlpSpec":
-        """Spec of the decoder matching this encoder (linear output head)."""
+        """Spec of the decoder matching this encoder."""
         return MlpSpec(
             input_dim=self.output_dim,
             hidden_dims=tuple(reversed(self.hidden_dims)),
             output_dim=self.input_dim,
             batchnorm=self.batchnorm,
-            head="linear",
         )
 
 
@@ -134,8 +127,6 @@ class Mlp:
                 h = h.relu()
             if not np.isfinite(h.data).all():
                 raise NumericalError(f"non-finite activation after layer {i}")
-        if self.spec.head == "softmax":
-            h = softmax_rows(h)
         return h
 
     def modules(self):
@@ -257,7 +248,6 @@ def build_bundle(
     hidden_dims: tuple[int, ...],
     batchnorm: bool,
     seed: int,
-    latent_activation: str = MlpSpec.head,
 ) -> AutoencoderBundle:
     specs = [
         MlpSpec(
@@ -265,7 +255,6 @@ def build_bundle(
             hidden_dims=tuple(hidden_dims),
             output_dim=int(latent_dim),
             batchnorm=batchnorm,
-            head=latent_activation,
         )
         for d in input_dims
     ]

@@ -224,18 +224,6 @@ class Tensor:
 
         return Tensor._result(np.where(mask, self.data, floor), (self,), backward)
 
-    def rows(self, index: np.ndarray) -> "Tensor":
-        """Gather rows by integer index; backward scatter-adds into place."""
-        index = np.asarray(index, dtype=np.int64)
-
-        def backward(grad, a=self, index=index):
-            if a.requires_grad:
-                full = np.zeros_like(a.data)
-                np.add.at(full, index, grad)
-                a._accumulate(full)
-
-        return Tensor._result(self.data[index], (self,), backward)
-
     # -- graph execution -----------------------------------------------------------
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -289,14 +277,6 @@ def concat_rows(tensors: list[Tensor]) -> Tensor:
         out._parents = tuple(tensors)
         out._backward = backward
     return out
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax; the row max is shifted out of the exponent, which
-    leaves both value and gradient exact while preventing overflow."""
-    shift = x.data.max(axis=1, keepdims=True)
-    e = (x - Tensor(shift)).exp()
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def row_normalize(z: Tensor, min_sq_norm: float = 1e-60) -> Tensor:

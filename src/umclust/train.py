@@ -20,7 +20,7 @@ import hashlib
 import json
 import logging
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +41,7 @@ from .losses import (
     total_loss,
 )
 from .metrics import MetricsReport, build_report, export_embeddings
-from .nn import Adam, MlpSpec, build_bundle, load_checkpoint, save_checkpoint
+from .nn import Adam, build_bundle, load_checkpoint, save_checkpoint
 
 logger = logging.getLogger("umclust")
 
@@ -51,6 +51,15 @@ class Seeds:
     init: int = 1
     shuffle: int = 2
     kmeans: int = 3
+
+
+@dataclass(frozen=True)
+class Reliability:
+    """Reliable-view coefficient schedule: max(floor, start * decay^(t-1))."""
+
+    start: float = 1.5
+    decay: float = 0.99
+    floor: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -65,17 +74,13 @@ class TrainConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     weights: LossWeights = field(default_factory=LossWeights)
-    reliability_start: float = 1.5
-    reliability_decay: float = 0.99
-    reliability_floor: float = 1.0
+    reliability: Reliability = field(default_factory=Reliability)
     seeds: Seeds = field(default_factory=Seeds)
     refresh_every: int = 1
     final_restarts: int = 10
     kmeans_max_iter: int = 100
     kmeans_tol: float = 1e-6
     cluster_levels: tuple[int, ...] | None = None
-    guidance_temperature: float = 0.3
-    latent_activation: str = MlpSpec.head
 
     def __post_init__(self):
         if self.epochs < 4:
@@ -88,22 +93,22 @@ class TrainConfig:
             raise ConfigError("final_restarts must be >= 1")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
-        if self.latent_activation not in ("softmax", "linear"):
-            raise ConfigError(f"latent_activation must be softmax|linear, got '{self.latent_activation}'")
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
         if self.cluster_levels is not None:
             object.__setattr__(self, "cluster_levels", tuple(int(k) for k in self.cluster_levels))
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    def reseeded(self, seed: int) -> "TrainConfig":
+        """Every stochastic component seeded from one value."""
+        return replace(self, seeds=Seeds(init=seed, shuffle=seed + 1, kmeans=seed + 2))
+
+    def with_weights(self, **overrides: float) -> "TrainConfig":
+        return replace(self, weights=replace(self.weights, **overrides))
 
 
 def reliability_coeff(config: TrainConfig, epoch: int) -> float:
     """Coefficient used during 1-based `epoch`: max(floor, start * decay^(epoch-1))."""
-    return max(
-        config.reliability_floor,
-        config.reliability_start * config.reliability_decay ** (epoch - 1),
-    )
+    rel = config.reliability
+    return max(rel.floor, rel.start * rel.decay ** (epoch - 1))
 
 
 def active_prefix_length(epoch: int, total_epochs: int) -> int:
@@ -123,7 +128,7 @@ def run_hash(config: TrainConfig, dataset: MultiViewDataset) -> str:
         digest.update(np.ascontiguousarray(v.features).tobytes())
         digest.update(v.labels.tobytes())
     payload = {
-        "config": config.to_dict(),
+        "config": asdict(config),
         "dataset": {
             "name": dataset.name,
             "clusters": dataset.n_clusters,
@@ -273,7 +278,6 @@ def train(
         config.hidden_dims,
         config.batchnorm,
         config.seeds.init,
-        latent_activation=config.latent_activation,
     )
     opt = Adam(lr=config.learning_rate, beta1=config.beta1, beta2=config.beta2, eps=config.adam_eps)
     plan = BatchPlan(batch_size=config.batch_size, shuffle_seed=config.seeds.shuffle)

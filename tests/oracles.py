@@ -115,10 +115,6 @@ def brute_f1(pred: np.ndarray, truth: np.ndarray) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def brute_kl(p: np.ndarray, q: np.ndarray) -> float:
-    return sum(pi * math.log(pi / qi) for pi, qi in zip(p.tolist(), q.tolist()))
-
-
 def brute_pair_sets(levels: list[np.ndarray], n: int) -> tuple[list[set[int]], list[set[int]]]:
     """Same/different-cluster relation intersected across levels, per sample."""
     tp: list[set[int]] = [set() for _ in range(n)]

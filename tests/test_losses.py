@@ -5,21 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_kl, brute_pair_sets
-from umclust.cluster import cosine
+from oracles import brute_pair_sets
 from umclust.errors import ConfigError, ShapeError
 from umclust.losses import (
     ClusterSet,
     LossWeights,
     build_inner_pairs,
     common_contrastive_loss,
-    cross_view_kl,
+    cross_view_guidance_loss,
     inner_contrastive_loss,
-    match_common,
     recon_orth_term,
     select_reliable,
     total_loss,
-    view_distribution,
 )
 from umclust.nn.tensor import Tensor
 
@@ -189,31 +186,7 @@ def test_inner_loss_gradient_flows():
 
 
 # ---------------------------------------------------------------------------
-# common-view matching and contrastive loss
-
-
-def test_match_common_recovers_permutation():
-    rng = np.random.default_rng(2)
-    c_common = rng.normal(size=(4, 6))
-    perm = np.array([2, 0, 3, 1])
-    a = match_common(c_common, c_common[perm])
-    # centroid row i of the view equals common centroid perm[i]
-    recovered = np.argmax(a, axis=1)
-    assert np.array_equal(perm[recovered], np.arange(4))
-
-
-def test_match_common_hand_cost_case():
-    common = np.array([[1.0, 0.0], [0.0, 1.0]])
-    view = np.array([[0.9, 0.1], [0.2, 0.8]])
-    a = match_common(common, view)
-    assert np.array_equal(np.argmax(a, axis=1), [0, 1])
-    cost = np.array([[cosine(common[i], view[j]) for j in range(2)] for i in range(2)])
-    assert (cost * a).sum() >= (cost * np.fliplr(np.eye(2))).sum()
-
-
-def test_match_common_shape_mismatch():
-    with pytest.raises(ShapeError):
-        match_common(np.zeros((2, 3)), np.zeros((3, 3)))
+# common-view contrastive loss
 
 
 def _simple_common_setup():
@@ -284,7 +257,7 @@ def test_common_loss_gradient_flows_to_all_views():
 
 
 # ---------------------------------------------------------------------------
-# reliable views, distributions, KL
+# reliable views and guidance
 
 
 def test_select_reliable_strictly_increasing():
@@ -310,77 +283,32 @@ def test_select_reliable_negative_silhouette_additive_margin():
     assert out[0] == [2]
 
 
-def test_view_distribution_uniform_for_equal_cosines():
-    z = Tensor(np.array([[1.0, 1.0]]))
-    centroids = np.array([[1.0, 0.0], [0.0, 1.0]])
-    p = view_distribution(z, centroids, temperature=0.1)
-    assert np.allclose(p.data, [0.5, 0.5], atol=1e-12)
-
-
-def test_view_distribution_softmax_hand_case():
-    z = Tensor(np.array([[1.0, 0.0]]))
-    centroids = np.array([[1.0, 0.0], [0.0, 1.0]])  # cosines 1.0 and 0.0
-    p = view_distribution(z, centroids, temperature=0.1)
-    expected = np.array([1.0, np.exp(-10.0)]) / (1.0 + np.exp(-10.0))
-    assert np.allclose(p.data, expected, atol=1e-12)
-
-
-def test_view_distribution_low_temperature_one_hot():
-    z = Tensor(np.array([[1.0, 0.2]]))
-    centroids = np.array([[1.0, 0.0], [0.0, 1.0]])
-    p = view_distribution(z, centroids, temperature=1e-3)
-    assert p.data[0] == pytest.approx(1.0, abs=1e-6)
-    assert p.data.min() >= 1e-9  # floor keeps the tail positive
-
-
-def test_view_distribution_sums_to_one():
-    rng = np.random.default_rng(5)
-    p = view_distribution(Tensor(rng.normal(size=(7, 4))), rng.normal(size=(5, 4)), 0.1)
-    assert p.data.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_cross_view_kl_zero_for_identical():
-    p = Tensor(np.array([0.25, 0.75]))
-    assert cross_view_kl([p, p], [[1], [0]]).item() == pytest.approx(0.0, abs=1e-12)
-
-
-def test_cross_view_kl_log2_limit():
-    eps = 1e-12
-    p = Tensor(np.array([1.0 - eps, eps]))
-    q = Tensor(np.array([0.5, 0.5]))
-    got = cross_view_kl([p, q], [[1], []]).item()
-    assert got == pytest.approx(math.log(2.0) / 4.0, rel=1e-6)  # 1/V^2 weight with V=2
-
-
-def test_cross_view_kl_matches_oracle():
-    rng = np.random.default_rng(6)
-    for _ in range(50):
-        a = rng.uniform(0.01, 1.0, size=5)
-        b = rng.uniform(0.01, 1.0, size=5)
-        a /= a.sum()
-        b /= b.sum()
-        got = cross_view_kl([Tensor(a), Tensor(b)], [[1], []]).item()
-        assert got == pytest.approx(brute_kl(a, b) / 4.0, abs=1e-12)
-
-
-def test_cross_view_kl_nonnegative():
-    rng = np.random.default_rng(7)
-    for _ in range(30):
-        dists = []
-        for _ in range(3):
-            p = rng.uniform(0.01, 1.0, size=4)
-            dists.append(Tensor(p / p.sum()))
-        reliable = [[1, 2], [0], []]
-        assert cross_view_kl(dists, reliable).item() >= -1e-15
-
-
-def test_cross_view_kl_stop_gradient_on_targets():
-    a = Tensor(np.array([0.2, 0.8]), requires_grad=True)
-    b = Tensor(np.array([0.6, 0.4]), requires_grad=True)
-    loss = cross_view_kl([a, b], [[1], []])
+def test_guidance_hand_case_pulls_guided_view_only():
+    # view 0 is guided by view 1; its clusters map to common clusters through
+    # the anti-diagonal matching, so view labels [1, 0] target commons [0, 1]
+    z0 = Tensor(np.array([[0.0, 0.0], [1.0, 0.0]]), requires_grad=True)
+    z1 = Tensor(np.array([[5.0, 5.0], [6.0, 5.0]]), requires_grad=True)
+    centroids = np.array([[0.0, 0.0], [3.0, 0.0]])
+    anti = np.fliplr(np.eye(2, dtype=np.int64))
+    loss = cross_view_guidance_loss(
+        [z0, z1], centroids, [anti, np.eye(2, dtype=np.int64)],
+        [np.array([1, 0]), np.array([0, 1])], reliable=[[1], []],
+    )
+    # sample 0: q = (1, 0.1)/1.1, target 0; sample 1: q = (0.5, 0.2)/0.7, target 1
+    expected = (math.log(1.1) + math.log(3.5)) / 2 * (1 / 4)
+    assert loss.item() == pytest.approx(expected, rel=1e-12)
     loss.backward()
-    assert a.grad is not None and np.any(a.grad != 0)
-    assert b.grad is None  # reliable view is a constant target
+    assert z0.grad is not None and np.any(z0.grad != 0)
+    assert z1.grad is None
+
+
+def test_guidance_zero_without_reliable_peers():
+    z = Tensor(np.ones((3, 2)))
+    labels = np.array([0, 1, 0])
+    loss = cross_view_guidance_loss(
+        [z, z], np.eye(2), [np.eye(2, dtype=np.int64)] * 2, [labels, labels], reliable=[[], []]
+    )
+    assert loss.item() == 0.0
 
 
 # ---------------------------------------------------------------------------

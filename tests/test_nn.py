@@ -263,6 +263,25 @@ def test_checkpoint_hash_mismatch_refused(tmp_path):
         load_checkpoint(path, expect_config_hash="zzz")
 
 
+def test_failed_checkpoint_save_keeps_previous_file(tmp_path, monkeypatch):
+    bundle = tiny_bundle()
+    opt = Adam()
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, **_checkpoint_payload(bundle, opt))
+
+    def crash_mid_write(fh, **arrays):
+        fh.write(b"PK\x03\x04 partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", crash_mid_write)
+    payload = {**_checkpoint_payload(bundle, opt), "epoch": 8}
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, **payload)
+    monkeypatch.undo()
+    assert load_checkpoint(path, expect_config_hash="abc123").epoch == 7
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.npz"]
+
+
 def test_checkpoint_corrupted_file(tmp_path):
     path = tmp_path / "ck.npz"
     path.write_bytes(b"not a checkpoint at all")
