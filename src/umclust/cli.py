@@ -14,7 +14,8 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from . import config as cfg
@@ -164,6 +165,12 @@ def _sweep_outcome(label: str, result) -> tuple[dict | None, str]:
         return None, err
 
 
+def _run_in_pool(tasks: list[tuple], jobs: int) -> list[Future]:
+    """Every task's `_sweep_point` future from a fresh pool, all finished."""
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return [pool.submit(_sweep_point, t) for t in tasks]
+
+
 def cmd_sweep(args) -> int:
     run_config = _load_run_config(args)
     if not run_config.sweep:
@@ -178,9 +185,14 @@ def cmd_sweep(args) -> int:
         label = "-".join(f"{a}={v:g}" for a, v in overrides.items())
         tasks.append((str(args.config), str(out / f"run-{label}"), overrides, args.seed, label))
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_sweep_point, t) for t in tasks]
-            outcomes = [_sweep_outcome(task[4], fut.result) for task, fut in zip(tasks, futures)]
+        futures = _run_in_pool(tasks, args.jobs)
+        # A worker that dies breaks the pool, failing every point still in it;
+        # each of those reruns alone, so only the point that crashed keeps a failure.
+        futures = [
+            _run_in_pool([task], 1)[0] if isinstance(fut.exception(), BrokenProcessPool) else fut
+            for task, fut in zip(tasks, futures)
+        ]
+        outcomes = [_sweep_outcome(task[4], fut.result) for task, fut in zip(tasks, futures)]
     else:
         outcomes = [_sweep_outcome(task[4], functools.partial(_sweep_point, task)) for task in tasks]
     summary = out / "summary.csv"

@@ -36,16 +36,34 @@ def _reject_unknown(section: dict, allowed: set[str], path: str) -> None:
             raise ConfigError(f"unknown config key '{path}.{key}'")
 
 
+def _castable(value, cast) -> bool:
+    """Whether `cast(value)` keeps what the YAML said.
+
+    A bool takes only a YAML boolean; an int takes an integer or a float
+    with no fractional part; a float takes a number or a string, since
+    PyYAML reads `1e-3` as one. No number field takes a bool.
+    """
+    if cast is bool:
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return cast not in (int, float)
+    if cast is int:
+        return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if cast is float:
+        return isinstance(value, (int, float, str))
+    return True
+
+
 def _get(section: dict, key: str, default, path: str, cast=None):
     value = section.get(key, default)
-    if value is None:
-        return None
-    if cast is not None:
-        try:
+    if value is None or cast is None:
+        return value
+    try:
+        if _castable(value, cast):
             return cast(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config key '{path}.{key}' has invalid value {value!r}") from exc
-    return value
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"config key '{path}.{key}' has invalid value {value!r}")
 
 
 @dataclass
@@ -146,8 +164,9 @@ def _parse_dataclass(cls, section: dict, path: str):
 
     Unknown keys are errors and absent keys keep the field's default.
     A field whose default is a dataclass parses its mapping recursively;
-    a scalar is cast to its default's type; a sequence, or a value for a
-    field that defaults to None, goes to `__post_init__` as given.
+    a scalar is cast to its default's type where `_castable` allows; a
+    sequence, or a value for a field that defaults to None, goes to
+    `__post_init__` as given.
     """
     known = fields(cls)
     _reject_unknown(section, {f.name for f in known}, path)

@@ -19,6 +19,11 @@ Cluster assignments, centroids, matchings, silhouettes and reliable
 sets are all recomputed outside the loss graph and enter it as
 constants; gradients flow only through the current batch
 representations.
+
+l_in and l_co compute their NT-Xent value and gradient together in
+closed form (`_nt_xent_rows`) and each enters the graph as one node.
+l_co works one anchor view at a time, so only b_v x (V * b)
+similarity arrays are alive at once, never one per level and view.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .nn.mlp import AutoencoderBundle
-from .nn.tensor import Tensor, concat_rows, row_normalize
+from .nn.tensor import Tensor, closed_form, concat_rows, row_normalize
 
 DISTRIBUTION_FLOOR = 1e-8
 
@@ -186,23 +191,34 @@ def build_inner_pairs(labels_by_level: dict[int, np.ndarray], batch_idx: np.ndar
     return PairSets(tp=same, tn=diff)
 
 
-def _masked_logsumexp_rows(sim: Tensor, mask: np.ndarray, inv_temp: float) -> tuple[Tensor, np.ndarray]:
-    """log(sum over masked entries of exp(sim/tau)) per row.
+def _nt_xent_rows(
+    sim: np.ndarray, pos_weight: np.ndarray, neg_mask: np.ndarray, inv_temp: float
+) -> tuple[float, np.ndarray]:
+    """Weighted NT-Xent over the rows of `sim`, and its gradient in `sim`.
 
-    Rows with an empty mask yield 0 and are flagged invalid. The row max
-    is subtracted inside the exponent (an exact identity), so entries
-    never overflow regardless of temperature.
+    Sums, over rows i with a negative, c_i * log(sum_{neg(i)} exp(s_ij/tau))
+    - (1/tau) * sum_j w_ij s_ij, where w = `pos_weight` and c_i = sum_j w_ij.
+    The gradient is (1/tau) * (c_i E_ij / sum_j E_ij - w_ij) on those rows
+    and 0 elsewhere, with E_ij = exp(s_ij/tau) on negatives, 0 off them.
+    The row max over the negatives is subtracted inside the exponent, so
+    nothing overflows. A non-finite similarity anywhere gives a non-finite
+    value. `sim` is overwritten; its buffer is returned as the gradient.
     """
-    scaled = sim.data * inv_temp
-    with np.errstate(invalid="ignore"):
-        row_max = np.where(mask, scaled, -np.inf).max(axis=1)
-    has_any = np.isfinite(row_max)
-    shift = np.where(has_any, row_max, 0.0)
-    mask_f = mask.astype(np.float64)
-    exponent = (sim * inv_temp - Tensor(shift[:, None])) * Tensor(mask_f)
-    summed = (exponent.exp() * Tensor(mask_f)).sum(axis=1)
-    lse = (summed + Tensor((~has_any).astype(np.float64))).log() + Tensor(shift)
-    return lse, has_any
+    c = pos_weight.sum(axis=1)
+    pos_dot = np.einsum("ij,ij->i", pos_weight, sim)
+    valid = neg_mask.any(axis=1)
+    buf = np.multiply(sim, inv_temp, out=sim)
+    np.copyto(buf, -np.inf, where=~neg_mask)
+    shift = np.where(valid, buf.max(axis=1), 0.0)
+    buf -= shift[:, None]
+    np.exp(buf, out=buf)
+    denom = np.where(valid, buf.sum(axis=1), 1.0)
+    lse = np.log(denom) + shift
+    value = float(np.sum(valid * (c * lse - inv_temp * pos_dot)))
+    buf *= (valid * c / denom)[:, None]
+    np.subtract(buf, pos_weight, out=buf, where=valid[:, None])
+    buf *= inv_temp
+    return value, buf
 
 
 def inner_contrastive_loss(
@@ -220,19 +236,10 @@ def inner_contrastive_loss(
     inv_temp = 1.0 / float(temperature)
     total = Tensor(0.0)
     for z, pairs in zip(z_batches, pair_sets):
-        b = z.data.shape[0]
-        m = pairs.m
-        valid = (m > 0) & (pairs.n > 0)
-        if not valid.any():
-            continue
         zn = row_normalize(z)
-        sim = zn @ zn.T
-        lse, _ = _masked_logsumexp_rows(sim, pairs.tn, inv_temp)
-        pos_sum = (sim * Tensor(pairs.tp.astype(np.float64))).sum(axis=1)
-        m_safe = np.maximum(m, 1).astype(np.float64)
-        row_term = lse - pos_sum * Tensor(inv_temp / m_safe)
-        coeff = valid.astype(np.float64) / (n_views * b)
-        total = total + (row_term * Tensor(coeff)).sum()
+        row_weight = 1.0 / (np.maximum(pairs.m, 1) * n_views * z.data.shape[0])
+        value, g = _nt_xent_rows(zn.data @ zn.data.T, pairs.tp * row_weight[:, None], pairs.tn, inv_temp)
+        total = total + closed_form(zn, value, (g + g.T) @ zn.data)
     return total
 
 
@@ -252,55 +259,45 @@ def common_contrastive_loss(
 
     A pair (anchor i, view sample j) is positive at a level when the
     matching links the anchor's common-view cluster to j's view cluster,
-    negative otherwise. Each level contributes an NT-Xent term whose
+    negative otherwise, and weighs 1/(N * V * b_v) for N anchors and b_v
+    samples in view v. Each level contributes an NT-Xent term whose
     denominator pools that anchor's negatives across all views; levels
     are averaged. Anchors with no negatives anywhere are skipped.
+
+    The concatenated view batches are the anchors themselves, so each
+    level's similarities come from the normalized union with itself,
+    built one anchor view (b_v x N) at a time.
     """
     n_views = len(z_batches)
     inv_temp = 1.0 / float(temperature)
-    z_union = concat_rows(z_batches)
-    n_union = z_union.data.shape[0]
-    zu = row_normalize(z_union)
-    zv_normed = [row_normalize(z) for z in z_batches]
-    sims = [zu @ zn.T for zn in zv_normed]
-    total = Tensor(0.0)
+    zu = row_normalize(concat_rows(z_batches))
+    sizes = [z.data.shape[0] for z in z_batches]
+    offsets = np.cumsum([0, *sizes])
+    n_union = int(offsets[-1])
+    col_weight = np.repeat([1.0 / (n_union * n_views * b_v) for b_v in sizes], sizes)
+    linked = {}
     for level in active_levels:
-        g_common = batch_common_labels[level]
-        pos_masks = []
-        neg_masks = []
+        blocks = []
         for v in range(n_views):
             a = matchings[level][v]
             if a is None:
                 raise ShapeError(f"missing matching for view {v} at level {level}")
-            pos = a[np.ix_(g_common, batch_view_labels[level][v])].astype(bool)
-            pos_masks.append(pos)
-            neg_masks.append(~pos)
-        all_scaled = np.concatenate([s.data * inv_temp for s in sims], axis=1)
-        all_neg = np.concatenate(neg_masks, axis=1)
-        with np.errstate(invalid="ignore"):
-            row_max = np.where(all_neg, all_scaled, -np.inf).max(axis=1)
-        has_neg = np.isfinite(row_max)
-        if not has_neg.any():
-            continue
-        shift = np.where(has_neg, row_max, 0.0)
-        neg_total = Tensor(np.zeros(n_union))
-        for v in range(n_views):
-            mask_f = neg_masks[v].astype(np.float64)
-            exponent = (sims[v] * inv_temp - Tensor(shift[:, None])) * Tensor(mask_f)
-            neg_total = neg_total + (exponent.exp() * Tensor(mask_f)).sum(axis=1)
-        lse = (neg_total + Tensor((~has_neg).astype(np.float64))).log() + Tensor(shift)
-        valid = has_neg.astype(np.float64)
-        level_term = Tensor(0.0)
-        for v in range(n_views):
-            b_v = z_batches[v].data.shape[0]
-            pos_f = pos_masks[v].astype(np.float64)
-            pos_count = pos_f.sum(axis=1)
-            pos_sum = (sims[v] * Tensor(pos_f)).sum(axis=1)
-            per_anchor = Tensor(pos_count) * lse - pos_sum * inv_temp
-            weight = valid / (n_union * n_views * b_v)
-            level_term = level_term + (per_anchor * Tensor(weight)).sum()
-        total = total + level_term
-    return total * (1.0 / len(active_levels))
+            blocks.append(np.asarray(a, dtype=bool)[:, batch_view_labels[level][v]])
+        linked[level] = np.concatenate(blocks, axis=1)
+    u = zu.data
+    value = 0.0
+    grad = np.zeros_like(u)
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        g_blk = np.zeros((hi - lo, n_union))
+        for level in active_levels:
+            pos = linked[level][batch_common_labels[level][lo:hi]]
+            level_value, g = _nt_xent_rows(u[lo:hi] @ u.T, pos * col_weight, ~pos, inv_temp)
+            value += level_value
+            g_blk += g
+        grad[lo:hi] += g_blk @ u
+        grad += g_blk.T @ u[lo:hi]
+    scale = 1.0 / len(active_levels)
+    return closed_form(zu, value * scale, grad * scale)
 
 
 # ---------------------------------------------------------------------------

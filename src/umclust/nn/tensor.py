@@ -7,6 +7,11 @@ created with ``requires_grad=True``. Only the operations needed by the
 training objective are implemented; all of them broadcast the same way
 numpy does, and gradients of broadcast operands are summed back to the
 operand's shape.
+
+A loss whose gradient is cheaper to derive by hand than to record op by
+op enters the graph through ``closed_form``: one scalar node that holds
+its value and its gradient with respect to one parent, both computed in
+the forward pass, instead of every intermediate array.
 """
 
 from __future__ import annotations
@@ -258,6 +263,20 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+
+
+def closed_form(parent: Tensor, value: float, grad: np.ndarray) -> Tensor:
+    """Scalar node with a precomputed value and d(value)/d(parent) = `grad`.
+
+    Backward sends `upstream * grad` to `parent`; `grad` must have the
+    parent's shape.
+    """
+
+    def backward(upstream, a=parent, g=grad):
+        if a.requires_grad:
+            a._accumulate(upstream * g)
+
+    return Tensor._result(value, (parent,), backward)
 
 
 def concat_rows(tensors: list[Tensor]) -> Tensor:

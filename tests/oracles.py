@@ -132,6 +132,81 @@ def brute_pair_sets(levels: list[np.ndarray], n: int) -> tuple[list[set[int]], l
     return tp, tn
 
 
+def _brute_cosine(a, b) -> float:
+    """Cosine similarity of two rows; an all-zero row is similar to nothing."""
+    na = math.sqrt(sum(float(x) * float(x) for x in a))
+    nb = math.sqrt(sum(float(x) * float(x) for x in b))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return sum(float(x) * float(y) for x, y in zip(a, b)) / (na * nb)
+
+
+def brute_inner_contrastive(
+    z_batches: list[np.ndarray],
+    tp_sets: list[list[set[int]]],
+    tn_sets: list[list[set[int]]],
+    temperature: float,
+) -> float:
+    """Inner-view NT-Xent straight from its definition.
+
+    Per view of b rows: sum over anchors i, over positives j in tp(i), of
+    -log(exp(s_ij/tau) / sum_{k in tn(i)} exp(s_ik/tau)) / (V * b * |tp(i)|),
+    with s the cosine similarity; anchors lacking positives or negatives
+    are skipped.
+    """
+    n_views = len(z_batches)
+    total = 0.0
+    for z, tp, tn in zip(z_batches, tp_sets, tn_sets):
+        b = z.shape[0]
+        for i in range(b):
+            if not tp[i] or not tn[i]:
+                continue
+            denom = sum(math.exp(_brute_cosine(z[i], z[k]) / temperature) for k in tn[i])
+            for j in tp[i]:
+                term = -math.log(math.exp(_brute_cosine(z[i], z[j]) / temperature) / denom)
+                total += term / (n_views * b * len(tp[i]))
+    return total
+
+
+def brute_common_contrastive(
+    z_batches: list[np.ndarray],
+    batch_common_labels: dict[int, np.ndarray],
+    batch_view_labels: dict[int, list[np.ndarray]],
+    matchings: dict[int, list[np.ndarray]],
+    active_levels: tuple[int, ...],
+    temperature: float,
+) -> float:
+    """Common-view NT-Xent straight from its definition.
+
+    Anchors are the N rows of the concatenated batch. At each level, view
+    sample j of view v is a positive of anchor i when the matching of v
+    links i's common cluster to j's view cluster, a negative otherwise.
+    Each positive pair adds -log(exp(s_ij/tau) / sum over i's negatives in
+    every view of exp(s/tau)) / (N * V * b_v); anchors with no negative
+    are skipped, and the levels are averaged.
+    """
+    n_views = len(z_batches)
+    anchors = [row for z in z_batches for row in z]
+    n_union = len(anchors)
+    total = 0.0
+    for level in active_levels:
+        for i, anchor in enumerate(anchors):
+            g = int(batch_common_labels[level][i])
+            pos: list[tuple[int, int]] = []
+            neg: list[tuple[int, int]] = []
+            for v, z in enumerate(z_batches):
+                for j in range(z.shape[0]):
+                    linked = matchings[level][v][g][int(batch_view_labels[level][v][j])]
+                    (pos if linked else neg).append((v, j))
+            if not neg:
+                continue
+            denom = sum(math.exp(_brute_cosine(anchor, z_batches[v][j]) / temperature) for v, j in neg)
+            for v, j in pos:
+                term = -math.log(math.exp(_brute_cosine(anchor, z_batches[v][j]) / temperature) / denom)
+                total += term / (n_union * n_views * z_batches[v].shape[0])
+    return total / len(active_levels)
+
+
 def brute_two_partition_kmeans(z: np.ndarray) -> float:
     """Best 2-cluster within-cluster sum of squares by exhausting partitions."""
     n = z.shape[0]

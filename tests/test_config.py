@@ -87,3 +87,37 @@ def test_train_section_round_trips_through_resolved_yaml():
 def test_bad_train_keys_name_their_path(train, path):
     with pytest.raises(ConfigError, match=f"'{path}'"):
         parse_config({"train": train})
+
+
+@pytest.mark.parametrize(
+    "train, field, expected",
+    [
+        ({"batchnorm": False}, "batchnorm", False),
+        ({"epochs": 8.0}, "epochs", 8),
+        ({"learning_rate": "1e-3"}, "learning_rate", 1e-3),
+        ({"learning_rate": 2}, "learning_rate", 2.0),
+    ],
+)
+def test_scalars_keep_their_yaml_value(train, field, expected):
+    value = getattr(parse_config({"train": train}).train, field)
+    assert value == expected and type(value) is type(expected)
+
+
+@pytest.mark.parametrize(
+    "train, path",
+    [
+        ({"batchnorm": "false"}, "train.batchnorm"),
+        ({"batchnorm": 0}, "train.batchnorm"),
+        ({"epochs": 8.9}, "train.epochs"),
+        ({"epochs": True}, "train.epochs"),
+        ({"epochs": "8"}, "train.epochs"),
+        ({"learning_rate": True}, "train.learning_rate"),
+        ({"learning_rate": "fast"}, "train.learning_rate"),
+        ({"learning_rate": [1e-3]}, "train.learning_rate"),
+        ({"seeds": {"init": 1.5}}, "train.seeds.init"),
+        ({"weights": {"lambda2": False}}, "train.weights.lambda2"),
+    ],
+)
+def test_lossy_scalar_casts_are_refused(train, path):
+    with pytest.raises(ConfigError, match=f"'{path}'"):
+        parse_config({"train": train})

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_pair_sets
+from oracles import (
+    brute_common_contrastive,
+    brute_inner_contrastive,
+    brute_pair_sets,
+    finite_difference_gradients,
+    max_relative_gradient_error,
+)
 from umclust.errors import ConfigError, ShapeError
 from umclust.losses import (
     ClusterSet,
@@ -243,6 +249,12 @@ def test_common_loss_multi_level_average():
     assert two == pytest.approx(one, abs=1e-12)  # identical levels average to the same value
 
 
+def test_common_loss_rejects_a_missing_matching():
+    zs, cl, vl, m = _simple_common_setup()
+    with pytest.raises(ShapeError, match="view 0 at level 2"):
+        common_contrastive_loss(zs, cl, vl, {2: [None]}, (2,), 0.1)
+
+
 def test_common_loss_gradient_flows_to_all_views():
     rng = np.random.default_rng(4)
     zs = [Tensor(rng.normal(size=(4, 3)), requires_grad=True) for _ in range(2)]
@@ -254,6 +266,134 @@ def test_common_loss_gradient_flows_to_all_views():
     loss.backward()
     for z in zs:
         assert z.grad is not None and np.isfinite(z.grad).all()
+
+
+# ---------------------------------------------------------------------------
+# both contrastive losses against the brute-force oracles
+
+
+LEVELS = (2, 3, 4)
+SIZES = (6, 9)
+
+
+def _contrastive_case(seed: int):
+    """Two views of unequal batch size at three levels, with an all-zero
+    latent row, an inner anchor without negatives, a common cluster linked
+    to every view cluster (its anchors have no negatives at that level)
+    and one linked to none (its anchors have no positives)."""
+    rng = np.random.default_rng(seed)
+    zs = [rng.normal(size=(b, 4)) for b in SIZES]
+    zs[0][2] = 0.0
+    view_labels = {k: [rng.integers(0, k, size=b) for b in SIZES] for k in LEVELS}
+    # view 1, anchor 0: every sample shares its cluster at level 2 or at level 3
+    first, second = view_labels[2][1], view_labels[3][1]
+    first[0] = 0
+    second[first != 0] = second[0]
+    common_labels = {k: rng.integers(0, k, size=sum(SIZES)) for k in LEVELS}
+    matchings = {k: [np.eye(k, dtype=np.int64)[rng.permutation(k)] for _ in SIZES] for k in LEVELS}
+    matchings[3][0][0] = 1
+    matchings[3][1][0] = 1
+    matchings[4][0][1] = 0
+    matchings[4][1][1] = 0
+    common_labels[3][:3] = 0
+    common_labels[4][3:6] = 1
+    return zs, view_labels, common_labels, matchings
+
+
+def _pair_sets(view_labels, active):
+    return [
+        build_inner_pairs({k: view_labels[k][v] for k in active}, np.arange(b))
+        for v, b in enumerate(SIZES)
+    ]
+
+
+def _inner_value(zs, view_labels, active, temperature):
+    return inner_contrastive_loss(zs, _pair_sets(view_labels, active), temperature)
+
+
+def test_contrastive_case_covers_the_edge_rows():
+    zs, view_labels, common_labels, matchings = _contrastive_case(0)
+    pairs = _pair_sets(view_labels, LEVELS)
+    assert pairs[1].n[0] == 0
+    assert any(((p.m == 0) & (p.n > 0)).any() for p in pairs)
+    assert not zs[0][2].any()
+    assert all(np.asarray(matchings[3][v][0]).all() for v in range(2))
+    assert not any(np.asarray(matchings[4][v][1]).any() for v in range(2))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("active", [(2,), (2, 3), LEVELS])
+@pytest.mark.parametrize("temperature", [0.1, 0.5])
+def test_contrastive_losses_match_oracles(seed, active, temperature):
+    zs, view_labels, common_labels, matchings = _contrastive_case(seed)
+    tensors = [Tensor(z) for z in zs]
+    pairs = _pair_sets(view_labels, active)
+    tp_sets = [[set(p.tp_indices(i)) for i in range(b)] for p, b in zip(pairs, SIZES)]
+    tn_sets = [[set(p.tn_indices(i)) for i in range(b)] for p, b in zip(pairs, SIZES)]
+    inner = _inner_value(tensors, view_labels, active, temperature).item()
+    assert inner == pytest.approx(brute_inner_contrastive(zs, tp_sets, tn_sets, temperature), rel=1e-12)
+    common = common_contrastive_loss(tensors, common_labels, view_labels, matchings, active, temperature).item()
+    expected = brute_common_contrastive(zs, common_labels, view_labels, matchings, active, temperature)
+    assert common == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("active", [(2, 3), LEVELS])
+@pytest.mark.parametrize("which", ["inner", "common"])
+def test_contrastive_gradients_match_finite_differences(seed, active, which):
+    zs, view_labels, common_labels, matchings = _contrastive_case(seed)
+    tensors = [Tensor(z, requires_grad=True) for z in zs]
+
+    def build():
+        if which == "inner":
+            return _inner_value(tensors, view_labels, active, 0.5)
+        return common_contrastive_loss(tensors, common_labels, view_labels, matchings, active, 0.5)
+
+    build().backward()
+    params = {f"z{v}": t for v, t in enumerate(tensors)}
+    numeric = finite_difference_gradients(params, lambda: build().item())
+    # row_normalize maps the all-zero row to zero and is not differentiable
+    # there; every other row's gradient must match, and none may be NaN
+    keep = {name: np.abs(t.data).sum(axis=1, keepdims=True) > 0 for name, t in params.items()}
+    grads = {name: np.zeros_like(t.data) if t.grad is None else t.grad for name, t in params.items()}
+    assert all(np.isfinite(g).all() for g in grads.values())
+    analytic = {name: np.where(keep[name], g, 0.0) for name, g in grads.items()}
+    numeric = {name: np.where(keep[name], g, 0.0) for name, g in numeric.items()}
+    assert max_relative_gradient_error(analytic, numeric) < 1e-6
+
+
+@pytest.mark.parametrize("which", ["inner", "common"])
+def test_contrastive_losses_stay_non_finite_on_non_finite_latents(which):
+    zs, view_labels, common_labels, matchings = _contrastive_case(0)
+    zs[1][4, 0] = np.nan
+    tensors = [Tensor(z) for z in zs]
+    if which == "inner":
+        loss = _inner_value(tensors, view_labels, LEVELS, 0.1)
+    else:
+        loss = common_contrastive_loss(tensors, common_labels, view_labels, matchings, LEVELS, 0.1)
+    assert not np.isfinite(loss.item())
+
+
+def test_common_loss_graph_holds_no_anchor_by_view_arrays():
+    # views8 shape: 8 views x 256 rows, D=32, 3 levels. Similarities are
+    # N x b_v per view and level; none of them may stay in the graph, so no
+    # reachable tensor exceeds the N x D latent union.
+    rng = np.random.default_rng(11)
+    n_views, b, dim, levels = 8, 256, 32, (2, 5, 10)
+    zs = [Tensor(rng.normal(size=(b, dim)), requires_grad=True) for _ in range(n_views)]
+    cl = {k: rng.integers(0, k, size=n_views * b) for k in levels}
+    vl = {k: [rng.integers(0, k, size=b) for _ in range(n_views)] for k in levels}
+    m = {k: [np.eye(k, dtype=np.int64)[rng.permutation(k)] for _ in range(n_views)] for k in levels}
+    loss = common_contrastive_loss(zs, cl, vl, m, levels, 0.1)
+    seen, stack, largest = set(), [loss], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        largest = max(largest, node.data.size)
+        stack.extend(node._parents)
+    assert largest <= n_views * b * dim
 
 
 # ---------------------------------------------------------------------------

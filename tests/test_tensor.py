@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from umclust.errors import ShapeError
-from umclust.nn.tensor import Tensor, concat_rows, row_normalize
+from umclust.nn.tensor import Tensor, closed_form, concat_rows, row_normalize
 
 
 def numeric_grad(build_loss, leaf: Tensor, h: float = 1e-6) -> np.ndarray:
@@ -127,3 +127,21 @@ def test_softmax_composite(rng):
         return (p * Tensor(target)).sum()
 
     check_op(loss, a)
+
+
+def test_closed_form_scales_its_gradient_by_upstream(rng):
+    a = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    g = rng.normal(size=(3, 2))
+    loss = closed_form(a, 1.5, g) * 2.5 + (a * 1.0).sum()
+    assert loss.item() == pytest.approx(3.75 + a.data.sum())
+    loss.backward()
+    assert np.allclose(a.grad, 2.5 * g + 1.0)
+
+
+def test_closed_form_without_grad_parent_is_a_constant(rng):
+    a = Tensor(rng.normal(size=(3, 2)))
+    out = closed_form(a, 0.5, np.ones((3, 2)))
+    assert out.item() == 0.5
+    assert not out.requires_grad and out._parents == ()
+    out.backward()
+    assert a.grad is None
