@@ -5,6 +5,12 @@ k-means++ with Lloyd refinement and empty-cluster repair, cosine
 similarity, the per-view mean silhouette coefficient, exact
 maximum-weight bipartite matching between equal-sized centroid sets,
 and cluster-structure matching between views that share no space.
+
+Training re-clusters every view and scores its silhouette at every
+refresh, so two kernels carry the cost: per-cluster sums
+(`_cluster_sums`, one `bincount` that adds rows in index order) and
+all-pairs distances (`_pairwise_distances`, one Gram product with the
+cancelling pairs recomputed from their differences).
 """
 
 from __future__ import annotations
@@ -107,6 +113,19 @@ def _assign_with_repair(z: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray,
     return labels, inertia
 
 
+def _cluster_sums(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """(k, d) sums of the rows of `x` per label; empty clusters sum to 0.
+
+    One `np.bincount` over the flat index `label * d + column`. It adds
+    the weights of each bin in index order, starting from 0, as the
+    unbuffered scatter of `np.add` through `ufunc.at` does, so the sums
+    are bit-identical to that scatter's.
+    """
+    d = x.shape[1]
+    flat = np.asarray(labels, dtype=np.intp)[:, None] * d + np.arange(d)
+    return np.bincount(flat.ravel(), weights=x.ravel(), minlength=k * d).reshape(k, d)
+
+
 def _lloyd(
     z: np.ndarray,
     centers: np.ndarray,
@@ -118,8 +137,7 @@ def _lloyd(
     labels, inertia = _assign_with_repair(z, centers)
     history.append(inertia)
     for _ in range(max_iter):
-        new_centers = np.zeros_like(centers)
-        np.add.at(new_centers, labels, z)
+        new_centers = _cluster_sums(z, labels, k)
         counts = np.bincount(labels, minlength=k).astype(np.float64)
         new_centers /= counts[:, None]
         shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
@@ -172,15 +190,32 @@ def kmeans(
 
 
 def _pairwise_distances(z: np.ndarray) -> np.ndarray:
-    """Exact row-block pairwise Euclidean distances (no Gram cancellation)."""
+    """All-pairs Euclidean distances of the rows of `z`, from the Gram form.
+
+    d2[i, j] = scale[i, j] - 2 z_i.z_j with scale[i, j] = |z_i|^2 + |z_j|^2.
+    Its rounding error is of order eps * scale (eps = 2.2e-16), which
+    swamps d2 where rows nearly coincide: the diagonal, duplicates, and
+    rows close together far from the origin. Every pair with
+    d2 <= 1e-6 * scale is therefore recomputed exactly from z_i - z_j.
+    The pairs kept from the Gram form have a relative error in d2 of
+    order 1e6 * eps at worst, and far less on well-separated rows. Rows
+    are processed in blocks, so nothing but the (n, n) result grows with
+    n^2.
+    """
     n, d = z.shape
-    out = np.empty((n, n))
+    sq = np.einsum("ij,ij->i", z, z)
+    out = z @ z.T
     block = max(1, (1 << 22) // max(1, n * d))
     for start in range(0, n, block):
-        stop = min(start + block, n)
-        diff = z[start:stop, None, :] - z[None, :, :]
-        out[start:stop] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    return out
+        rows = out[start : start + block]
+        scale = sq[start : start + block, None] + sq[None, :]
+        rows *= -2.0
+        rows += scale
+        i, j = np.nonzero(rows <= 1e-6 * scale)
+        diff = z[start + i] - z[j]
+        rows[i, j] = np.einsum("ij,ij->i", diff, diff)
+    np.maximum(out, 0.0, out=out)
+    return np.sqrt(out, out=out)
 
 
 def silhouette_view(z: np.ndarray, assignment: Assignment) -> float:
@@ -345,10 +380,7 @@ def centroid_distances(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     counts = np.bincount(labels, minlength=k)
     if counts.shape[0] != k or (counts == 0).any():
         raise ShapeError(f"every one of the {k} clusters needs at least one row")
-    means = np.zeros((k, x.shape[1]))
-    np.add.at(means, labels, x)
-    means /= counts[:, None]
-    d = _pairwise_distances(means)
+    d = _pairwise_distances(_cluster_sums(x, labels, k) / counts[:, None])
     off = d[~np.eye(k, dtype=bool)]
     scale = off.mean() if off.size and off.mean() > 0 else 1.0
     return d / scale
@@ -414,11 +446,10 @@ def match_views(
     for level, labels_per_view in view_labels.items():
         if level == final:
             continue
-        mixes = []
-        for labels, fine in zip(labels_per_view, fine_common):
-            mix = np.zeros((level, final))
-            np.add.at(mix, (labels, fine), 1.0)
-            mixes.append(mix)
+        mixes = [
+            np.bincount(labels * final + fine, minlength=level * final).reshape(level, final).astype(np.float64)
+            for labels, fine in zip(labels_per_view, fine_common)
+        ]
         matchings[level] = [hungarian_max(cosine_matrix(mixes[0], mix)) for mix in mixes]
     return matchings
 

@@ -54,16 +54,21 @@ def _castable(value, cast) -> bool:
     return True
 
 
-def _get(section: dict, key: str, default, path: str, cast=None):
-    value = section.get(key, default)
-    if value is None or cast is None:
-        return value
+def _cast(value, cast, where: str):
+    """`cast(value)` where `_castable` allows it, else a `ConfigError` naming `where`."""
     try:
         if _castable(value, cast):
             return cast(value)
     except (TypeError, ValueError):
         pass
-    raise ConfigError(f"config key '{path}.{key}' has invalid value {value!r}")
+    raise ConfigError(f"config key '{where}' has invalid value {value!r}")
+
+
+def _get(section: dict, key: str, default, path: str, cast=None):
+    value = section.get(key, default)
+    if value is None or cast is None:
+        return value
+    return _cast(value, cast, f"{path}.{key}")
 
 
 @dataclass
@@ -127,21 +132,25 @@ def _parse_dataset(section: dict) -> DatasetSection:
     if out.scale not in ("minmax", "zscore", "none"):
         raise ConfigError(f"config key 'dataset.scale' must be minmax|zscore|none, got '{out.scale}'")
     if "synthetic" in section:
-        syn = _expect_mapping(section["synthetic"], "dataset.synthetic")
+        path = "dataset.synthetic"
+        syn = _expect_mapping(section["synthetic"], path)
         allowed = {"clusters", "views", "dims", "samples_per_cluster", "separation", "noise_std", "seed"}
-        _reject_unknown(syn, allowed, "dataset.synthetic")
+        _reject_unknown(syn, allowed, path)
         for key in ("clusters", "views", "dims", "samples_per_cluster", "separation", "noise_std"):
             if key not in syn:
-                raise ConfigError(f"missing config key 'dataset.synthetic.{key}'")
+                raise ConfigError(f"missing config key '{path}.{key}'")
+        dims = syn["dims"]
+        if not isinstance(dims, (list, tuple)):
+            raise ConfigError(f"config key '{path}.dims' must be a list, got {dims!r}")
         out.synthetic = SyntheticSpec(
-            clusters=int(syn["clusters"]),
-            views=int(syn["views"]),
-            dims=tuple(int(d) for d in syn["dims"]),
-            samples_per_cluster=int(syn["samples_per_cluster"]),
-            separation=float(syn["separation"]),
-            noise_std=float(syn["noise_std"]),
+            clusters=_cast(syn["clusters"], int, f"{path}.clusters"),
+            views=_cast(syn["views"], int, f"{path}.views"),
+            dims=tuple(_cast(d, int, f"{path}.dims[{i}]") for i, d in enumerate(dims)),
+            samples_per_cluster=_cast(syn["samples_per_cluster"], int, f"{path}.samples_per_cluster"),
+            separation=_cast(syn["separation"], float, f"{path}.separation"),
+            noise_std=_cast(syn["noise_std"], float, f"{path}.noise_std"),
         )
-        out.synthetic_seed = _get(syn, "seed", 0, "dataset.synthetic", int)
+        out.synthetic_seed = _get(syn, "seed", 0, path, int)
     if "unpair" in section:
         up = _expect_mapping(section["unpair"], "dataset.unpair")
         _reject_unknown(up, {"source_manifest", "strategy", "seed"}, "dataset.unpair")

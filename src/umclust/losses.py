@@ -97,7 +97,6 @@ class LevelState:
 
     active_levels: tuple[int, ...]
     view_labels: dict[int, list[np.ndarray]]       # level -> per view (n_v,)
-    view_centroids: dict[int, list[np.ndarray]]    # level -> per view (k, D)
     common_labels: dict[int, np.ndarray]           # level -> (N,)
     common_centroids: dict[int, np.ndarray]        # level -> (k, D)
     matchings: dict[int, list[np.ndarray]]         # level -> per view (k, k) 0/1

@@ -33,9 +33,7 @@ def _check_pair(pred, truth) -> tuple[np.ndarray, np.ndarray]:
 def _contingency(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
     kp = int(pred.max()) + 1
     kt = int(truth.max()) + 1
-    table = np.zeros((kp, kt), dtype=np.int64)
-    np.add.at(table, (pred, truth), 1)
-    return table
+    return np.bincount(pred * kt + truth, minlength=kp * kt).reshape(kp, kt)
 
 
 def nmi(pred, truth) -> float:

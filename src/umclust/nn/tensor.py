@@ -302,9 +302,13 @@ def row_normalize(z: Tensor, min_sq_norm: float = 1e-60) -> Tensor:
     """Rows scaled to unit Euclidean norm; all-zero rows map to zero rows.
 
     The squared norm is clamped before the square root so a zero row
-    divides by a tiny constant (yielding zeros) instead of producing
-    NaNs, and its gradient contribution through the norm vanishes.
+    divides by a tiny constant instead of producing NaNs. The result is
+    then masked to 0 on all-zero rows, so those rows also pass a
+    gradient of exactly 0 rather than the upstream gradient divided by
+    the clamped norm; every other row is multiplied by 1.0 and keeps
+    its value and gradient bit for bit.
     """
     sq = z.square().sum(axis=1, keepdims=True)
     norm = sq.clip_min(min_sq_norm).sqrt()
-    return z / norm
+    nonzero = (z.data != 0).any(axis=1, keepdims=True).astype(np.float64)
+    return (z / norm) * nonzero

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cluster import Assignment, join_labels, kmeans, match_views, silhouette_view
+from .cluster import Assignment, _cluster_sums, join_labels, kmeans, match_views, silhouette_view
 from .data import BatchPlan, MultiViewDataset
 from .errors import ConfigError, DataError, NumericalError
 from .losses import (
@@ -185,11 +185,9 @@ def refresh_level_state(
     latents = bundle.encode_all(dataset.feature_matrices(), train=True, update_stats=False)
     needed = sorted(set(active) | {cluster_set.final})
     view_labels: dict[int, list[np.ndarray]] = {}
-    view_centroids: dict[int, list[np.ndarray]] = {}
     final_assignments: list[Assignment] = []
     for level in needed:
         view_labels[level] = []
-        view_centroids[level] = []
         for v, z in enumerate(latents):
             seed = _derived_seed(config.seeds.kmeans, v + 1, level)
             a_v, c_v = kmeans(
@@ -197,7 +195,6 @@ def refresh_level_state(
                 tol=config.kmeans_tol, init_centroids=warm.get((f"view{v}", level)),
             )
             view_labels[level].append(a_v.labels)
-            view_centroids[level].append(c_v)
             warm[(f"view{v}", level)] = c_v
             if level == cluster_set.final:
                 final_assignments.append(a_v)
@@ -207,14 +204,12 @@ def refresh_level_state(
     common_centroids: dict[int, np.ndarray] = {}
     for level in needed:
         common_labels[level] = join_labels(matchings[level], view_labels[level])
-        sums = np.zeros((level, z_common.shape[1]))
-        np.add.at(sums, common_labels[level], z_common)
+        sums = _cluster_sums(z_common, common_labels[level], level)
         common_centroids[level] = sums / np.bincount(common_labels[level], minlength=level)[:, None]
     sils = np.array([silhouette_view(z, a) for z, a in zip(latents, final_assignments)])
     state = LevelState(
         active_levels=tuple(active),
         view_labels=view_labels,
-        view_centroids=view_centroids,
         common_labels=common_labels,
         common_centroids=common_centroids,
         matchings=matchings,

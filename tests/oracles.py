@@ -258,3 +258,49 @@ def max_relative_gradient_error(analytic: dict, numeric: dict, floor: float = 1e
         denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
         worst = max(worst, float((np.abs(a - b) / denom).max()))
     return worst
+
+
+def brute_pairwise_distances(z: np.ndarray) -> np.ndarray:
+    """Euclidean distance of every pair of rows, one `math.dist` each."""
+    points = [tuple(row) for row in z]
+    return np.array([[math.dist(p, q) for q in points] for p in points])
+
+
+def reference_lloyd(
+    z: np.ndarray, centers: np.ndarray, max_iter: int, tol: float
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Lloyd's loop with the centroid sums scattered by `np.add.at`.
+
+    Unlike the rest of this module it is vectorised: it pins down the
+    package's summation order, so it repeats the package's assignment
+    arithmetic (Gram-form squared distances, empty clusters in ascending
+    order each seizing the point farthest from its own centroid) and
+    must match `kmeans` bit for bit. Returns labels, centroids and the
+    inertia after every assignment.
+    """
+    n, k = z.shape[0], centers.shape[0]
+
+    def assign(c):
+        d2 = np.einsum("ij,ij->i", z, z)[:, None] + np.einsum("ij,ij->i", c, c)[None, :] - 2.0 * (z @ c.T)
+        np.maximum(d2, 0.0, out=d2)
+        labels = np.argmin(d2, axis=1)
+        own = d2[np.arange(n), labels].copy()
+        for j in np.flatnonzero(np.bincount(labels, minlength=k) == 0):
+            p = int(np.argmax(own))
+            labels[p] = j
+            own[p] = -1.0
+        return labels, float(d2[np.arange(n), labels].sum())
+
+    labels, inertia = assign(centers)
+    history = [inertia]
+    for _ in range(max_iter):
+        sums = np.zeros_like(centers)
+        np.add.at(sums, labels, z)
+        new_centers = sums / np.bincount(labels, minlength=k).astype(np.float64)[:, None]
+        shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
+        centers = new_centers
+        labels, inertia = assign(centers)
+        history.append(inertia)
+        if shift < tol:
+            break
+    return labels, centers, history

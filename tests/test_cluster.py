@@ -5,9 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_hungarian, brute_silhouette, brute_two_partition_kmeans
+from oracles import (
+    brute_hungarian,
+    brute_pairwise_distances,
+    brute_silhouette,
+    brute_two_partition_kmeans,
+    reference_lloyd,
+)
 from umclust.cluster import (
     Assignment,
+    _cluster_sums,
+    _kmeanspp_init,
+    _pairwise_distances,
     cosine,
     cosine_matrix,
     hungarian_max,
@@ -118,6 +127,91 @@ def test_kmeans_restarts_keep_best():
     single, _ = kmeans(z, 4, seed=9, restarts=1)
     multi, _ = kmeans(z, 4, seed=9, restarts=8)
     assert multi.inertia <= single.inertia + 1e-12
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_cluster_sums_equal_scatter_add(data):
+    n = data.draw(st.integers(0, 40))
+    d = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(1, 8))
+    labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)), dtype=np.int64)
+    values = data.draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=n * d, max_size=n * d))
+    x = np.array(values, dtype=np.float64).reshape(n, d)
+    expected = np.zeros((k, d))
+    np.add.at(expected, labels, x)
+    assert np.array_equal(_cluster_sums(x, labels, k), expected)
+
+
+def test_kmeans_warm_start_matches_reference_lloyd():
+    rng = np.random.default_rng(11)
+    z = rng.normal(size=(300, 5))
+    init = z[rng.choice(300, size=7, replace=False)] + rng.normal(scale=0.1, size=(7, 5))
+    init[6] = 1e3  # starts empty and is repaired
+    assignment, centers = kmeans(z, 7, init_centroids=init, max_iter=50, tol=1e-6)
+    labels, ref_centers, history = reference_lloyd(z, init.copy(), max_iter=50, tol=1e-6)
+    assert np.array_equal(assignment.labels, labels)
+    assert np.array_equal(centers, ref_centers)
+    assert assignment.inertia_history == history
+    assert len(history) > 2
+
+
+def test_kmeans_restarts_match_reference_lloyd():
+    rng = np.random.default_rng(12)
+    z = rng.uniform(size=(250, 4))
+    assignment, centers = kmeans(z, 6, seed=3, max_iter=40, tol=1e-6, restarts=3)
+    runs = []
+    for r in range(3):
+        init = _kmeanspp_init(z, 6, np.random.default_rng(np.random.SeedSequence([3, r])))
+        runs.append(reference_lloyd(z, init, max_iter=40, tol=1e-6))
+    labels, ref_centers, history = min(runs, key=lambda run: run[2][-1])  # earliest among ties
+    assert np.array_equal(assignment.labels, labels)
+    assert np.array_equal(centers, ref_centers)
+    assert assignment.inertia_history == history
+
+
+# ---------------------------------------------------------------------------
+# pairwise distances
+
+
+def _assert_distances_exact(z):
+    got = _pairwise_distances(z)
+    ref = brute_pairwise_distances(z)
+    assert np.array_equal(got == 0, ref == 0)
+    nonzero = ref > 0
+    assert np.allclose(got[nonzero], ref[nonzero], rtol=1e-12, atol=0.0)
+
+
+def test_pairwise_distances_near_duplicate_rows():
+    rng = np.random.default_rng(13)
+    base = rng.normal(size=(12, 5))
+    _assert_distances_exact(np.vstack([base, base + 1e-9 * rng.normal(size=base.shape)]))
+
+
+def test_pairwise_distances_far_from_origin():
+    # d2 / (|z_i|^2 + |z_j|^2) is about 1e-14 here: an unguarded Gram form cancels
+    rng = np.random.default_rng(14)
+    _assert_distances_exact(1e4 + 1e-3 * rng.normal(size=(25, 4)))
+
+
+def test_pairwise_distances_repeated_rows_are_zero():
+    rng = np.random.default_rng(15)
+    base = rng.normal(size=(6, 3)) * 100.0
+    z = base[[0, 1, 0, 2, 3, 1, 4, 5, 0]]
+    got = _pairwise_distances(z)
+    same = (z[:, None, :] == z[None, :, :]).all(axis=2)
+    assert np.array_equal(got[same], np.zeros(int(same.sum())))
+    _assert_distances_exact(z)
+
+
+def test_silhouette_far_from_origin_matches_oracle():
+    rng = np.random.default_rng(16)
+    centers = rng.normal(size=(3, 4))
+    labels = np.repeat(np.arange(3), 8)
+    z = 1e4 + 1e-3 * (centers[labels] + 0.3 * rng.normal(size=(24, 4)))
+    mine = silhouette_view(z, Assignment(labels=labels, k=3, inertia=0.0))
+    assert mine == pytest.approx(brute_silhouette(z, labels, 3), abs=1e-12)
+    assert mine > 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """YAML run configuration: defaults come from the dataclasses they fill."""
 
+import re
+
 import pytest
 import yaml
 
 from umclust.config import apply_seed_override, parse_config, with_weights
+from umclust.data import SyntheticSpec
 from umclust.errors import ConfigError
 from umclust.losses import LossWeights
 from umclust.train import Reliability, Seeds, TrainConfig
@@ -121,3 +124,40 @@ def test_scalars_keep_their_yaml_value(train, field, expected):
 def test_lossy_scalar_casts_are_refused(train, path):
     with pytest.raises(ConfigError, match=f"'{path}'"):
         parse_config({"train": train})
+
+
+SYNTHETIC = {"clusters": 3, "views": 2, "dims": [4, 6], "samples_per_cluster": 8, "separation": 5.0, "noise_std": 0.5}
+
+
+def test_synthetic_section_parses_to_the_same_spec():
+    section = {**SYNTHETIC, "clusters": 3.0, "separation": 5, "noise_std": "5e-1", "seed": 4}
+    parsed = parse_config({"dataset": {"synthetic": section}}).dataset
+    expected = SyntheticSpec(clusters=3, views=2, dims=(4, 6), samples_per_cluster=8, separation=5.0, noise_std=0.5)
+    assert parsed.synthetic == expected
+    assert parsed.synthetic_seed == 4
+    spec = parsed.synthetic
+    assert [type(getattr(spec, f)) for f in ("clusters", "views", "samples_per_cluster")] == [int] * 3
+    assert [type(d) for d in spec.dims] == [int, int]
+    assert type(spec.separation) is float and type(spec.noise_std) is float
+
+
+@pytest.mark.parametrize(
+    "override, path",
+    [
+        ({"clusters": 2.7}, "dataset.synthetic.clusters"),
+        ({"clusters": "3"}, "dataset.synthetic.clusters"),
+        ({"views": True}, "dataset.synthetic.views"),
+        ({"dims": [4.9, 6]}, "dataset.synthetic.dims[0]"),
+        ({"dims": [4, "6"]}, "dataset.synthetic.dims[1]"),
+        ({"dims": 4}, "dataset.synthetic.dims"),
+        ({"samples_per_cluster": "8"}, "dataset.synthetic.samples_per_cluster"),
+        ({"samples_per_cluster": None}, "dataset.synthetic.samples_per_cluster"),
+        ({"separation": True}, "dataset.synthetic.separation"),
+        ({"separation": "far"}, "dataset.synthetic.separation"),
+        ({"noise_std": [0.5]}, "dataset.synthetic.noise_std"),
+        ({"seed": 1.5}, "dataset.synthetic.seed"),
+    ],
+)
+def test_lossy_synthetic_casts_are_refused(override, path):
+    with pytest.raises(ConfigError, match=re.escape(f"'{path}'")):
+        parse_config({"dataset": {"synthetic": {**SYNTHETIC, **override}}})

@@ -99,6 +99,24 @@ def test_row_normalize_zero_row_is_safe():
     assert np.allclose(z.grad[0], 0.0)
 
 
+def test_row_normalize_zero_row_passes_zero_gradient(rng):
+    data = rng.normal(size=(4, 3))
+    data[1] = 0.0
+    w = rng.normal(size=(4, 3))  # non-zero upstream on the zero row too
+    z = Tensor(data.copy(), requires_grad=True)
+    out = row_normalize(z)
+    (out * Tensor(w)).sum().backward()
+    assert np.array_equal(out.data[1], np.zeros(3))
+    assert np.array_equal(z.grad[1], np.zeros(3))
+    # the other rows match the unmasked formula bit for bit
+    rows = np.array([0, 2, 3])
+    ref = Tensor(data[rows].copy(), requires_grad=True)
+    ref_out = ref / ref.square().sum(axis=1, keepdims=True).clip_min(1e-60).sqrt()
+    (ref_out * Tensor(w[rows])).sum().backward()
+    assert np.array_equal(out.data[rows], ref_out.data)
+    assert np.array_equal(z.grad[rows], ref.grad)
+
+
 def test_diamond_graph_accumulates(rng):
     a = Tensor(rng.normal(size=(3,)), requires_grad=True)
     check_op(lambda: (a * a + a * 3.0).sum(), a)

@@ -110,7 +110,8 @@ def test_refresh_deterministic():
     s2, _ = refresh_level_state(bundle, ds, cs, (2, 3), cfg, {})
     for level in s1.common_labels:
         assert np.array_equal(s1.common_labels[level], s2.common_labels[level])
-        for a, b in zip(s1.view_centroids[level], s2.view_centroids[level]):
+        assert np.array_equal(s1.common_centroids[level], s2.common_centroids[level])
+        for a, b in zip(s1.matchings[level], s2.matchings[level]):
             assert np.array_equal(a, b)
 
 
