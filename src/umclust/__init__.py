@@ -5,8 +5,8 @@ latent space; a schedule of coarse-to-fine clustering levels drives
 contrastive losses inside each view and against the concatenated
 common representation. Views with stronger silhouettes guide the rest:
 each guided view's heavy-tailed cluster assignments are pulled, by
-cross-entropy, toward the common centroid matched to each sample's
-cluster, weighted by |reliable set| / V^2. Final assignments come from
+cross-entropy, toward the centroid of each sample's common cluster,
+weighted by |reliable set| / V^2. Final assignments come from
 K-means on the concatenated latents.
 """
 

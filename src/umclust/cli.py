@@ -118,7 +118,6 @@ def cmd_eval(args) -> int:
         run_config.train.seeds.init,
     )
     bundle.load_arrays(ck.params, ck.stats)
-    bundle.eval()
     started = time.time()
     latents = bundle.encode_all(ds.feature_matrices(), train=False)
     assignment = final_assignment(latents, ds.n_clusters, run_config.train)

@@ -71,6 +71,14 @@ def _get(section: dict, key: str, default, path: str, cast=None):
     return _cast(value, cast, f"{path}.{key}")
 
 
+def _seed(section: dict, path: str) -> int:
+    """`section`'s `seed` (default 0); numpy seeds take no negative value."""
+    seed = _get(section, "seed", 0, path, int)
+    if seed < 0:
+        raise ConfigError(f"config key '{path}.seed' must be non-negative, got {seed}")
+    return seed
+
+
 @dataclass
 class DatasetSection:
     manifest: str | None = None
@@ -150,7 +158,7 @@ def _parse_dataset(section: dict) -> DatasetSection:
             separation=_cast(syn["separation"], float, f"{path}.separation"),
             noise_std=_cast(syn["noise_std"], float, f"{path}.noise_std"),
         )
-        out.synthetic_seed = _get(syn, "seed", 0, path, int)
+        out.synthetic_seed = _seed(syn, path)
     if "unpair" in section:
         up = _expect_mapping(section["unpair"], "dataset.unpair")
         _reject_unknown(up, {"source_manifest", "strategy", "seed"}, "dataset.unpair")
@@ -160,11 +168,7 @@ def _parse_dataset(section: dict) -> DatasetSection:
         if strategy not in STRATEGIES:
             raise ConfigError(f"config key 'dataset.unpair.strategy' must be one of {STRATEGIES}")
         out.unpair_source = str(up["source_manifest"])
-        out.unpair_recipe = UnpairRecipe(
-            seed=_get(up, "seed", 0, "dataset.unpair", int),
-            strategy=strategy,
-            source=out.unpair_source,
-        )
+        out.unpair_recipe = UnpairRecipe(seed=_seed(up, "dataset.unpair"), strategy=strategy)
     return out
 
 
@@ -175,7 +179,8 @@ def _parse_dataclass(cls, section: dict, path: str):
     A field whose default is a dataclass parses its mapping recursively;
     a scalar is cast to its default's type where `_castable` allows; a
     sequence, or a value for a field that defaults to None, goes to
-    `__post_init__` as given.
+    `__post_init__` as given. A `ConfigError` from `__post_init__`
+    starts with the field it refuses, so `path` is put in front of it.
     """
     known = fields(cls)
     _reject_unknown(section, {f.name for f in known}, path)
@@ -192,7 +197,10 @@ def _parse_dataclass(cls, section: dict, path: str):
             values[f.name] = section[f.name]
         else:
             values[f.name] = _get(section, f.name, default, path, type(default))
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}.{exc}") from exc
 
 
 def _parse_sweep(section: dict) -> dict[str, list[float]]:
@@ -238,6 +246,8 @@ def write_resolved(config: RunConfig, path: str | Path) -> None:
 
 def apply_seed_override(config: RunConfig, seed: int) -> RunConfig:
     """Re-seed every stochastic component from one CLI-provided value."""
+    if seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {seed}")
     dataset = config.dataset
     new_dataset = replace(
         dataset,

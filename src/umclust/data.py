@@ -285,7 +285,6 @@ STRATEGIES = ("stratified-round-robin", "uniform-random")
 class UnpairRecipe:
     seed: int
     strategy: str = "stratified-round-robin"
-    source: str = ""
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:

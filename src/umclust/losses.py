@@ -7,18 +7,20 @@ Per mini-batch the objective is
 where l_ae is reconstruction plus a lambda1-weighted batch-Gram
 orthogonality regularizer, l_in is an NT-Xent contrastive loss over
 sample pairs whose same/different-cluster relation holds at every
-active clustering level, l_co contrasts concatenated-representation
-anchors against view samples through the common view's matching of
-each view's clusters to common clusters, and l_cr guides every view
-that has peers with strictly better silhouettes: each of its samples'
-heavy-tailed assignments to the common centroids is pulled, by
-cross-entropy, toward the common centroid matched to the sample's
+active clustering level, l_co contrasts every concatenated-batch
+anchor against the batch samples of every view, positives being the
+samples that share the anchor's common-view cluster, and l_cr guides
+every view that has peers with strictly better silhouettes: each of
+its samples' heavy-tailed assignments to the common centroids is
+pulled, by cross-entropy, toward the centroid of the sample's common
 cluster, weighted by |reliable set| / V^2.
 
-Cluster assignments, centroids, matchings, silhouettes and reliable
-sets are all recomputed outside the loss graph and enter it as
-constants; gradients flow only through the current batch
-representations.
+The common view enters both cross-view terms as labels only: one
+common cluster per sample and level. How the views' clusters were
+joined into it is the refresh's business, not the losses'. Cluster
+assignments, centroids, common labels, silhouettes and reliable sets
+are all recomputed outside the loss graph and enter it as constants;
+gradients flow only through the current batch representations.
 
 l_in and l_co compute their NT-Xent value and gradient together in
 closed form (`_nt_xent_rows`) and each enters the graph as one node.
@@ -93,13 +95,16 @@ class ClusterSet:
 
 @dataclass
 class LevelState:
-    """Per-epoch clustering snapshot over full (eval-mode) representations."""
+    """Per-epoch clustering snapshot over full representations.
 
-    active_levels: tuple[int, ...]
+    Holds every active level plus the final one. `common_labels` is the
+    common view: one common cluster per sample, views in order, each
+    view's clusters mapped one-to-one onto common clusters.
+    """
+
     view_labels: dict[int, list[np.ndarray]]       # level -> per view (n_v,)
     common_labels: dict[int, np.ndarray]           # level -> (N,)
     common_centroids: dict[int, np.ndarray]        # level -> (k, D)
-    matchings: dict[int, list[np.ndarray]]         # level -> per view (k, k) 0/1
     silhouettes: np.ndarray                        # (V,) at the final level
 
 
@@ -249,19 +254,17 @@ def inner_contrastive_loss(
 def common_contrastive_loss(
     z_batches: list[Tensor],
     batch_common_labels: dict[int, np.ndarray],
-    batch_view_labels: dict[int, list[np.ndarray]],
-    matchings: dict[int, list[np.ndarray]],
-    active_levels: tuple[int, ...],
     temperature: float,
 ) -> Tensor:
     """Anchor every concatenated-batch sample against each view's batch.
 
-    A pair (anchor i, view sample j) is positive at a level when the
-    matching links the anchor's common-view cluster to j's view cluster,
-    negative otherwise, and weighs 1/(N * V * b_v) for N anchors and b_v
-    samples in view v. Each level contributes an NT-Xent term whose
-    denominator pools that anchor's negatives across all views; levels
-    are averaged. Anchors with no negatives anywhere are skipped.
+    At each level of `batch_common_labels` (common cluster per row of the
+    concatenated batch), a pair (anchor i, view sample j) is positive when
+    i and j share a common cluster, negative otherwise, and weighs
+    1/(N * V * b_v) for N anchors and b_v samples in view v. Each level
+    contributes an NT-Xent term whose denominator pools that anchor's
+    negatives across all views; levels are averaged. Every anchor is its
+    own positive; anchors with no negatives contribute nothing.
 
     The concatenated view batches are the anchors themselves, so each
     level's similarities come from the normalized union with itself,
@@ -274,28 +277,19 @@ def common_contrastive_loss(
     offsets = np.cumsum([0, *sizes])
     n_union = int(offsets[-1])
     col_weight = np.repeat([1.0 / (n_union * n_views * b_v) for b_v in sizes], sizes)
-    linked = {}
-    for level in active_levels:
-        blocks = []
-        for v in range(n_views):
-            a = matchings[level][v]
-            if a is None:
-                raise ShapeError(f"missing matching for view {v} at level {level}")
-            blocks.append(np.asarray(a, dtype=bool)[:, batch_view_labels[level][v]])
-        linked[level] = np.concatenate(blocks, axis=1)
     u = zu.data
     value = 0.0
     grad = np.zeros_like(u)
     for lo, hi in zip(offsets[:-1], offsets[1:]):
         g_blk = np.zeros((hi - lo, n_union))
-        for level in active_levels:
-            pos = linked[level][batch_common_labels[level][lo:hi]]
+        for common in batch_common_labels.values():
+            pos = common[lo:hi, None] == common[None, :]
             level_value, g = _nt_xent_rows(u[lo:hi] @ u.T, pos * col_weight, ~pos, inv_temp)
             value += level_value
             g_blk += g
         grad[lo:hi] += g_blk @ u
         grad += g_blk.T @ u[lo:hi]
-    scale = 1.0 / len(active_levels)
+    scale = 1.0 / len(batch_common_labels)
     return closed_form(zu, value * scale, grad * scale)
 
 
@@ -321,21 +315,20 @@ def student_assignments(z: Tensor, centroids: np.ndarray) -> Tensor:
 def cross_view_guidance_loss(
     z_batches: list[Tensor],
     common_centroids: np.ndarray,
-    matchings: list[np.ndarray],
-    batch_view_labels: list[np.ndarray],
+    batch_common_labels: list[np.ndarray],
     reliable: list[list[int]],
     floor: float = DISTRIBUTION_FLOOR,
 ) -> Tensor:
     """Alignment pull toward the common-view frame for guided views.
 
     A view with at least one more-reliable peer gets every batch sample
-    pulled toward the common centroid matched to that sample's cluster:
-    the sample's heavy-tailed assignment distribution is scored against
-    the matched centroid (cross-entropy), so whole clusters migrate
-    onto the shared frame that reliable views anchor. Each guided view
-    is weighted by |reliable set| / V^2, preserving the double-sum
-    structure of the objective; views with no more-reliable peer
-    contribute nothing.
+    pulled toward the centroid of its common cluster (per view, the
+    final-level common label of each batch row): the sample's
+    heavy-tailed assignment distribution is scored against that
+    centroid (cross-entropy), so whole clusters migrate onto the shared
+    frame that reliable views anchor. Each guided view is weighted by
+    |reliable set| / V^2, preserving the double-sum structure of the
+    objective; views with no more-reliable peer contribute nothing.
     """
     n_views = len(z_batches)
     k = common_centroids.shape[0]
@@ -343,8 +336,7 @@ def cross_view_guidance_loss(
     for v, targets in enumerate(reliable):
         if not targets:
             continue
-        common_of = np.argmax(matchings[v], axis=0)
-        sample_targets = common_of[batch_view_labels[v]]
+        sample_targets = batch_common_labels[v]
         b = sample_targets.shape[0]
         q = student_assignments(z_batches[v], common_centroids).clip_min(floor)
         pick = np.zeros((b, k))

@@ -150,7 +150,11 @@ class Autoencoder:
 
 
 class AutoencoderBundle:
-    """One autoencoder per view plus a shared training-mode flag."""
+    """One autoencoder per view.
+
+    Every forward call names its mode: `train=True` normalizes by batch
+    statistics, `train=False` applies the running ones.
+    """
 
     def __init__(self, specs: list[MlpSpec], seed: int):
         self.specs = list(specs)
@@ -159,42 +163,28 @@ class AutoencoderBundle:
         for v, spec in enumerate(self.specs):
             rng = np.random.default_rng(np.random.SeedSequence([int(seed), v]))
             self.views.append(Autoencoder(spec, rng))
-        self.training = True
-
-    # -- mode -------------------------------------------------------------
-
-    def train(self) -> None:
-        self.training = True
-
-    def eval(self) -> None:
-        self.training = False
-
-    def _mode(self, train) -> bool:
-        return self.training if train is None else bool(train)
 
     # -- forward ------------------------------------------------------------
 
-    def encode(self, view: int, x, train: bool | None = None, update_stats: bool = True) -> Tensor:
+    def encode(self, view: int, x, train: bool, update_stats: bool = True) -> Tensor:
         x = x if isinstance(x, Tensor) else Tensor(x)
         spec = self.specs[view]
         if x.data.ndim != 2 or x.data.shape[1] != spec.input_dim:
             raise ShapeError(
                 f"view {view} expects input dim {spec.input_dim}, got shape {x.data.shape}"
             )
-        return self.views[view].encoder(x, self._mode(train), update_stats)
+        return self.views[view].encoder(x, train, update_stats)
 
-    def decode(self, view: int, z, train: bool | None = None) -> Tensor:
+    def decode(self, view: int, z, train: bool) -> Tensor:
         z = z if isinstance(z, Tensor) else Tensor(z)
         spec = self.specs[view]
         if z.data.ndim != 2 or z.data.shape[1] != spec.output_dim:
             raise ShapeError(
                 f"view {view} expects latent dim {spec.output_dim}, got shape {z.data.shape}"
             )
-        return self.views[view].decoder(z, self._mode(train))
+        return self.views[view].decoder(z, train)
 
-    def encode_all(
-        self, mats: list[np.ndarray], train: bool | None = None, update_stats: bool = True
-    ) -> list[np.ndarray]:
+    def encode_all(self, mats: list[np.ndarray], train: bool, update_stats: bool = True) -> list[np.ndarray]:
         """Plain-array latents for every view (used outside loss graphs)."""
         return [self.encode(v, m, train=train, update_stats=update_stats).data for v, m in enumerate(mats)]
 

@@ -3,9 +3,11 @@
 Each epoch starts by re-clustering the full representations of every
 view at all active levels, joining the views' clusters into a common
 view by cluster-structure matching, and measuring per-view
-silhouettes. The epoch then walks mini-batches — one batch per view per
-step, shorter views cycling with a reshuffle — building the four-term
-objective and applying an adaptive-moment update.
+silhouettes. The common view leaves the refresh as labels only (one
+common cluster per sample and level), which is all the cross-view
+loss terms read. The epoch then walks mini-batches — one batch per
+view per step, shorter views cycling with a reshuffle — building the
+four-term objective and applying an adaptive-moment update.
 
 The set of active clustering levels is a prefix of the cluster set
 that grows at the quarter points of the epoch budget, and the
@@ -52,6 +54,11 @@ class Seeds:
     shuffle: int = 2
     kmeans: int = 3
 
+    def __post_init__(self):
+        for name in ("init", "shuffle", "kmeans"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class Reliability:
@@ -70,16 +77,11 @@ class TrainConfig:
     hidden_dims: tuple[int, ...] = (1024, 1024, 1024)
     batchnorm: bool = True
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     weights: LossWeights = field(default_factory=LossWeights)
     reliability: Reliability = field(default_factory=Reliability)
     seeds: Seeds = field(default_factory=Seeds)
-    refresh_every: int = 1
     final_restarts: int = 10
     kmeans_max_iter: int = 100
-    kmeans_tol: float = 1e-6
     cluster_levels: tuple[int, ...] | None = None
 
     def __post_init__(self):
@@ -87,13 +89,15 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 4 (schedule uses quarter boundaries)")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.refresh_every < 1:
-            raise ConfigError("refresh_every must be >= 1")
+        if self.latent_dim < 1:
+            raise ConfigError(f"latent_dim must be >= 1, got {self.latent_dim}")
         if self.final_restarts < 1:
             raise ConfigError("final_restarts must be >= 1")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
+        if any(d < 1 for d in self.hidden_dims):
+            raise ConfigError(f"hidden_dims entries must be >= 1, got {list(self.hidden_dims)}")
         if self.cluster_levels is not None:
             object.__setattr__(self, "cluster_levels", tuple(int(k) for k in self.cluster_levels))
 
@@ -173,11 +177,12 @@ def refresh_level_state(
     available. Views share no samples, so their clusters are joined
     into the common view by `match_views` on the latents' cluster
     structure, and each common centroid is the latent mean of its
-    joined clusters.
+    joined clusters. The matchings stay here: the state carries the
+    common view only as `common_labels`.
 
     Latents come from a train-mode pass with frozen running statistics:
     mini-batch optimization sees batch-normalized geometry, so the
-    assignments, matchings, and silhouettes guiding it must be computed
+    assignments, common view, and silhouettes guiding it must be computed
     on that same geometry. (Running statistics lag far behind early in
     training; an eval-mode refresh would cluster a space the losses
     never see.)
@@ -192,7 +197,7 @@ def refresh_level_state(
             seed = _derived_seed(config.seeds.kmeans, v + 1, level)
             a_v, c_v = kmeans(
                 z, level, seed=seed, max_iter=config.kmeans_max_iter,
-                tol=config.kmeans_tol, init_centroids=warm.get((f"view{v}", level)),
+                init_centroids=warm.get((f"view{v}", level)),
             )
             view_labels[level].append(a_v.labels)
             warm[(f"view{v}", level)] = c_v
@@ -208,11 +213,9 @@ def refresh_level_state(
         common_centroids[level] = sums / np.bincount(common_labels[level], minlength=level)[:, None]
     sils = np.array([silhouette_view(z, a) for z, a in zip(latents, final_assignments)])
     state = LevelState(
-        active_levels=tuple(active),
         view_labels=view_labels,
         common_labels=common_labels,
         common_centroids=common_centroids,
-        matchings=matchings,
         silhouettes=sils,
     )
     return state, latents
@@ -225,7 +228,6 @@ def final_assignment(latents: list[np.ndarray], n_clusters: int, config: TrainCo
         n_clusters,
         seed=_derived_seed(config.seeds.kmeans, 999, n_clusters),
         max_iter=config.kmeans_max_iter,
-        tol=config.kmeans_tol,
         restarts=config.final_restarts,
     )
     return assignment
@@ -274,7 +276,7 @@ def train(
         config.batchnorm,
         config.seeds.init,
     )
-    opt = Adam(lr=config.learning_rate, beta1=config.beta1, beta2=config.beta2, eps=config.adam_eps)
+    opt = Adam(lr=config.learning_rate)
     plan = BatchPlan(batch_size=config.batch_size, shuffle_seed=config.seeds.shuffle)
     warm: dict[tuple[str, int], np.ndarray] = {}
     start_epoch = 1
@@ -290,22 +292,14 @@ def train(
     loss_rows: list[list[float]] = []
     level_trace: list[tuple[int, ...]] = []
     reliability: list[float] = []
-    level_state = None
-    last_active: tuple[int, ...] | None = None
 
     for epoch in range(start_epoch, last_epoch + 1):
         active = cluster_set.prefix(active_prefix_length(epoch, config.epochs))
-        needs_refresh = (
-            level_state is None
-            or active != last_active
-            or (epoch - 1) % config.refresh_every == 0
-        )
-        if needs_refresh:
-            level_state, _ = refresh_level_state(bundle, dataset, cluster_set, active, config, warm)
-        last_active = active
+        level_state, _ = refresh_level_state(bundle, dataset, cluster_set, active, config, warm)
         coeff = reliability_coeff(config, epoch)
         reliable = select_reliable(level_state.silhouettes, coeff)
         final_centroids = level_state.common_centroids[cluster_set.final]
+        final_common = level_state.common_labels[cluster_set.final]
 
         steps = max(plan.steps_per_epoch(v.n) for v in dataset.views)
         streams = [_view_batch_stream(plan, epoch, v, dataset.views[v].n) for v in range(n_views)]
@@ -322,27 +316,10 @@ def train(
                 for v in range(n_views)
             ]
             l_in = inner_contrastive_loss(zs, pair_sets, weights.temperature)
-            batch_common = {
-                k: np.concatenate([level_state.common_labels[k][offsets[v] + batch_idx[v]] for v in range(n_views)])
-                for k in active
-            }
-            batch_view = {
-                k: [level_state.view_labels[k][v][batch_idx[v]] for v in range(n_views)]
-                for k in active
-            }
-            l_co = common_contrastive_loss(
-                zs, batch_common, batch_view, level_state.matchings, active, weights.temperature
-            )
-            final_view_labels = [
-                level_state.view_labels[cluster_set.final][v][batch_idx[v]] for v in range(n_views)
-            ]
-            l_cr = cross_view_guidance_loss(
-                zs,
-                final_centroids,
-                level_state.matchings[cluster_set.final],
-                final_view_labels,
-                reliable,
-            )
+            rows = [offsets[v] + batch_idx[v] for v in range(n_views)]
+            batch_common = {k: level_state.common_labels[k][np.concatenate(rows)] for k in active}
+            l_co = common_contrastive_loss(zs, batch_common, weights.temperature)
+            l_cr = cross_view_guidance_loss(zs, final_centroids, [final_common[r] for r in rows], reliable)
             total = total_loss(l_ae, l_in, l_co, l_cr, weights)
             if not np.isfinite(total.data):
                 raise NumericalError(f"non-finite total loss at epoch {epoch} step {step}")
@@ -359,7 +336,6 @@ def train(
         )
 
     # final clustering on eval-mode representations of every sample
-    bundle.eval()
     latents = bundle.encode_all(features, train=False)
     z_common = np.concatenate(latents, axis=0)
     final = final_assignment(latents, dataset.n_clusters, config)
@@ -411,7 +387,6 @@ def train(
             final.labels,
             z_common,
         )
-    bundle.train()
     return artifacts
 
 

@@ -207,6 +207,38 @@ def brute_common_contrastive(
     return total / len(active_levels)
 
 
+def brute_cross_view_guidance(
+    z_batches: list[np.ndarray],
+    centroids: np.ndarray,
+    matchings: list[np.ndarray],
+    view_labels: list[np.ndarray],
+    reliable: list[list[int]],
+    floor: float = 1e-8,
+) -> float:
+    """Reliable-view guidance straight from its definition.
+
+    In every view v with a non-empty reliable set, sample i of view
+    cluster c targets the one common cluster g that the matching of v
+    links to c. Its heavy-tailed assignment
+    q_ig = (1 + |z_i - mu_g|^2)^-1 / sum_h (1 + |z_i - mu_h|^2)^-1, floored
+    at `floor`, adds -log(q_ig) / b_v, and the view's sum is weighted
+    |reliable[v]| / V^2.
+    """
+    n_views = len(z_batches)
+    total = 0.0
+    for v, z in enumerate(z_batches):
+        if not reliable[v]:
+            continue
+        view_sum = 0.0
+        for i, row in enumerate(z):
+            cluster = int(view_labels[v][i])
+            (target,) = [g for g in range(len(centroids)) if matchings[v][g][cluster]]
+            kernel = [1.0 / (1.0 + sum((a - m) ** 2 for a, m in zip(row, mu))) for mu in centroids]
+            view_sum -= math.log(max(kernel[target] / sum(kernel), floor))
+        total += view_sum / z.shape[0] * len(reliable[v]) / n_views**2
+    return total
+
+
 def brute_two_partition_kmeans(z: np.ndarray) -> float:
     """Best 2-cluster within-cluster sum of squares by exhausting partitions."""
     n = z.shape[0]

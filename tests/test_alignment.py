@@ -95,10 +95,9 @@ def test_refresh_common_centroids_are_latent_means_of_joined_clusters():
     bundle = build_bundle(ds.feature_dims(), cfg.latent_dim, cfg.hidden_dims, True, 1)
     state, latents = refresh_level_state(bundle, ds, ClusterSet((2, 3)), (2, 3), cfg, {})
     z = np.concatenate(latents)
+    matchings = match_views(latents, state.view_labels, final=3)
     for level in (2, 3):
-        assert np.array_equal(
-            state.common_labels[level], join_labels(state.matchings[level], state.view_labels[level])
-        )
+        assert np.array_equal(state.common_labels[level], join_labels(matchings[level], state.view_labels[level]))
         for c in range(level):
             assert np.allclose(state.common_centroids[level][c], z[state.common_labels[level] == c].mean(axis=0))
 

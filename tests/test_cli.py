@@ -67,3 +67,25 @@ def test_sweep_reruns_points_a_crashed_worker_took_down(tmp_path, monkeypatch):
     assert [r["lambda2"] for r in rows] == ["0.01", "0.02", "0.03"]
     assert [r["status"] for r in rows[::2]] == ["ok", "ok"]
     assert rows[1]["status"].startswith("failed: BrokenProcessPool")
+
+
+def test_negative_seed_exits_2(tmp_path, capsys):
+    config = _write_config(tmp_path)
+    out = tmp_path / "data"
+    assert cli.main(["generate", "-c", str(config), "-o", str(out), "--seed", "-1", "--quiet"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unusable_train_values_exit_2_before_the_run_directory(tmp_path, capsys):
+    config = _write_config(tmp_path)
+    assert cli.main(["generate", "-c", str(config), "-o", str(tmp_path / "data"), "--quiet"]) == 0
+    for train, key in (({"latent_dim": 0}, "train.latent_dim"), ({"hidden_dims": [6, 0]}, "train.hidden_dims")):
+        raw = yaml.safe_load(config.read_text(encoding="utf-8"))
+        raw["train"].update(train)
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        out = tmp_path / "run"
+        assert cli.main(["train", "-c", str(bad), "-o", str(out), "--quiet"]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()

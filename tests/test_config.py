@@ -36,13 +36,8 @@ NON_DEFAULT_TRAIN = {
     "hidden_dims": [12, 6],
     "batchnorm": False,
     "learning_rate": 0.02,
-    "beta1": 0.8,
-    "beta2": 0.99,
-    "adam_eps": 1e-7,
-    "refresh_every": 3,
     "final_restarts": 4,
     "kmeans_max_iter": 21,
-    "kmeans_tol": 1e-4,
     "cluster_levels": [2, 5],
     "weights": {"lambda1": 0.5, "lambda2": 0.2, "lambda3": 0.3, "lambda4": 40.0, "temperature": 0.7},
     "reliability": {"start": 1.25, "decay": 0.95, "floor": 0.5},
@@ -59,16 +54,11 @@ def test_train_section_round_trips_through_resolved_yaml():
         hidden_dims=(12, 6),
         batchnorm=False,
         learning_rate=0.02,
-        beta1=0.8,
-        beta2=0.99,
-        adam_eps=1e-7,
         weights=LossWeights(lambda1=0.5, lambda2=0.2, lambda3=0.3, lambda4=40.0, temperature=0.7),
         reliability=Reliability(start=1.25, decay=0.95, floor=0.5),
         seeds=Seeds(init=11, shuffle=12, kmeans=13),
-        refresh_every=3,
         final_restarts=4,
         kmeans_max_iter=21,
-        kmeans_tol=1e-4,
         cluster_levels=(2, 5),
     )
     assert parsed.train == expected
@@ -85,6 +75,11 @@ def test_train_section_round_trips_through_resolved_yaml():
         ({"reliability": {"start": "y"}}, "train.reliability.start"),
         ({"reliability": {"slope": 1.0}}, "train.reliability.slope"),
         ({"epochs": "x"}, "train.epochs"),
+        ({"refresh_every": 1}, "train.refresh_every"),
+        ({"beta1": 0.9}, "train.beta1"),
+        ({"beta2": 0.999}, "train.beta2"),
+        ({"adam_eps": 1e-8}, "train.adam_eps"),
+        ({"kmeans_tol": 1e-6}, "train.kmeans_tol"),
     ],
 )
 def test_bad_train_keys_name_their_path(train, path):
@@ -161,3 +156,21 @@ def test_synthetic_section_parses_to_the_same_spec():
 def test_lossy_synthetic_casts_are_refused(override, path):
     with pytest.raises(ConfigError, match=re.escape(f"'{path}'")):
         parse_config({"dataset": {"synthetic": {**SYNTHETIC, **override}}})
+
+
+@pytest.mark.parametrize(
+    "raw, key",
+    [
+        ({"train": {"seeds": {"init": -1}}}, "train.seeds.init"),
+        ({"train": {"seeds": {"kmeans": -5}}}, "train.seeds.kmeans"),
+        ({"train": {"latent_dim": 0}}, "train.latent_dim"),
+        ({"train": {"hidden_dims": [16, 0]}}, "train.hidden_dims"),
+        ({"train": {"hidden_dims": [-4]}}, "train.hidden_dims"),
+        ({"dataset": {"synthetic": {**SYNTHETIC, "seed": -3}}}, "dataset.synthetic.seed"),
+        ({"dataset": {"unpair": {"source_manifest": "paired.json", "seed": -1}}}, "dataset.unpair.seed"),
+    ],
+)
+def test_values_the_trainer_cannot_use_are_refused_at_parse_time(raw, key):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        parse_config(raw)
+

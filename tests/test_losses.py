@@ -7,11 +7,14 @@ import pytest
 
 from oracles import (
     brute_common_contrastive,
+    brute_cross_view_guidance,
     brute_inner_contrastive,
     brute_pair_sets,
     finite_difference_gradients,
     max_relative_gradient_error,
 )
+from umclust.cluster import join_labels, match_views
+from umclust.data import SyntheticSpec, synthesize
 from umclust.errors import ConfigError, ShapeError
 from umclust.losses import (
     ClusterSet,
@@ -24,7 +27,9 @@ from umclust.losses import (
     select_reliable,
     total_loss,
 )
+from umclust.nn import build_bundle
 from umclust.nn.tensor import Tensor
+from umclust.train import TrainConfig, refresh_level_state
 
 
 # ---------------------------------------------------------------------------
@@ -196,29 +201,25 @@ def test_inner_loss_gradient_flows():
 
 
 def _simple_common_setup():
-    # one view, two samples on orthogonal axes, two clusters, identity matching
+    # one view, two samples on orthogonal axes, two common clusters
     z = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
     common_labels = {2: np.array([0, 1])}
-    view_labels = {2: [np.array([0, 1])]}
-    matchings = {2: [np.eye(2, dtype=np.int64)]}
-    return [z], common_labels, view_labels, matchings
+    return [z], common_labels
 
 
 def test_common_loss_hand_value():
-    # matched pairs have similarity 1, unmatched 0: each positive term is
-    # -log(e^10/e^0) = -10 with weight 1/(N_b * V * b_v) = 1/4
-    zs, cl, vl, m = _simple_common_setup()
-    loss = common_contrastive_loss(zs, cl, vl, m, active_levels=(2,), temperature=0.1)
+    # each anchor's only positive is itself (similarity 1), its only negative
+    # the other row (similarity 0): each positive term is -log(e^10/e^0) = -10
+    # with weight 1/(N_b * V * b_v) = 1/4
+    zs, cl = _simple_common_setup()
+    loss = common_contrastive_loss(zs, cl, temperature=0.1)
     assert loss.item() == pytest.approx(-10.0 * 2 / 4, abs=1e-10)
 
 
 def test_common_loss_skips_anchor_without_negatives():
-    # everything matched -> no negatives anywhere -> loss contributes 0
+    # one common cluster -> no negatives anywhere -> loss contributes 0
     z = Tensor(np.array([[1.0, 0.0], [0.8, 0.2]]))
-    cl = {2: np.array([0, 0])}
-    vl = {2: [np.array([0, 0])]}
-    m = {2: [np.eye(2, dtype=np.int64)]}
-    loss = common_contrastive_loss([z], cl, vl, m, active_levels=(2,), temperature=0.1)
+    loss = common_contrastive_loss([z], {2: np.array([0, 0])}, temperature=0.1)
     assert loss.item() == 0.0
 
 
@@ -227,32 +228,18 @@ def test_common_loss_relabeling_invariance():
     zs = [Tensor(rng.normal(size=(5, 4))), Tensor(rng.normal(size=(4, 4)))]
     k = 3
     cl = {k: rng.integers(0, k, size=9)}
-    vl = {k: [rng.integers(0, k, size=5), rng.integers(0, k, size=4)]}
-    matchings = {k: [np.eye(k, dtype=np.int64), np.eye(k, dtype=np.int64)[::-1]]}
-    base = common_contrastive_loss(zs, cl, vl, matchings, (k,), 0.1).item()
-    # permute view-0 cluster ids and the matching columns consistently
+    base = common_contrastive_loss(zs, cl, 0.1).item()
+    # renaming the common clusters changes no pair
     perm = np.array([2, 0, 1])
-    vl2 = {k: [perm[vl[k][0]], vl[k][1]]}
-    a0 = matchings[k][0][:, np.argsort(perm)]
-    m2 = {k: [a0, matchings[k][1]]}
-    permuted = common_contrastive_loss(zs, cl, vl2, m2, (k,), 0.1).item()
-    assert permuted == pytest.approx(base, abs=1e-10)
+    permuted = common_contrastive_loss(zs, {k: perm[cl[k]]}, 0.1).item()
+    assert permuted == base
 
 
 def test_common_loss_multi_level_average():
-    zs, cl, vl, m = _simple_common_setup()
-    one = common_contrastive_loss(zs, cl, vl, m, (2,), 0.1).item()
-    cl2 = {2: cl[2], 3: cl[2]}
-    vl2 = {2: vl[2], 3: vl[2]}
-    m2 = {2: m[2], 3: m[2]}
-    two = common_contrastive_loss(zs, cl2, vl2, m2, (2, 3), 0.1).item()
+    zs, cl = _simple_common_setup()
+    one = common_contrastive_loss(zs, cl, 0.1).item()
+    two = common_contrastive_loss(zs, {2: cl[2], 3: cl[2]}, 0.1).item()
     assert two == pytest.approx(one, abs=1e-12)  # identical levels average to the same value
-
-
-def test_common_loss_rejects_a_missing_matching():
-    zs, cl, vl, m = _simple_common_setup()
-    with pytest.raises(ShapeError, match="view 0 at level 2"):
-        common_contrastive_loss(zs, cl, vl, {2: [None]}, (2,), 0.1)
 
 
 def test_common_loss_gradient_flows_to_all_views():
@@ -260,9 +247,7 @@ def test_common_loss_gradient_flows_to_all_views():
     zs = [Tensor(rng.normal(size=(4, 3)), requires_grad=True) for _ in range(2)]
     k = 2
     cl = {k: rng.integers(0, k, size=8)}
-    vl = {k: [rng.integers(0, k, size=4), rng.integers(0, k, size=4)]}
-    m = {k: [np.eye(k, dtype=np.int64)] * 2}
-    loss = common_contrastive_loss(zs, cl, vl, m, (k,), 0.1)
+    loss = common_contrastive_loss(zs, cl, 0.1)
     loss.backward()
     for z in zs:
         assert z.grad is not None and np.isfinite(z.grad).all()
@@ -278,9 +263,9 @@ SIZES = (6, 9)
 
 def _contrastive_case(seed: int):
     """Two views of unequal batch size at three levels, with an all-zero
-    latent row, an inner anchor without negatives, a common cluster linked
-    to every view cluster (its anchors have no negatives at that level)
-    and one linked to none (its anchors have no positives)."""
+    latent row and an inner anchor without negatives. Each view's
+    clusters map onto common clusters through a random permutation
+    matrix per level, and the common labels are joined from them."""
     rng = np.random.default_rng(seed)
     zs = [rng.normal(size=(b, 4)) for b in SIZES]
     zs[0][2] = 0.0
@@ -289,15 +274,28 @@ def _contrastive_case(seed: int):
     first, second = view_labels[2][1], view_labels[3][1]
     first[0] = 0
     second[first != 0] = second[0]
-    common_labels = {k: rng.integers(0, k, size=sum(SIZES)) for k in LEVELS}
     matchings = {k: [np.eye(k, dtype=np.int64)[rng.permutation(k)] for _ in SIZES] for k in LEVELS}
-    matchings[3][0][0] = 1
-    matchings[3][1][0] = 1
-    matchings[4][0][1] = 0
-    matchings[4][1][1] = 0
-    common_labels[3][:3] = 0
-    common_labels[4][3:6] = 1
+    common_labels = {k: join_labels(matchings[k], view_labels[k]) for k in LEVELS}
     return zs, view_labels, common_labels, matchings
+
+
+def _refresh_case(batch: int = 7):
+    """A real refresh state and the first `batch` rows of each view,
+    with the matchings `match_views` gives on the refreshed latents."""
+    ds = synthesize(
+        SyntheticSpec(clusters=4, views=2, dims=(5, 6), samples_per_cluster=6, separation=5.0, noise_std=1.0),
+        seed=2,
+    )
+    cfg = TrainConfig(epochs=4, latent_dim=4, hidden_dims=(8,))
+    bundle = build_bundle(ds.feature_dims(), cfg.latent_dim, cfg.hidden_dims, True, 1)
+    cluster_set = ClusterSet((2, 3, 4))
+    state, latents = refresh_level_state(bundle, ds, cluster_set, cluster_set.levels, cfg, {})
+    matchings = match_views(latents, state.view_labels, cluster_set.final)
+    rows = np.concatenate([offset + np.arange(batch) for offset in ds.row_offsets()])
+    zs = [z[:batch] for z in latents]
+    view_labels = {k: [labels[:batch] for labels in state.view_labels[k]] for k in cluster_set.levels}
+    common_labels = {k: state.common_labels[k][rows] for k in cluster_set.levels}
+    return state, zs, view_labels, common_labels, matchings
 
 
 def _pair_sets(view_labels, active):
@@ -317,8 +315,9 @@ def test_contrastive_case_covers_the_edge_rows():
     assert pairs[1].n[0] == 0
     assert any(((p.m == 0) & (p.n > 0)).any() for p in pairs)
     assert not zs[0][2].any()
-    assert all(np.asarray(matchings[3][v][0]).all() for v in range(2))
-    assert not any(np.asarray(matchings[4][v][1]).any() for v in range(2))
+    for k in LEVELS:
+        for a in matchings[k]:
+            assert np.array_equal(a @ a.T, np.eye(k, dtype=np.int64))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -332,9 +331,18 @@ def test_contrastive_losses_match_oracles(seed, active, temperature):
     tn_sets = [[set(p.tn_indices(i)) for i in range(b)] for p, b in zip(pairs, SIZES)]
     inner = _inner_value(tensors, view_labels, active, temperature).item()
     assert inner == pytest.approx(brute_inner_contrastive(zs, tp_sets, tn_sets, temperature), rel=1e-12)
-    common = common_contrastive_loss(tensors, common_labels, view_labels, matchings, active, temperature).item()
+    common = common_contrastive_loss(tensors, {k: common_labels[k] for k in active}, temperature).item()
     expected = brute_common_contrastive(zs, common_labels, view_labels, matchings, active, temperature)
     assert common == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("temperature", [0.1, 0.5])
+def test_common_loss_on_a_refresh_state_matches_the_matching_oracle(temperature):
+    _, zs, view_labels, common_labels, matchings = _refresh_case()
+    levels = tuple(common_labels)
+    value = common_contrastive_loss([Tensor(z) for z in zs], common_labels, temperature).item()
+    expected = brute_common_contrastive(zs, common_labels, view_labels, matchings, levels, temperature)
+    assert value == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -347,7 +355,7 @@ def test_contrastive_gradients_match_finite_differences(seed, active, which):
     def build():
         if which == "inner":
             return _inner_value(tensors, view_labels, active, 0.5)
-        return common_contrastive_loss(tensors, common_labels, view_labels, matchings, active, 0.5)
+        return common_contrastive_loss(tensors, {k: common_labels[k] for k in active}, 0.5)
 
     build().backward()
     params = {f"z{v}": t for v, t in enumerate(tensors)}
@@ -370,7 +378,7 @@ def test_contrastive_losses_stay_non_finite_on_non_finite_latents(which):
     if which == "inner":
         loss = _inner_value(tensors, view_labels, LEVELS, 0.1)
     else:
-        loss = common_contrastive_loss(tensors, common_labels, view_labels, matchings, LEVELS, 0.1)
+        loss = common_contrastive_loss(tensors, common_labels, 0.1)
     assert not np.isfinite(loss.item())
 
 
@@ -382,9 +390,7 @@ def test_common_loss_graph_holds_no_anchor_by_view_arrays():
     n_views, b, dim, levels = 8, 256, 32, (2, 5, 10)
     zs = [Tensor(rng.normal(size=(b, dim)), requires_grad=True) for _ in range(n_views)]
     cl = {k: rng.integers(0, k, size=n_views * b) for k in levels}
-    vl = {k: [rng.integers(0, k, size=b) for _ in range(n_views)] for k in levels}
-    m = {k: [np.eye(k, dtype=np.int64)[rng.permutation(k)] for _ in range(n_views)] for k in levels}
-    loss = common_contrastive_loss(zs, cl, vl, m, levels, 0.1)
+    loss = common_contrastive_loss(zs, cl, 0.1)
     seen, stack, largest = set(), [loss], 0
     while stack:
         node = stack.pop()
@@ -424,15 +430,12 @@ def test_select_reliable_negative_silhouette_additive_margin():
 
 
 def test_guidance_hand_case_pulls_guided_view_only():
-    # view 0 is guided by view 1; its clusters map to common clusters through
-    # the anti-diagonal matching, so view labels [1, 0] target commons [0, 1]
+    # view 0 is guided by view 1; its samples sit in common clusters [0, 1]
     z0 = Tensor(np.array([[0.0, 0.0], [1.0, 0.0]]), requires_grad=True)
     z1 = Tensor(np.array([[5.0, 5.0], [6.0, 5.0]]), requires_grad=True)
     centroids = np.array([[0.0, 0.0], [3.0, 0.0]])
-    anti = np.fliplr(np.eye(2, dtype=np.int64))
     loss = cross_view_guidance_loss(
-        [z0, z1], centroids, [anti, np.eye(2, dtype=np.int64)],
-        [np.array([1, 0]), np.array([0, 1])], reliable=[[1], []],
+        [z0, z1], centroids, [np.array([0, 1]), np.array([0, 1])], reliable=[[1], []],
     )
     # sample 0: q = (1, 0.1)/1.1, target 0; sample 1: q = (0.5, 0.2)/0.7, target 1
     expected = (math.log(1.1) + math.log(3.5)) / 2 * (1 / 4)
@@ -445,10 +448,30 @@ def test_guidance_hand_case_pulls_guided_view_only():
 def test_guidance_zero_without_reliable_peers():
     z = Tensor(np.ones((3, 2)))
     labels = np.array([0, 1, 0])
-    loss = cross_view_guidance_loss(
-        [z, z], np.eye(2), [np.eye(2, dtype=np.int64)] * 2, [labels, labels], reliable=[[], []]
-    )
+    loss = cross_view_guidance_loss([z, z], np.eye(2), [labels, labels], reliable=[[], []])
     assert loss.item() == 0.0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_guidance_matches_the_matching_oracle(seed):
+    zs, view_labels, common_labels, matchings = _contrastive_case(seed)
+    k = LEVELS[-1]
+    centroids = np.random.default_rng(seed).normal(size=(k, 4))
+    split = np.split(common_labels[k], np.cumsum(SIZES)[:-1])
+    reliable = [[1], [0]] if seed % 2 else [[1], []]
+    value = cross_view_guidance_loss([Tensor(z) for z in zs], centroids, split, reliable).item()
+    expected = brute_cross_view_guidance(zs, centroids, matchings[k], view_labels[k], reliable)
+    assert value == pytest.approx(expected, rel=1e-12)
+
+
+def test_guidance_on_a_refresh_state_matches_the_matching_oracle():
+    state, zs, view_labels, common_labels, matchings = _refresh_case()
+    k = max(common_labels)
+    split = np.split(common_labels[k], len(zs))
+    reliable = [[1], [0]]
+    value = cross_view_guidance_loss([Tensor(z) for z in zs], state.common_centroids[k], split, reliable).item()
+    expected = brute_cross_view_guidance(zs, state.common_centroids[k], matchings[k], view_labels[k], reliable)
+    assert value == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

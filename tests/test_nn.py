@@ -70,9 +70,9 @@ def test_hidden_relu_outputs_nonnegative():
 def test_encode_shape_checks():
     bundle = tiny_bundle()
     with pytest.raises(ShapeError):
-        bundle.encode(0, np.zeros((4, 7)))
+        bundle.encode(0, np.zeros((4, 7)), train=False)
     with pytest.raises(ShapeError):
-        bundle.decode(1, np.zeros((4, 7)))
+        bundle.decode(1, np.zeros((4, 7)), train=False)
 
 
 def test_roundtrip_shapes():

@@ -89,16 +89,19 @@ def test_refresh_holds_one_active_level_plus_final():
     bundle = build_bundle(ds.feature_dims(), cfg.latent_dim, cfg.hidden_dims, True, 1)
     cs = ClusterSet.default(ds.n_clusters)  # (2, 3)
     state, latents = refresh_level_state(bundle, ds, cs, active=(2,), config=cfg, warm={})
-    assert state.active_levels == (2,)
     assert sorted(state.view_labels) == [2, 3]  # final level always present
+    assert sorted(state.common_labels) == [2, 3]
     assert state.silhouettes.shape == (ds.n_views,)
     assert len(latents) == ds.n_views
+    offsets = ds.row_offsets()
     for level, groups in state.view_labels.items():
         for v, labels in enumerate(groups):
             assert labels.shape[0] == ds.views[v].n
-    for level, a_list in state.matchings.items():
-        for a in a_list:
-            assert np.array_equal(a @ a.T, np.eye(level, dtype=np.int64))
+            # the common labels relabel each view's clusters one-to-one
+            common = state.common_labels[level][offsets[v]:offsets[v] + ds.views[v].n]
+            pairs = np.unique(np.stack([labels, common]), axis=1)
+            assert pairs.shape[1] == level
+            assert sorted(pairs[0]) == sorted(pairs[1]) == list(range(level))
 
 
 def test_refresh_deterministic():
@@ -111,7 +114,7 @@ def test_refresh_deterministic():
     for level in s1.common_labels:
         assert np.array_equal(s1.common_labels[level], s2.common_labels[level])
         assert np.array_equal(s1.common_centroids[level], s2.common_centroids[level])
-        for a, b in zip(s1.matchings[level], s2.matchings[level]):
+        for a, b in zip(s1.view_labels[level], s2.view_labels[level]):
             assert np.array_equal(a, b)
 
 
@@ -167,7 +170,7 @@ def test_ablated_run_equals_plain_autoencoder():
 
     # replicate the optimization manually: reconstruction-only steps
     bundle = build_bundle(ds.feature_dims(), cfg.latent_dim, cfg.hidden_dims, cfg.batchnorm, cfg.seeds.init)
-    opt = Adam(lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps)
+    opt = Adam(lr=cfg.learning_rate)
     plan = BatchPlan(batch_size=cfg.batch_size, shuffle_seed=cfg.seeds.shuffle)
     feats = ds.feature_matrices()
     for epoch in range(1, cfg.epochs + 1):
