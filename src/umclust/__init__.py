@@ -49,7 +49,6 @@ from .losses import (
 from .metrics import MetricsReport, acc, build_report, export_embeddings, nmi, pairwise_f1
 from .train import (
     RunArtifacts,
-    Seeds,
     TrainConfig,
     active_prefix_length,
     refresh_level_state,

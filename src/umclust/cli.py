@@ -23,7 +23,7 @@ from . import data
 from .errors import CheckpointError, ConfigError, DataError, NumericalError, UmclustError
 from .metrics import build_report
 from .nn import build_bundle, load_checkpoint
-from .train import final_assignment, run_hash, train
+from .train import cluster_set_for, final_assignment, run_hash, train
 
 OUT_ROOT_ENV = "UMCLUST_OUT_ROOT"
 logger = logging.getLogger("umclust")
@@ -55,10 +55,7 @@ def _load_run_config(args) -> cfg.RunConfig:
 def _load_dataset(section: cfg.DatasetSection) -> data.MultiViewDataset:
     if section.manifest is None:
         raise ConfigError("missing config key 'dataset.manifest'")
-    ds = data.load(section.manifest)
-    if section.scale != "none":
-        ds = data.scale_dataset(ds, section.scale)
-    return ds
+    return data.scale_dataset(data.load(section.manifest), section.scale)
 
 
 def cmd_generate(args) -> int:
@@ -66,7 +63,7 @@ def cmd_generate(args) -> int:
     if run_config.dataset.synthetic is None:
         raise ConfigError("missing config key 'dataset.synthetic'")
     out = _prepare_run_dir(_resolve_out(args), args.force)
-    ds = data.synthesize(run_config.dataset.synthetic, run_config.dataset.synthetic_seed)
+    ds = data.synthesize(run_config.dataset.synthetic)
     manifest = data.save_dataset(ds, out)
     cfg.write_resolved(run_config, out / "config.yaml")
     logger.info("wrote %s (%d views, %d samples)", manifest, ds.n_views, ds.total_samples)
@@ -76,14 +73,16 @@ def cmd_generate(args) -> int:
 
 def cmd_unpair(args) -> int:
     run_config = _load_run_config(args)
-    if run_config.dataset.unpair_recipe is None:
+    recipe = run_config.dataset.unpair
+    if recipe is None:
         raise ConfigError("missing config key 'dataset.unpair'")
+    if recipe.source_manifest is None:
+        raise ConfigError("missing config key 'dataset.unpair.source_manifest'")
     out = _prepare_run_dir(_resolve_out(args), args.force)
-    paired = data.load_paired(run_config.dataset.unpair_source)
-    ds = data.unpair(paired, run_config.dataset.unpair_recipe)
+    ds = data.unpair(data.load_paired(recipe.source_manifest), recipe)
     manifest = data.save_dataset(ds, out)
     cfg.write_resolved(run_config, out / "config.yaml")
-    logger.info("unpaired %s -> %s", run_config.dataset.unpair_source, manifest)
+    logger.info("unpaired %s -> %s", recipe.source_manifest, manifest)
     print(manifest)
     return 0
 
@@ -91,6 +90,7 @@ def cmd_unpair(args) -> int:
 def cmd_train(args) -> int:
     run_config = _load_run_config(args)
     ds = _load_dataset(run_config.dataset)
+    cluster_set_for(run_config.train, ds)
     out = _prepare_run_dir(_resolve_out(args), args.force)
     cfg.write_resolved(run_config, out / "config.yaml")
     artifacts = train(run_config.train, ds, out_dir=out)
@@ -115,7 +115,7 @@ def cmd_eval(args) -> int:
         run_config.train.latent_dim,
         run_config.train.hidden_dims,
         run_config.train.batchnorm,
-        run_config.train.seeds.init,
+        run_config.train.seed,
     )
     bundle.load_arrays(ck.params, ck.stats)
     started = time.time()
@@ -126,7 +126,7 @@ def cmd_eval(args) -> int:
         [v.labels for v in ds.views],
         assignment.labels,
         ds.n_clusters,
-        kmeans_seed=run_config.train.seeds.kmeans,
+        kmeans_seed=run_config.train.kmeans_seed,
         restarts=run_config.train.final_restarts,
         config_hash=expected,
         started_at=started,

@@ -283,12 +283,17 @@ STRATEGIES = ("stratified-round-robin", "uniform-random")
 
 @dataclass(frozen=True)
 class UnpairRecipe:
-    seed: int
+    """How `unpair` splits a paired dataset; `source_manifest` names it on disk."""
+
+    seed: int = 0
     strategy: str = "stratified-round-robin"
+    source_manifest: str | None = None
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise DataError(f"seed must be non-negative, got {self.seed}")
         if self.strategy not in STRATEGIES:
-            raise DataError(f"unknown unpair strategy '{self.strategy}'; expected one of {STRATEGIES}")
+            raise DataError(f"strategy must be one of {STRATEGIES}, got '{self.strategy}'")
 
 
 def unpair(paired: PairedDataset, recipe: UnpairRecipe) -> MultiViewDataset:
@@ -344,31 +349,33 @@ class SyntheticSpec:
     samples_per_cluster: int
     separation: float
     noise_std: float
+    seed: int = 0
 
     def __post_init__(self):
-        if self.clusters < 1 or self.views < 1:
-            raise DataError("clusters and views must be >= 1")
+        for name in ("clusters", "views", "samples_per_cluster"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
         if len(self.dims) != self.views:
             raise DataError(f"dims lists {len(self.dims)} entries for {self.views} views")
         if any(d < 1 for d in self.dims):
-            raise DataError("all view dims must be >= 1")
-        if self.samples_per_cluster < 1:
-            raise DataError("samples_per_cluster must be >= 1")
-        if self.separation <= 0 or self.noise_std <= 0:
-            raise DataError("separation and noise_std must be > 0")
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+            raise DataError(f"dims entries must be >= 1, got {list(self.dims)}")
+        for name in ("separation", "noise_std"):
+            if getattr(self, name) <= 0:
+                raise DataError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise DataError(f"seed must be non-negative, got {self.seed}")
 
 
-def synthesize(spec: SyntheticSpec, seed: int) -> MultiViewDataset:
+def synthesize(spec: SyntheticSpec) -> MultiViewDataset:
     """Gaussian blobs around shared class centers, one random isometry per view.
 
     Class centers live in a latent space of dimension min(dims) and are
     rescaled so the closest pair sits exactly `separation` apart; each
     view embeds its samples through an orthonormal linear map, so class
     geometry survives in every view. Sample ids are globally unique and
-    each sample belongs to a single view.
+    each sample belongs to a single view. `spec.seed` drives every draw.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5EED]))
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0x5EED]))
     latent_dim = min(spec.dims)
     centers = rng.normal(size=(spec.clusters, latent_dim))
     if spec.clusters > 1:
@@ -381,7 +388,7 @@ def synthesize(spec: SyntheticSpec, seed: int) -> MultiViewDataset:
     views = []
     next_id = 0
     for v in range(spec.views):
-        view_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xD157, v]))
+        view_rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xD157, v]))
         gauss = view_rng.normal(size=(spec.dims[v], latent_dim))
         q, r = np.linalg.qr(gauss)
         q = q * np.sign(np.diag(r))  # fix QR sign ambiguity for determinism
@@ -404,14 +411,19 @@ def synthesize(spec: SyntheticSpec, seed: int) -> MultiViewDataset:
 # feature scaling
 
 
-def scale_dataset(ds: MultiViewDataset, method: str = "minmax") -> MultiViewDataset:
-    """Column-wise feature scaling per view.
+SCALINGS = ("minmax", "zscore", "none")
+
+
+def scale_dataset(ds: MultiViewDataset, method: str) -> MultiViewDataset:
+    """Column-wise feature scaling per view, `method` one of `SCALINGS`.
 
     minmax maps each column to [0, 1] (constant columns to 0); zscore
-    standardizes each column (constant columns to 0).
+    standardizes each column (constant columns to 0); none returns `ds`.
     """
-    if method not in ("minmax", "zscore"):
+    if method not in SCALINGS:
         raise DataError(f"unknown scaling method '{method}'")
+    if method == "none":
+        return ds
     views = []
     for v in ds.views:
         x = v.features

@@ -49,18 +49,6 @@ logger = logging.getLogger("umclust")
 
 
 @dataclass(frozen=True)
-class Seeds:
-    init: int = 1
-    shuffle: int = 2
-    kmeans: int = 3
-
-    def __post_init__(self):
-        for name in ("init", "shuffle", "kmeans"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
-
-
-@dataclass(frozen=True)
 class Reliability:
     """Reliable-view coefficient schedule: max(floor, start * decay^(t-1))."""
 
@@ -71,6 +59,9 @@ class Reliability:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Trainer settings. `seed` seeds the encoder init; batch order draws
+    from `seed + 1` and every K-means from `seed + 2` (`kmeans_seed`)."""
+
     epochs: int = 200
     batch_size: int = 128
     latent_dim: int = 128
@@ -79,7 +70,7 @@ class TrainConfig:
     learning_rate: float = 1e-3
     weights: LossWeights = field(default_factory=LossWeights)
     reliability: Reliability = field(default_factory=Reliability)
-    seeds: Seeds = field(default_factory=Seeds)
+    seed: int = 1
     final_restarts: int = 10
     kmeans_max_iter: int = 100
     cluster_levels: tuple[int, ...] | None = None
@@ -87,23 +78,19 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 4:
             raise ConfigError("epochs must be >= 4 (schedule uses quarter boundaries)")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.latent_dim < 1:
-            raise ConfigError(f"latent_dim must be >= 1, got {self.latent_dim}")
-        if self.final_restarts < 1:
-            raise ConfigError("final_restarts must be >= 1")
+        for name in ("batch_size", "latent_dim", "final_restarts", "kmeans_max_iter"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
-        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
         if any(d < 1 for d in self.hidden_dims):
             raise ConfigError(f"hidden_dims entries must be >= 1, got {list(self.hidden_dims)}")
-        if self.cluster_levels is not None:
-            object.__setattr__(self, "cluster_levels", tuple(int(k) for k in self.cluster_levels))
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
-    def reseeded(self, seed: int) -> "TrainConfig":
-        """Every stochastic component seeded from one value."""
-        return replace(self, seeds=Seeds(init=seed, shuffle=seed + 1, kmeans=seed + 2))
+    @property
+    def kmeans_seed(self) -> int:
+        return self.seed + 2
 
     def with_weights(self, **overrides: float) -> "TrainConfig":
         return replace(self, weights=replace(self.weights, **overrides))
@@ -146,15 +133,32 @@ def run_hash(config: TrainConfig, dataset: MultiViewDataset) -> str:
 @dataclass
 class RunArtifacts:
     config_hash: str
-    loss_columns: list[str]
-    loss_table: np.ndarray          # one row per trained epoch
-    reliability_trace: np.ndarray   # coefficient used at each epoch
+    loss_table: np.ndarray          # one row per trained epoch, columns as in loss_curve.csv
     level_trace: list[tuple[int, ...]]
     final_assignment: Assignment
     report: MetricsReport
     latents: list[np.ndarray]
-    checkpoint_path: Path | None = None
-    out_dir: Path | None = None
+
+
+def cluster_set_for(config: TrainConfig, dataset: MultiViewDataset) -> ClusterSet:
+    """The clustering levels `config` trains `dataset` at, refused unless
+    the data has at least 2 clusters, the last level is the cluster count
+    and every view has at least that many samples."""
+    if dataset.n_clusters < 2:
+        raise DataError("training requires at least 2 clusters")
+    if config.cluster_levels is None:
+        cluster_set = ClusterSet.default(dataset.n_clusters)
+    else:
+        cluster_set = ClusterSet(config.cluster_levels)
+        if cluster_set.final != dataset.n_clusters:
+            raise ConfigError(
+                f"train.cluster_levels must end at the dataset cluster count ({dataset.n_clusters}), "
+                f"got {list(cluster_set.levels)}"
+            )
+    for v in dataset.views:
+        if v.n < cluster_set.final:
+            raise DataError(f"view {v.view_id} has {v.n} samples, fewer than the top level {cluster_set.final}")
+    return cluster_set
 
 
 def _derived_seed(base: int, scope: int, level: int) -> int:
@@ -194,7 +198,7 @@ def refresh_level_state(
     for level in needed:
         view_labels[level] = []
         for v, z in enumerate(latents):
-            seed = _derived_seed(config.seeds.kmeans, v + 1, level)
+            seed = _derived_seed(config.kmeans_seed, v + 1, level)
             a_v, c_v = kmeans(
                 z, level, seed=seed, max_iter=config.kmeans_max_iter,
                 init_centroids=warm.get((f"view{v}", level)),
@@ -226,7 +230,7 @@ def final_assignment(latents: list[np.ndarray], n_clusters: int, config: TrainCo
     assignment, _ = kmeans(
         np.concatenate(latents, axis=0),
         n_clusters,
-        seed=_derived_seed(config.seeds.kmeans, 999, n_clusters),
+        seed=_derived_seed(config.kmeans_seed, 999, n_clusters),
         max_iter=config.kmeans_max_iter,
         restarts=config.final_restarts,
     )
@@ -250,21 +254,7 @@ def train(
 ) -> RunArtifacts:
     started_at = time.time()
     n_views = dataset.n_views
-    if dataset.n_clusters < 2:
-        raise DataError("training requires at least 2 clusters")
-    cluster_set = (
-        ClusterSet(config.cluster_levels)
-        if config.cluster_levels is not None
-        else ClusterSet.default(dataset.n_clusters)
-    )
-    if cluster_set.final != dataset.n_clusters:
-        raise ConfigError(
-            f"last cluster level ({cluster_set.final}) must equal the dataset cluster count "
-            f"({dataset.n_clusters})"
-        )
-    for v in dataset.views:
-        if v.n < cluster_set.final:
-            raise DataError(f"view {v.view_id} has {v.n} samples, fewer than the top level {cluster_set.final}")
+    cluster_set = cluster_set_for(config, dataset)
 
     features = dataset.feature_matrices()
     offsets = dataset.row_offsets()
@@ -274,10 +264,10 @@ def train(
         config.latent_dim,
         config.hidden_dims,
         config.batchnorm,
-        config.seeds.init,
+        config.seed,
     )
     opt = Adam(lr=config.learning_rate)
-    plan = BatchPlan(batch_size=config.batch_size, shuffle_seed=config.seeds.shuffle)
+    plan = BatchPlan(batch_size=config.batch_size, shuffle_seed=config.seed + 1)
     warm: dict[tuple[str, int], np.ndarray] = {}
     start_epoch = 1
     if resume is not None:
@@ -291,7 +281,6 @@ def train(
     last_epoch = config.epochs if stop_after_epoch is None else min(config.epochs, stop_after_epoch)
     loss_rows: list[list[float]] = []
     level_trace: list[tuple[int, ...]] = []
-    reliability: list[float] = []
 
     for epoch in range(start_epoch, last_epoch + 1):
         active = cluster_set.prefix(active_prefix_length(epoch, config.epochs))
@@ -329,7 +318,6 @@ def train(
         means = sums / steps
         loss_rows.append([float(epoch), *means.tolist(), coeff, *level_state.silhouettes.tolist()])
         level_trace.append(active)
-        reliability.append(coeff)
         logger.info(
             "epoch=%d total=%.6f l_ae=%.6f l_in=%.6f l_co=%.6f l_cr=%.6f coeff=%.6f levels=%s",
             epoch, means[4], means[0], means[1], means[2], means[3], coeff, list(active),
@@ -344,7 +332,7 @@ def train(
         [v.labels for v in dataset.views],
         final.labels,
         dataset.n_clusters,
-        kmeans_seed=config.seeds.kmeans,
+        kmeans_seed=config.kmeans_seed,
         restarts=config.final_restarts,
         config_hash=cfg_hash,
         started_at=started_at,
@@ -354,9 +342,7 @@ def train(
     ]
     artifacts = RunArtifacts(
         config_hash=cfg_hash,
-        loss_columns=columns,
         loss_table=np.array(loss_rows) if loss_rows else np.zeros((0, len(columns))),
-        reliability_trace=np.array(reliability),
         level_trace=level_trace,
         final_assignment=final,
         report=report,
@@ -365,10 +351,8 @@ def train(
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        artifacts.out_dir = out
-        artifacts.checkpoint_path = out / "checkpoint.npz"
         save_checkpoint(
-            artifacts.checkpoint_path,
+            out / "checkpoint.npz",
             config_hash=cfg_hash,
             epoch=last_epoch,
             adam_t=opt.t,

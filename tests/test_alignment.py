@@ -90,7 +90,7 @@ def test_match_views_joins_views_at_every_level():
 
 
 def test_refresh_common_centroids_are_latent_means_of_joined_clusters():
-    ds = synthesize(SyntheticSpec(clusters=3, views=2, dims=(6, 7), samples_per_cluster=10, separation=8.0, noise_std=1.0), seed=0)
+    ds = synthesize(SyntheticSpec(clusters=3, views=2, dims=(6, 7), samples_per_cluster=10, separation=8.0, noise_std=1.0, seed=0))
     cfg = TrainConfig(epochs=4, latent_dim=4, hidden_dims=(8,))
     bundle = build_bundle(ds.feature_dims(), cfg.latent_dim, cfg.hidden_dims, True, 1)
     state, latents = refresh_level_state(bundle, ds, ClusterSet((2, 3)), (2, 3), cfg, {})

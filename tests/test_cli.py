@@ -3,9 +3,10 @@
 import csv
 import os
 
+import numpy as np
 import yaml
 
-from umclust import cli
+from umclust import cli, data
 
 
 _real_sweep_point = cli._sweep_point
@@ -80,7 +81,11 @@ def test_negative_seed_exits_2(tmp_path, capsys):
 def test_unusable_train_values_exit_2_before_the_run_directory(tmp_path, capsys):
     config = _write_config(tmp_path)
     assert cli.main(["generate", "-c", str(config), "-o", str(tmp_path / "data"), "--quiet"]) == 0
-    for train, key in (({"latent_dim": 0}, "train.latent_dim"), ({"hidden_dims": [6, 0]}, "train.hidden_dims")):
+    for train, key in (
+        ({"latent_dim": 0}, "train.latent_dim"),
+        ({"hidden_dims": [6, 0]}, "train.hidden_dims"),
+        ({"cluster_levels": [2, 5]}, "train.cluster_levels"),
+    ):
         raw = yaml.safe_load(config.read_text(encoding="utf-8"))
         raw["train"].update(train)
         bad = tmp_path / "bad.yaml"
@@ -89,3 +94,28 @@ def test_unusable_train_values_exit_2_before_the_run_directory(tmp_path, capsys)
         assert cli.main(["train", "-c", str(bad), "-o", str(out), "--quiet"]) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_unpair_partitions_the_paired_ids(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    paired = data.PairedDataset(
+        name="paired", n_clusters=2, ids=np.arange(10, 22),
+        features=[rng.normal(size=(12, 3)), rng.normal(size=(12, 4))], labels=np.repeat([0, 1], 6),
+    )
+    source = data.save_dataset(paired, tmp_path / "paired")
+    config = tmp_path / "unpair.yaml"
+    config.write_text(yaml.safe_dump({"dataset": {"unpair": {"source_manifest": str(source), "seed": 4}}}))
+    out = tmp_path / "unpaired"
+    assert cli.main(["unpair", "-c", str(config), "-o", str(out), "--quiet"]) == 0
+    ds = data.load(out / "manifest.json")
+    assert sorted(ds.all_ids().tolist()) == paired.ids.tolist()
+    assert [v.n for v in ds.views] == [6, 6]
+    for v in ds.views:
+        assert np.array_equal(v.features, paired.features[v.view_id][v.ids - 10])
+    assert yaml.safe_load((out / "config.yaml").read_text())["dataset"]["unpair"]["seed"] == 4
+
+    config.write_text(yaml.safe_dump({"dataset": {"unpair": {"seed": 4}}}))
+    missing = tmp_path / "missing"
+    assert cli.main(["unpair", "-c", str(config), "-o", str(missing), "--quiet"]) == 2
+    assert "'dataset.unpair.source_manifest'" in capsys.readouterr().err
+    assert not missing.exists()

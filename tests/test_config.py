@@ -1,15 +1,19 @@
 """YAML run configuration: defaults come from the dataclasses they fill."""
 
 import re
+from dataclasses import replace
 
 import pytest
 import yaml
 
-from umclust.config import apply_seed_override, parse_config, with_weights
-from umclust.data import SyntheticSpec
+from umclust.config import DatasetSection, apply_seed_override, parse_config, with_weights
+from umclust.data import SyntheticSpec, UnpairRecipe
 from umclust.errors import ConfigError
 from umclust.losses import LossWeights
-from umclust.train import Reliability, Seeds, TrainConfig
+from umclust.train import Reliability, TrainConfig
+
+
+SYNTHETIC = {"clusters": 3, "views": 2, "dims": [4, 6], "samples_per_cluster": 8, "separation": 5.0, "noise_std": 0.5}
 
 
 def test_empty_train_section_equals_dataclass_defaults():
@@ -18,10 +22,15 @@ def test_empty_train_section_equals_dataclass_defaults():
 
 
 def test_overrides_keep_every_other_field():
-    base = parse_config({"train": {"epochs": 8, "batchnorm": False, "weights": {"lambda2": 0.5}}})
-    reseeded = apply_seed_override(base, 10).train
-    assert reseeded.seeds == Seeds(init=10, shuffle=11, kmeans=12)
-    assert reseeded == TrainConfig(**{**base.train.__dict__, "seeds": reseeded.seeds})
+    base = parse_config({
+        "dataset": {"synthetic": SYNTHETIC, "unpair": {"source_manifest": "paired.json", "seed": 3}},
+        "train": {"epochs": 8, "batchnorm": False, "weights": {"lambda2": 0.5}},
+    })
+    overridden = apply_seed_override(base, 10)
+    assert overridden.dataset == replace(
+        base.dataset, synthetic=replace(base.dataset.synthetic, seed=10), unpair=replace(base.dataset.unpair, seed=10)
+    )
+    assert overridden.train == replace(base.train, seed=10)
     reweighted = with_weights(base, lambda4=7.0).train
     assert reweighted.weights.lambda4 == 7.0
     assert reweighted.weights.lambda2 == 0.5
@@ -41,7 +50,7 @@ NON_DEFAULT_TRAIN = {
     "cluster_levels": [2, 5],
     "weights": {"lambda1": 0.5, "lambda2": 0.2, "lambda3": 0.3, "lambda4": 40.0, "temperature": 0.7},
     "reliability": {"start": 1.25, "decay": 0.95, "floor": 0.5},
-    "seeds": {"init": 11, "shuffle": 12, "kmeans": 13},
+    "seed": 11,
 }
 
 
@@ -56,7 +65,7 @@ def test_train_section_round_trips_through_resolved_yaml():
         learning_rate=0.02,
         weights=LossWeights(lambda1=0.5, lambda2=0.2, lambda3=0.3, lambda4=40.0, temperature=0.7),
         reliability=Reliability(start=1.25, decay=0.95, floor=0.5),
-        seeds=Seeds(init=11, shuffle=12, kmeans=13),
+        seed=11,
         final_restarts=4,
         kmeans_max_iter=21,
         cluster_levels=(2, 5),
@@ -80,6 +89,7 @@ def test_train_section_round_trips_through_resolved_yaml():
         ({"beta2": 0.999}, "train.beta2"),
         ({"adam_eps": 1e-8}, "train.adam_eps"),
         ({"kmeans_tol": 1e-6}, "train.kmeans_tol"),
+        ({"seeds": {"init": 1}}, "train.seeds"),
     ],
 )
 def test_bad_train_keys_name_their_path(train, path):
@@ -112,24 +122,25 @@ def test_scalars_keep_their_yaml_value(train, field, expected):
         ({"learning_rate": True}, "train.learning_rate"),
         ({"learning_rate": "fast"}, "train.learning_rate"),
         ({"learning_rate": [1e-3]}, "train.learning_rate"),
-        ({"seeds": {"init": 1.5}}, "train.seeds.init"),
+        ({"seed": 1.5}, "train.seed"),
         ({"weights": {"lambda2": False}}, "train.weights.lambda2"),
+        ({"hidden_dims": [12.5]}, "train.hidden_dims[0]"),
+        ({"cluster_levels": ["2", 3]}, "train.cluster_levels[0]"),
+        ({"cluster_levels": 3}, "train.cluster_levels"),
     ],
 )
 def test_lossy_scalar_casts_are_refused(train, path):
-    with pytest.raises(ConfigError, match=f"'{path}'"):
+    with pytest.raises(ConfigError, match=re.escape(f"'{path}'")):
         parse_config({"train": train})
-
-
-SYNTHETIC = {"clusters": 3, "views": 2, "dims": [4, 6], "samples_per_cluster": 8, "separation": 5.0, "noise_std": 0.5}
 
 
 def test_synthetic_section_parses_to_the_same_spec():
     section = {**SYNTHETIC, "clusters": 3.0, "separation": 5, "noise_std": "5e-1", "seed": 4}
     parsed = parse_config({"dataset": {"synthetic": section}}).dataset
-    expected = SyntheticSpec(clusters=3, views=2, dims=(4, 6), samples_per_cluster=8, separation=5.0, noise_std=0.5)
+    expected = SyntheticSpec(
+        clusters=3, views=2, dims=(4, 6), samples_per_cluster=8, separation=5.0, noise_std=0.5, seed=4
+    )
     assert parsed.synthetic == expected
-    assert parsed.synthetic_seed == 4
     spec = parsed.synthetic
     assert [type(getattr(spec, f)) for f in ("clusters", "views", "samples_per_cluster")] == [int] * 3
     assert [type(d) for d in spec.dims] == [int, int]
@@ -161,16 +172,56 @@ def test_lossy_synthetic_casts_are_refused(override, path):
 @pytest.mark.parametrize(
     "raw, key",
     [
-        ({"train": {"seeds": {"init": -1}}}, "train.seeds.init"),
-        ({"train": {"seeds": {"kmeans": -5}}}, "train.seeds.kmeans"),
+        ({"train": {"seed": -1}}, "train.seed"),
+        ({"train": {"kmeans_max_iter": 0}}, "train.kmeans_max_iter"),
         ({"train": {"latent_dim": 0}}, "train.latent_dim"),
         ({"train": {"hidden_dims": [16, 0]}}, "train.hidden_dims"),
         ({"train": {"hidden_dims": [-4]}}, "train.hidden_dims"),
         ({"dataset": {"synthetic": {**SYNTHETIC, "seed": -3}}}, "dataset.synthetic.seed"),
         ({"dataset": {"unpair": {"source_manifest": "paired.json", "seed": -1}}}, "dataset.unpair.seed"),
+        ({"train": {"kmeans_max_iter": -1}}, "train.kmeans_max_iter"),
     ],
 )
 def test_values_the_trainer_cannot_use_are_refused_at_parse_time(raw, key):
     with pytest.raises(ConfigError, match=re.escape(key)):
         parse_config(raw)
 
+
+NON_DEFAULT_DATASET = {
+    "manifest": "data/manifest.json",
+    "scale": "zscore",
+    "synthetic": {**SYNTHETIC, "seed": 4},
+    "unpair": {"seed": 5, "strategy": "uniform-random", "source_manifest": "paired/manifest.json"},
+}
+
+
+def test_dataset_section_round_trips_through_resolved_yaml():
+    parsed = parse_config({"dataset": NON_DEFAULT_DATASET})
+    expected = DatasetSection(
+        manifest="data/manifest.json",
+        scale="zscore",
+        synthetic=SyntheticSpec(
+            clusters=3, views=2, dims=(4, 6), samples_per_cluster=8, separation=5.0, noise_std=0.5, seed=4
+        ),
+        unpair=UnpairRecipe(seed=5, strategy="uniform-random", source_manifest="paired/manifest.json"),
+    )
+    assert parsed.dataset == expected
+    dumped = yaml.safe_load(yaml.safe_dump(parsed.resolved_dict(), sort_keys=True))
+    assert dumped["dataset"] == NON_DEFAULT_DATASET
+    assert parse_config(dumped).dataset == expected
+    assert parse_config({}).dataset == DatasetSection()
+
+
+@pytest.mark.parametrize(
+    "dataset, path",
+    [
+        ({"manifest": 5}, "dataset.manifest"),
+        ({"scale": "unit"}, "dataset.scale"),
+        ({"synthetic": {"clusters": 3}}, "dataset.synthetic.views"),
+        ({"unpair": {"strategy": "alphabetical"}}, "dataset.unpair.strategy"),
+        ({"unpair": {"source": "paired.json"}}, "dataset.unpair.source"),
+    ],
+)
+def test_bad_dataset_values_name_their_path(dataset, path):
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        parse_config({"dataset": dataset})

@@ -194,7 +194,7 @@ def test_unpair_rejects_single_view_and_empty_class():
 
 
 def test_unpair_rejects_unknown_strategy():
-    with pytest.raises(DataError, match="unknown unpair strategy"):
+    with pytest.raises(DataError, match="strategy must be one of"):
         UnpairRecipe(seed=0, strategy="alphabetical")
 
 
@@ -204,8 +204,8 @@ def test_unpair_rejects_unknown_strategy():
 
 def test_synthesize_separated_blobs_cluster_cleanly():
     spec = SyntheticSpec(clusters=3, views=2, dims=(6, 9), samples_per_cluster=40,
-                         separation=10.0, noise_std=1.0)
-    ds = synthesize(spec, seed=0)
+                         separation=10.0, noise_std=1.0, seed=0)
+    ds = synthesize(spec)
     assert ds.total_samples == 3 * 40 * 2
     for v in ds.views:
         assignment, _ = kmeans(v.features, 3, seed=1, restarts=5)
@@ -214,9 +214,9 @@ def test_synthesize_separated_blobs_cluster_cleanly():
 
 def test_synthesize_deterministic():
     spec = SyntheticSpec(clusters=2, views=2, dims=(4, 5), samples_per_cluster=10,
-                         separation=5.0, noise_std=1.0)
-    d1 = synthesize(spec, seed=3)
-    d2 = synthesize(spec, seed=3)
+                         separation=5.0, noise_std=1.0, seed=3)
+    d1 = synthesize(spec)
+    d2 = synthesize(spec)
     for v1, v2 in zip(d1.views, d2.views):
         assert np.array_equal(v1.features, v2.features)
 
@@ -235,8 +235,8 @@ def test_synthesize_validation():
 
 def test_synthesize_center_separation_is_exact():
     spec = SyntheticSpec(clusters=4, views=1, dims=(7,), samples_per_cluster=200,
-                         separation=8.0, noise_std=1e-9)
-    ds = synthesize(spec, seed=1)
+                         separation=8.0, noise_std=1e-9, seed=1)
+    ds = synthesize(spec)
     # with negligible noise, per-class means approximate the embedded centers
     means = np.stack([ds.views[0].features[ds.views[0].labels == c].mean(axis=0) for c in range(4)])
     dists = [np.linalg.norm(means[i] - means[j]) for i in range(4) for j in range(i + 1, 4)]

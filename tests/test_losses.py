@@ -283,8 +283,7 @@ def _refresh_case(batch: int = 7):
     """A real refresh state and the first `batch` rows of each view,
     with the matchings `match_views` gives on the refreshed latents."""
     ds = synthesize(
-        SyntheticSpec(clusters=4, views=2, dims=(5, 6), samples_per_cluster=6, separation=5.0, noise_std=1.0),
-        seed=2,
+        SyntheticSpec(clusters=4, views=2, dims=(5, 6), samples_per_cluster=6, separation=5.0, noise_std=1.0, seed=2)
     )
     cfg = TrainConfig(epochs=4, latent_dim=4, hidden_dims=(8,))
     bundle = build_bundle(ds.feature_dims(), cfg.latent_dim, cfg.hidden_dims, True, 1)

@@ -11,7 +11,6 @@ from umclust.metrics import nmi
 from umclust.nn import Adam, build_bundle
 from umclust.train import (
     RunArtifacts,
-    Seeds,
     TrainConfig,
     active_prefix_length,
     refresh_level_state,
@@ -24,9 +23,9 @@ from umclust.train import (
 def small_dataset(seed=0, clusters=3, views=2, spc=20, separation=8.0):
     spec = SyntheticSpec(
         clusters=clusters, views=views, dims=(6, 7)[:views] or (6,),
-        samples_per_cluster=spc, separation=separation, noise_std=1.0,
+        samples_per_cluster=spc, separation=separation, noise_std=1.0, seed=seed,
     )
-    return synthesize(spec, seed=seed)
+    return synthesize(spec)
 
 
 def small_config(**overrides):
@@ -38,7 +37,7 @@ def small_config(**overrides):
         batchnorm=True,
         learning_rate=1e-3,
         weights=LossWeights(lambda1=1.0, lambda2=0.01, lambda3=0.01, lambda4=10.0),
-        seeds=Seeds(init=1, shuffle=2, kmeans=3),
+        seed=1,
         final_restarts=3,
     )
     base.update(overrides)
@@ -140,7 +139,7 @@ def test_train_records_schedule_and_reliability(tmp_path):
     artifacts = train(small_config(), ds, out_dir=tmp_path)
     assert [len(a) for a in artifacts.level_trace] == [1, 1, 2, 2, 2, 2, 2, 2]  # K=3 has 2 levels
     expected = [max(1.0, 1.5 * 0.99 ** (t - 1)) for t in range(1, 9)]
-    assert np.array_equal(artifacts.reliability_trace, expected)
+    assert np.array_equal(artifacts.loss_table[:, 6], expected)  # the reliability_coeff column
     assert artifacts.loss_table.shape == (8, 7 + ds.n_views)
     assert (tmp_path / "loss_curve.csv").exists()
     assert (tmp_path / "metrics.json").exists()
@@ -169,9 +168,9 @@ def test_ablated_run_equals_plain_autoencoder():
     assert np.allclose(artifacts.loss_table[:, 5], artifacts.loss_table[:, 1], atol=1e-12)
 
     # replicate the optimization manually: reconstruction-only steps
-    bundle = build_bundle(ds.feature_dims(), cfg.latent_dim, cfg.hidden_dims, cfg.batchnorm, cfg.seeds.init)
+    bundle = build_bundle(ds.feature_dims(), cfg.latent_dim, cfg.hidden_dims, cfg.batchnorm, cfg.seed)
     opt = Adam(lr=cfg.learning_rate)
-    plan = BatchPlan(batch_size=cfg.batch_size, shuffle_seed=cfg.seeds.shuffle)
+    plan = BatchPlan(batch_size=cfg.batch_size, shuffle_seed=cfg.seed + 1)
     feats = ds.feature_matrices()
     for epoch in range(1, cfg.epochs + 1):
         steps = max(plan.steps_per_epoch(v.n) for v in ds.views)
@@ -184,7 +183,7 @@ def test_ablated_run_equals_plain_autoencoder():
             opt.step(bundle.named_parameters(), bundle.gradients())
     # the trainer run must land on numerically identical parameters
     retrained = train(cfg, ds)
-    check = build_bundle(ds.feature_dims(), cfg.latent_dim, cfg.hidden_dims, cfg.batchnorm, cfg.seeds.init)
+    check = build_bundle(ds.feature_dims(), cfg.latent_dim, cfg.hidden_dims, cfg.batchnorm, cfg.seed)
     ck_params = np.load(_checkpoint_of(retrained, ds, cfg), allow_pickle=False)
     for name, p in bundle.named_parameters().items():
         assert np.array_equal(ck_params[f"param/{name}"], p.data), name
