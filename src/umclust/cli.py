@@ -1,5 +1,8 @@
 """Command-line surface: generate, unpair, train, eval, sweep.
 
+`train` and `eval` score a model through the one `train.evaluate`; `eval`
+first restores it from a checkpoint written under the same run hash.
+
 Exit codes: 0 on success, 2 for configuration or input errors, 3 for
 numerical failures during training.
 """
@@ -21,9 +24,10 @@ from pathlib import Path
 from . import config as cfg
 from . import data
 from .errors import CheckpointError, ConfigError, DataError, NumericalError, UmclustError
-from .metrics import build_report
+# build_report and final_assignment are not called here: bench/spans.py wraps them by name in this module.
+from .metrics import build_report  # noqa: F401
 from .nn import build_bundle, load_checkpoint
-from .train import cluster_set_for, final_assignment, run_hash, train
+from .train import cluster_set_for, evaluate, final_assignment, run_hash, train  # noqa: F401
 
 OUT_ROOT_ENV = "UMCLUST_OUT_ROOT"
 logger = logging.getLogger("umclust")
@@ -87,13 +91,20 @@ def cmd_unpair(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    run_config = _load_run_config(args)
+def _train_run(run_config: cfg.RunConfig, out: Path, force: bool):
+    """Train `run_config` into `out`: refuse unusable cluster levels before
+    the run directory exists, then write the resolved config and train."""
     ds = _load_dataset(run_config.dataset)
     cluster_set_for(run_config.train, ds)
-    out = _prepare_run_dir(_resolve_out(args), args.force)
+    out = _prepare_run_dir(out, force)
     cfg.write_resolved(run_config, out / "config.yaml")
-    artifacts = train(run_config.train, ds, out_dir=out)
+    return train(run_config.train, ds, out_dir=out)
+
+
+def cmd_train(args) -> int:
+    run_config = _load_run_config(args)
+    out = _resolve_out(args)
+    artifacts = _train_run(run_config, out, args.force)
     for scope in artifacts.report.scopes:
         p = scope.as_percent()
         logger.info("%s: NMI=%.2f ACC=%.2f F1=%.2f", p["scope"], p["nmi"], p["acc"], p["f1"])
@@ -118,19 +129,7 @@ def cmd_eval(args) -> int:
         run_config.train.seed,
     )
     bundle.load_arrays(ck.params, ck.stats)
-    started = time.time()
-    latents = bundle.encode_all(ds.feature_matrices(), train=False)
-    assignment = final_assignment(latents, ds.n_clusters, run_config.train)
-    report = build_report(
-        latents,
-        [v.labels for v in ds.views],
-        assignment.labels,
-        ds.n_clusters,
-        kmeans_seed=run_config.train.kmeans_seed,
-        restarts=run_config.train.final_restarts,
-        config_hash=expected,
-        started_at=started,
-    )
+    _, _, report = evaluate(bundle, ds, run_config.train, expected, time.time())
     report.save(out)
     print(report.to_json(), end="")
     return 0
@@ -143,11 +142,8 @@ def _sweep_point(task: tuple[str, str, dict, int | None, str]) -> dict:
     if seed is not None:
         run_config = cfg.apply_seed_override(run_config, seed)
     run_config = cfg.with_weights(run_config, **overrides)
-    ds = _load_dataset(run_config.dataset)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg.write_resolved(run_config, out / "config.yaml")
-    artifacts = train(run_config.train, ds, out_dir=out)
+    # cmd_sweep has already refused a non-empty sweep directory unless --force.
+    artifacts = _train_run(run_config, Path(out_dir), force=True)
     all_view = artifacts.report.scope("all-view").as_percent()
     return {"nmi": all_view["nmi"], "acc": all_view["acc"], "f1": all_view["f1"]}
 

@@ -146,7 +146,12 @@ def _parse_sweep(section: dict) -> dict[str, list[float]]:
     for key, values in section.items():
         if not isinstance(values, (list, tuple)) or not values:
             raise ConfigError(f"config key 'sweep.{key}' must be a non-empty list")
-        grid[key] = [float(v) for v in values]
+        grid[key] = [_cast(v, float, f"sweep.{key}[{i}]") for i, v in enumerate(values)]
+        for v in grid[key]:
+            try:
+                LossWeights(**{key: v})
+            except UmclustError as exc:
+                raise ConfigError(f"sweep.{exc}, got {v!r}") from exc
     return grid
 
 

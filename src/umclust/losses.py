@@ -69,11 +69,11 @@ class ClusterSet:
 
     def __post_init__(self):
         if not self.levels:
-            raise ConfigError("cluster set must contain at least one level")
+            raise ConfigError("cluster_levels must contain at least one level")
         if any(k < 1 for k in self.levels):
-            raise ConfigError("cluster levels must be >= 1")
+            raise ConfigError("cluster_levels entries must be >= 1")
         if list(self.levels) != sorted(set(self.levels)):
-            raise ConfigError(f"cluster levels must be strictly increasing, got {self.levels}")
+            raise ConfigError(f"cluster_levels must be strictly increasing, got {list(self.levels)}")
         object.__setattr__(self, "levels", tuple(int(k) for k in self.levels))
 
     @staticmethod

@@ -12,8 +12,11 @@ four-term objective and applying an adaptive-moment update.
 The set of active clustering levels is a prefix of the cluster set
 that grows at the quarter points of the epoch budget, and the
 reliable-view coefficient decays per epoch as max(floor, start *
-decay^t). After the last epoch the final assignment comes from K-means
-(best of several restarts) on the concatenated eval-mode latents.
+decay^t). After the last epoch `evaluate` scores the model: the final
+assignment comes from K-means (best of several restarts) on the
+concatenated eval-mode latents, and the report scores it and a K-means
+of each view alone. `umclust eval` calls the same `evaluate` on a model
+restored from its checkpoint.
 """
 
 from __future__ import annotations
@@ -87,6 +90,8 @@ class TrainConfig:
             raise ConfigError(f"hidden_dims entries must be >= 1, got {list(self.hidden_dims)}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if self.cluster_levels is not None:
+            ClusterSet(self.cluster_levels)
 
     @property
     def kmeans_seed(self) -> int:
@@ -132,7 +137,6 @@ def run_hash(config: TrainConfig, dataset: MultiViewDataset) -> str:
 
 @dataclass
 class RunArtifacts:
-    config_hash: str
     loss_table: np.ndarray          # one row per trained epoch, columns as in loss_curve.csv
     level_trace: list[tuple[int, ...]]
     final_assignment: Assignment
@@ -237,6 +241,26 @@ def final_assignment(latents: list[np.ndarray], n_clusters: int, config: TrainCo
     return assignment
 
 
+def evaluate(
+    bundle, dataset: MultiViewDataset, config: TrainConfig, config_hash: str, started_at: float
+) -> tuple[list[np.ndarray], Assignment, MetricsReport]:
+    """Score a trained `bundle`: eval-mode latents of every view, their
+    `final_assignment` and the report of its scores."""
+    latents = bundle.encode_all(dataset.feature_matrices(), train=False)
+    assignment = final_assignment(latents, dataset.n_clusters, config)
+    report = build_report(
+        latents,
+        [v.labels for v in dataset.views],
+        assignment.labels,
+        dataset.n_clusters,
+        kmeans_seed=config.kmeans_seed,
+        restarts=config.final_restarts,
+        config_hash=config_hash,
+        started_at=started_at,
+    )
+    return latents, assignment, report
+
+
 def _view_batch_stream(plan: BatchPlan, epoch: int, view: int, n: int):
     cycle = 0
     while True:
@@ -323,25 +347,11 @@ def train(
             epoch, means[4], means[0], means[1], means[2], means[3], coeff, list(active),
         )
 
-    # final clustering on eval-mode representations of every sample
-    latents = bundle.encode_all(features, train=False)
-    z_common = np.concatenate(latents, axis=0)
-    final = final_assignment(latents, dataset.n_clusters, config)
-    report = build_report(
-        latents,
-        [v.labels for v in dataset.views],
-        final.labels,
-        dataset.n_clusters,
-        kmeans_seed=config.kmeans_seed,
-        restarts=config.final_restarts,
-        config_hash=cfg_hash,
-        started_at=started_at,
-    )
+    latents, final, report = evaluate(bundle, dataset, config, cfg_hash, started_at)
     columns = ["epoch", "l_ae", "l_in", "l_co", "l_cr", "total", "reliability_coeff"] + [
         f"silhouette_view{v}" for v in range(n_views)
     ]
     artifacts = RunArtifacts(
-        config_hash=cfg_hash,
         loss_table=np.array(loss_rows) if loss_rows else np.zeros((0, len(columns))),
         level_trace=level_trace,
         final_assignment=final,
@@ -369,7 +379,7 @@ def train(
             np.concatenate([np.full(v.n, v.view_id) for v in dataset.views]),
             dataset.all_labels(),
             final.labels,
-            z_common,
+            np.concatenate(latents, axis=0),
         )
     return artifacts
 

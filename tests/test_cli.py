@@ -1,6 +1,7 @@
 """Command-line runs end to end on a tiny synthetic dataset."""
 
 import csv
+import json
 import os
 
 import numpy as np
@@ -68,6 +69,43 @@ def test_sweep_reruns_points_a_crashed_worker_took_down(tmp_path, monkeypatch):
     assert [r["lambda2"] for r in rows] == ["0.01", "0.02", "0.03"]
     assert [r["status"] for r in rows[::2]] == ["ok", "ok"]
     assert rows[1]["status"].startswith("failed: BrokenProcessPool")
+
+
+def test_sweep_point_with_unusable_levels_fails_before_its_run_directory(tmp_path):
+    config = _write_config(tmp_path)
+    assert cli.main(["generate", "-c", str(config), "-o", str(tmp_path / "data"), "--quiet"]) == 0
+    raw = yaml.safe_load(config.read_text(encoding="utf-8"))
+    raw["train"]["cluster_levels"] = [2, 5]
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "-c", str(config), "-o", str(out), "--quiet"]) == 0
+    with open(out / "summary.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert all(r["status"].startswith("failed: ConfigError: train.cluster_levels") for r in rows)
+    assert sorted(p.name for p in out.iterdir()) == ["config.yaml", "summary.csv"]
+
+
+def test_eval_reproduces_train_and_refuses_other_checkpoints(tmp_path, capsys):
+    config = _write_config(tmp_path)
+    assert cli.main(["generate", "-c", str(config), "-o", str(tmp_path / "data"), "--quiet"]) == 0
+    out = tmp_path / "run"
+    assert cli.main(["train", "-c", str(config), "-o", str(out), "--quiet"]) == 0
+    trained = json.loads((out / "metrics.json").read_text(encoding="utf-8"))
+    assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 0
+    evaluated = json.loads((out / "metrics.json").read_text(encoding="utf-8"))
+    assert evaluated["scopes"] == trained["scopes"]
+    assert evaluated["config_hash"] == trained["config_hash"]
+    capsys.readouterr()
+
+    assert cli.main(["eval", "-c", str(config), "-o", str(tmp_path / "empty"), "--quiet"]) == 2
+    assert "no checkpoint at" in capsys.readouterr().err
+
+    raw = yaml.safe_load(config.read_text(encoding="utf-8"))
+    raw["train"]["learning_rate"] = 0.5
+    altered = tmp_path / "altered.yaml"
+    altered.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    assert cli.main(["eval", "-c", str(altered), "-o", str(out), "--quiet"]) == 2
+    assert "checkpoint was written with a different configuration" in capsys.readouterr().err
 
 
 def test_negative_seed_exits_2(tmp_path, capsys):

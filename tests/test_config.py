@@ -180,11 +180,35 @@ def test_lossy_synthetic_casts_are_refused(override, path):
         ({"dataset": {"synthetic": {**SYNTHETIC, "seed": -3}}}, "dataset.synthetic.seed"),
         ({"dataset": {"unpair": {"source_manifest": "paired.json", "seed": -1}}}, "dataset.unpair.seed"),
         ({"train": {"kmeans_max_iter": -1}}, "train.kmeans_max_iter"),
+        ({"train": {"cluster_levels": [3, 2]}}, "train.cluster_levels must be strictly increasing"),
+        ({"train": {"cluster_levels": []}}, "train.cluster_levels"),
     ],
 )
 def test_values_the_trainer_cannot_use_are_refused_at_parse_time(raw, key):
     with pytest.raises(ConfigError, match=re.escape(key)):
         parse_config(raw)
+
+
+def test_sweep_grid_values_parse_to_floats():
+    assert parse_config({"sweep": {"lambda2": [0, "1e-2", 0.5], "lambda4": [2]}}).sweep == {
+        "lambda2": [0.0, 0.01, 0.5],
+        "lambda4": [2.0],
+    }
+
+
+@pytest.mark.parametrize(
+    "values, key",
+    [
+        ([True, "1e-2"], "'sweep.lambda2[0]'"),
+        ([0.1, "x"], "'sweep.lambda2[1]'"),
+        ([[0.1]], "'sweep.lambda2[0]'"),
+        ([-1.0], "sweep.lambda2 must be non-negative"),
+        ([], "'sweep.lambda2' must be a non-empty list"),
+    ],
+)
+def test_bad_sweep_values_name_their_key(values, key):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        parse_config({"sweep": {"lambda2": values}})
 
 
 NON_DEFAULT_DATASET = {
