@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import config as cfg
 from . import data
-from .errors import CheckpointError, ConfigError, DataError, NumericalError, UmclustError
+from .errors import ConfigError, NumericalError, UmclustError
 # build_report and final_assignment are not called here: bench/spans.py wraps them by name in this module.
 from .metrics import build_report  # noqa: F401
 from .nn import build_bundle, load_checkpoint
@@ -236,12 +236,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return COMMANDS[args.command](args)
-    except (ConfigError, DataError, CheckpointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except UmclustError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

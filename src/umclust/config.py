@@ -21,7 +21,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
-from .data import SCALINGS, SyntheticSpec, UnpairRecipe
+from .data import SCALINGS, SyntheticSpec, UnpairRecipe, is_integer
 from .errors import ConfigError, UmclustError
 from .losses import LossWeights
 from .train import TrainConfig
@@ -51,11 +51,9 @@ def _castable(value, cast) -> bool:
     """
     if cast in (bool, str):
         return isinstance(value, cast)
-    if isinstance(value, bool):
-        return False
     if cast is int:
-        return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    return isinstance(value, (int, float, str))
+        return is_integer(value)
+    return not isinstance(value, bool) and isinstance(value, (int, float, str))
 
 
 def _cast(value, cast, where: str):

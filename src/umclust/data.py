@@ -141,6 +141,22 @@ class PairedDataset:
 # manifest I/O
 
 
+def is_integer(value) -> bool:
+    """Whether `value` is an integer: an int, or a float with no fractional
+    part. A bool is not."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+
+
+def _manifest_int(value, key: str, minimum: int | None = None) -> int:
+    if not is_integer(value):
+        raise DataError(f"manifest key '{key}' must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise DataError(f"manifest key '{key}' must be >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def _read_feature_csv(path: Path, expect_dim: int) -> tuple[np.ndarray, np.ndarray]:
     if not path.exists():
         raise DataError(f"missing feature file {path}")
@@ -167,6 +183,9 @@ def _read_labels_csv(path: Path) -> dict[int, int]:
         raise DataError(f"unparseable labels file {path}: {exc}") from exc
     if raw.shape[1] != 2:
         raise DataError(f"{path}: labels file must have two columns (id, class)")
+    ids, counts = np.unique(raw[:, 0], return_counts=True)
+    if (counts > 1).any():
+        raise DataError(f"{path}: sample id {int(ids[counts > 1][0])} is listed more than once")
     return {int(i): int(c) for i, c in raw}
 
 
@@ -178,21 +197,29 @@ def _read_manifest(manifest_path: str | Path) -> tuple[dict, Path]:
         manifest = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"unparseable manifest {path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataError(f"manifest {path} must be a JSON object")
     for key in ("name", "clusters", "labels", "views"):
         if key not in manifest:
             raise DataError(f"manifest {path} missing key '{key}'")
+    _manifest_int(manifest["clusters"], "clusters")
+    views = manifest["views"]
+    if not isinstance(views, list) or not views or not all(isinstance(e, dict) for e in views):
+        raise DataError(f"manifest key 'views' must be a non-empty list of mappings, got {views!r}")
     return manifest, path.parent
 
 
 def _load_views(manifest: dict, base: Path) -> tuple[list[tuple[int, np.ndarray, np.ndarray]], dict[int, int]]:
     labels_map = _read_labels_csv(base / manifest["labels"])
     out = []
-    for entry in manifest["views"]:
+    for i, entry in enumerate(manifest["views"]):
         for key in ("id", "path", "dim"):
             if key not in entry:
                 raise DataError(f"manifest view entry missing key '{key}'")
-        ids, feats = _read_feature_csv(base / entry["path"], int(entry["dim"]))
-        out.append((int(entry["id"]), ids, feats))
+        view_id = _manifest_int(entry["id"], f"views[{i}].id")
+        dim = _manifest_int(entry["dim"], f"views[{i}].dim", minimum=1)
+        ids, feats = _read_feature_csv(base / entry["path"], dim)
+        out.append((view_id, ids, feats))
     return out, labels_map
 
 

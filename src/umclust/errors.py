@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: config/input problems exit 2,
-numerical failures exit 3.
+The CLI maps these onto exit codes: numerical failures exit 3, every
+other package error (config, input, shape, checkpoint) exits 2.
 """
 
 

@@ -1,20 +1,14 @@
 from .adam import Adam
-from .checkpoint import CheckpointData, load_checkpoint, save_checkpoint
-from .mlp import AutoencoderBundle, BatchNorm, Linear, Mlp, MlpSpec, build_bundle
-from .tensor import Tensor, concat_rows, row_normalize
+from .checkpoint import load_checkpoint, save_checkpoint
+from .mlp import AutoencoderBundle, MlpSpec, build_bundle
+from .tensor import Tensor
 
 __all__ = [
     "Adam",
     "AutoencoderBundle",
-    "BatchNorm",
-    "CheckpointData",
-    "Linear",
-    "Mlp",
     "MlpSpec",
     "Tensor",
     "build_bundle",
-    "concat_rows",
     "load_checkpoint",
-    "row_normalize",
     "save_checkpoint",
 ]

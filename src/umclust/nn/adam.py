@@ -8,18 +8,14 @@ from ..errors import NumericalError, ShapeError
 from .tensor import Tensor
 
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 class Adam:
-    def __init__(
-        self,
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, lr: float):
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -27,8 +23,8 @@ class Adam:
     def step(self, params: dict[str, Tensor], grads: dict[str, np.ndarray]) -> None:
         """One in-place update; moments are created lazily per parameter."""
         self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
+        b1t = 1.0 - BETA1**self.t
+        b2t = 1.0 - BETA2**self.t
         for name, p in params.items():
             g = grads[name]
             if g.shape != p.data.shape:
@@ -40,11 +36,11 @@ class Adam:
                 self.v[name] = np.zeros_like(p.data)
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + EPS)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}

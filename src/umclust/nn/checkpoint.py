@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,12 +54,9 @@ def save_checkpoint(
         "adam_t": int(adam_t),
     }
     arrays: dict[str, np.ndarray] = {"__meta__": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
-    for name, arr in params.items():
-        arrays[f"param/{name}"] = arr
-    for name, arr in stats.items():
-        arrays[f"stat/{name}"] = arr
-    for name, arr in adam_arrays.items():
-        arrays[f"adam/{name}"] = arr
+    for kind, named in (("param", params), ("stat", stats), ("adam", adam_arrays)):
+        for name, arr in named.items():
+            arrays[f"{kind}/{name}"] = arr
     for (scope, level), arr in warm_centroids.items():
         arrays[f"warm/{scope}/{int(level)}"] = arr
     path = Path(path)
@@ -76,7 +74,7 @@ def load_checkpoint(path: str | Path, *, expect_config_hash: str | None = None) 
     try:
         with np.load(Path(path), allow_pickle=False) as npz:
             raw = {k: npz[k] for k in npz.files}
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     if "__meta__" not in raw:
         raise CheckpointError(f"checkpoint {path} missing metadata")
@@ -99,14 +97,11 @@ def load_checkpoint(path: str | Path, *, expect_config_hash: str | None = None) 
         stats={},
         adam_arrays={},
     )
+    named = {"param": data.params, "stat": data.stats, "adam": data.adam_arrays}
     for key, arr in raw.items():
         kind, _, rest = key.partition("/")
-        if kind == "param":
-            data.params[rest] = arr
-        elif kind == "stat":
-            data.stats[rest] = arr
-        elif kind == "adam":
-            data.adam_arrays[rest] = arr
+        if kind in named:
+            named[kind][rest] = arr
         elif kind == "warm":
             scope, _, level = rest.rpartition("/")
             data.warm_centroids[(scope, int(level))] = arr

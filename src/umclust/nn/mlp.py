@@ -5,6 +5,10 @@ linear map followed by (optional) batch normalization and ReLU, the
 final layer is purely linear. Weights use He-style uniform fan-in
 initialization from a seeded generator, so a bundle is reproducible
 from (dims, seed) alone.
+
+`AutoencoderBundle` names the model's state once, when it is built: a
+parameter map (``v{v}.enc.lin{i}.weight`` ...) and a map of batch-norm
+running statistics, which the layers update in place.
 """
 
 from __future__ import annotations
@@ -55,26 +59,20 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return x @ self.weight + self.bias
 
-    def params(self):
-        yield "weight", self.weight
-        yield "bias", self.bias
-
-    def stats(self):
-        return ()
-
 
 class BatchNorm:
     """Feature-wise batch normalization with running statistics.
 
     Train mode normalizes by the biased batch variance (so a batch of
     one row hits the epsilon floor instead of dividing by zero) and
-    updates the running mean/variance with momentum. Eval mode applies
-    the frozen running statistics, making the layer an affine map.
+    updates the running mean/variance in place with momentum. Eval mode
+    applies the frozen running statistics, making the layer an affine map.
     """
 
-    def __init__(self, dim: int, eps: float = 1e-5, momentum: float = 0.9):
-        self.eps = eps
-        self.momentum = momentum
+    eps = 1e-5
+    momentum = 0.9
+
+    def __init__(self, dim: int):
         self.gamma = Tensor(np.ones(dim), requires_grad=True)
         self.beta = Tensor(np.zeros(dim), requires_grad=True)
         self.running_mean = np.zeros(dim)
@@ -86,28 +84,17 @@ class BatchNorm:
             centered = x - mu
             var = centered.square().mean(axis=0)
             if update_stats:
-                self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mu.data
-                self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var.data
+                for stat, batch in ((self.running_mean, mu.data), (self.running_var, var.data)):
+                    stat *= self.momentum
+                    stat += (1 - self.momentum) * batch
             denom = (var + self.eps).sqrt()
             return centered / denom * self.gamma + self.beta
         scale = 1.0 / np.sqrt(self.running_var + self.eps)
         return (x - self.running_mean) * Tensor(scale) * self.gamma + self.beta
 
-    def params(self):
-        yield "gamma", self.gamma
-        yield "beta", self.beta
-
-    def stats(self):
-        yield "running_mean", self.running_mean
-        yield "running_var", self.running_var
-
-    def set_stat(self, name: str, value: np.ndarray) -> None:
-        setattr(self, name, value.copy())
-
 
 class Mlp:
     def __init__(self, spec: MlpSpec, rng: np.random.Generator):
-        self.spec = spec
         self.linears: list[Linear] = []
         self.norms: list[BatchNorm | None] = []
         dims = (spec.input_dim, *spec.hidden_dims, spec.output_dim)
@@ -129,24 +116,11 @@ class Mlp:
                 raise NumericalError(f"non-finite activation after layer {i}")
         return h
 
-    def modules(self):
-        for i, lin in enumerate(self.linears):
-            yield f"lin{i}", lin
-        for i, norm in enumerate(self.norms):
-            if norm is not None:
-                yield f"bn{i}", norm
-
 
 class Autoencoder:
     def __init__(self, encoder_spec: MlpSpec, rng: np.random.Generator):
         self.encoder = Mlp(encoder_spec, rng)
         self.decoder = Mlp(encoder_spec.mirrored(), rng)
-
-    def modules(self):
-        for name, mod in self.encoder.modules():
-            yield f"enc.{name}", mod
-        for name, mod in self.decoder.modules():
-            yield f"dec.{name}", mod
 
 
 class AutoencoderBundle:
@@ -158,11 +132,23 @@ class AutoencoderBundle:
 
     def __init__(self, specs: list[MlpSpec], seed: int):
         self.specs = list(specs)
-        self.seed = int(seed)
         self.views: list[Autoencoder] = []
+        self._params: dict[str, Tensor] = {}
+        self._stats: dict[str, np.ndarray] = {}
         for v, spec in enumerate(self.specs):
             rng = np.random.default_rng(np.random.SeedSequence([int(seed), v]))
-            self.views.append(Autoencoder(spec, rng))
+            ae = Autoencoder(spec, rng)
+            self.views.append(ae)
+            for prefix, mlp in ((f"v{v}.enc", ae.encoder), (f"v{v}.dec", ae.decoder)):
+                for i, lin in enumerate(mlp.linears):
+                    self._params[f"{prefix}.lin{i}.weight"] = lin.weight
+                    self._params[f"{prefix}.lin{i}.bias"] = lin.bias
+                for i, norm in enumerate(mlp.norms):
+                    if norm is not None:
+                        self._params[f"{prefix}.bn{i}.gamma"] = norm.gamma
+                        self._params[f"{prefix}.bn{i}.beta"] = norm.beta
+                        self._stats[f"{prefix}.bn{i}.running_mean"] = norm.running_mean
+                        self._stats[f"{prefix}.bn{i}.running_var"] = norm.running_var
 
     # -- forward ------------------------------------------------------------
 
@@ -191,45 +177,34 @@ class AutoencoderBundle:
     # -- parameter access ------------------------------------------------------
 
     def named_parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for v, ae in enumerate(self.views):
-            for mod_name, mod in ae.modules():
-                for p_name, p in mod.params():
-                    out[f"v{v}.{mod_name}.{p_name}"] = p
-        return out
+        """Every trainable tensor by name; the same dict on every call."""
+        return self._params
 
     def named_stats(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for v, ae in enumerate(self.views):
-            for mod_name, mod in ae.modules():
-                for s_name, s in mod.stats():
-                    out[f"v{v}.{mod_name}.{s_name}"] = s
-        return out
+        """Every live batch-norm running statistic by name; the same dict on every call."""
+        return self._stats
 
     def gradients(self) -> dict[str, np.ndarray]:
         """Gradient per parameter; parameters off the loss path get zeros."""
-        grads: dict[str, np.ndarray] = {}
-        for name, p in self.named_parameters().items():
-            grads[name] = np.zeros_like(p.data) if p.grad is None else p.grad
-        return grads
+        return {name: np.zeros_like(p.data) if p.grad is None else p.grad for name, p in self._params.items()}
 
     def zero_grad(self) -> None:
-        for p in self.named_parameters().values():
+        for p in self._params.values():
             p.zero_grad()
 
     def load_arrays(self, params: dict[str, np.ndarray], stats: dict[str, np.ndarray]) -> None:
-        own_params = self.named_parameters()
-        if set(params) != set(own_params):
-            raise ShapeError("parameter name set mismatch")
+        """Copy saved arrays into the model; refused before any write
+        unless both name sets and every shape match."""
+        for kind, given, own in (("parameter", params, self._params), ("statistic", stats, self._stats)):
+            if set(given) != set(own):
+                raise ShapeError(f"{kind} name set mismatch")
+            for name, arr in given.items():
+                if arr.shape != own[name].shape:
+                    raise ShapeError(f"shape mismatch for {kind} {name}")
         for name, arr in params.items():
-            if own_params[name].data.shape != arr.shape:
-                raise ShapeError(f"shape mismatch for parameter {name}")
-            own_params[name].data = arr.astype(np.float64, copy=True)
-        for v, ae in enumerate(self.views):
-            for mod_name, mod in ae.modules():
-                for s_name, _ in mod.stats():
-                    key = f"v{v}.{mod_name}.{s_name}"
-                    mod.set_stat(s_name, np.asarray(stats[key], dtype=np.float64))
+            self._params[name].data = arr.astype(np.float64, copy=True)
+        for name, arr in stats.items():
+            self._stats[name][...] = arr
 
 
 def build_bundle(

@@ -70,14 +70,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -104,9 +98,6 @@ class Tensor:
     def __sub__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
         return self + (-other)
-
-    def __rsub__(self, other) -> "Tensor":
-        return Tensor(other) + (-self)
 
     def __mul__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
@@ -177,15 +168,6 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     # -- elementwise nonlinearities -----------------------------------------------
-
-    def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-
-        def backward(grad, a=self, od=out_data):
-            if a.requires_grad:
-                a._accumulate(grad * od)
-
-        return Tensor._result(out_data, (self,), backward)
 
     def log(self) -> "Tensor":
         def backward(grad, a=self):
@@ -290,15 +272,13 @@ def concat_rows(tensors: list[Tensor]) -> Tensor:
             if t.requires_grad:
                 t._accumulate(grad[lo:hi])
 
-    out = Tensor(out_data)
-    if any(t.requires_grad for t in tensors):
-        out.requires_grad = True
-        out._parents = tuple(tensors)
-        out._backward = backward
-    return out
+    return Tensor._result(out_data, tuple(tensors), backward)
 
 
-def row_normalize(z: Tensor, min_sq_norm: float = 1e-60) -> Tensor:
+MIN_SQ_NORM = 1e-60
+
+
+def row_normalize(z: Tensor) -> Tensor:
     """Rows scaled to unit Euclidean norm; all-zero rows map to zero rows.
 
     The squared norm is clamped before the square root so a zero row
@@ -309,6 +289,6 @@ def row_normalize(z: Tensor, min_sq_norm: float = 1e-60) -> Tensor:
     its value and gradient bit for bit.
     """
     sq = z.square().sum(axis=1, keepdims=True)
-    norm = sq.clip_min(min_sq_norm).sqrt()
+    norm = sq.clip_min(MIN_SQ_NORM).sqrt()
     nonzero = (z.data != 0).any(axis=1, keepdims=True).astype(np.float64)
     return (z / norm) * nonzero

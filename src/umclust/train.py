@@ -9,8 +9,9 @@ loss terms read. The epoch then walks mini-batches — one batch per
 view per step, shorter views cycling with a reshuffle — building the
 four-term objective and applying an adaptive-moment update.
 
-The set of active clustering levels is a prefix of the cluster set
-that grows at the quarter points of the epoch budget, and the
+The set of active clustering levels is a prefix of the cluster set:
+the coarsest level for the first quarter of the epoch budget, the two
+coarsest through the half point, then every level. The
 reliable-view coefficient decays per epoch as max(floor, start *
 decay^t). After the last epoch `evaluate` scores the model: the final
 assignment comes from K-means (best of several restarts) on the
@@ -108,7 +109,8 @@ def reliability_coeff(config: TrainConfig, epoch: int) -> float:
 
 
 def active_prefix_length(epoch: int, total_epochs: int) -> int:
-    """1 for the first quarter, 2 through the half point, then 3."""
+    """1 for the first quarter, 2 through the half point, then 3: the
+    phase in which every cluster level is active."""
     if epoch <= total_epochs / 4:
         return 1
     if epoch <= total_epochs / 2:
@@ -307,7 +309,8 @@ def train(
     level_trace: list[tuple[int, ...]] = []
 
     for epoch in range(start_epoch, last_epoch + 1):
-        active = cluster_set.prefix(active_prefix_length(epoch, config.epochs))
+        phase = active_prefix_length(epoch, config.epochs)
+        active = cluster_set.levels if phase == 3 else cluster_set.prefix(phase)
         level_state, _ = refresh_level_state(bundle, dataset, cluster_set, active, config, warm)
         coeff = reliability_coeff(config, epoch)
         reliable = select_reliable(level_state.silhouettes, coeff)

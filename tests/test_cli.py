@@ -8,6 +8,7 @@ import numpy as np
 import yaml
 
 from umclust import cli, data
+from umclust.nn import load_checkpoint, save_checkpoint
 
 
 _real_sweep_point = cli._sweep_point
@@ -106,6 +107,43 @@ def test_eval_reproduces_train_and_refuses_other_checkpoints(tmp_path, capsys):
     altered.write_text(yaml.safe_dump(raw), encoding="utf-8")
     assert cli.main(["eval", "-c", str(altered), "-o", str(out), "--quiet"]) == 2
     assert "checkpoint was written with a different configuration" in capsys.readouterr().err
+
+
+def test_eval_of_a_damaged_checkpoint_exits_2(tmp_path, capsys):
+    config = _write_config(tmp_path)
+    assert cli.main(["generate", "-c", str(config), "-o", str(tmp_path / "data"), "--quiet"]) == 0
+    out = tmp_path / "run"
+    assert cli.main(["train", "-c", str(config), "-o", str(out), "--quiet"]) == 0
+    path = out / "checkpoint.npz"
+    capsys.readouterr()
+
+    ck = load_checkpoint(path)
+    name = next(iter(ck.stats))
+    save_checkpoint(
+        path, config_hash=ck.config_hash, epoch=ck.epoch, adam_t=ck.adam_t, params=ck.params,
+        stats={**ck.stats, name: np.zeros(ck.stats[name].size + 1)},
+        adam_arrays=ck.adam_arrays, warm_centroids=ck.warm_centroids,
+    )
+    assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 2
+    assert f"shape mismatch for statistic {name}" in capsys.readouterr().err
+
+    raw = path.read_bytes()
+    path.write_bytes(raw[: len(raw) // 2])
+    assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 2
+    assert "unreadable checkpoint" in capsys.readouterr().err
+
+
+def test_zero_width_view_exits_2_before_the_run_directory(tmp_path, capsys):
+    config = _write_config(tmp_path)
+    assert cli.main(["generate", "-c", str(config), "-o", str(tmp_path / "data"), "--quiet"]) == 0
+    manifest = tmp_path / "data" / "manifest.json"
+    raw = json.loads(manifest.read_text(encoding="utf-8"))
+    raw["views"][1]["dim"] = 0
+    manifest.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "run"
+    assert cli.main(["train", "-c", str(config), "-o", str(out), "--quiet"]) == 2
+    assert "'views[1].dim'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_negative_seed_exits_2(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Dataset loading, unpairing, synthesis, scaling, batching."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +115,41 @@ def test_unlabeled_sample_rejected(tmp_path):
     labels = (tmp_path / "labels.csv").read_text().splitlines()
     (tmp_path / "labels.csv").write_text("\n".join(labels[:-1]) + "\n")
     with pytest.raises(DataError, match="has no label"):
+        load(manifest)
+
+
+def test_repeated_label_id_rejected(tmp_path):
+    manifest = save_dataset(toy_unpaired(), tmp_path)
+    with open(tmp_path / "labels.csv", "a", encoding="utf-8") as fh:
+        fh.write("0,1\n")  # id 0 is already class 0
+    with pytest.raises(DataError, match="sample id 0 is listed more than once"):
+        load(manifest)
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda m: m.update(clusters="three"), "'clusters'"),
+        (lambda m: m.update(clusters=True), "'clusters'"),
+        (lambda m: m.update(clusters=2.5), "'clusters'"),
+        (lambda m: m.update(views=5), "'views'"),
+        (lambda m: m.update(views=[]), "'views'"),
+        (lambda m: m.update(views=["view0.csv"]), "'views'"),
+        (lambda m: m["views"][0].update(id=0.5), "'views[0].id'"),
+        (lambda m: m["views"][1].update(dim="x"), "'views[1].dim'"),
+        (lambda m: m["views"][1].update(dim=0), "'views[1].dim'"),
+    ],
+    ids=[
+        "clusters-str", "clusters-bool", "clusters-fraction", "views-int", "views-empty",
+        "views-of-str", "id-fraction", "dim-str", "dim-zero",
+    ],
+)
+def test_malformed_manifest_names_the_key(tmp_path, edit, key):
+    manifest = save_dataset(toy_unpaired(), tmp_path)
+    raw = json.loads(manifest.read_text())
+    edit(raw)
+    manifest.write_text(json.dumps(raw))
+    with pytest.raises(DataError, match=re.escape(f"manifest key {key}")):
         load(manifest)
 
 

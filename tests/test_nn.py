@@ -152,9 +152,9 @@ def test_backward_matches_finite_differences_through_batchnorm():
     params = {k: v for k, v in bundle.named_parameters().items() if k.startswith("v0")}
     # batchnorm running stats drift per forward call; freeze them for the check
     for ae in bundle.views:
-        for _, mod in ae.modules():
-            if hasattr(mod, "momentum"):
-                mod.momentum = 1.0
+        for norm in ae.encoder.norms + ae.decoder.norms:
+            if norm is not None:
+                norm.momentum = 1.0
     bundle.zero_grad()
     z = bundle.encode(0, x, train=True)
     xh = bundle.decode(0, z, train=True)
@@ -162,6 +162,42 @@ def test_backward_matches_finite_differences_through_batchnorm():
     analytic = {k: p.grad if p.grad is not None else np.zeros_like(p.data) for k, p in params.items()}
     numeric = finite_difference_gradients(params, loss_value)
     assert max_relative_gradient_error(analytic, numeric) < 1e-4
+
+
+def test_named_maps_are_built_once_and_hold_live_stats():
+    bundle = tiny_bundle(seed=6)
+    params, stats = bundle.named_parameters(), bundle.named_stats()
+    assert bundle.named_parameters() is params and bundle.named_stats() is stats
+    # the checkpoint and optimizer keys: per view, encoder then decoder, linears then norms
+    assert [k for k in params if k.startswith("v0.enc")] == [
+        "v0.enc.lin0.weight", "v0.enc.lin0.bias", "v0.enc.lin1.weight", "v0.enc.lin1.bias",
+        "v0.enc.bn0.gamma", "v0.enc.bn0.beta",
+    ]
+    assert list(stats) == [
+        f"v{v}.{part}.bn0.{name}"
+        for v in (0, 1) for part in ("enc", "dec") for name in ("running_mean", "running_var")
+    ]
+    x = np.random.default_rng(6).normal(size=(8, 3))
+    hidden = bundle.views[0].encoder.linears[0](Tensor(x)).data
+    bundle.encode(0, x, train=True)
+    assert np.allclose(stats["v0.enc.bn0.running_mean"], 0.1 * hidden.mean(axis=0), rtol=0, atol=1e-15)
+    assert bundle.named_stats()["v0.enc.bn0.running_mean"] is bundle.views[0].encoder.norms[0].running_mean
+
+
+@pytest.mark.parametrize("edit", ["missing", "shape"])
+def test_load_arrays_refuses_mismatched_stats_and_writes_nothing(edit):
+    source = tiny_bundle(seed=7)
+    params = {k: p.data.copy() for k, p in source.named_parameters().items()}
+    stats = {k: s.copy() for k, s in source.named_stats().items()}
+    if edit == "missing":
+        del stats["v1.dec.bn0.running_var"]
+    else:
+        stats["v0.enc.bn0.running_mean"] = np.zeros(6)
+    target = tiny_bundle(seed=8)
+    before = {k: p.data.copy() for k, p in target.named_parameters().items()}
+    with pytest.raises(ShapeError, match="statistic"):
+        target.load_arrays(params, stats)
+    assert all(np.array_equal(p.data, before[k]) for k, p in target.named_parameters().items())
 
 
 def test_gradient_off_path_is_zero():
@@ -189,7 +225,7 @@ def test_adam_zero_gradient_keeps_parameters():
 
 def test_adam_single_scalar_hand_update():
     p = Tensor(np.array([1.0]), requires_grad=True)
-    opt = Adam(lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+    opt = Adam(lr=0.1)
     g = np.array([0.5])
     opt.step({"p": p}, {"p": g})
     m_hat = (0.1 * 0.5) / (1 - 0.9)
@@ -213,7 +249,7 @@ def test_adam_two_runs_bit_identical():
 def test_adam_rejects_nonfinite_gradient():
     p = Tensor(np.ones(2), requires_grad=True)
     with pytest.raises(NumericalError):
-        Adam().step({"p": p}, {"p": np.array([1.0, np.nan])})
+        Adam(lr=1e-3).step({"p": p}, {"p": np.array([1.0, np.nan])})
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +270,7 @@ def _checkpoint_payload(bundle, opt):
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     bundle = tiny_bundle(seed=3)
-    opt = Adam()
+    opt = Adam(lr=1e-3)
     x = np.random.default_rng(3).normal(size=(5, 3))
     bundle.zero_grad()
     bundle.encode(0, x, train=True).square().sum().backward()
@@ -256,7 +292,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 
 def test_checkpoint_hash_mismatch_refused(tmp_path):
     bundle = tiny_bundle()
-    opt = Adam()
+    opt = Adam(lr=1e-3)
     path = tmp_path / "ck.npz"
     save_checkpoint(path, **_checkpoint_payload(bundle, opt))
     with pytest.raises(CheckpointError, match="different configuration"):
@@ -265,7 +301,7 @@ def test_checkpoint_hash_mismatch_refused(tmp_path):
 
 def test_failed_checkpoint_save_keeps_previous_file(tmp_path, monkeypatch):
     bundle = tiny_bundle()
-    opt = Adam()
+    opt = Adam(lr=1e-3)
     path = tmp_path / "ck.npz"
     save_checkpoint(path, **_checkpoint_payload(bundle, opt))
 
@@ -286,4 +322,14 @@ def test_checkpoint_corrupted_file(tmp_path):
     path = tmp_path / "ck.npz"
     path.write_bytes(b"not a checkpoint at all")
     with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("keep", [0.5, 0.0], ids=["truncated", "empty"])
+def test_truncated_or_empty_checkpoint_is_refused(tmp_path, keep):
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, **_checkpoint_payload(tiny_bundle(), Adam(lr=1e-3)))
+    raw = path.read_bytes()
+    path.write_bytes(raw[: int(len(raw) * keep)])
+    with pytest.raises(CheckpointError, match="unreadable checkpoint"):
         load_checkpoint(path)

