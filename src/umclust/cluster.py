@@ -3,12 +3,12 @@
 Everything here is a pure function of its inputs and seed: seeded
 k-means++ with Lloyd refinement and empty-cluster repair, cosine
 similarity, the per-view mean silhouette coefficient, exact
-maximum-weight bipartite matching between equal-sized centroid sets,
-and cluster-structure matching between views that share no space.
+maximum-weight bipartite matching, and cluster-structure matching
+between views that share no space; each matching is an index map.
 
 Training re-clusters every view and scores its silhouette at every
-refresh, so two kernels carry the cost: per-cluster sums
-(`_cluster_sums`, one `bincount` that adds rows in index order) and
+refresh, so two kernels carry the cost: per-cluster means
+(`cluster_means`, one `bincount` that adds rows in index order) and
 all-pairs distances (`_pairwise_distances`, one Gram product with the
 cancelling pairs recomputed from their differences).
 """
@@ -24,15 +24,6 @@ from .errors import ShapeError
 
 # ---------------------------------------------------------------------------
 # cosine similarity
-
-
-def cosine(a, b) -> float:
-    """Cosine similarity of two vectors; zero vectors have similarity 0."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ShapeError(f"cosine expects equal-length vectors, got {a.shape} and {b.shape}")
-    return float(cosine_matrix(a[None, :], b[None, :])[0, 0])
 
 
 def _unit_rows(m: np.ndarray) -> np.ndarray:
@@ -113,17 +104,18 @@ def _assign_with_repair(z: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray,
     return labels, inertia
 
 
-def _cluster_sums(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """(k, d) sums of the rows of `x` per label; empty clusters sum to 0.
+def cluster_means(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """(k, d) mean of the rows of `x` per label; an empty cluster's is NaN.
 
-    One `np.bincount` over the flat index `label * d + column`. It adds
-    the weights of each bin in index order, starting from 0, as the
-    unbuffered scatter of `np.add` through `ufunc.at` does, so the sums
-    are bit-identical to that scatter's.
+    The sums are one `np.bincount` over the flat index `label * d + col`.
+    It adds the weights of each bin in index order, starting from 0, as
+    the unbuffered scatter of `np.add` through `ufunc.at` does, so the
+    sums are bit-identical to that scatter's.
     """
     d = x.shape[1]
     flat = np.asarray(labels, dtype=np.intp)[:, None] * d + np.arange(d)
-    return np.bincount(flat.ravel(), weights=x.ravel(), minlength=k * d).reshape(k, d)
+    sums = np.bincount(flat.ravel(), weights=x.ravel(), minlength=k * d).reshape(k, d)
+    return sums / np.bincount(labels, minlength=k)[:, None]
 
 
 def _lloyd(
@@ -137,9 +129,7 @@ def _lloyd(
     labels, inertia = _assign_with_repair(z, centers)
     history.append(inertia)
     for _ in range(max_iter):
-        new_centers = _cluster_sums(z, labels, k)
-        counts = np.bincount(labels, minlength=k).astype(np.float64)
-        new_centers /= counts[:, None]
+        new_centers = cluster_means(z, labels, k)
         shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
         centers = new_centers
         labels, inertia = _assign_with_repair(z, centers)
@@ -321,11 +311,11 @@ def _perfectly_matchable(adj: list[np.ndarray], start: int, n: int, used_cols: n
 
 
 def hungarian_max(weights: np.ndarray) -> np.ndarray:
-    """Permutation matrix maximizing the total selected weight.
+    """Row-to-column map (row i takes column `row_to_col[i]`) maximizing
+    the total selected weight.
 
-    Among all maximizing permutations, returns the one whose
-    row-to-column mapping is lexicographically smallest. Tie detection
-    works on the dual certificate: an edge can appear in an optimal
+    Among all maximizing maps, returns the lexicographically smallest.
+    Tie detection works on the dual certificate: an edge can appear in an optimal
     assignment exactly when its reduced cost is zero, so the search for
     the lexicographically smallest solution is a perfect-matching
     feasibility scan over near-tight edges rather than a float
@@ -338,7 +328,7 @@ def hungarian_max(weights: np.ndarray) -> np.ndarray:
         raise ValueError("hungarian_max requires finite weights")
     n = w.shape[0]
     if n == 0:
-        return np.zeros((0, 0), dtype=np.int64)
+        return np.zeros(0, dtype=np.int64)
     cost = -w
     _, u, v = _lap_min(cost)
     tol = 1e-9 * (1.0 + float(np.abs(w).max()))
@@ -358,14 +348,7 @@ def hungarian_max(weights: np.ndarray) -> np.ndarray:
             used[c] = False
         if row_to_col[i] < 0:  # pragma: no cover - tight graph always matchable
             raise RuntimeError("internal error: tight graph lost its perfect matching")
-    a = np.zeros((n, n), dtype=np.int64)
-    a[np.arange(n), row_to_col] = 1
-    return a
-
-
-def match_pairs(a: np.ndarray) -> np.ndarray:
-    """Row-to-column mapping encoded by a permutation matrix."""
-    return np.argmax(a, axis=1)
+    return row_to_col
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +363,7 @@ def centroid_distances(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     counts = np.bincount(labels, minlength=k)
     if counts.shape[0] != k or (counts == 0).any():
         raise ShapeError(f"every one of the {k} clusters needs at least one row")
-    d = _pairwise_distances(_cluster_sums(x, labels, k) / counts[:, None])
+    d = _pairwise_distances(cluster_means(x, labels, k))
     off = d[~np.eye(k, dtype=bool)]
     scale = off.mean() if off.size and off.mean() > 0 else 1.0
     return d / scale
@@ -391,8 +374,8 @@ def _structure_cost(ref: np.ndarray, view: np.ndarray, perm: np.ndarray) -> floa
 
 
 def match_structure(ref_dist: np.ndarray, view_dist: np.ndarray) -> np.ndarray:
-    """Permutation matrix pairing reference clusters (rows) with view
-    clusters (columns) so the two centroid-distance matrices agree.
+    """Index map `perm` pairing reference cluster i with view cluster
+    perm[i] so the two centroid-distance matrices agree.
 
     The objective, sum over i, i' of (ref[i, i'] - view[p(i), p(i')])^2,
     is a quadratic assignment. A cluster's sorted distances to the
@@ -408,7 +391,7 @@ def match_structure(ref_dist: np.ndarray, view_dist: np.ndarray) -> np.ndarray:
     ref_prof = np.sort(ref, axis=1)
     view_prof = np.sort(view, axis=1)
     profile_cost = ((ref_prof[:, None, :] - view_prof[None, :, :]) ** 2).sum(axis=2)
-    perm = match_pairs(hungarian_max(-profile_cost))
+    perm = hungarian_max(-profile_cost)
     best = _structure_cost(ref, view, perm)
     improved = True
     while improved:
@@ -420,41 +403,38 @@ def match_structure(ref_dist: np.ndarray, view_dist: np.ndarray) -> np.ndarray:
                 cost = _structure_cost(ref, view, trial)
                 if cost < best - 1e-12:
                     perm, best, improved = trial, cost, True
-    a = np.zeros((k, k), dtype=np.int64)
-    a[np.arange(k), perm] = 1
-    return a
+    return perm
 
 
 def match_views(
     spaces: list[np.ndarray], view_labels: dict[int, list[np.ndarray]], final: int
-) -> dict[int, list[np.ndarray]]:
-    """Correspondence between the clusters of views that share no samples.
+) -> dict[int, np.ndarray]:
+    """Common label of every sample, for views that share no samples.
 
     At the `final` level each view's cluster means in `spaces[v]` give a
     centroid-distance matrix; view 0's clusters name the common clusters
-    and every view is paired with them by `match_structure`. A coarser
-    level inherits that correspondence: each coarse cluster is paired
-    with view 0's coarse cluster whose mix of final-level common
+    and `match_structure` pairs every view's clusters with them. A
+    coarser level inherits that correspondence: each coarse cluster
+    joins view 0's coarse cluster whose mix of final-level common
     clusters is most alike.
 
-    Returns, per level, one (common x view-cluster) permutation matrix
-    per view.
+    Returns, per level of `view_labels` and in its order, the common
+    label of every sample, views in order.
     """
     dists = [centroid_distances(x, labels, final) for x, labels in zip(spaces, view_labels[final])]
-    matchings = {final: [match_structure(dists[0], d) for d in dists]}
-    fine_common = [np.argmax(a, axis=0)[labels] for a, labels in zip(matchings[final], view_labels[final])]
+    # perm maps common cluster -> view cluster, so its inverse labels the view's samples
+    fine = [np.argsort(match_structure(dists[0], d))[labels] for d, labels in zip(dists, view_labels[final])]
+    common: dict[int, np.ndarray] = {}
     for level, labels_per_view in view_labels.items():
-        if level == final:
-            continue
-        mixes = [
-            np.bincount(labels * final + fine, minlength=level * final).reshape(level, final).astype(np.float64)
-            for labels, fine in zip(labels_per_view, fine_common)
-        ]
-        matchings[level] = [hungarian_max(cosine_matrix(mixes[0], mix)) for mix in mixes]
-    return matchings
-
-
-def join_labels(matchings: list[np.ndarray], view_labels: list[np.ndarray]) -> np.ndarray:
-    """Common label of every sample, views in order, through each view's
-    (common x view-cluster) permutation matrix."""
-    return np.concatenate([np.argmax(a, axis=0)[labels] for a, labels in zip(matchings, view_labels)])
+        joined = fine
+        if level != final:
+            mixes = [
+                np.bincount(labels * final + f, minlength=level * final).reshape(level, final).astype(np.float64)
+                for labels, f in zip(labels_per_view, fine)
+            ]
+            joined = [
+                np.argsort(hungarian_max(cosine_matrix(mixes[0], mix)))[labels]
+                for mix, labels in zip(mixes, labels_per_view)
+            ]
+        common[level] = np.concatenate(joined)
+    return common

@@ -104,7 +104,7 @@ class LevelState:
 
     view_labels: dict[int, list[np.ndarray]]       # level -> per view (n_v,)
     common_labels: dict[int, np.ndarray]           # level -> (N,)
-    common_centroids: dict[int, np.ndarray]        # level -> (k, D)
+    final_centroids: np.ndarray                    # (K, D) latent mean per final common cluster
     silhouettes: np.ndarray                        # (V,) at the final level
 
 
@@ -123,16 +123,6 @@ class PairSets:
     @property
     def m(self) -> np.ndarray:
         return self.tp.sum(axis=1)
-
-    @property
-    def n(self) -> np.ndarray:
-        return self.tn.sum(axis=1)
-
-    def tp_indices(self, i: int) -> np.ndarray:
-        return np.flatnonzero(self.tp[i])
-
-    def tn_indices(self, i: int) -> np.ndarray:
-        return np.flatnonzero(self.tn[i])
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +304,7 @@ def student_assignments(z: Tensor, centroids: np.ndarray) -> Tensor:
 
 def cross_view_guidance_loss(
     z_batches: list[Tensor],
-    common_centroids: np.ndarray,
+    centroids: np.ndarray,
     batch_common_labels: list[np.ndarray],
     reliable: list[list[int]],
     floor: float = DISTRIBUTION_FLOOR,
@@ -331,14 +321,14 @@ def cross_view_guidance_loss(
     objective; views with no more-reliable peer contribute nothing.
     """
     n_views = len(z_batches)
-    k = common_centroids.shape[0]
+    k = centroids.shape[0]
     total = Tensor(0.0)
     for v, targets in enumerate(reliable):
         if not targets:
             continue
         sample_targets = batch_common_labels[v]
         b = sample_targets.shape[0]
-        q = student_assignments(z_batches[v], common_centroids).clip_min(floor)
+        q = student_assignments(z_batches[v], centroids).clip_min(floor)
         pick = np.zeros((b, k))
         pick[np.arange(b), sample_targets] = 1.0
         ce = (q.log() * Tensor(-pick)).sum() * (1.0 / b)

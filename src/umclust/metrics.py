@@ -69,8 +69,7 @@ def acc(pred, truth) -> float:
     k = max(table.shape)
     padded = np.zeros((k, k), dtype=np.float64)
     padded[: table.shape[0], : table.shape[1]] = table
-    matching = hungarian_max(padded)
-    return float((padded * matching).sum() / pred.size)
+    return float(padded[np.arange(k), hungarian_max(padded)].sum() / pred.size)
 
 
 def pairwise_f1(pred, truth) -> float:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NumericalError, ShapeError
-from .tensor import Tensor
+from .tensor import Tensor, check_like
 
 
 BETA1 = 0.9
@@ -50,7 +50,11 @@ class Adam:
             out[f"v/{name}"] = arr
         return out
 
-    def load_state(self, t: int, arrays: dict[str, np.ndarray]) -> None:
+    def load_state(self, t: int, arrays: dict[str, np.ndarray], params: dict[str, Tensor]) -> None:
+        """Restore what `state_arrays` saved after `t` steps over `params`, refused
+        before any change unless every parameter has both moments, none before step 1."""
+        own = {f"{kind}/{name}": p for kind in ("m", "v") for name, p in params.items()} if t > 0 else {}
+        check_like("Adam moment", arrays, own)
         self.t = int(t)
         self.m = {k[2:]: v.copy() for k, v in arrays.items() if k.startswith("m/")}
         self.v = {k[2:]: v.copy() for k, v in arrays.items() if k.startswith("v/")}

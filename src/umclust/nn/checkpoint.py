@@ -72,7 +72,7 @@ def save_checkpoint(
 
 def load_checkpoint(path: str | Path, *, expect_config_hash: str | None = None) -> CheckpointData:
     try:
-        with np.load(Path(path), allow_pickle=False) as npz:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             raw = {k: npz[k] for k in npz.files}
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc

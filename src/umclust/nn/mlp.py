@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NumericalError, ShapeError
-from .tensor import Tensor
+from .tensor import Tensor, check_like
 
 
 @dataclass(frozen=True)
@@ -195,12 +195,8 @@ class AutoencoderBundle:
     def load_arrays(self, params: dict[str, np.ndarray], stats: dict[str, np.ndarray]) -> None:
         """Copy saved arrays into the model; refused before any write
         unless both name sets and every shape match."""
-        for kind, given, own in (("parameter", params, self._params), ("statistic", stats, self._stats)):
-            if set(given) != set(own):
-                raise ShapeError(f"{kind} name set mismatch")
-            for name, arr in given.items():
-                if arr.shape != own[name].shape:
-                    raise ShapeError(f"shape mismatch for {kind} {name}")
+        check_like("parameter", params, self._params)
+        check_like("statistic", stats, self._stats)
         for name, arr in params.items():
             self._params[name].data = arr.astype(np.float64, copy=True)
         for name, arr in stats.items():

@@ -56,6 +56,8 @@ class Tensor:
 
     @staticmethod
     def _result(data, parents: tuple["Tensor", ...], backward) -> "Tensor":
+        """A node that keeps `backward` only when some parent requires a
+        gradient, so a single-parent backward may assume its parent does."""
         out = Tensor(data)
         if any(p.requires_grad for p in parents):
             out.requires_grad = True
@@ -90,8 +92,7 @@ class Tensor:
 
     def __neg__(self) -> "Tensor":
         def backward(grad, a=self):
-            if a.requires_grad:
-                a._accumulate(-grad)
+            a._accumulate(-grad)
 
         return Tensor._result(-self.data, (self,), backward)
 
@@ -144,19 +145,15 @@ class Tensor:
     @property
     def T(self) -> "Tensor":
         def backward(grad, a=self):
-            if a.requires_grad:
-                a._accumulate(grad.T)
+            a._accumulate(grad.T)
 
         return Tensor._result(self.data.T, (self,), backward)
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         def backward(grad, a=self, axis=axis, keepdims=keepdims):
-            if not a.requires_grad:
-                return
-            g = grad
             if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(g, a.data.shape).copy())
+                grad = np.expand_dims(grad, axis)
+            a._accumulate(np.broadcast_to(grad, a.data.shape).copy())
 
         return Tensor._result(self.data.sum(axis=axis, keepdims=keepdims), (self,), backward)
 
@@ -171,8 +168,7 @@ class Tensor:
 
     def log(self) -> "Tensor":
         def backward(grad, a=self):
-            if a.requires_grad:
-                a._accumulate(grad / a.data)
+            a._accumulate(grad / a.data)
 
         return Tensor._result(np.log(self.data), (self,), backward)
 
@@ -180,15 +176,13 @@ class Tensor:
         out_data = np.sqrt(self.data)
 
         def backward(grad, a=self, od=out_data):
-            if a.requires_grad:
-                a._accumulate(grad * 0.5 / od)
+            a._accumulate(grad * 0.5 / od)
 
         return Tensor._result(out_data, (self,), backward)
 
     def square(self) -> "Tensor":
         def backward(grad, a=self):
-            if a.requires_grad:
-                a._accumulate(grad * 2.0 * a.data)
+            a._accumulate(grad * 2.0 * a.data)
 
         return Tensor._result(self.data * self.data, (self,), backward)
 
@@ -196,8 +190,7 @@ class Tensor:
         mask = self.data > 0
 
         def backward(grad, a=self, mask=mask):
-            if a.requires_grad:
-                a._accumulate(grad * mask)
+            a._accumulate(grad * mask)
 
         return Tensor._result(np.where(mask, self.data, 0.0), (self,), backward)
 
@@ -206,8 +199,7 @@ class Tensor:
         mask = self.data > floor
 
         def backward(grad, a=self, mask=mask):
-            if a.requires_grad:
-                a._accumulate(grad * mask)
+            a._accumulate(grad * mask)
 
         return Tensor._result(np.where(mask, self.data, floor), (self,), backward)
 
@@ -255,8 +247,7 @@ def closed_form(parent: Tensor, value: float, grad: np.ndarray) -> Tensor:
     """
 
     def backward(upstream, a=parent, g=grad):
-        if a.requires_grad:
-            a._accumulate(upstream * g)
+        a._accumulate(upstream * g)
 
     return Tensor._result(value, (parent,), backward)
 
@@ -273,6 +264,16 @@ def concat_rows(tensors: list[Tensor]) -> Tensor:
                 t._accumulate(grad[lo:hi])
 
     return Tensor._result(out_data, tuple(tensors), backward)
+
+
+def check_like(kind: str, given: dict[str, np.ndarray], own: dict) -> None:
+    """Refuse `given` unless it has exactly `own`'s names, each with the
+    shape of `own`'s array or tensor of that name."""
+    if set(given) != set(own):
+        raise ShapeError(f"{kind} name set mismatch")
+    for name, arr in given.items():
+        if arr.shape != own[name].shape:
+            raise ShapeError(f"shape mismatch for {kind} {name}")
 
 
 MIN_SQ_NORM = 1e-60

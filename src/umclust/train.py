@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cluster import Assignment, _cluster_sums, join_labels, kmeans, match_views, silhouette_view
+from .cluster import Assignment, cluster_means, kmeans, match_views, silhouette_view
 from .data import BatchPlan, MultiViewDataset
 from .errors import ConfigError, DataError, NumericalError
 from .losses import (
@@ -184,11 +184,10 @@ def refresh_level_state(
     The final level is always computed (silhouettes and the cross-view
     correspondence live there) even before it becomes active. Centroids
     warm-start from the previous refresh at the same level when
-    available. Views share no samples, so their clusters are joined
-    into the common view by `match_views` on the latents' cluster
-    structure, and each common centroid is the latent mean of its
-    joined clusters. The matchings stay here: the state carries the
-    common view only as `common_labels`.
+    available. Views share no samples, so `match_views` joins their
+    clusters into the common view by the latents' cluster structure and
+    returns it as one common label per sample and level. Each final
+    common centroid is the latent mean of its joined clusters.
 
     Latents come from a train-mode pass with frozen running statistics:
     mini-batch optimization sees batch-normalized geometry, so the
@@ -198,7 +197,8 @@ def refresh_level_state(
     never see.)
     """
     latents = bundle.encode_all(dataset.feature_matrices(), train=True, update_stats=False)
-    needed = sorted(set(active) | {cluster_set.final})
+    final = cluster_set.final
+    needed = sorted(set(active) | {final})
     view_labels: dict[int, list[np.ndarray]] = {}
     final_assignments: list[Assignment] = []
     for level in needed:
@@ -211,21 +211,14 @@ def refresh_level_state(
             )
             view_labels[level].append(a_v.labels)
             warm[(f"view{v}", level)] = c_v
-            if level == cluster_set.final:
+            if level == final:
                 final_assignments.append(a_v)
-    matchings = match_views(latents, view_labels, cluster_set.final)
-    z_common = np.concatenate(latents, axis=0)
-    common_labels: dict[int, np.ndarray] = {}
-    common_centroids: dict[int, np.ndarray] = {}
-    for level in needed:
-        common_labels[level] = join_labels(matchings[level], view_labels[level])
-        sums = _cluster_sums(z_common, common_labels[level], level)
-        common_centroids[level] = sums / np.bincount(common_labels[level], minlength=level)[:, None]
+    common_labels = match_views(latents, view_labels, final)
     sils = np.array([silhouette_view(z, a) for z, a in zip(latents, final_assignments)])
     state = LevelState(
         view_labels=view_labels,
         common_labels=common_labels,
-        common_centroids=common_centroids,
+        final_centroids=cluster_means(np.concatenate(latents, axis=0), common_labels[final], final),
         silhouettes=sils,
     )
     return state, latents
@@ -299,7 +292,7 @@ def train(
     if resume is not None:
         ck = load_checkpoint(resume, expect_config_hash=cfg_hash)
         bundle.load_arrays(ck.params, ck.stats)
-        opt.load_state(ck.adam_t, ck.adam_arrays)
+        opt.load_state(ck.adam_t, ck.adam_arrays, bundle.named_parameters())
         warm = dict(ck.warm_centroids)
         start_epoch = ck.epoch + 1
 
@@ -314,7 +307,6 @@ def train(
         level_state, _ = refresh_level_state(bundle, dataset, cluster_set, active, config, warm)
         coeff = reliability_coeff(config, epoch)
         reliable = select_reliable(level_state.silhouettes, coeff)
-        final_centroids = level_state.common_centroids[cluster_set.final]
         final_common = level_state.common_labels[cluster_set.final]
 
         steps = max(plan.steps_per_epoch(v.n) for v in dataset.views)
@@ -335,7 +327,7 @@ def train(
             rows = [offsets[v] + batch_idx[v] for v in range(n_views)]
             batch_common = {k: level_state.common_labels[k][np.concatenate(rows)] for k in active}
             l_co = common_contrastive_loss(zs, batch_common, weights.temperature)
-            l_cr = cross_view_guidance_loss(zs, final_centroids, [final_common[r] for r in rows], reliable)
+            l_cr = cross_view_guidance_loss(zs, level_state.final_centroids, [final_common[r] for r in rows], reliable)
             total = total_loss(l_ae, l_in, l_co, l_cr, weights)
             if not np.isfinite(total.data):
                 raise NumericalError(f"non-finite total loss at epoch {epoch} step {step}")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    _brute_cosine,
     brute_hungarian,
     brute_pairwise_distances,
     brute_silhouette,
@@ -14,14 +15,12 @@ from oracles import (
 )
 from umclust.cluster import (
     Assignment,
-    _cluster_sums,
     _kmeanspp_init,
     _pairwise_distances,
-    cosine,
+    cluster_means,
     cosine_matrix,
     hungarian_max,
     kmeans,
-    match_pairs,
     silhouette_view,
 )
 from umclust.errors import ShapeError
@@ -32,14 +31,15 @@ from umclust.errors import ShapeError
 
 
 def test_cosine_basic_values():
-    assert cosine([1, 0], [0, 1]) == pytest.approx(0.0, abs=1e-15)
-    assert cosine([2, 2], [1, 1]) == pytest.approx(1.0, abs=1e-12)
-    assert cosine([1, 2], [2, 1]) == pytest.approx(0.8, abs=1e-12)
+    m = cosine_matrix(np.array([[1.0, 0.0], [2.0, 2.0], [1.0, 2.0]]), np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]]))
+    assert m[0, 0] == pytest.approx(0.0, abs=1e-15)
+    assert m[1, 1] == pytest.approx(1.0, abs=1e-12)
+    assert m[2, 2] == pytest.approx(0.8, abs=1e-12)
 
 
 def test_cosine_zero_vector_convention():
-    assert cosine([0.0, 0.0], [1.0, 2.0]) == 0.0
-    assert cosine([0.0, 0.0], [0.0, 0.0]) == 0.0
+    m = cosine_matrix(np.array([[0.0, 0.0]]), np.array([[1.0, 2.0], [0.0, 0.0]]))
+    assert np.array_equal(m, np.zeros((1, 2)))
 
 
 @settings(max_examples=50, deadline=None)
@@ -50,21 +50,23 @@ def test_cosine_zero_vector_convention():
     st.floats(0.1, 50),
 )
 def test_cosine_symmetric_and_scale_invariant(a, b, alpha, beta):
-    a = np.array(a)
-    b = np.array(b)
-    assert cosine(a, b) == pytest.approx(cosine(b, a), abs=1e-12)
-    assert cosine(alpha * a, beta * b) == pytest.approx(cosine(a, b), abs=1e-9)
-    assert -1.0 - 1e-12 <= cosine(a, b) <= 1.0 + 1e-12
+    a = np.array([a])
+    b = np.array([b])
+    ab = cosine_matrix(a, b)[0, 0]
+    assert ab == pytest.approx(cosine_matrix(b, a)[0, 0], abs=1e-12)
+    assert cosine_matrix(alpha * a, beta * b)[0, 0] == pytest.approx(ab, abs=1e-9)
+    assert -1.0 - 1e-12 <= ab <= 1.0 + 1e-12
 
 
 def test_cosine_matrix_matches_scalar():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(4, 3))
     b = rng.normal(size=(5, 3))
+    a[1] = 0.0
     m = cosine_matrix(a, b)
     for i in range(4):
         for j in range(5):
-            assert m[i, j] == pytest.approx(cosine(a[i], b[j]), abs=1e-12)
+            assert m[i, j] == pytest.approx(_brute_cosine(a[i], b[j]), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -131,16 +133,19 @@ def test_kmeans_restarts_keep_best():
 
 @given(st.data())
 @settings(max_examples=60, deadline=None)
-def test_cluster_sums_equal_scatter_add(data):
-    n = data.draw(st.integers(0, 40))
-    d = data.draw(st.integers(1, 6))
+def test_cluster_means_equal_scatter_add_over_counts(data):
     k = data.draw(st.integers(1, 8))
-    labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)), dtype=np.int64)
+    n = k + data.draw(st.integers(0, 40))
+    d = data.draw(st.integers(1, 6))
+    # every cluster gets a row, the rest of the labels are free
+    drawn = data.draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
+    labels = np.array(data.draw(st.permutations(list(range(k)) + drawn)), dtype=np.int64)
     values = data.draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=n * d, max_size=n * d))
     x = np.array(values, dtype=np.float64).reshape(n, d)
     expected = np.zeros((k, d))
     np.add.at(expected, labels, x)
-    assert np.array_equal(_cluster_sums(x, labels, k), expected)
+    expected /= np.bincount(labels, minlength=k)[:, None]
+    assert np.array_equal(cluster_means(x, labels, k), expected)
 
 
 def test_kmeans_warm_start_matches_reference_lloyd():
@@ -261,19 +266,18 @@ def test_silhouette_range():
 # hungarian
 
 
-def _total(weights, a):
-    return float(weights[np.arange(weights.shape[0]), match_pairs(a)].sum())
+def _total(weights, row_to_col):
+    return float(weights[np.arange(weights.shape[0]), row_to_col].sum())
 
 
 def test_hungarian_identity_dominant():
     w = np.eye(4) * 10 + np.random.default_rng(0).uniform(size=(4, 4))
-    a = hungarian_max(w)
-    assert np.array_equal(match_pairs(a), np.arange(4))
+    assert np.array_equal(hungarian_max(w), np.arange(4))
 
 
 def test_hungarian_antidiagonal():
     a = hungarian_max(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.array_equal(match_pairs(a), [1, 0])
+    assert np.array_equal(a, [1, 0])
     assert _total(np.array([[0.0, 1.0], [1.0, 0.0]]), a) == 2.0
 
 
@@ -287,26 +291,24 @@ def test_hungarian_matches_brute_force_values():
         assert _total(w, a) == best_value
 
 
-def test_hungarian_permutation_matrix_property():
+def test_hungarian_takes_each_column_once():
     rng = np.random.default_rng(10)
     for _ in range(20):
         k = int(rng.integers(2, 8))
-        a = hungarian_max(rng.normal(size=(k, k)))
-        assert np.array_equal(a @ a.T, np.eye(k, dtype=np.int64))
-        assert np.array_equal(a.sum(axis=0), np.ones(k, dtype=np.int64))
-        assert np.array_equal(a.sum(axis=1), np.ones(k, dtype=np.int64))
+        row_to_col = hungarian_max(rng.normal(size=(k, k)))
+        assert row_to_col.shape == (k,) and row_to_col.dtype == np.int64
+        assert np.array_equal(np.sort(row_to_col), np.arange(k))
+    assert np.array_equal(hungarian_max(np.zeros((0, 0))), np.zeros(0, dtype=np.int64))
 
 
 def test_hungarian_lexicographic_tie_break():
     # every assignment is optimal: the smallest row-to-column map must win
-    a = hungarian_max(np.ones((4, 4)))
-    assert np.array_equal(match_pairs(a), np.arange(4))
+    assert np.array_equal(hungarian_max(np.ones((4, 4))), np.arange(4))
     # two optimal solutions: (0->0, 1->1) and (0->1, 1->0), both total 2
-    a = hungarian_max(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    assert np.array_equal(match_pairs(a), [0, 1])
+    assert np.array_equal(hungarian_max(np.array([[1.0, 1.0], [1.0, 1.0]])), [0, 1])
     # forced tie where lexicographic order prefers column 0 for row 0
     w = np.array([[2.0, 2.0, 0.0], [2.0, 2.0, 0.0], [0.0, 0.0, 5.0]])
-    assert np.array_equal(match_pairs(hungarian_max(w)), [0, 1, 2])
+    assert np.array_equal(hungarian_max(w), [0, 1, 2])
 
 
 def test_hungarian_beats_random_permutations_k50():

@@ -13,7 +13,7 @@ from oracles import (
     finite_difference_gradients,
     max_relative_gradient_error,
 )
-from umclust.cluster import join_labels, match_views
+from umclust.cluster import match_views
 from umclust.data import SyntheticSpec, synthesize
 from umclust.errors import ConfigError, ShapeError
 from umclust.losses import (
@@ -105,8 +105,8 @@ def test_recon_orth_rejects_empty_batch():
 def test_single_level_pairs_degenerate():
     labels = {2: np.array([0, 0, 1, 1])}
     pairs = build_inner_pairs(labels, np.arange(4))
-    assert set(pairs.tp_indices(0)) == {1}
-    assert set(pairs.tn_indices(0)) == {2, 3}
+    assert set(np.flatnonzero(pairs.tp[0])) == {1}
+    assert set(np.flatnonzero(pairs.tn[0])) == {2, 3}
 
 
 def test_two_level_exclusion_case():
@@ -114,15 +114,15 @@ def test_two_level_exclusion_case():
     # only sample 2 as a negative
     labels = {2: np.array([0, 0, 1, 1]), 4: np.array([0, 1, 1, 0])}
     pairs = build_inner_pairs(labels, np.arange(4))
-    assert pairs.tp_indices(0).size == 0
-    assert set(pairs.tn_indices(0)) == {2}
+    assert not pairs.tp[0].any()
+    assert set(np.flatnonzero(pairs.tn[0])) == {2}
 
 
 def test_all_same_cluster_pairs():
     labels = {2: np.zeros(5, dtype=int), 3: np.zeros(5, dtype=int)}
     pairs = build_inner_pairs(labels, np.arange(5))
-    assert all(pairs.n[i] == 0 for i in range(5))
-    assert all(set(pairs.tp_indices(i)) == set(range(5)) - {i} for i in range(5))
+    assert not pairs.tn.any()
+    assert all(set(np.flatnonzero(pairs.tp[i])) == set(range(5)) - {i} for i in range(5))
 
 
 def test_pairs_against_brute_force_oracle():
@@ -134,16 +134,16 @@ def test_pairs_against_brute_force_oracle():
         pairs = build_inner_pairs(levels, np.arange(n))
         tp_o, tn_o = brute_pair_sets(list(levels.values()), n)
         for i in range(n):
-            assert set(pairs.tp_indices(i)) == tp_o[i]
-            assert set(pairs.tn_indices(i)) == tn_o[i]
+            assert set(np.flatnonzero(pairs.tp[i])) == tp_o[i]
+            assert set(np.flatnonzero(pairs.tn[i])) == tn_o[i]
 
 
 def test_pairs_respect_batch_restriction():
     labels = {2: np.array([0, 1, 0, 1, 0])}
     pairs = build_inner_pairs(labels, np.array([0, 2, 3]))
     # positions are batch-local: batch sample 0 (global 0) pairs with batch sample 1 (global 2)
-    assert set(pairs.tp_indices(0)) == {1}
-    assert set(pairs.tn_indices(0)) == {2}
+    assert set(np.flatnonzero(pairs.tp[0])) == {1}
+    assert set(np.flatnonzero(pairs.tn[0])) == {2}
 
 
 def test_adding_levels_shrinks_pair_sets():
@@ -263,9 +263,10 @@ SIZES = (6, 9)
 
 def _contrastive_case(seed: int):
     """Two views of unequal batch size at three levels, with an all-zero
-    latent row and an inner anchor without negatives. Each view's
-    clusters map onto common clusters through a random permutation
-    matrix per level, and the common labels are joined from them."""
+    latent row and an inner anchor without negatives. Per level, common
+    cluster g of each view is its cluster perm[g] for a random index map
+    perm; the common labels follow from it, and so do the
+    (common x view-cluster) matrices the oracles read."""
     rng = np.random.default_rng(seed)
     zs = [rng.normal(size=(b, 4)) for b in SIZES]
     zs[0][2] = 0.0
@@ -274,14 +275,33 @@ def _contrastive_case(seed: int):
     first, second = view_labels[2][1], view_labels[3][1]
     first[0] = 0
     second[first != 0] = second[0]
-    matchings = {k: [np.eye(k, dtype=np.int64)[rng.permutation(k)] for _ in SIZES] for k in LEVELS}
-    common_labels = {k: join_labels(matchings[k], view_labels[k]) for k in LEVELS}
+    perms = {k: [rng.permutation(k) for _ in SIZES] for k in LEVELS}
+    common_labels = {
+        k: np.concatenate([np.argsort(perm)[labels] for perm, labels in zip(perms[k], view_labels[k])])
+        for k in LEVELS
+    }
+    matchings = {k: [np.eye(k, dtype=np.int64)[perm] for perm in perms[k]] for k in LEVELS}
     return zs, view_labels, common_labels, matchings
 
 
+def _matrices(common_labels, view_labels):
+    """Per level, one (common x view-cluster) 0/1 matrix per view: entry
+    (g, c) is 1 when a sample of view cluster c has common label g."""
+    out = {}
+    for k, per_view in view_labels.items():
+        ends = np.cumsum([labels.size for labels in per_view])[:-1]
+        out[k] = []
+        for labels, common in zip(per_view, np.split(common_labels[k], ends)):
+            a = np.zeros((k, k), dtype=np.int64)
+            a[common, labels] = 1
+            out[k].append(a)
+    return out
+
+
 def _refresh_case(batch: int = 7):
-    """A real refresh state and the first `batch` rows of each view,
-    with the matchings `match_views` gives on the refreshed latents."""
+    """A real refresh state and the first `batch` rows of each view, with
+    the correspondence matrices read off the common labels `match_views`
+    gives on the refreshed latents."""
     ds = synthesize(
         SyntheticSpec(clusters=4, views=2, dims=(5, 6), samples_per_cluster=6, separation=5.0, noise_std=1.0, seed=2)
     )
@@ -289,7 +309,7 @@ def _refresh_case(batch: int = 7):
     bundle = build_bundle(ds.feature_dims(), cfg.latent_dim, cfg.hidden_dims, True, 1)
     cluster_set = ClusterSet((2, 3, 4))
     state, latents = refresh_level_state(bundle, ds, cluster_set, cluster_set.levels, cfg, {})
-    matchings = match_views(latents, state.view_labels, cluster_set.final)
+    matchings = _matrices(match_views(latents, state.view_labels, cluster_set.final), state.view_labels)
     rows = np.concatenate([offset + np.arange(batch) for offset in ds.row_offsets()])
     zs = [z[:batch] for z in latents]
     view_labels = {k: [labels[:batch] for labels in state.view_labels[k]] for k in cluster_set.levels}
@@ -311,8 +331,8 @@ def _inner_value(zs, view_labels, active, temperature):
 def test_contrastive_case_covers_the_edge_rows():
     zs, view_labels, common_labels, matchings = _contrastive_case(0)
     pairs = _pair_sets(view_labels, LEVELS)
-    assert pairs[1].n[0] == 0
-    assert any(((p.m == 0) & (p.n > 0)).any() for p in pairs)
+    assert not pairs[1].tn[0].any()
+    assert any(((p.m == 0) & p.tn.any(axis=1)).any() for p in pairs)
     assert not zs[0][2].any()
     for k in LEVELS:
         for a in matchings[k]:
@@ -326,8 +346,8 @@ def test_contrastive_losses_match_oracles(seed, active, temperature):
     zs, view_labels, common_labels, matchings = _contrastive_case(seed)
     tensors = [Tensor(z) for z in zs]
     pairs = _pair_sets(view_labels, active)
-    tp_sets = [[set(p.tp_indices(i)) for i in range(b)] for p, b in zip(pairs, SIZES)]
-    tn_sets = [[set(p.tn_indices(i)) for i in range(b)] for p, b in zip(pairs, SIZES)]
+    tp_sets = [[set(np.flatnonzero(p.tp[i])) for i in range(b)] for p, b in zip(pairs, SIZES)]
+    tn_sets = [[set(np.flatnonzero(p.tn[i])) for i in range(b)] for p, b in zip(pairs, SIZES)]
     inner = _inner_value(tensors, view_labels, active, temperature).item()
     assert inner == pytest.approx(brute_inner_contrastive(zs, tp_sets, tn_sets, temperature), rel=1e-12)
     common = common_contrastive_loss(tensors, {k: common_labels[k] for k in active}, temperature).item()
@@ -339,6 +359,10 @@ def test_contrastive_losses_match_oracles(seed, active, temperature):
 def test_common_loss_on_a_refresh_state_matches_the_matching_oracle(temperature):
     _, zs, view_labels, common_labels, matchings = _refresh_case()
     levels = tuple(common_labels)
+    # every view's clusters map one-to-one onto the common clusters
+    for k in levels:
+        for a in matchings[k]:
+            assert np.array_equal(a.sum(axis=0), np.ones(k)) and np.array_equal(a.sum(axis=1), np.ones(k))
     value = common_contrastive_loss([Tensor(z) for z in zs], common_labels, temperature).item()
     expected = brute_common_contrastive(zs, common_labels, view_labels, matchings, levels, temperature)
     assert value == pytest.approx(expected, rel=1e-12)
@@ -468,8 +492,8 @@ def test_guidance_on_a_refresh_state_matches_the_matching_oracle():
     k = max(common_labels)
     split = np.split(common_labels[k], len(zs))
     reliable = [[1], [0]]
-    value = cross_view_guidance_loss([Tensor(z) for z in zs], state.common_centroids[k], split, reliable).item()
-    expected = brute_cross_view_guidance(zs, state.common_centroids[k], matchings[k], view_labels[k], reliable)
+    value = cross_view_guidance_loss([Tensor(z) for z in zs], state.final_centroids, split, reliable).item()
+    expected = brute_cross_view_guidance(zs, state.final_centroids, matchings[k], view_labels[k], reliable)
     assert value == pytest.approx(expected, rel=1e-12)
 
 

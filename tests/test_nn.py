@@ -252,6 +252,49 @@ def test_adam_rejects_nonfinite_gradient():
         Adam(lr=1e-3).step({"p": p}, {"p": np.array([1.0, np.nan])})
 
 
+def _stepped_adam(bundle):
+    opt = Adam(lr=1e-3)
+    bundle.zero_grad()
+    bundle.encode(0, np.random.default_rng(4).normal(size=(5, 3)), train=True).square().sum().backward()
+    opt.step(bundle.named_parameters(), bundle.gradients())
+    return opt
+
+
+def test_adam_load_state_restores_saved_moments():
+    bundle = tiny_bundle(seed=3)
+    saved = _stepped_adam(bundle)
+    opt = Adam(lr=1e-3)
+    opt.load_state(saved.t, saved.state_arrays(), bundle.named_parameters())
+    assert opt.t == 1
+    assert opt.state_arrays().keys() == saved.state_arrays().keys()
+    assert all(np.array_equal(a, saved.state_arrays()[k]) for k, a in opt.state_arrays().items())
+    fresh = Adam(lr=1e-3)
+    fresh.load_state(0, {}, bundle.named_parameters())
+    assert fresh.t == 0 and fresh.state_arrays() == {}
+
+
+@pytest.mark.parametrize("edit", ["extra_axis", "missing", "stray", "before_first_step"])
+def test_adam_load_state_refuses_mismatched_moments_and_changes_nothing(edit):
+    bundle = tiny_bundle(seed=3)
+    source = _stepped_adam(bundle)
+    arrays = {k: a.copy() for k, a in source.state_arrays().items()}
+    t = source.t
+    if edit == "extra_axis":
+        arrays["m/v0.enc.lin0.weight"] = arrays["m/v0.enc.lin0.weight"][None]
+    elif edit == "missing":
+        del arrays["v/v1.dec.lin0.bias"]
+    elif edit == "stray":
+        arrays["x/v0.enc.lin0.weight"] = arrays["m/v0.enc.lin0.weight"]
+    else:
+        t = 0
+    target = _stepped_adam(tiny_bundle(seed=5))
+    before = {k: a.copy() for k, a in target.state_arrays().items()}
+    with pytest.raises(ShapeError, match="Adam moment"):
+        target.load_state(t, arrays, bundle.named_parameters())
+    assert target.t == 1
+    assert all(np.array_equal(a, before[k]) for k, a in target.state_arrays().items())
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
