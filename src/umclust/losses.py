@@ -152,15 +152,14 @@ def recon_orth_loss(
     x_batches: list[np.ndarray],
     bundle: AutoencoderBundle,
     lambda1: float,
-    train: bool = True,
 ) -> tuple[Tensor, list[Tensor]]:
-    """Sum of per-view reconstruction terms; also returns the latent batches."""
+    """Sum of per-view reconstruction terms, in train mode; also returns the latent batches."""
     total = Tensor(0.0)
     zs: list[Tensor] = []
     for v, xb in enumerate(x_batches):
         x = Tensor(xb)
-        z = bundle.encode(v, x, train=train)
-        x_hat = bundle.decode(v, z, train=train)
+        z = bundle.encode(v, x, train=True)
+        x_hat = bundle.decode(v, z, train=True)
         total = total + recon_orth_term(x, x_hat, z, lambda1)
         zs.append(z)
     return total, zs
@@ -307,7 +306,6 @@ def cross_view_guidance_loss(
     centroids: np.ndarray,
     batch_common_labels: list[np.ndarray],
     reliable: list[list[int]],
-    floor: float = DISTRIBUTION_FLOOR,
 ) -> Tensor:
     """Alignment pull toward the common-view frame for guided views.
 
@@ -328,7 +326,7 @@ def cross_view_guidance_loss(
             continue
         sample_targets = batch_common_labels[v]
         b = sample_targets.shape[0]
-        q = student_assignments(z_batches[v], centroids).clip_min(floor)
+        q = student_assignments(z_batches[v], centroids).clip_min(DISTRIBUTION_FLOOR)
         pick = np.zeros((b, k))
         pick[np.arange(b), sample_targets] = 1.0
         ce = (q.log() * Tensor(-pick)).sum() * (1.0 / b)

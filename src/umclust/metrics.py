@@ -167,13 +167,14 @@ def build_report(
     n_clusters: int,
     kmeans_seed: int,
     restarts: int,
+    max_iter: int,
     config_hash: str,
     started_at: float,
 ) -> MetricsReport:
     """Score the all-view assignment plus a fresh K-means per single view."""
     scopes = [score_scope("all-view", all_view_pred, np.concatenate(view_labels))]
     for v, (z, y) in enumerate(zip(view_latents, view_labels)):
-        assignment, _ = kmeans(z, n_clusters, seed=kmeans_seed + 1 + v, restarts=restarts)
+        assignment, _ = kmeans(z, n_clusters, seed=kmeans_seed + 1 + v, max_iter=max_iter, restarts=restarts)
         scopes.append(score_scope(f"view{v}", assignment.labels, y))
     return MetricsReport(
         scopes=scopes,

@@ -1,12 +1,11 @@
 from .adam import Adam
 from .checkpoint import load_checkpoint, save_checkpoint
-from .mlp import AutoencoderBundle, MlpSpec, build_bundle
+from .mlp import AutoencoderBundle, build_bundle
 from .tensor import Tensor
 
 __all__ = [
     "Adam",
     "AutoencoderBundle",
-    "MlpSpec",
     "Tensor",
     "build_bundle",
     "load_checkpoint",

@@ -1,10 +1,12 @@
-"""Adaptive-moment gradient descent over named parameter dictionaries."""
+"""Adam over one model's named parameters: `Adam(params, lr)` creates both
+moments up front, and `step()` reads each parameter's `.grad`, taking a
+parameter the loss did not reach as having a zero gradient."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import NumericalError, ShapeError
+from ..errors import NumericalError
 from .tensor import Tensor, check_like
 
 
@@ -14,28 +16,23 @@ EPS = 1e-8
 
 
 class Adam:
-    def __init__(self, lr: float):
+    def __init__(self, params: dict[str, Tensor], lr: float):
+        self.params = params
         self.lr = float(lr)
         self.t = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self._moments = {f"{kind}/{name}": np.zeros_like(p.data) for kind in "mv" for name, p in params.items()}
 
-    def step(self, params: dict[str, Tensor], grads: dict[str, np.ndarray]) -> None:
-        """One in-place update; moments are created lazily per parameter."""
+    def step(self) -> None:
+        """One in-place update of every parameter from its current gradient."""
         self.t += 1
         b1t = 1.0 - BETA1**self.t
         b2t = 1.0 - BETA2**self.t
-        for name, p in params.items():
-            g = grads[name]
-            if g.shape != p.data.shape:
-                raise ShapeError(f"gradient shape mismatch for {name}")
+        for name, p in self.params.items():
+            g = np.zeros_like(p.data) if p.grad is None else p.grad
             if not np.isfinite(g).all():
                 raise NumericalError(f"non-finite gradient for {name}")
-            if name not in self.m:
-                self.m[name] = np.zeros_like(p.data)
-                self.v[name] = np.zeros_like(p.data)
-            m = self.m[name]
-            v = self.v[name]
+            m = self._moments[f"m/{name}"]
+            v = self._moments[f"v/{name}"]
             m *= BETA1
             m += (1.0 - BETA1) * g
             v *= BETA2
@@ -43,18 +40,14 @@ class Adam:
             p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + EPS)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for name, arr in self.m.items():
-            out[f"m/{name}"] = arr
-        for name, arr in self.v.items():
-            out[f"v/{name}"] = arr
-        return out
+        """The live moments, ``m/<param>`` for every parameter, then ``v/<param>``."""
+        return self._moments
 
-    def load_state(self, t: int, arrays: dict[str, np.ndarray], params: dict[str, Tensor]) -> None:
-        """Restore what `state_arrays` saved after `t` steps over `params`, refused
-        before any change unless every parameter has both moments, none before step 1."""
-        own = {f"{kind}/{name}": p for kind in ("m", "v") for name, p in params.items()} if t > 0 else {}
-        check_like("Adam moment", arrays, own)
+    def load_state(self, t: int, arrays: dict[str, np.ndarray]) -> None:
+        """Restore what `state_arrays` saved after `t` steps; refused before
+        any change unless the arrays match the moments name for name and
+        shape for shape."""
+        check_like("Adam moment", arrays, self._moments)
         self.t = int(t)
-        self.m = {k[2:]: v.copy() for k, v in arrays.items() if k.startswith("m/")}
-        self.v = {k[2:]: v.copy() for k, v in arrays.items() if k.startswith("v/")}
+        for key, arr in arrays.items():
+            self._moments[key][...] = arr

@@ -76,35 +76,34 @@ def load_checkpoint(path: str | Path, *, expect_config_hash: str | None = None) 
             raw = {k: npz[k] for k in npz.files}
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
-    if "__meta__" not in raw:
-        raise CheckpointError(f"checkpoint {path} missing metadata")
     try:
         meta = json.loads(bytes(raw.pop("__meta__")).decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"corrupt checkpoint metadata in {path}") from exc
-    if meta.get("format") != FORMAT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint format {meta.get('format')!r}")
-    if expect_config_hash is not None and meta["config_hash"] != expect_config_hash:
+        if meta.get("format") != FORMAT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint format {meta.get('format')!r}")
+        data = CheckpointData(
+            config_hash=str(meta["config_hash"]),
+            epoch=int(meta["epoch"]),
+            adam_t=int(meta["adam_t"]),
+            params={},
+            stats={},
+            adam_arrays={},
+        )
+        named = {"param": data.params, "stat": data.stats, "adam": data.adam_arrays}
+        for key, arr in raw.items():
+            kind, _, rest = key.partition("/")
+            if kind in named:
+                named[kind][rest] = arr
+            elif kind == "warm":
+                scope, _, level = rest.rpartition("/")
+                data.warm_centroids[(scope, int(level))] = arr
+            else:
+                raise CheckpointError(f"unrecognized checkpoint entry {key!r}")
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        # a metadata text that is not JSON is a ValueError too
+        raise CheckpointError(f"malformed checkpoint {path}: {exc!r}") from exc
+    if expect_config_hash is not None and data.config_hash != expect_config_hash:
         raise CheckpointError(
             "checkpoint was written with a different configuration "
-            f"(hash {meta['config_hash'][:12]}... != {expect_config_hash[:12]}...)"
+            f"(hash {data.config_hash[:12]}... != {expect_config_hash[:12]}...)"
         )
-    data = CheckpointData(
-        config_hash=meta["config_hash"],
-        epoch=int(meta["epoch"]),
-        adam_t=int(meta["adam_t"]),
-        params={},
-        stats={},
-        adam_arrays={},
-    )
-    named = {"param": data.params, "stat": data.stats, "adam": data.adam_arrays}
-    for key, arr in raw.items():
-        kind, _, rest = key.partition("/")
-        if kind in named:
-            named[kind][rest] = arr
-        elif kind == "warm":
-            scope, _, level = rest.rpartition("/")
-            data.warm_centroids[(scope, int(level))] = arr
-        else:
-            raise CheckpointError(f"unrecognized checkpoint entry {key!r}")
     return data

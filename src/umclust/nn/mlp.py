@@ -1,11 +1,11 @@
 """Per-view MLP autoencoders built on the autodiff tensor.
 
-Encoder and decoder are mirror-image MLPs: every hidden layer is a
-linear map followed by (optional) batch normalization and ReLU, the
-final layer is purely linear. Weights use He-style uniform fan-in
-initialization from a seeded generator, so a bundle is reproducible
-from (dims, seed) alone.
+`Mlp(dims, batchnorm, rng)` runs through the widths in `dims`: every
+hidden layer is a linear map followed by (optional) batch normalization
+and ReLU, the final layer is purely linear. Weights use He-style uniform
+fan-in initialization from a seeded generator.
 
+`build_bundle` gives each view an encoder and its mirror-image decoder.
 `AutoencoderBundle` names the model's state once, when it is built: a
 parameter map (``v{v}.enc.lin{i}.weight`` ...) and a map of batch-norm
 running statistics, which the layers update in place.
@@ -13,41 +13,10 @@ running statistics, which the layers update in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import NumericalError, ShapeError
 from .tensor import Tensor, check_like
-
-
-@dataclass(frozen=True)
-class MlpSpec:
-    """Shape of one MLP: input -> hidden... -> output.
-
-    The final layer has no activation, so encoder latents are plain
-    affine outputs and decoder outputs live in feature space.
-    """
-
-    input_dim: int
-    hidden_dims: tuple[int, ...]
-    output_dim: int
-    batchnorm: bool = True
-
-    def __post_init__(self):
-        dims = (self.input_dim, *self.hidden_dims, self.output_dim)
-        if any(int(d) < 1 for d in dims):
-            raise ShapeError(f"all layer dims must be >= 1, got {dims}")
-        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
-
-    def mirrored(self) -> "MlpSpec":
-        """Spec of the decoder matching this encoder."""
-        return MlpSpec(
-            input_dim=self.output_dim,
-            hidden_dims=tuple(reversed(self.hidden_dims)),
-            output_dim=self.input_dim,
-            batchnorm=self.batchnorm,
-        )
 
 
 class Linear:
@@ -94,52 +63,41 @@ class BatchNorm:
 
 
 class Mlp:
-    def __init__(self, spec: MlpSpec, rng: np.random.Generator):
-        self.linears: list[Linear] = []
-        self.norms: list[BatchNorm | None] = []
-        dims = (spec.input_dim, *spec.hidden_dims, spec.output_dim)
-        for i in range(len(dims) - 1):
-            self.linears.append(Linear(dims[i], dims[i + 1], rng))
-            hidden = i < len(dims) - 2
-            self.norms.append(BatchNorm(dims[i + 1]) if (hidden and spec.batchnorm) else None)
+    """Linear layers through `dims`; the last one is purely linear."""
+
+    def __init__(self, dims: tuple[int, ...], batchnorm: bool, rng: np.random.Generator):
+        self.linears = [Linear(a, b, rng) for a, b in zip(dims, dims[1:])]
+        self.norms = [BatchNorm(d) if batchnorm else None for d in dims[1:-1]] + [None]
 
     def __call__(self, x: Tensor, train: bool, update_stats: bool = True) -> Tensor:
-        h = x
         last = len(self.linears) - 1
         for i, (lin, norm) in enumerate(zip(self.linears, self.norms)):
-            h = lin(h)
+            x = lin(x)
             if i < last:
                 if norm is not None:
-                    h = norm(h, train, update_stats)
-                h = h.relu()
-            if not np.isfinite(h.data).all():
+                    x = norm(x, train, update_stats)
+                x = x.relu()
+            if not np.isfinite(x.data).all():
                 raise NumericalError(f"non-finite activation after layer {i}")
-        return h
-
-
-class Autoencoder:
-    def __init__(self, encoder_spec: MlpSpec, rng: np.random.Generator):
-        self.encoder = Mlp(encoder_spec, rng)
-        self.decoder = Mlp(encoder_spec.mirrored(), rng)
+        return x
 
 
 class AutoencoderBundle:
-    """One autoencoder per view.
+    """One encoder and one mirror-image decoder per view.
 
     Every forward call names its mode: `train=True` normalizes by batch
     statistics, `train=False` applies the running ones.
     """
 
-    def __init__(self, specs: list[MlpSpec], seed: int):
-        self.specs = list(specs)
-        self.views: list[Autoencoder] = []
+    def __init__(self, input_dims: list[int], latent_dim: int, encoders: list[Mlp], decoders: list[Mlp]):
+        self.input_dims = input_dims
+        self.latent_dim = latent_dim
+        self.encoders = encoders
+        self.decoders = decoders
         self._params: dict[str, Tensor] = {}
         self._stats: dict[str, np.ndarray] = {}
-        for v, spec in enumerate(self.specs):
-            rng = np.random.default_rng(np.random.SeedSequence([int(seed), v]))
-            ae = Autoencoder(spec, rng)
-            self.views.append(ae)
-            for prefix, mlp in ((f"v{v}.enc", ae.encoder), (f"v{v}.dec", ae.decoder)):
+        for v, (encoder, decoder) in enumerate(zip(encoders, decoders)):
+            for prefix, mlp in ((f"v{v}.enc", encoder), (f"v{v}.dec", decoder)):
                 for i, lin in enumerate(mlp.linears):
                     self._params[f"{prefix}.lin{i}.weight"] = lin.weight
                     self._params[f"{prefix}.lin{i}.bias"] = lin.bias
@@ -154,21 +112,19 @@ class AutoencoderBundle:
 
     def encode(self, view: int, x, train: bool, update_stats: bool = True) -> Tensor:
         x = x if isinstance(x, Tensor) else Tensor(x)
-        spec = self.specs[view]
-        if x.data.ndim != 2 or x.data.shape[1] != spec.input_dim:
+        if x.data.ndim != 2 or x.data.shape[1] != self.input_dims[view]:
             raise ShapeError(
-                f"view {view} expects input dim {spec.input_dim}, got shape {x.data.shape}"
+                f"view {view} expects input dim {self.input_dims[view]}, got shape {x.data.shape}"
             )
-        return self.views[view].encoder(x, train, update_stats)
+        return self.encoders[view](x, train, update_stats)
 
     def decode(self, view: int, z, train: bool) -> Tensor:
         z = z if isinstance(z, Tensor) else Tensor(z)
-        spec = self.specs[view]
-        if z.data.ndim != 2 or z.data.shape[1] != spec.output_dim:
+        if z.data.ndim != 2 or z.data.shape[1] != self.latent_dim:
             raise ShapeError(
-                f"view {view} expects latent dim {spec.output_dim}, got shape {z.data.shape}"
+                f"view {view} expects latent dim {self.latent_dim}, got shape {z.data.shape}"
             )
-        return self.views[view].decoder(z, train)
+        return self.decoders[view](z, train)
 
     def encode_all(self, mats: list[np.ndarray], train: bool, update_stats: bool = True) -> list[np.ndarray]:
         """Plain-array latents for every view (used outside loss graphs)."""
@@ -183,10 +139,6 @@ class AutoencoderBundle:
     def named_stats(self) -> dict[str, np.ndarray]:
         """Every live batch-norm running statistic by name; the same dict on every call."""
         return self._stats
-
-    def gradients(self) -> dict[str, np.ndarray]:
-        """Gradient per parameter; parameters off the loss path get zeros."""
-        return {name: np.zeros_like(p.data) if p.grad is None else p.grad for name, p in self._params.items()}
 
     def zero_grad(self) -> None:
         for p in self._params.values():
@@ -210,13 +162,15 @@ def build_bundle(
     batchnorm: bool,
     seed: int,
 ) -> AutoencoderBundle:
-    specs = [
-        MlpSpec(
-            input_dim=int(d),
-            hidden_dims=tuple(hidden_dims),
-            output_dim=int(latent_dim),
-            batchnorm=batchnorm,
-        )
-        for d in input_dims
-    ]
-    return AutoencoderBundle(specs, seed)
+    """View v's encoder runs through (input_dims[v], *hidden_dims, latent_dim)
+    and its decoder back through the reversed dims. Each view draws its
+    weights, encoder then decoder, from its own generator seeded by (seed, v)."""
+    encoders, decoders = [], []
+    for v, d in enumerate(input_dims):
+        dims = (d, *hidden_dims, latent_dim)
+        if min(dims) < 1:
+            raise ShapeError(f"all layer dims must be >= 1, got {dims}")
+        rng = np.random.default_rng(np.random.SeedSequence([seed, v]))
+        encoders.append(Mlp(dims, batchnorm, rng))
+        decoders.append(Mlp(dims[::-1], batchnorm, rng))
+    return AutoencoderBundle(list(input_dims), latent_dim, encoders, decoders)

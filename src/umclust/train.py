@@ -250,6 +250,7 @@ def evaluate(
         dataset.n_clusters,
         kmeans_seed=config.kmeans_seed,
         restarts=config.final_restarts,
+        max_iter=config.kmeans_max_iter,
         config_hash=config_hash,
         started_at=started_at,
     )
@@ -285,14 +286,14 @@ def train(
         config.batchnorm,
         config.seed,
     )
-    opt = Adam(lr=config.learning_rate)
+    opt = Adam(bundle.named_parameters(), config.learning_rate)
     plan = BatchPlan(batch_size=config.batch_size, shuffle_seed=config.seed + 1)
     warm: dict[tuple[str, int], np.ndarray] = {}
     start_epoch = 1
     if resume is not None:
         ck = load_checkpoint(resume, expect_config_hash=cfg_hash)
         bundle.load_arrays(ck.params, ck.stats)
-        opt.load_state(ck.adam_t, ck.adam_arrays, bundle.named_parameters())
+        opt.load_state(ck.adam_t, ck.adam_arrays)
         warm = dict(ck.warm_centroids)
         start_epoch = ck.epoch + 1
 
@@ -316,7 +317,7 @@ def train(
             batch_idx = [next(streams[v]) for v in range(n_views)]
             x_batches = [features[v][batch_idx[v]] for v in range(n_views)]
             bundle.zero_grad()
-            l_ae, zs = recon_orth_loss(x_batches, bundle, weights.lambda1, train=True)
+            l_ae, zs = recon_orth_loss(x_batches, bundle, weights.lambda1)
             pair_sets = [
                 build_inner_pairs(
                     {k: level_state.view_labels[k][v] for k in active}, batch_idx[v]
@@ -332,7 +333,7 @@ def train(
             if not np.isfinite(total.data):
                 raise NumericalError(f"non-finite total loss at epoch {epoch} step {step}")
             total.backward()
-            opt.step(bundle.named_parameters(), bundle.gradients())
+            opt.step()
             sums += [l_ae.item(), l_in.item(), l_co.item(), l_cr.item(), total.item()]
         means = sums / steps
         loss_rows.append([float(epoch), *means.tolist(), coeff, *level_state.silhouettes.tolist()])

@@ -127,6 +127,15 @@ def test_eval_of_a_damaged_checkpoint_exits_2(tmp_path, capsys):
     assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 2
     assert f"shape mismatch for statistic {name}" in capsys.readouterr().err
 
+    scope, level = next(iter(ck.warm_centroids))
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    arrays[f"warm/{scope}/level{level}"] = arrays.pop(f"warm/{scope}/{level}")
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 2
+    assert "malformed checkpoint" in capsys.readouterr().err
+
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) // 2])
     assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 2

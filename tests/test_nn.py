@@ -1,34 +1,34 @@
 """Autoencoder bundle, batch-norm behavior, optimizer, checkpoint round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
 from oracles import finite_difference_gradients, max_relative_gradient_error
 from umclust.errors import CheckpointError, NumericalError, ShapeError
-from umclust.nn import (
-    Adam,
-    AutoencoderBundle,
-    MlpSpec,
-    Tensor,
-    build_bundle,
-    load_checkpoint,
-    save_checkpoint,
-)
+from umclust.nn import Adam, Tensor, build_bundle, load_checkpoint, save_checkpoint
 
 
 def tiny_bundle(batchnorm=True, seed=0, dims=(3, 4), hidden=(5,), latent=2):
     return build_bundle(list(dims), latent, hidden, batchnorm, seed)
 
 
-def test_mirrored_spec():
-    spec = MlpSpec(input_dim=7, hidden_dims=(5, 3), output_dim=2)
-    mirror = spec.mirrored()
-    assert mirror.input_dim == 2 and mirror.output_dim == 7 and mirror.hidden_dims == (3, 5)
+def test_decoder_layers_mirror_the_encoder():
+    bundle = tiny_bundle(dims=(7, 4), hidden=(5, 3), latent=2)
+    assert bundle.input_dims == [7, 4] and bundle.latent_dim == 2
+    for v, d in enumerate((7, 4)):
+        enc = [lin.weight.shape for lin in bundle.encoders[v].linears]
+        dec = [lin.weight.shape for lin in bundle.decoders[v].linears]
+        assert enc == [(d, 5), (5, 3), (3, 2)]
+        assert dec == [w[::-1] for w in reversed(enc)]
+        assert [n is None for n in bundle.decoders[v].norms] == [False, False, True]
 
 
-def test_spec_rejects_bad_dims():
-    with pytest.raises(ShapeError):
-        MlpSpec(input_dim=0, hidden_dims=(4,), output_dim=2)
+def test_build_bundle_rejects_a_zero_dim():
+    for dims, hidden, latent in [((3, 0), (5,), 2), ((3,), (5, 0), 2), ((3,), (5,), 0)]:
+        with pytest.raises(ShapeError, match="dims must be >= 1"):
+            tiny_bundle(dims=dims, hidden=hidden, latent=latent)
 
 
 def test_zero_weight_network_gives_zero_latent():
@@ -44,8 +44,8 @@ def test_zero_weight_network_gives_zero_latent():
 
 def test_single_layer_relu_hand_case():
     # one hidden layer, no batchnorm; check ReLU(xW1+b1)W2+b2 by hand on 2x2
-    bundle = AutoencoderBundle([MlpSpec(2, (2,), 2, batchnorm=False)], seed=0)
-    enc = bundle.views[0].encoder
+    bundle = tiny_bundle(batchnorm=False, dims=(2,), hidden=(2,), latent=2)
+    enc = bundle.encoders[0]
     enc.linears[0].weight.data[...] = np.array([[1.0, -1.0], [0.5, 2.0]])
     enc.linears[0].bias.data[...] = np.array([0.0, -1.0])
     enc.linears[1].weight.data[...] = np.eye(2)
@@ -59,7 +59,7 @@ def test_single_layer_relu_hand_case():
 def test_hidden_relu_outputs_nonnegative():
     bundle = tiny_bundle()
     x = np.random.default_rng(1).normal(size=(8, 3))
-    enc = bundle.views[0].encoder
+    enc = bundle.encoders[0]
     h = Tensor(x)
     h = enc.linears[0](h)
     h = enc.norms[0](h, True)
@@ -97,7 +97,7 @@ def test_batchnorm_eval_is_affine():
     f = lambda x: bundle.encode(0, x, train=False).data
     # eval-mode output of the first (linear+BN) block is affine in the input;
     # the full encoder is not (ReLU), so check the affine layer directly
-    enc = bundle.views[0].encoder
+    enc = bundle.encoders[0]
     block = lambda x: enc.norms[0](enc.linears[0](Tensor(x)), False).data
     lhs = block(lam * x1 + (1 - lam) * x2)
     rhs = lam * block(x1) + (1 - lam) * block(x2)
@@ -116,7 +116,7 @@ def test_batchnorm_batch_of_one_uses_variance_floor():
 
 def test_batchnorm_running_stats_update_only_in_train():
     bundle = tiny_bundle(seed=4)
-    bn = bundle.views[0].encoder.norms[0]
+    bn = bundle.encoders[0].norms[0]
     before = bn.running_mean.copy()
     x = np.random.default_rng(4).normal(size=(10, 3))
     bundle.encode(0, x, train=False)
@@ -135,7 +135,7 @@ def test_same_seed_same_parameters():
 
 def test_nonfinite_activation_reports_layer():
     bundle = tiny_bundle(batchnorm=False)
-    bundle.views[0].encoder.linears[0].weight.data[...] = np.inf
+    bundle.encoders[0].linears[0].weight.data[...] = np.inf
     with pytest.raises(NumericalError, match="layer 0"):
         bundle.encode(0, np.ones((2, 3)), train=False)
 
@@ -151,8 +151,8 @@ def test_backward_matches_finite_differences_through_batchnorm():
 
     params = {k: v for k, v in bundle.named_parameters().items() if k.startswith("v0")}
     # batchnorm running stats drift per forward call; freeze them for the check
-    for ae in bundle.views:
-        for norm in ae.encoder.norms + ae.decoder.norms:
+    for mlp in bundle.encoders + bundle.decoders:
+        for norm in mlp.norms:
             if norm is not None:
                 norm.momentum = 1.0
     bundle.zero_grad()
@@ -178,10 +178,10 @@ def test_named_maps_are_built_once_and_hold_live_stats():
         for v in (0, 1) for part in ("enc", "dec") for name in ("running_mean", "running_var")
     ]
     x = np.random.default_rng(6).normal(size=(8, 3))
-    hidden = bundle.views[0].encoder.linears[0](Tensor(x)).data
+    hidden = bundle.encoders[0].linears[0](Tensor(x)).data
     bundle.encode(0, x, train=True)
     assert np.allclose(stats["v0.enc.bn0.running_mean"], 0.1 * hidden.mean(axis=0), rtol=0, atol=1e-15)
-    assert bundle.named_stats()["v0.enc.bn0.running_mean"] is bundle.views[0].encoder.norms[0].running_mean
+    assert bundle.named_stats()["v0.enc.bn0.running_mean"] is bundle.encoders[0].norms[0].running_mean
 
 
 @pytest.mark.parametrize("edit", ["missing", "shape"])
@@ -201,14 +201,29 @@ def test_load_arrays_refuses_mismatched_stats_and_writes_nothing(edit):
 
 
 def test_gradient_off_path_is_zero():
+    # step 1 reaches view 0's decoder, step 2 stops at its encoder: every
+    # parameter off that path has no gradient and takes Adam's update for a
+    # zero one (decayed moments; none at all where the moments are zero)
     bundle = tiny_bundle()
+    params = bundle.named_parameters()
+    opt = Adam(params, lr=0.1)
     x = np.random.default_rng(1).normal(size=(4, 3))
     bundle.zero_grad()
-    z = bundle.encode(0, x, train=True)
-    z.sum().backward()
-    grads = bundle.gradients()
-    assert all(np.all(grads[k] == 0) for k in grads if k.startswith("v0.dec") or k.startswith("v1"))
-    assert any(np.any(grads[k] != 0) for k in grads if k.startswith("v0.enc"))
+    bundle.decode(0, bundle.encode(0, x, train=True), train=True).sum().backward()
+    opt.step()
+    bundle.zero_grad()
+    bundle.encode(0, x, train=True).sum().backward()
+    assert [k for k, p in params.items() if p.grad is not None] == [k for k in params if k.startswith("v0.enc")]
+    before = {k: p.data.copy() for k, p in params.items()}
+    m = {k: 0.9 * opt.state_arrays()[f"m/{k}"] for k in params}
+    v = {k: 0.999 * opt.state_arrays()[f"v/{k}"] for k in params}
+    opt.step()
+    for k, p in params.items():
+        if not k.startswith("v0.enc"):
+            expected = before[k] - 0.1 * (m[k] / (1 - 0.9**2)) / (np.sqrt(v[k] / (1 - 0.999**2)) + 1e-8)
+            assert np.allclose(p.data, expected, rtol=0, atol=1e-15), k
+    assert all(np.array_equal(p.data, before[k]) for k, p in params.items() if k.startswith("v1"))
+    assert not np.array_equal(params["v0.dec.lin1.weight"].data, before["v0.dec.lin1.weight"])
 
 
 # ---------------------------------------------------------------------------
@@ -217,17 +232,20 @@ def test_gradient_off_path_is_zero():
 
 def test_adam_zero_gradient_keeps_parameters():
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    opt = Adam(lr=0.1)
+    opt = Adam({"p": p}, lr=0.1)
     before = p.data.copy()
-    opt.step({"p": p}, {"p": np.zeros(2)})
+    p.grad = np.zeros(2)
+    opt.step()
+    p.zero_grad()
+    opt.step()
     assert np.array_equal(p.data, before)
 
 
 def test_adam_single_scalar_hand_update():
     p = Tensor(np.array([1.0]), requires_grad=True)
-    opt = Adam(lr=0.1)
-    g = np.array([0.5])
-    opt.step({"p": p}, {"p": g})
+    opt = Adam({"p": p}, lr=0.1)
+    p.grad = np.array([0.5])
+    opt.step()
     m_hat = (0.1 * 0.5) / (1 - 0.9)
     v_hat = (0.001 * 0.25) / (1 - 0.999)
     expected = 1.0 - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
@@ -238,9 +256,10 @@ def test_adam_two_runs_bit_identical():
     def run():
         rng = np.random.default_rng(0)
         p = Tensor(np.ones(3), requires_grad=True)
-        opt = Adam(lr=0.01)
+        opt = Adam({"p": p}, lr=0.01)
         for _ in range(5):
-            opt.step({"p": p}, {"p": rng.normal(size=3)})
+            p.grad = rng.normal(size=3)
+            opt.step()
         return p.data
 
     assert np.array_equal(run(), run())
@@ -248,49 +267,45 @@ def test_adam_two_runs_bit_identical():
 
 def test_adam_rejects_nonfinite_gradient():
     p = Tensor(np.ones(2), requires_grad=True)
+    p.grad = np.array([1.0, np.nan])
     with pytest.raises(NumericalError):
-        Adam(lr=1e-3).step({"p": p}, {"p": np.array([1.0, np.nan])})
+        Adam({"p": p}, lr=1e-3).step()
 
 
 def _stepped_adam(bundle):
-    opt = Adam(lr=1e-3)
+    opt = Adam(bundle.named_parameters(), lr=1e-3)
     bundle.zero_grad()
     bundle.encode(0, np.random.default_rng(4).normal(size=(5, 3)), train=True).square().sum().backward()
-    opt.step(bundle.named_parameters(), bundle.gradients())
+    opt.step()
     return opt
 
 
 def test_adam_load_state_restores_saved_moments():
     bundle = tiny_bundle(seed=3)
     saved = _stepped_adam(bundle)
-    opt = Adam(lr=1e-3)
-    opt.load_state(saved.t, saved.state_arrays(), bundle.named_parameters())
-    assert opt.t == 1
-    assert opt.state_arrays().keys() == saved.state_arrays().keys()
-    assert all(np.array_equal(a, saved.state_arrays()[k]) for k, a in opt.state_arrays().items())
-    fresh = Adam(lr=1e-3)
-    fresh.load_state(0, {}, bundle.named_parameters())
-    assert fresh.t == 0 and fresh.state_arrays() == {}
+    fresh = Adam(bundle.named_parameters(), lr=1e-3)
+    assert fresh.t == 0 and fresh.state_arrays().keys() == saved.state_arrays().keys()
+    assert not any(a.any() for a in fresh.state_arrays().values())
+    fresh.load_state(saved.t, saved.state_arrays())
+    assert fresh.t == 1
+    for k, a in fresh.state_arrays().items():
+        assert np.array_equal(a, saved.state_arrays()[k]) and a is not saved.state_arrays()[k]
 
 
-@pytest.mark.parametrize("edit", ["extra_axis", "missing", "stray", "before_first_step"])
+@pytest.mark.parametrize("edit", ["extra_axis", "missing", "stray"])
 def test_adam_load_state_refuses_mismatched_moments_and_changes_nothing(edit):
-    bundle = tiny_bundle(seed=3)
-    source = _stepped_adam(bundle)
+    source = _stepped_adam(tiny_bundle(seed=3))
     arrays = {k: a.copy() for k, a in source.state_arrays().items()}
-    t = source.t
     if edit == "extra_axis":
         arrays["m/v0.enc.lin0.weight"] = arrays["m/v0.enc.lin0.weight"][None]
     elif edit == "missing":
         del arrays["v/v1.dec.lin0.bias"]
-    elif edit == "stray":
-        arrays["x/v0.enc.lin0.weight"] = arrays["m/v0.enc.lin0.weight"]
     else:
-        t = 0
+        arrays["x/v0.enc.lin0.weight"] = arrays["m/v0.enc.lin0.weight"]
     target = _stepped_adam(tiny_bundle(seed=5))
     before = {k: a.copy() for k, a in target.state_arrays().items()}
     with pytest.raises(ShapeError, match="Adam moment"):
-        target.load_state(t, arrays, bundle.named_parameters())
+        target.load_state(source.t + 1, arrays)
     assert target.t == 1
     assert all(np.array_equal(a, before[k]) for k, a in target.state_arrays().items())
 
@@ -313,11 +328,11 @@ def _checkpoint_payload(bundle, opt):
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     bundle = tiny_bundle(seed=3)
-    opt = Adam(lr=1e-3)
+    opt = Adam(bundle.named_parameters(), lr=1e-3)
     x = np.random.default_rng(3).normal(size=(5, 3))
     bundle.zero_grad()
     bundle.encode(0, x, train=True).square().sum().backward()
-    opt.step(bundle.named_parameters(), bundle.gradients())
+    opt.step()
     path = tmp_path / "ck.npz"
     save_checkpoint(path, **_checkpoint_payload(bundle, opt))
     ck = load_checkpoint(path, expect_config_hash="abc123")
@@ -335,7 +350,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 
 def test_checkpoint_hash_mismatch_refused(tmp_path):
     bundle = tiny_bundle()
-    opt = Adam(lr=1e-3)
+    opt = Adam(bundle.named_parameters(), lr=1e-3)
     path = tmp_path / "ck.npz"
     save_checkpoint(path, **_checkpoint_payload(bundle, opt))
     with pytest.raises(CheckpointError, match="different configuration"):
@@ -344,7 +359,7 @@ def test_checkpoint_hash_mismatch_refused(tmp_path):
 
 def test_failed_checkpoint_save_keeps_previous_file(tmp_path, monkeypatch):
     bundle = tiny_bundle()
-    opt = Adam(lr=1e-3)
+    opt = Adam(bundle.named_parameters(), lr=1e-3)
     path = tmp_path / "ck.npz"
     save_checkpoint(path, **_checkpoint_payload(bundle, opt))
 
@@ -371,8 +386,29 @@ def test_checkpoint_corrupted_file(tmp_path):
 @pytest.mark.parametrize("keep", [0.5, 0.0], ids=["truncated", "empty"])
 def test_truncated_or_empty_checkpoint_is_refused(tmp_path, keep):
     path = tmp_path / "ck.npz"
-    save_checkpoint(path, **_checkpoint_payload(tiny_bundle(), Adam(lr=1e-3)))
+    bundle = tiny_bundle()
+    save_checkpoint(path, **_checkpoint_payload(bundle, Adam(bundle.named_parameters(), lr=1e-3)))
     raw = path.read_bytes()
     path.write_bytes(raw[: int(len(raw) * keep)])
     with pytest.raises(CheckpointError, match="unreadable checkpoint"):
+        load_checkpoint(path)
+
+
+_META = {"format": 1, "config_hash": "abc123", "epoch": 7, "adam_t": 0}
+
+
+@pytest.mark.parametrize(
+    "meta, entry",
+    [
+        ({"format": 1}, "param/p"),
+        ([1], "param/p"),
+        ({**_META, "epoch": "x"}, "param/p"),
+        (_META, "warm/view0/abc"),
+    ],
+    ids=["no_config_hash", "meta_not_an_object", "epoch_not_an_int", "warm_level_not_an_int"],
+)
+def test_malformed_checkpoint_is_refused(tmp_path, meta, entry):
+    path = tmp_path / "ck.npz"
+    np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **{entry: np.ones(2)})
+    with pytest.raises(CheckpointError, match="malformed checkpoint"):
         load_checkpoint(path)
