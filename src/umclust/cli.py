@@ -43,9 +43,12 @@ def _resolve_out(args) -> Path:
 
 
 def _prepare_run_dir(out: Path, force: bool) -> Path:
-    if out.exists() and any(out.iterdir()) and not force:
-        raise ConfigError(f"output directory {out} already exists; pass --force to overwrite")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        if out.exists() and any(out.iterdir()) and not force:
+            raise ConfigError(f"output directory {out} already exists; pass --force to overwrite")
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"unusable output directory {out}: {exc}") from exc
     return out
 
 
@@ -170,6 +173,9 @@ def cmd_sweep(args) -> int:
     run_config = _load_run_config(args)
     if not run_config.sweep:
         raise ConfigError("missing config key 'sweep' (no grid axes defined)")
+    for axis, values in run_config.sweep.items():
+        if len({f"{v:g}" for v in values}) < len(values):
+            raise ConfigError(f"sweep.{axis} has values that print alike, {values}; their run directories would clash")
     out = _prepare_run_dir(_resolve_out(args), args.force)
     cfg.write_resolved(run_config, out / "config.yaml")
     axes = sorted(run_config.sweep)

@@ -3,14 +3,14 @@
 The YAML layout is the dataclass layout. The file has up to three
 sections: ``dataset`` is a `DatasetSection` (its ``synthetic`` a
 `data.SyntheticSpec`, its ``unpair`` a `data.UnpairRecipe`), ``train``
-is a `train.TrainConfig` (its ``weights`` a `losses.LossWeights`, its
-``reliability`` a `train.Reliability`), and ``sweep`` maps lambda
-names to the values of the hyperparameter grid. Keys, types and
-defaults are read from those dataclasses, so this module keeps no key
-list and no default. Unknown keys anywhere are errors, not warnings:
-a silently ignored typo in a hyperparameter name would invalidate a
-reproduction. ``resolved_dict`` materializes every default so a run
-directory can carry the exact effective configuration.
+is a `train.TrainConfig` (its ``weights`` a `losses.LossWeights`), and
+``sweep`` maps lambda names to the values of the hyperparameter grid.
+Keys, types and defaults are read from those dataclasses, so this
+module keeps no key list and no default; constants such as
+`losses.TEMPERATURE` have no key. Unknown keys anywhere are errors,
+not warnings: a silently ignored typo in a hyperparameter name would
+invalidate a reproduction. ``resolved_dict`` materializes every default
+so a run directory can carry the exact effective configuration.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def _parse_dataclass(cls, section: dict, path: str):
 
 
 def _parse_sweep(section: dict) -> dict[str, list[float]]:
-    _reject_unknown(section, set(LossWeights.LAMBDAS), "sweep")
+    _reject_unknown(section, {f.name for f in fields(LossWeights)}, "sweep")
     grid: dict[str, list[float]] = {}
     for key, values in section.items():
         if not isinstance(values, (list, tuple)) or not values:
@@ -174,8 +174,8 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"missing config file {path}")
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"unparseable config {path}: {exc}") from exc
+    except (OSError, ValueError, yaml.YAMLError) as exc:
+        raise ConfigError(f"unreadable config {path}: {exc}") from exc
     return parse_config(raw if raw is not None else {})
 
 
@@ -202,4 +202,4 @@ def apply_seed_override(config: RunConfig, seed: int) -> RunConfig:
 
 def with_weights(config: RunConfig, **lambda_overrides: float) -> RunConfig:
     """New config with some lambdas replaced (used by the sweep runner)."""
-    return replace(config, train=config.train.with_weights(**lambda_overrides))
+    return replace(config, train=replace(config.train, weights=replace(config.train.weights, **lambda_overrides)))

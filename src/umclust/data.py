@@ -14,7 +14,9 @@ with LF line endings.
 
 from __future__ import annotations
 
+import itertools
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -85,7 +87,9 @@ class MultiViewDataset:
         if self.n_clusters < 1:
             raise DataError("cluster count must be >= 1")
         seen: dict[int, int] = {}
-        for v in self.views:
+        for i, v in enumerate(self.views):
+            if any(w.view_id == v.view_id for w in self.views[:i]):
+                raise DataError(f"view id {v.view_id} is used by more than one view")
             if v.ids.shape[0] != v.features.shape[0] or v.ids.shape[0] != v.labels.shape[0]:
                 raise DataError(f"view {v.view_id}: ids, features and labels disagree in length")
             if v.n == 0:
@@ -157,13 +161,19 @@ def _manifest_int(value, key: str, minimum: int | None = None) -> int:
     return int(value)
 
 
-def _read_feature_csv(path: Path, expect_dim: int) -> tuple[np.ndarray, np.ndarray]:
+def _read_csv(path: Path, dtype, what: str) -> np.ndarray:
+    """The rows of CSV file `path` as a 2-D `dtype` array; a `DataError`
+    naming the `what` file when it is missing, unreadable or malformed."""
     if not path.exists():
-        raise DataError(f"missing feature file {path}")
+        raise DataError(f"missing {what} file {path}")
     try:
-        raw = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    except ValueError as exc:
-        raise DataError(f"unparseable feature file {path}: {exc}") from exc
+        return np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"unreadable {what} file {path}: {exc}") from exc
+
+
+def _read_feature_csv(path: Path, expect_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    raw = _read_csv(path, np.float64, "feature")
     if raw.shape[1] != expect_dim + 1:
         raise DataError(
             f"{path}: manifest declares dim {expect_dim} but file has {raw.shape[1] - 1} feature columns"
@@ -175,12 +185,7 @@ def _read_feature_csv(path: Path, expect_dim: int) -> tuple[np.ndarray, np.ndarr
 
 
 def _read_labels_csv(path: Path) -> dict[int, int]:
-    if not path.exists():
-        raise DataError(f"missing labels file {path}")
-    try:
-        raw = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
-    except ValueError as exc:
-        raise DataError(f"unparseable labels file {path}: {exc}") from exc
+    raw = _read_csv(path, np.int64, "labels")
     if raw.shape[1] != 2:
         raise DataError(f"{path}: labels file must have two columns (id, class)")
     ids, counts = np.unique(raw[:, 0], return_counts=True)
@@ -195,14 +200,16 @@ def _read_manifest(manifest_path: str | Path) -> tuple[dict, Path]:
         raise DataError(f"missing manifest {path}")
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"unparseable manifest {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise DataError(f"unreadable manifest {path}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise DataError(f"manifest {path} must be a JSON object")
     for key in ("name", "clusters", "labels", "views"):
         if key not in manifest:
             raise DataError(f"manifest {path} missing key '{key}'")
     _manifest_int(manifest["clusters"], "clusters")
+    if not isinstance(manifest["labels"], str):
+        raise DataError(f"manifest key 'labels' must be a file name, got {manifest['labels']!r}")
     views = manifest["views"]
     if not isinstance(views, list) or not views or not all(isinstance(e, dict) for e in views):
         raise DataError(f"manifest key 'views' must be a non-empty list of mappings, got {views!r}")
@@ -218,6 +225,8 @@ def _load_views(manifest: dict, base: Path) -> tuple[list[tuple[int, np.ndarray,
                 raise DataError(f"manifest view entry missing key '{key}'")
         view_id = _manifest_int(entry["id"], f"views[{i}].id")
         dim = _manifest_int(entry["dim"], f"views[{i}].dim", minimum=1)
+        if not isinstance(entry["path"], str):
+            raise DataError(f"manifest key 'views[{i}].path' must be a file name, got {entry['path']!r}")
         ids, feats = _read_feature_csv(base / entry["path"], dim)
         out.append((view_id, ids, feats))
     return out, labels_map
@@ -471,33 +480,11 @@ def scale_dataset(ds: MultiViewDataset, method: str) -> MultiViewDataset:
 # mini-batch iteration
 
 
-@dataclass(frozen=True)
-class BatchPlan:
-    """Deterministic per-view shuffled batching.
-
-    Epoch order derives from (shuffle_seed, epoch, view, cycle), so any
-    batch stream can be reproduced without storing iterator state. One
-    pass covers every sample of the view exactly once; the trainer
-    requests additional cycles when a shorter view has to keep serving
-    batches within the same epoch.
-    """
-
-    batch_size: int
-    shuffle_seed: int
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise DataError("batch_size must be >= 1")
-
-    def order(self, epoch: int, view: int, n: int, cycle: int = 0) -> np.ndarray:
-        rng = np.random.default_rng(
-            np.random.SeedSequence([int(self.shuffle_seed), int(epoch), int(view), int(cycle)])
-        )
-        return rng.permutation(n)
-
-    def batches(self, epoch: int, view: int, n: int, cycle: int = 0) -> list[np.ndarray]:
-        order = self.order(epoch, view, n, cycle)
-        return [order[i : i + self.batch_size] for i in range(0, n, self.batch_size)]
-
-    def steps_per_epoch(self, n: int) -> int:
-        return -(-n // self.batch_size)
+def view_batches(seed: int, batch_size: int, epoch: int, view: int, n: int) -> Iterator[np.ndarray]:
+    """Endless mini-batches of the `n` rows of one view in one epoch. Each
+    pass covers every row once, in the order SeedSequence([seed, epoch,
+    view, pass]) draws, so a stream needs no stored iterator state."""
+    for pass_ in itertools.count():
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(epoch), int(view), pass_]))
+        order = rng.permutation(n)
+        yield from (order[i : i + batch_size] for i in range(0, n, batch_size))

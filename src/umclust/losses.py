@@ -13,7 +13,8 @@ samples that share the anchor's common-view cluster, and l_cr guides
 every view that has peers with strictly better silhouettes: each of
 its samples' heavy-tailed assignments to the common centroids is
 pulled, by cross-entropy, toward the centroid of the sample's common
-cluster, weighted by |reliable set| / V^2.
+cluster, weighted by |reliable set| / V^2. The lambdas are the
+`LossWeights` of YAML section ``train.weights``.
 
 The common view enters both cross-view terms as labels only: one
 common cluster per sample and level. How the views' clusters were
@@ -22,17 +23,17 @@ assignments, centroids, common labels, silhouettes and reliable sets
 are all recomputed outside the loss graph and enter it as constants;
 gradients flow only through the current batch representations.
 
-l_in and l_co compute their NT-Xent value and gradient together in
-closed form (`_nt_xent_rows`) and each enters the graph as one node.
-l_co works one anchor view at a time, so only b_v x (V * b)
-similarity arrays are alive at once, never one per level and view.
+l_in and l_co, which the trainer runs at the constant `TEMPERATURE`,
+compute their NT-Xent value and gradient together in closed form
+(`_nt_xent_rows`) and each enters the graph as one node. l_co works
+one anchor view at a time, so only b_v x (V * b) similarity arrays are
+alive at once, never one per level and view.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import ClassVar
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,24 +42,22 @@ from .nn.mlp import AutoencoderBundle
 from .nn.tensor import Tensor, closed_form, concat_rows, row_normalize
 
 DISTRIBUTION_FLOOR = 1e-8
+TEMPERATURE = 0.1  # tau of both NT-Xent terms
 
 
 @dataclass(frozen=True)
 class LossWeights:
-    LAMBDAS: ClassVar[tuple[str, ...]] = ("lambda1", "lambda2", "lambda3", "lambda4")
+    """The objective's weights lambda1-lambda4, the only loss settings a run varies."""
 
     lambda1: float = 1.0
     lambda2: float = 0.01
     lambda3: float = 0.01
     lambda4: float = 1000.0
-    temperature: float = 0.1
 
     def __post_init__(self):
-        for name in self.LAMBDAS:
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be > 0")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ConfigError(f"{f.name} must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -89,8 +88,14 @@ class ClusterSet:
     def final(self) -> int:
         return self.levels[-1]
 
-    def prefix(self, length: int) -> tuple[int, ...]:
-        return self.levels[: max(1, min(length, len(self.levels)))]
+    def active(self, epoch: int, total_epochs: int) -> tuple[int, ...]:
+        """Levels active in 1-based `epoch`: the coarsest for the first quarter
+        of `total_epochs`, the two coarsest through the half point, then all."""
+        if epoch <= total_epochs / 4:
+            return self.levels[:1]
+        if epoch <= total_epochs / 2:
+            return self.levels[:2]
+        return self.levels
 
 
 @dataclass
@@ -119,10 +124,6 @@ class PairSets:
 
     tp: np.ndarray
     tn: np.ndarray
-
-    @property
-    def m(self) -> np.ndarray:
-        return self.tp.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +223,7 @@ def inner_contrastive_loss(
     """NT-Xent over true-positive pairs against true-negative denominators.
 
     Per view: sum_i sum_{j in tp(i)} -log(exp(s_ij/tau) / sum_{tn(i)} exp(s/tau))
-    weighted 1/(batch * m_i), averaged over views. Samples lacking either
+    weighted 1/(batch * |tp(i)|), averaged over views. Samples lacking either
     positives or negatives contribute nothing.
     """
     n_views = len(z_batches)
@@ -230,7 +231,7 @@ def inner_contrastive_loss(
     total = Tensor(0.0)
     for z, pairs in zip(z_batches, pair_sets):
         zn = row_normalize(z)
-        row_weight = 1.0 / (np.maximum(pairs.m, 1) * n_views * z.data.shape[0])
+        row_weight = 1.0 / (np.maximum(pairs.tp.sum(axis=1), 1) * n_views * z.data.shape[0])
         value, g = _nt_xent_rows(zn.data @ zn.data.T, pairs.tp * row_weight[:, None], pairs.tn, inv_temp)
         total = total + closed_form(zn, value, (g + g.T) @ zn.data)
     return total

@@ -5,19 +5,20 @@ view at all active levels, joining the views' clusters into a common
 view by cluster-structure matching, and measuring per-view
 silhouettes. The common view leaves the refresh as labels only (one
 common cluster per sample and level), which is all the cross-view
-loss terms read. The epoch then walks mini-batches — one batch per
-view per step, shorter views cycling with a reshuffle — building the
-four-term objective and applying an adaptive-moment update.
+loss terms read. The epoch then takes ceil(max n_v / batch_size)
+steps of one `data.view_batches` batch per view (a shorter view starts
+another reshuffled pass), building the four-term objective and
+applying an adaptive-moment update.
 
-The set of active clustering levels is a prefix of the cluster set:
-the coarsest level for the first quarter of the epoch budget, the two
-coarsest through the half point, then every level. The
-reliable-view coefficient decays per epoch as max(floor, start *
-decay^t). After the last epoch `evaluate` scores the model: the final
-assignment comes from K-means (best of several restarts) on the
-concatenated eval-mode latents, and the report scores it and a K-means
-of each view alone. `umclust eval` calls the same `evaluate` on a model
-restored from its checkpoint.
+`ClusterSet.active` gives the active levels: the coarsest for the
+first quarter of the epochs, the two coarsest through the half point,
+then all. The reliable-view coefficient and the NT-Xent temperature
+are constants, not `TrainConfig` (YAML ``train``) settings: epoch t
+uses max(1.0, 1.5 * 0.99^(t-1)). After the last epoch `evaluate`
+scores the model: the final assignment comes from K-means (best of
+several restarts) on the concatenated eval-mode latents, and the report
+scores it and a K-means of each view alone. `umclust eval` calls the
+same `evaluate` on a model restored from its checkpoint.
 """
 
 from __future__ import annotations
@@ -26,15 +27,16 @@ import hashlib
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .cluster import Assignment, cluster_means, kmeans, match_views, silhouette_view
-from .data import BatchPlan, MultiViewDataset
+from .data import MultiViewDataset, view_batches
 from .errors import ConfigError, DataError, NumericalError
 from .losses import (
+    TEMPERATURE,
     ClusterSet,
     LevelState,
     LossWeights,
@@ -52,13 +54,10 @@ from .nn import Adam, build_bundle, load_checkpoint, save_checkpoint
 logger = logging.getLogger("umclust")
 
 
-@dataclass(frozen=True)
-class Reliability:
-    """Reliable-view coefficient schedule: max(floor, start * decay^(t-1))."""
-
-    start: float = 1.5
-    decay: float = 0.99
-    floor: float = 1.0
+# The reliable-view coefficient of epoch t is max(FLOOR, START * DECAY^(t-1)).
+RELIABILITY_START = 1.5
+RELIABILITY_DECAY = 0.99
+RELIABILITY_FLOOR = 1.0
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,6 @@ class TrainConfig:
     batchnorm: bool = True
     learning_rate: float = 1e-3
     weights: LossWeights = field(default_factory=LossWeights)
-    reliability: Reliability = field(default_factory=Reliability)
     seed: int = 1
     final_restarts: int = 10
     kmeans_max_iter: int = 100
@@ -98,24 +96,10 @@ class TrainConfig:
     def kmeans_seed(self) -> int:
         return self.seed + 2
 
-    def with_weights(self, **overrides: float) -> "TrainConfig":
-        return replace(self, weights=replace(self.weights, **overrides))
 
-
-def reliability_coeff(config: TrainConfig, epoch: int) -> float:
-    """Coefficient used during 1-based `epoch`: max(floor, start * decay^(epoch-1))."""
-    rel = config.reliability
-    return max(rel.floor, rel.start * rel.decay ** (epoch - 1))
-
-
-def active_prefix_length(epoch: int, total_epochs: int) -> int:
-    """1 for the first quarter, 2 through the half point, then 3: the
-    phase in which every cluster level is active."""
-    if epoch <= total_epochs / 4:
-        return 1
-    if epoch <= total_epochs / 2:
-        return 2
-    return 3
+def reliability_coeff(epoch: int) -> float:
+    """Coefficient used during 1-based `epoch`."""
+    return max(RELIABILITY_FLOOR, RELIABILITY_START * RELIABILITY_DECAY ** (epoch - 1))
 
 
 def run_hash(config: TrainConfig, dataset: MultiViewDataset) -> str:
@@ -257,14 +241,6 @@ def evaluate(
     return latents, assignment, report
 
 
-def _view_batch_stream(plan: BatchPlan, epoch: int, view: int, n: int):
-    cycle = 0
-    while True:
-        for idx in plan.batches(epoch, view, n, cycle):
-            yield idx
-        cycle += 1
-
-
 def train(
     config: TrainConfig,
     dataset: MultiViewDataset,
@@ -287,7 +263,6 @@ def train(
         config.seed,
     )
     opt = Adam(bundle.named_parameters(), config.learning_rate)
-    plan = BatchPlan(batch_size=config.batch_size, shuffle_seed=config.seed + 1)
     warm: dict[tuple[str, int], np.ndarray] = {}
     start_epoch = 1
     if resume is not None:
@@ -297,39 +272,39 @@ def train(
         warm = dict(ck.warm_centroids)
         start_epoch = ck.epoch + 1
 
-    weights = config.weights
+    steps = -(-max(v.n for v in dataset.views) // config.batch_size)
     last_epoch = config.epochs if stop_after_epoch is None else min(config.epochs, stop_after_epoch)
     loss_rows: list[list[float]] = []
     level_trace: list[tuple[int, ...]] = []
 
     for epoch in range(start_epoch, last_epoch + 1):
-        phase = active_prefix_length(epoch, config.epochs)
-        active = cluster_set.levels if phase == 3 else cluster_set.prefix(phase)
+        active = cluster_set.active(epoch, config.epochs)
         level_state, _ = refresh_level_state(bundle, dataset, cluster_set, active, config, warm)
-        coeff = reliability_coeff(config, epoch)
+        coeff = reliability_coeff(epoch)
         reliable = select_reliable(level_state.silhouettes, coeff)
         final_common = level_state.common_labels[cluster_set.final]
 
-        steps = max(plan.steps_per_epoch(v.n) for v in dataset.views)
-        streams = [_view_batch_stream(plan, epoch, v, dataset.views[v].n) for v in range(n_views)]
+        streams = [
+            view_batches(config.seed + 1, config.batch_size, epoch, v, dataset.views[v].n) for v in range(n_views)
+        ]
         sums = np.zeros(5)
         for step in range(steps):
             batch_idx = [next(streams[v]) for v in range(n_views)]
             x_batches = [features[v][batch_idx[v]] for v in range(n_views)]
             bundle.zero_grad()
-            l_ae, zs = recon_orth_loss(x_batches, bundle, weights.lambda1)
+            l_ae, zs = recon_orth_loss(x_batches, bundle, config.weights.lambda1)
             pair_sets = [
                 build_inner_pairs(
                     {k: level_state.view_labels[k][v] for k in active}, batch_idx[v]
                 )
                 for v in range(n_views)
             ]
-            l_in = inner_contrastive_loss(zs, pair_sets, weights.temperature)
+            l_in = inner_contrastive_loss(zs, pair_sets, TEMPERATURE)
             rows = [offsets[v] + batch_idx[v] for v in range(n_views)]
             batch_common = {k: level_state.common_labels[k][np.concatenate(rows)] for k in active}
-            l_co = common_contrastive_loss(zs, batch_common, weights.temperature)
+            l_co = common_contrastive_loss(zs, batch_common, TEMPERATURE)
             l_cr = cross_view_guidance_loss(zs, level_state.final_centroids, [final_common[r] for r in rows], reliable)
-            total = total_loss(l_ae, l_in, l_co, l_cr, weights)
+            total = total_loss(l_ae, l_in, l_co, l_cr, config.weights)
             if not np.isfinite(total.data):
                 raise NumericalError(f"non-finite total loss at epoch {epoch} step {step}")
             total.backward()

@@ -5,6 +5,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 import yaml
 
 from umclust import cli, data
@@ -54,6 +55,7 @@ def test_sweep_records_a_failed_point_and_finishes(tmp_path, monkeypatch):
     with open(out / "summary.csv", encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["lambda2"] for r in rows] == ["0.01", "0.02"]
+    assert (out / "run-lambda2=0.01" / "metrics.json").exists()
     assert rows[0]["status"] == "ok" and rows[0]["nmi"] != ""
     assert rows[1]["status"] == "failed: RuntimeError: worker blew up"
     assert rows[1]["nmi"] == rows[1]["acc"] == rows[1]["f1"] == ""
@@ -70,6 +72,14 @@ def test_sweep_reruns_points_a_crashed_worker_took_down(tmp_path, monkeypatch):
     assert [r["lambda2"] for r in rows] == ["0.01", "0.02", "0.03"]
     assert [r["status"] for r in rows[::2]] == ["ok", "ok"]
     assert rows[1]["status"].startswith("failed: BrokenProcessPool")
+
+
+def test_sweep_values_that_print_alike_exit_2_before_the_sweep_directory(tmp_path, capsys):
+    config = _write_config(tmp_path, lambda2=(0.1, 0.1, 0.10000001))
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "-c", str(config), "-o", str(out), "--quiet"]) == 2
+    assert "sweep.lambda2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_point_with_unusable_levels_fails_before_its_run_directory(tmp_path):
@@ -153,6 +163,35 @@ def test_zero_width_view_exits_2_before_the_run_directory(tmp_path, capsys):
     assert cli.main(["train", "-c", str(config), "-o", str(out), "--quiet"]) == 2
     assert "'views[1].dim'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _replace_with_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["out_is_a_file", "config_is_a_directory", "manifest_is_a_directory",
+     "feature_file_is_a_directory", "labels_file_is_a_directory"],
+)
+def test_unreadable_paths_exit_2_without_a_traceback(tmp_path, capsys, case):
+    config = _write_config(tmp_path)
+    data_dir = tmp_path / "data"
+    assert cli.main(["generate", "-c", str(config), "-o", str(data_dir), "--quiet"]) == 0
+    out = tmp_path / "run"
+    if case == "out_is_a_file":
+        out.write_text("not a directory", encoding="utf-8")
+    elif case == "config_is_a_directory":
+        config = tmp_path / "config_dir"
+        config.mkdir()
+    else:
+        name = {"manifest": "manifest.json", "feature": "view0.csv", "labels": "labels.csv"}[case.split("_")[0]]
+        _replace_with_directory(data_dir / name)
+    capsys.readouterr()
+    assert cli.main(["train", "-c", str(config), "-o", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_negative_seed_exits_2(tmp_path, capsys):

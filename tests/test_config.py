@@ -10,7 +10,7 @@ from umclust.config import DatasetSection, apply_seed_override, parse_config, wi
 from umclust.data import SyntheticSpec, UnpairRecipe
 from umclust.errors import ConfigError
 from umclust.losses import LossWeights
-from umclust.train import Reliability, TrainConfig
+from umclust.train import TrainConfig
 
 
 SYNTHETIC = {"clusters": 3, "views": 2, "dims": [4, 6], "samples_per_cluster": 8, "separation": 5.0, "noise_std": 0.5}
@@ -35,7 +35,7 @@ def test_overrides_keep_every_other_field():
     assert reweighted.weights.lambda4 == 7.0
     assert reweighted.weights.lambda2 == 0.5
     assert reweighted.batchnorm is False
-    assert reweighted.weights.temperature == base.train.weights.temperature
+    assert reweighted == replace(base.train, weights=replace(base.train.weights, lambda4=7.0))
 
 
 NON_DEFAULT_TRAIN = {
@@ -48,8 +48,7 @@ NON_DEFAULT_TRAIN = {
     "final_restarts": 4,
     "kmeans_max_iter": 21,
     "cluster_levels": [2, 5],
-    "weights": {"lambda1": 0.5, "lambda2": 0.2, "lambda3": 0.3, "lambda4": 40.0, "temperature": 0.7},
-    "reliability": {"start": 1.25, "decay": 0.95, "floor": 0.5},
+    "weights": {"lambda1": 0.5, "lambda2": 0.2, "lambda3": 0.3, "lambda4": 40.0},
     "seed": 11,
 }
 
@@ -63,8 +62,7 @@ def test_train_section_round_trips_through_resolved_yaml():
         hidden_dims=(12, 6),
         batchnorm=False,
         learning_rate=0.02,
-        weights=LossWeights(lambda1=0.5, lambda2=0.2, lambda3=0.3, lambda4=40.0, temperature=0.7),
-        reliability=Reliability(start=1.25, decay=0.95, floor=0.5),
+        weights=LossWeights(lambda1=0.5, lambda2=0.2, lambda3=0.3, lambda4=40.0),
         seed=11,
         final_restarts=4,
         kmeans_max_iter=21,
@@ -81,8 +79,8 @@ def test_train_section_round_trips_through_resolved_yaml():
     [
         ({"guidance_temperature": 0.3}, "train.guidance_temperature"),
         ({"latent_activation": "linear"}, "train.latent_activation"),
-        ({"reliability": {"start": "y"}}, "train.reliability.start"),
-        ({"reliability": {"slope": 1.0}}, "train.reliability.slope"),
+        ({"reliability": {"start": 1.5}}, "train.reliability"),
+        ({"weights": {"temperature": 0.1}}, "train.weights.temperature"),
         ({"epochs": "x"}, "train.epochs"),
         ({"refresh_every": 1}, "train.refresh_every"),
         ({"beta1": 0.9}, "train.beta1"),

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from umclust.cluster import kmeans
 from umclust.data import (
-    BatchPlan,
     MultiViewDataset,
     PairedDataset,
     SyntheticSpec,
@@ -22,6 +21,7 @@ from umclust.data import (
     scale_dataset,
     synthesize,
     unpair,
+    view_batches,
 )
 from umclust.errors import DataError
 from umclust.metrics import nmi
@@ -84,6 +84,15 @@ def test_duplicate_id_across_views_rejected():
         )
 
 
+def test_repeated_view_id_rejected(tmp_path):
+    manifest = save_dataset(toy_unpaired(), tmp_path)
+    raw = json.loads(manifest.read_text(encoding="utf-8"))
+    raw["views"][1]["id"] = 0  # view1.csv listed under view 0's id
+    manifest.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(DataError, match="view id 0 is used by more than one view"):
+        load(manifest)
+
+
 def test_missing_files_and_bad_labels(tmp_path):
     with pytest.raises(DataError, match="missing manifest"):
         load(tmp_path / "nope.json")
@@ -138,10 +147,12 @@ def test_repeated_label_id_rejected(tmp_path):
         (lambda m: m["views"][0].update(id=0.5), "'views[0].id'"),
         (lambda m: m["views"][1].update(dim="x"), "'views[1].dim'"),
         (lambda m: m["views"][1].update(dim=0), "'views[1].dim'"),
+        (lambda m: m.update(labels=5), "'labels'"),
+        (lambda m: m["views"][1].update(path=None), "'views[1].path'"),
     ],
     ids=[
         "clusters-str", "clusters-bool", "clusters-fraction", "views-int", "views-empty",
-        "views-of-str", "id-fraction", "dim-str", "dim-zero",
+        "views-of-str", "id-fraction", "dim-str", "dim-zero", "labels-int", "path-null",
     ],
 )
 def test_malformed_manifest_names_the_key(tmp_path, edit, key):
@@ -323,25 +334,33 @@ def test_minmax_idempotent(rows):
 # batching
 
 
+def _take(stream, count):
+    return [next(stream) for _ in range(count)]
+
+
 def test_batch_plan_epoch_coverage():
-    plan = BatchPlan(batch_size=4, shuffle_seed=0)
-    batches = plan.batches(epoch=3, view=1, n=11)
+    stream = view_batches(seed=0, batch_size=4, epoch=3, view=1, n=11)
+    batches = _take(stream, 3)
     assert [len(b) for b in batches] == [4, 4, 3]
     assert sorted(np.concatenate(batches).tolist()) == list(range(11))
+    assert len(next(stream)) == 4  # the next pass starts with a full batch
 
 
 def test_batch_plan_deterministic_and_epoch_varying():
-    plan = BatchPlan(batch_size=4, shuffle_seed=0)
-    a = np.concatenate(plan.batches(1, 0, 10))
-    b = np.concatenate(plan.batches(1, 0, 10))
-    c = np.concatenate(plan.batches(2, 0, 10))
+    a = np.concatenate(_take(view_batches(0, 4, 1, 0, 10), 3))
+    b = np.concatenate(_take(view_batches(0, 4, 1, 0, 10), 3))
+    c = np.concatenate(_take(view_batches(0, 4, 2, 0, 10), 3))
+    d = np.concatenate(_take(view_batches(0, 4, 1, 1, 10), 3))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    assert not np.array_equal(a, d)
+    # a pass is the permutation drawn from SeedSequence([seed, epoch, view, pass])
+    assert np.array_equal(a, np.random.default_rng(np.random.SeedSequence([0, 1, 0, 0])).permutation(10))
 
 
 def test_batch_plan_cycles_differ():
-    plan = BatchPlan(batch_size=8, shuffle_seed=0)
-    first = np.concatenate(plan.batches(1, 0, 16, cycle=0))
-    second = np.concatenate(plan.batches(1, 0, 16, cycle=1))
+    batches = _take(view_batches(0, 8, 1, 0, 16), 4)
+    first, second = np.concatenate(batches[:2]), np.concatenate(batches[2:])
     assert sorted(first.tolist()) == sorted(second.tolist()) == list(range(16))
     assert not np.array_equal(first, second)
+    assert np.array_equal(second, np.random.default_rng(np.random.SeedSequence([0, 1, 0, 1])).permutation(16))

@@ -37,10 +37,11 @@ from umclust.train import TrainConfig, refresh_level_state
 
 
 def test_loss_weights_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="lambda2"):
         LossWeights(lambda2=-1.0)
-    with pytest.raises(ConfigError):
-        LossWeights(temperature=0.0)
+    with pytest.raises(TypeError):
+        LossWeights(temperature=0.1)  # a constant, losses.TEMPERATURE, not a weight
+    assert LossWeights(lambda4=0.0).lambda4 == 0.0
 
 
 def test_cluster_set_default():
@@ -53,10 +54,10 @@ def test_cluster_set_default():
 
 def test_cluster_set_prefix_and_validation():
     cs = ClusterSet((2, 5, 10))
-    assert cs.prefix(1) == (2,)
-    assert cs.prefix(2) == (2, 5)
-    assert cs.prefix(3) == (2, 5, 10)
-    assert cs.prefix(7) == (2, 5, 10)
+    assert [cs.active(t, 8) for t in (1, 2, 3, 4, 5, 8)] == [(2,), (2,), (2, 5), (2, 5), (2, 5, 10), (2, 5, 10)]
+    # with fewer levels than phases every phase takes what there is
+    assert [ClusterSet((3,)).active(t, 4) for t in range(1, 5)] == [(3,)] * 4
+    assert [ClusterSet((2, 3)).active(t, 4) for t in range(1, 5)] == [(2,), (2, 3), (2, 3), (2, 3)]
     with pytest.raises(ConfigError):
         ClusterSet((5, 2))
 
@@ -332,7 +333,7 @@ def test_contrastive_case_covers_the_edge_rows():
     zs, view_labels, common_labels, matchings = _contrastive_case(0)
     pairs = _pair_sets(view_labels, LEVELS)
     assert not pairs[1].tn[0].any()
-    assert any(((p.m == 0) & p.tn.any(axis=1)).any() for p in pairs)
+    assert any((~p.tp.any(axis=1) & p.tn.any(axis=1)).any() for p in pairs)
     assert not zs[0][2].any()
     for k in LEVELS:
         for a in matchings[k]:

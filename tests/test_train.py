@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from umclust.cluster import kmeans
-from umclust.data import BatchPlan, MultiViewDataset, SyntheticSpec, ViewData, synthesize
+from umclust.data import MultiViewDataset, SyntheticSpec, ViewData, synthesize, view_batches
 from umclust.errors import CheckpointError, DataError, NumericalError, ShapeError
 from umclust.losses import ClusterSet, LossWeights, recon_orth_loss
 from umclust.metrics import nmi
 from umclust.nn import Adam, build_bundle
 from umclust.train import (
     TrainConfig,
-    active_prefix_length,
     refresh_level_state,
     reliability_coeff,
     run_hash,
@@ -47,27 +46,30 @@ def small_config(**overrides):
 # schedule and reliability
 
 
+FOUR_LEVELS = ClusterSet((2, 3, 4, 5))
+
+
 def test_schedule_quarter_boundaries_epochs_4():
-    assert [active_prefix_length(t, 4) for t in range(1, 5)] == [1, 2, 3, 3]
+    assert [FOUR_LEVELS.active(t, 4) for t in range(1, 5)] == [(2,), (2, 3), (2, 3, 4, 5), (2, 3, 4, 5)]
 
 
 def test_schedule_quarter_boundaries_epochs_8():
-    assert [active_prefix_length(t, 8) for t in range(1, 9)] == [1, 1, 2, 2, 3, 3, 3, 3]
+    lengths = [len(FOUR_LEVELS.active(t, 8)) for t in range(1, 9)]
+    assert lengths == [1, 1, 2, 2, 4, 4, 4, 4]
 
 
 def test_schedule_quarter_boundaries_epochs_200():
-    lengths = [active_prefix_length(t, 200) for t in range(1, 201)]
-    assert lengths[:50] == [1] * 50
-    assert lengths[50:100] == [2] * 50
-    assert lengths[100:] == [3] * 100
+    active = [FOUR_LEVELS.active(t, 200) for t in range(1, 201)]
+    assert active[:50] == [(2,)] * 50
+    assert active[50:100] == [(2, 3)] * 50
+    assert active[100:] == [(2, 3, 4, 5)] * 100
 
 
 def test_reliability_trace_formula():
-    cfg = small_config()
     for t in range(1, 250):
-        assert reliability_coeff(cfg, t) == max(1.0, 1.5 * 0.99 ** (t - 1))
-    assert reliability_coeff(cfg, 1) == 1.5
-    assert reliability_coeff(cfg, 200) == 1.0
+        assert reliability_coeff(t) == max(1.0, 1.5 * 0.99 ** (t - 1))
+    assert reliability_coeff(1) == 1.5
+    assert reliability_coeff(200) == 1.0
 
 
 def test_config_validation():
@@ -166,7 +168,15 @@ def test_train_deterministic_artifacts():
 
 
 def test_ablated_run_equals_plain_autoencoder(tmp_path):
-    ds = small_dataset()
+    # view 1 keeps every other row: 45 rows make two batches a pass, view 0's
+    # 90 make three, so view 1 serves its third batch from a second pass
+    full = small_dataset(spc=30)
+    short = full.views[1]
+    keep = np.arange(0, short.n, 2)
+    ds = MultiViewDataset(
+        name=full.name, n_clusters=full.n_clusters,
+        views=[full.views[0], ViewData(short.view_id, short.ids[keep], short.features[keep], short.labels[keep])],
+    )
     cfg = small_config(weights=LossWeights(lambda1=0.0, lambda2=0.0, lambda3=0.0, lambda4=0.0), epochs=4)
     artifacts = train(cfg, ds, out_dir=tmp_path)
     # total column equals the reconstruction column when all weights vanish
@@ -175,13 +185,11 @@ def test_ablated_run_equals_plain_autoencoder(tmp_path):
     # replicate the optimization manually: reconstruction-only steps
     bundle = build_bundle(ds.feature_dims(), cfg.latent_dim, cfg.hidden_dims, cfg.batchnorm, cfg.seed)
     opt = Adam(bundle.named_parameters(), cfg.learning_rate)
-    plan = BatchPlan(batch_size=cfg.batch_size, shuffle_seed=cfg.seed + 1)
     feats = ds.feature_matrices()
     for epoch in range(1, cfg.epochs + 1):
-        steps = max(plan.steps_per_epoch(v.n) for v in ds.views)
-        batches = [plan.batches(epoch, v, ds.views[v].n) for v in range(ds.n_views)]
-        for s in range(steps):
-            xb = [feats[v][batches[v][s % len(batches[v])]] for v in range(ds.n_views)]
+        streams = [view_batches(cfg.seed + 1, cfg.batch_size, epoch, v, ds.views[v].n) for v in range(ds.n_views)]
+        for _ in range(3):
+            xb = [feats[v][next(streams[v])] for v in range(ds.n_views)]
             bundle.zero_grad()
             loss, _ = recon_orth_loss(xb, bundle, 0.0)
             loss.backward()
