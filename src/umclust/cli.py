@@ -132,6 +132,7 @@ def cmd_eval(args) -> int:
         run_config.train.seed,
     )
     bundle.load_arrays(ck.params, ck.stats)
+    del ck  # the bundle holds its own copies; free the file's arrays before scoring
     _, _, report = evaluate(bundle, ds, run_config.train, expected, time.time())
     report.save(out)
     print(report.to_json(), end="")

@@ -161,12 +161,20 @@ def _manifest_int(value, key: str, minimum: int | None = None) -> int:
     return int(value)
 
 
+def _holds_no_rows(path: Path) -> bool:
+    """Whether `path` has only blank or comment lines; stops at the first row."""
+    with open(path, "rb") as fh:
+        return not any(line.split(b"#", 1)[0].strip() for line in fh)
+
+
 def _read_csv(path: Path, dtype, what: str) -> np.ndarray:
     """The rows of CSV file `path` as a 2-D `dtype` array; a `DataError`
-    naming the `what` file when it is missing, unreadable or malformed."""
+    naming the `what` file when it is missing, empty, unreadable or malformed."""
     if not path.exists():
         raise DataError(f"missing {what} file {path}")
     try:
+        if _holds_no_rows(path):
+            raise DataError(f"empty {what} file {path}: it holds no rows")
         return np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=2)
     except (OSError, ValueError) as exc:
         raise DataError(f"unreadable {what} file {path}: {exc}") from exc

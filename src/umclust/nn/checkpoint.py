@@ -1,11 +1,14 @@
 """Bit-exact save/restore of training state.
 
 Everything lives in one ``.npz`` container: raw float64 arrays for
-parameters, batch-norm running statistics, optimizer moments, and the
-warm-start centroids, plus a JSON metadata entry carrying the format
-version, config hash, and counters. Saving is atomic: the file is
-written under a temporary name in the same directory and renamed over
-the target, so a crash mid-write leaves the previous checkpoint intact.
+parameters and batch-norm running statistics, plus a JSON metadata
+entry carrying the format version, config hash, and counters. A
+checkpoint of a run that stopped early also holds the optimizer moments
+and warm-start centroids, which only resuming reads; the trainer writes
+none for a finished run (`adam_arrays` and `warm_centroids` are then
+empty). Saving is atomic: the file is written under a temporary name in
+the same directory and renamed over the target, so a crash mid-write
+leaves the previous checkpoint intact.
 Loading is all-or-nothing: the file is fully parsed and validated
 before any state is handed back.
 """

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NumericalError, ShapeError
-from .tensor import Tensor, check_like
+from .tensor import Tensor, check_like, no_graph
 
 
 class Linear:
@@ -126,9 +126,11 @@ class AutoencoderBundle:
             )
         return self.decoders[view](z, train)
 
-    def encode_all(self, mats: list[np.ndarray], train: bool, update_stats: bool = True) -> list[np.ndarray]:
-        """Plain-array latents for every view (used outside loss graphs)."""
-        return [self.encode(v, m, train=train, update_stats=update_stats).data for v, m in enumerate(mats)]
+    def encode_all(self, mats: list[np.ndarray], train: bool) -> list[np.ndarray]:
+        """Plain-array latents for every view, for use outside loss graphs:
+        no graph is recorded and the running statistics stay frozen."""
+        with no_graph():
+            return [self.encode(v, m, train=train, update_stats=False).data for v, m in enumerate(mats)]
 
     # -- parameter access ------------------------------------------------------
 

@@ -12,9 +12,15 @@ A loss whose gradient is cheaper to derive by hand than to record op by
 op enters the graph through ``closed_form``: one scalar node that holds
 its value and its gradient with respect to one parent, both computed in
 the forward pass, instead of every intermediate array.
+
+Inside ``with no_graph():`` operations compute the same arrays but
+record nothing, so a forward pass nobody differentiates (a full-data
+encode) frees each intermediate as soon as the next layer has used it.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -40,6 +46,22 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+_recording = True
+
+
+@contextlib.contextmanager
+def no_graph():
+    """Results made inside the block keep no parents and no backward rule;
+    the previous setting returns on exit, also on an exception."""
+    global _recording
+    saved = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = saved
+
+
 class Tensor:
     """Node in the autodiff graph: an array plus an optional backward rule."""
 
@@ -56,10 +78,11 @@ class Tensor:
 
     @staticmethod
     def _result(data, parents: tuple["Tensor", ...], backward) -> "Tensor":
-        """A node that keeps `backward` only when some parent requires a
-        gradient, so a single-parent backward may assume its parent does."""
+        """A node that keeps `backward` only when the graph is recorded and
+        some parent requires a gradient, so a single-parent backward may
+        assume its parent does."""
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
+        if _recording and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
             out._backward = backward

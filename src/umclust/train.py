@@ -19,6 +19,11 @@ scores the model: the final assignment comes from K-means (best of
 several restarts) on the concatenated eval-mode latents, and the report
 scores it and a K-means of each view alone. `umclust eval` calls the
 same `evaluate` on a model restored from its checkpoint.
+
+A run that stops before its last epoch saves the Adam moments and warm
+centroids it needs to resume; a finished run saves only the model
+(parameters and batch-norm statistics). Full-data encodes record no
+autodiff graph.
 """
 
 from __future__ import annotations
@@ -180,7 +185,7 @@ def refresh_level_state(
     training; an eval-mode refresh would cluster a space the losses
     never see.)
     """
-    latents = bundle.encode_all(dataset.feature_matrices(), train=True, update_stats=False)
+    latents = bundle.encode_all(dataset.feature_matrices(), train=True)
     final = cluster_set.final
     needed = sorted(set(active) | {final})
     view_labels: dict[int, list[np.ndarray]] = {}
@@ -268,12 +273,16 @@ def train(
     if resume is not None:
         ck = load_checkpoint(resume, expect_config_hash=cfg_hash)
         bundle.load_arrays(ck.params, ck.stats)
-        opt.load_state(ck.adam_t, ck.adam_arrays)
-        warm = dict(ck.warm_centroids)
+        if ck.epoch < config.epochs:
+            opt.load_state(ck.adam_t, ck.adam_arrays)
+            warm = dict(ck.warm_centroids)
+        else:
+            opt.t = ck.adam_t  # a finished run saved its step count only
         start_epoch = ck.epoch + 1
 
     steps = -(-max(v.n for v in dataset.views) // config.batch_size)
-    last_epoch = config.epochs if stop_after_epoch is None else min(config.epochs, stop_after_epoch)
+    stop = config.epochs if stop_after_epoch is None else min(config.epochs, stop_after_epoch)
+    last_epoch = max(start_epoch - 1, stop)
     loss_rows: list[list[float]] = []
     level_trace: list[tuple[int, ...]] = []
 
@@ -332,6 +341,7 @@ def train(
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
+        finished = last_epoch == config.epochs
         save_checkpoint(
             out / "checkpoint.npz",
             config_hash=cfg_hash,
@@ -339,8 +349,8 @@ def train(
             adam_t=opt.t,
             params={k: p.data for k, p in bundle.named_parameters().items()},
             stats=bundle.named_stats(),
-            adam_arrays=opt.state_arrays(),
-            warm_centroids=warm,
+            adam_arrays={} if finished else opt.state_arrays(),
+            warm_centroids={} if finished else warm,
         )
         _write_loss_csv(out / "loss_curve.csv", columns, artifacts.loss_table)
         report.save(out)

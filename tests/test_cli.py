@@ -137,10 +137,10 @@ def test_eval_of_a_damaged_checkpoint_exits_2(tmp_path, capsys):
     assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 2
     assert f"shape mismatch for statistic {name}" in capsys.readouterr().err
 
-    scope, level = next(iter(ck.warm_centroids))
+    # a finished run saves no warm centroids, so inject one whose level is no integer
     with np.load(path, allow_pickle=False) as npz:
         arrays = {k: npz[k] for k in npz.files}
-    arrays[f"warm/{scope}/level{level}"] = arrays.pop(f"warm/{scope}/{level}")
+    arrays["warm/view0/level2"] = np.zeros((2, 3))
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
     assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 2
@@ -192,6 +192,18 @@ def test_unreadable_paths_exit_2_without_a_traceback(tmp_path, capsys, case):
     assert cli.main(["train", "-c", str(config), "-o", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["view0.csv", "labels.csv"])
+def test_empty_data_file_exits_2_without_a_traceback(tmp_path, capsys, name):
+    config = _write_config(tmp_path)
+    data_dir = tmp_path / "data"
+    assert cli.main(["generate", "-c", str(config), "-o", str(data_dir), "--quiet"]) == 0
+    (data_dir / name).write_bytes(b"")
+    capsys.readouterr()
+    assert cli.main(["train", "-c", str(config), "-o", str(tmp_path / "run"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: empty ") and "Traceback" not in err and "Warning" not in err
 
 
 def test_negative_seed_exits_2(tmp_path, capsys):

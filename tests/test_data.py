@@ -102,6 +102,16 @@ def test_missing_files_and_bad_labels(tmp_path):
         load(manifest)
 
 
+@pytest.mark.parametrize("what", ["feature", "labels"])
+def test_empty_csv_is_refused(tmp_path, what):
+    manifest = save_dataset(toy_unpaired(), tmp_path)
+    path = tmp_path / {"feature": "view1.csv", "labels": "labels.csv"}[what]
+    for blank in ("", "\n  \n\n"):
+        path.write_text(blank, encoding="utf-8")
+        with pytest.raises(DataError, match=f"empty {what} file .*{path.name}"):
+            load(manifest)
+
+
 def test_dim_mismatch_vs_manifest(tmp_path):
     manifest = save_dataset(toy_unpaired(), tmp_path)
     text = manifest.read_text().replace('"dim": 2', '"dim": 5')

@@ -164,6 +164,30 @@ def test_backward_matches_finite_differences_through_batchnorm():
     assert max_relative_gradient_error(analytic, numeric) < 1e-4
 
 
+@pytest.mark.parametrize("train", [True, False], ids=["train_mode", "eval_mode"])
+def test_encode_all_matches_a_recorded_forward_and_keeps_no_graph(monkeypatch, train):
+    bundle = tiny_bundle()
+    rng = np.random.default_rng(4)
+    mats = [rng.normal(size=(9, 3)), rng.normal(size=(7, 4))]
+    stats = {k: v.copy() for k, v in bundle.named_stats().items()}
+    recorded = [bundle.encode(v, m, train=train, update_stats=False).data for v, m in enumerate(mats)]
+
+    made = []
+    result = Tensor._result
+
+    def spy(data, parents, backward):
+        out = result(data, parents, backward)
+        made.append(out)
+        return out
+
+    monkeypatch.setattr(Tensor, "_result", staticmethod(spy))
+    latents = bundle.encode_all(mats, train=train)
+    assert all(np.array_equal(z, r) for z, r in zip(latents, recorded))
+    assert made and all(t._parents == () and t._backward is None for t in made)
+    for name, value in bundle.named_stats().items():
+        assert np.array_equal(value, stats[name]), name
+
+
 def test_named_maps_are_built_once_and_hold_live_stats():
     bundle = tiny_bundle(seed=6)
     params, stats = bundle.named_parameters(), bundle.named_stats()

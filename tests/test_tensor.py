@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from umclust.errors import ShapeError
-from umclust.nn.tensor import Tensor, closed_form, concat_rows, row_normalize
+from umclust.nn.tensor import Tensor, closed_form, concat_rows, no_graph, row_normalize
 
 
 def numeric_grad(build_loss, leaf: Tensor, h: float = 1e-6) -> np.ndarray:
@@ -156,3 +156,28 @@ def test_closed_form_without_grad_parent_is_a_constant(rng):
     assert not out.requires_grad and out._parents == ()
     out.backward()
     assert a.grad is None
+
+
+def test_no_graph_computes_the_same_values_and_records_nothing(rng):
+    a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    recorded = (a @ a.T).relu().sum(axis=1)
+    with no_graph():
+        plain = (a @ a.T).relu().sum(axis=1)
+    assert np.array_equal(plain.data, recorded.data)
+    assert recorded.requires_grad and recorded._parents
+    assert not plain.requires_grad and plain._parents == () and plain._backward is None
+
+
+def test_no_graph_restores_recording_on_exit_and_on_an_exception(rng):
+    a = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
+    with no_graph():
+        with no_graph():
+            pass
+        assert (a * 2.0)._parents == ()
+    assert (a * 2.0)._parents
+    with pytest.raises(RuntimeError, match="inside"):
+        with no_graph():
+            raise RuntimeError("inside")
+    out = (a * 2.0).sum()
+    out.backward()
+    assert np.array_equal(a.grad, np.full((2, 2), 2.0))

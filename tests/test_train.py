@@ -8,7 +8,7 @@ from umclust.data import MultiViewDataset, SyntheticSpec, ViewData, synthesize, 
 from umclust.errors import CheckpointError, DataError, NumericalError, ShapeError
 from umclust.losses import ClusterSet, LossWeights, recon_orth_loss
 from umclust.metrics import nmi
-from umclust.nn import Adam, build_bundle
+from umclust.nn import Adam, build_bundle, load_checkpoint
 from umclust.train import (
     TrainConfig,
     refresh_level_state,
@@ -214,6 +214,62 @@ def test_checkpoint_resume_bit_identical(tmp_path):
         assert np.array_equal(s[key], r[key]), key
     assert np.array_equal(straight.final_assignment.labels, resumed.final_assignment.labels)
     assert np.array_equal(straight.loss_table[4:], resumed.loss_table)
+
+
+def _checkpoint_kinds(path):
+    with np.load(path, allow_pickle=False) as npz:
+        return {key.partition("/")[0] for key in npz.files}
+
+
+def test_only_an_unfinished_run_saves_optimizer_state(tmp_path):
+    ds = small_dataset()
+    cfg = small_config()
+    train(cfg, ds, out_dir=tmp_path / "straight")
+    train(cfg, ds, out_dir=tmp_path / "partial", stop_after_epoch=4)
+    assert _checkpoint_kinds(tmp_path / "straight" / "checkpoint.npz") == {"__meta__", "param", "stat"}
+    assert _checkpoint_kinds(tmp_path / "partial" / "checkpoint.npz") == {"__meta__", "param", "stat", "adam", "warm"}
+
+
+def test_finished_checkpoint_is_about_the_size_of_the_model(tmp_path):
+    # Adam's two moments alone would double the parameter bytes
+    ds = small_dataset()
+    cfg = small_config(epochs=4, hidden_dims=(64,), latent_dim=16)
+    train(cfg, ds, out_dir=tmp_path)
+    bundle = build_bundle(ds.feature_dims(), cfg.latent_dim, cfg.hidden_dims, cfg.batchnorm, cfg.seed)
+    model_bytes = sum(p.data.nbytes for p in bundle.named_parameters().values())
+    model_bytes += sum(s.nbytes for s in bundle.named_stats().values())
+    assert (tmp_path / "checkpoint.npz").stat().st_size <= model_bytes + 16 * 1024
+
+
+def test_resuming_a_finished_run_trains_nothing_and_saves_the_same_model(tmp_path):
+    ds = small_dataset()
+    cfg = small_config()
+    straight = train(cfg, ds, out_dir=tmp_path / "straight")
+    finished = tmp_path / "straight" / "checkpoint.npz"
+    for name, stop in (("resumed", None), ("resumed_early_stop", 4)):
+        resumed = train(cfg, ds, out_dir=tmp_path / name, resume=finished, stop_after_epoch=stop)
+        assert resumed.loss_table.shape[0] == 0
+        assert np.array_equal(straight.final_assignment.labels, resumed.final_assignment.labels)
+        s, r = load_checkpoint(finished), load_checkpoint(tmp_path / name / "checkpoint.npz")
+        assert (r.epoch, r.adam_t) == (s.epoch, s.adam_t) == (cfg.epochs, cfg.epochs * 2)  # 60 rows, batches of 32
+        assert r.adam_arrays == {} and r.warm_centroids == {}
+        for kind in ("params", "stats"):
+            saved, again = getattr(s, kind), getattr(r, kind)
+            assert saved.keys() == again.keys()
+            assert all(np.array_equal(saved[k], again[k]) for k in saved), kind
+
+
+def test_resume_refuses_a_partial_checkpoint_without_its_moments(tmp_path):
+    ds = small_dataset()
+    cfg = small_config()
+    train(cfg, ds, out_dir=tmp_path, stop_after_epoch=4)
+    path = tmp_path / "checkpoint.npz"
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = {k: npz[k] for k in npz.files if not k.startswith("adam/")}
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(ShapeError, match="Adam moment name set mismatch"):
+        train(cfg, ds, resume=path)
 
 
 def test_resume_with_altered_config_refused(tmp_path):
