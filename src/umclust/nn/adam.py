@@ -1,6 +1,15 @@
 """Adam over one model's named parameters: `Adam(params, lr)` creates both
 moments up front, and `step()` reads each parameter's `.grad`, taking a
-parameter the loss did not reach as having a zero gradient."""
+parameter the loss did not reach as having a zero gradient.
+
+`step()` first checks every gradient and refuses a non-finite one before
+anything moves. It then updates the moments and each parameter in
+place, `CHUNK` elements at a time through two reused scratch buffers,
+so no full-size temporary is made; each element goes through the same
+operations in the same order as a whole-array update would. The update
+writes through flat views, so parameters must be C-contiguous;
+`build_bundle` and `load_arrays` make them so.
+"""
 
 from __future__ import annotations
 
@@ -13,6 +22,7 @@ from .tensor import Tensor, check_like
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+CHUNK = 1 << 14  # elements per scratch buffer: 128 KiB, cache-sized
 
 
 class Adam:
@@ -20,24 +30,46 @@ class Adam:
         self.params = params
         self.lr = float(lr)
         self.t = 0
-        self._moments = {f"{kind}/{name}": np.zeros_like(p.data) for kind in "mv" for name, p in params.items()}
+        self._moments = {f"{kind}/{name}": np.zeros(p.data.shape) for kind in "mv" for name, p in params.items()}
+        self._scratch = (np.empty(CHUNK), np.empty(CHUNK))
 
     def step(self) -> None:
-        """One in-place update of every parameter from its current gradient."""
+        """One in-place update of every parameter from its current gradient;
+        a non-finite gradient is refused before any parameter, moment or
+        the step count changes."""
+        for name, p in self.params.items():
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise NumericalError(f"non-finite gradient for {name}")
         self.t += 1
         b1t = 1.0 - BETA1**self.t
         b2t = 1.0 - BETA2**self.t
         for name, p in self.params.items():
             g = np.zeros_like(p.data) if p.grad is None else p.grad
-            if not np.isfinite(g).all():
-                raise NumericalError(f"non-finite gradient for {name}")
-            m = self._moments[f"m/{name}"]
-            v = self._moments[f"v/{name}"]
-            m *= BETA1
-            m += (1.0 - BETA1) * g
-            v *= BETA2
-            v += (1.0 - BETA2) * (g * g)
-            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + EPS)
+            m, v = self._moments[f"m/{name}"], self._moments[f"v/{name}"]
+            self._update(p.data.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1), b1t, b2t)
+
+    def _update(self, p, g, m, v, b1t: float, b2t: float) -> None:
+        """m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+        p -= lr * (m / b1t) / (sqrt(v / b2t) + EPS), on flat views."""
+        s1, s2 = self._scratch
+        for lo in range(0, p.size, CHUNK):
+            hi = min(lo + CHUNK, p.size)
+            pc, gc, mc, vc = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+            a, b = s1[: hi - lo], s2[: hi - lo]
+            mc *= BETA1
+            np.multiply(gc, 1.0 - BETA1, out=a)
+            mc += a
+            vc *= BETA2
+            np.multiply(gc, gc, out=a)
+            a *= 1.0 - BETA2
+            vc += a
+            np.divide(mc, b1t, out=a)
+            a *= self.lr
+            np.divide(vc, b2t, out=b)
+            np.sqrt(b, out=b)
+            b += EPS
+            a /= b
+            pc -= a
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """The live moments, ``m/<param>`` for every parameter, then ``v/<param>``."""

@@ -5,6 +5,16 @@ hidden layer is a linear map followed by (optional) batch normalization
 and ReLU, the final layer is purely linear. Weights use He-style uniform
 fan-in initialization from a seeded generator.
 
+Each layer enters the autodiff graph as one node with a hand-written
+backward rule: `Linear` keeps only its input and parameters, and a
+train-mode `BatchNorm` (which includes its ReLU) keeps the centered
+input, the normalized input, the per-feature denominator and the ReLU
+mask. Both rules run the numpy operations that the op-by-op graph of
+the same layer would run, in the same order, so values and gradients
+are bit for bit the same; they only leave out that graph's
+intermediate arrays and their gradients. Eval-mode batch normalization
+and the ReLU of a layer without it stay op by op.
+
 `build_bundle` gives each view an encoder and its mirror-image decoder.
 `AutoencoderBundle` names the model's state once, when it is built: a
 parameter map (``v{v}.enc.lin{i}.weight`` ...) and a map of batch-norm
@@ -26,16 +36,30 @@ class Linear:
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.weight + self.bias
+        """x @ weight + bias as one node."""
+        out = x.data @ self.weight.data
+        out += self.bias.data
+
+        def backward(grad, x=x, w=self.weight, b=self.bias):
+            if b.requires_grad:
+                b._accumulate(grad.sum(axis=0))
+            if w.requires_grad:
+                w._accumulate(x.data.T @ grad)
+            if x.requires_grad:
+                x._accumulate(grad @ w.data.T)
+
+        return Tensor._result(out, (x, self.weight, self.bias), backward)
 
 
 class BatchNorm:
-    """Feature-wise batch normalization with running statistics.
+    """Feature-wise batch normalization with running statistics, followed
+    by ReLU: a call returns relu(normalized * gamma + beta).
 
     Train mode normalizes by the biased batch variance (so a batch of
     one row hits the epsilon floor instead of dividing by zero) and
     updates the running mean/variance in place with momentum. Eval mode
-    applies the frozen running statistics, making the layer an affine map.
+    applies the frozen running statistics, making the layer an affine
+    map before its ReLU.
     """
 
     eps = 1e-5
@@ -48,18 +72,43 @@ class BatchNorm:
         self.running_var = np.ones(dim)
 
     def __call__(self, x: Tensor, train: bool, update_stats: bool = True) -> Tensor:
-        if train:
-            mu = x.mean(axis=0)
-            centered = x - mu
-            var = centered.square().mean(axis=0)
-            if update_stats:
-                for stat, batch in ((self.running_mean, mu.data), (self.running_var, var.data)):
-                    stat *= self.momentum
-                    stat += (1 - self.momentum) * batch
-            denom = (var + self.eps).sqrt()
-            return centered / denom * self.gamma + self.beta
-        scale = 1.0 / np.sqrt(self.running_var + self.eps)
-        return (x - self.running_mean) * Tensor(scale) * self.gamma + self.beta
+        if not train:
+            scale = 1.0 / np.sqrt(self.running_var + self.eps)
+            return ((x - self.running_mean) * Tensor(scale) * self.gamma + self.beta).relu()
+        n = x.data.shape[0]
+        mu = x.data.sum(axis=0) * (1.0 / n)
+        centered = x.data - mu
+        var = (centered * centered).sum(axis=0) * (1.0 / n)
+        if update_stats:
+            for stat, batch in ((self.running_mean, mu), (self.running_var, var)):
+                stat *= self.momentum
+                stat += (1 - self.momentum) * batch
+        denom = np.sqrt(var + self.eps)
+        xhat = centered / denom
+        y = xhat * self.gamma.data
+        y += self.beta.data
+        mask = y > 0
+
+        def backward(grad, x=x, gamma=self.gamma, beta=self.beta):
+            g = grad * mask
+            if beta.requires_grad:
+                beta._accumulate(g.sum(axis=0))
+            if gamma.requires_grad:
+                gamma._accumulate((g * xhat).sum(axis=0))
+            if not x.requires_grad:
+                return
+            g *= gamma.data  # d/d xhat
+            t = -g
+            t *= centered
+            t /= denom * denom
+            d_sq = t.sum(axis=0) * 0.5 / denom * (1.0 / n)  # to each squared deviation, through denom
+            g /= denom
+            np.multiply(d_sq * 2.0, centered, out=t)
+            g += t  # d/d centered: the direct path plus the variance path
+            g += -g.sum(axis=0) * (1.0 / n)  # through mu
+            x._accumulate(g)
+
+        return Tensor._result(np.where(mask, y, 0.0), (x, self.gamma, self.beta), backward)
 
 
 class Mlp:
@@ -74,9 +123,7 @@ class Mlp:
         for i, (lin, norm) in enumerate(zip(self.linears, self.norms)):
             x = lin(x)
             if i < last:
-                if norm is not None:
-                    x = norm(x, train, update_stats)
-                x = x.relu()
+                x = norm(x, train, update_stats) if norm is not None else x.relu()
             if not np.isfinite(x.data).all():
                 raise NumericalError(f"non-finite activation after layer {i}")
         return x
@@ -152,7 +199,7 @@ class AutoencoderBundle:
         check_like("parameter", params, self._params)
         check_like("statistic", stats, self._stats)
         for name, arr in params.items():
-            self._params[name].data = arr.astype(np.float64, copy=True)
+            self._params[name].data = np.array(arr, dtype=np.float64, order="C")
         for name, arr in stats.items():
             self._stats[name][...] = arr
 

@@ -16,6 +16,14 @@ the forward pass, instead of every intermediate array.
 Inside ``with no_graph():`` operations compute the same arrays but
 record nothing, so a forward pass nobody differentiates (a full-data
 encode) frees each intermediate as soon as the next layer has used it.
+
+Gradient ownership: a tensor's ``.grad`` is its own array, never shared
+with another tensor's gradient or data, so ``+=`` into it touches
+nothing else. The first contribution a tensor receives becomes its
+``.grad`` as is when it is a float64 array that owns its memory (what a
+backward rule computes fresh); a view or another dtype is copied. A rule
+that passes on the upstream gradient itself, as ``+`` does, copies it
+first.
 """
 
 from __future__ import annotations
@@ -104,10 +112,10 @@ class Tensor:
         other = other if isinstance(other, Tensor) else Tensor(other)
 
         def backward(grad, a=self, b=other):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(grad, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(grad, b.data.shape))
+            for t in (a, b):
+                if t.requires_grad:
+                    g = _unbroadcast(grad, t.data.shape)
+                    t._accumulate(g.copy(order="K") if g is grad else g)
 
         return Tensor._result(self.data + other.data, (self, other), backward)
 
@@ -230,7 +238,8 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = grad.astype(np.float64, copy=True)
+            owned = grad.base is None and grad.dtype == np.float64
+            self.grad = grad if owned else grad.astype(np.float64, copy=True)
         else:
             self.grad += grad
 

@@ -336,3 +336,41 @@ def reference_lloyd(
         if shift < tol:
             break
     return labels, centers, history
+
+
+# ---------------------------------------------------------------------------
+# op-by-op layers and the whole-array Adam update: the bit-for-bit
+# references for the one-node layers in `umclust.nn.mlp` and the chunked
+# update in `umclust.nn.adam`. The layers are built from the autodiff
+# tensor's elementary operations, the graph a layer recorded op by op.
+
+
+def op_by_op_linear(x, weight, bias):
+    """x @ weight + bias as two recorded operations."""
+    return x @ weight + bias
+
+
+def op_by_op_batchnorm_relu(x, gamma, beta, running_mean, running_var, momentum, eps, update_stats):
+    """Train-mode batch normalization then ReLU, one recorded operation at
+    a time; the running statistics (arrays) move in place when
+    `update_stats`."""
+    mu = x.mean(axis=0)
+    centered = x - mu
+    var = centered.square().mean(axis=0)
+    if update_stats:
+        for stat, batch in ((running_mean, mu.data), (running_var, var.data)):
+            stat *= momentum
+            stat += (1 - momentum) * batch
+    denom = (var + eps).sqrt()
+    return (centered / denom * gamma + beta).relu()
+
+
+def whole_array_adam(p, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam step `t` on whole arrays, all updated in place."""
+    b1t = 1.0 - beta1**t
+    b2t = 1.0 - beta2**t
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * (g * g)
+    p -= lr * (m / b1t) / (np.sqrt(v / b2t) + eps)

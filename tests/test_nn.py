@@ -1,13 +1,23 @@
 """Autoencoder bundle, batch-norm behavior, optimizer, checkpoint round-trips."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import finite_difference_gradients, max_relative_gradient_error
+from oracles import (
+    finite_difference_gradients,
+    max_relative_gradient_error,
+    op_by_op_batchnorm_relu,
+    op_by_op_linear,
+    whole_array_adam,
+)
 from umclust.errors import CheckpointError, NumericalError, ShapeError
+from umclust.losses import recon_orth_loss
 from umclust.nn import Adam, Tensor, build_bundle, load_checkpoint, save_checkpoint
+from umclust.nn.adam import CHUNK
+from umclust.nn.mlp import BatchNorm, Linear
 
 
 def tiny_bundle(batchnorm=True, seed=0, dims=(3, 4), hidden=(5,), latent=2):
@@ -95,10 +105,13 @@ def test_batchnorm_eval_is_affine():
     x2 = rng.normal(size=(4, 3))
     lam = 0.3
     f = lambda x: bundle.encode(0, x, train=False).data
-    # eval-mode output of the first (linear+BN) block is affine in the input;
-    # the full encoder is not (ReLU), so check the affine layer directly
+    # eval-mode output of the first (linear+BN) block is affine in the input
+    # before the layer's ReLU; lifting beta puts every pre-activation above
+    # zero, so the ReLU passes the affine map through unchanged
     enc = bundle.encoders[0]
+    enc.norms[0].beta.data[...] = 100.0
     block = lambda x: enc.norms[0](enc.linears[0](Tensor(x)), False).data
+    assert (block(x1) > 0).all() and (block(x2) > 0).all()
     lhs = block(lam * x1 + (1 - lam) * x2)
     rhs = lam * block(x1) + (1 - lam) * block(x2)
     assert np.allclose(lhs, rhs, atol=1e-10)
@@ -224,6 +237,20 @@ def test_load_arrays_refuses_mismatched_stats_and_writes_nothing(edit):
     assert all(np.array_equal(p.data, before[k]) for k, p in target.named_parameters().items())
 
 
+def test_load_arrays_gives_adam_parameters_it_can_update_in_place():
+    # Adam writes through each parameter's flat view, which for a
+    # Fortran-ordered array would be a copy and lose the update
+    bundle = tiny_bundle(seed=7)
+    params = {k: np.asfortranarray(p.data) for k, p in bundle.named_parameters().items()}
+    bundle.load_arrays(params, {k: s.copy() for k, s in bundle.named_stats().items()})
+    opt = Adam(bundle.named_parameters(), lr=0.1)
+    for p in bundle.named_parameters().values():
+        assert p.data.flags.c_contiguous
+        p.grad = np.ones(p.shape)
+    opt.step()
+    assert all(np.array_equal(p.data, params[k] - 0.1 / (1 + 1e-8)) for k, p in bundle.named_parameters().items())
+
+
 def test_gradient_off_path_is_zero():
     # step 1 reaches view 0's decoder, step 2 stops at its encoder: every
     # parameter off that path has no gradient and takes Adam's update for a
@@ -248,6 +275,103 @@ def test_gradient_off_path_is_zero():
             assert np.allclose(p.data, expected, rtol=0, atol=1e-15), k
     assert all(np.array_equal(p.data, before[k]) for k, p in params.items() if k.startswith("v1"))
     assert not np.array_equal(params["v0.dec.lin1.weight"].data, before["v0.dec.lin1.weight"])
+
+
+# ---------------------------------------------------------------------------
+# one-node layers: bit for bit the op-by-op graph they replace
+
+
+def _layer_input(case, rng):
+    """(data, requires_grad) of a 6x4 input, or of the named edge case."""
+    if case == "batch_of_one":  # train-mode batch norm divides by the epsilon floor
+        return rng.normal(size=(1, 4)), True
+    x = rng.normal(size=(6, 4))
+    if case == "zero_row":
+        x[2] = 0.0
+    return x, case != "input_without_grad"
+
+
+LAYER_CASES = ["batch", "batch_of_one", "zero_row", "input_without_grad"]
+
+
+def _twin(t: Tensor) -> Tensor:
+    return Tensor(t.data.copy(), requires_grad=t.requires_grad)
+
+
+def _backward_through(out: Tensor, upstream: np.ndarray) -> None:
+    (out * Tensor(upstream)).sum().backward()
+
+
+def _assert_same_grads(pairs):
+    for node, ref in pairs:
+        assert (node.grad is None) == (ref.grad is None)
+        if ref.grad is not None:
+            assert np.array_equal(node.grad, ref.grad)
+
+
+@pytest.mark.parametrize("case", LAYER_CASES)
+def test_linear_node_matches_the_op_by_op_graph_bit_for_bit(case):
+    rng = np.random.default_rng(21)
+    lin = Linear(4, 5, rng)
+    lin.bias.data[...] = rng.normal(size=5)
+    data, requires_grad = _layer_input(case, rng)
+    x = Tensor(data, requires_grad=requires_grad)
+    ref_x, ref_w, ref_b = _twin(x), _twin(lin.weight), _twin(lin.bias)
+    out = lin(x)
+    ref = op_by_op_linear(ref_x, ref_w, ref_b)
+    assert np.array_equal(out.data, ref.data)
+    upstream = rng.normal(size=out.shape)
+    _backward_through(out, upstream)
+    _backward_through(ref, upstream)
+    _assert_same_grads([(x, ref_x), (lin.weight, ref_w), (lin.bias, ref_b)])
+    assert requires_grad == (x.grad is not None)
+
+
+@pytest.mark.parametrize("update_stats", [True, False], ids=["update_stats", "frozen_stats"])
+@pytest.mark.parametrize("case", LAYER_CASES)
+def test_train_batchnorm_node_matches_the_op_by_op_graph_bit_for_bit(case, update_stats):
+    rng = np.random.default_rng(22)
+    norm = BatchNorm(4)
+    norm.gamma.data[...] = rng.normal(size=4)
+    norm.beta.data[...] = rng.normal(size=4)
+    norm.running_mean[...] = rng.normal(size=4)
+    norm.running_var[...] = rng.uniform(0.5, 2.0, size=4)
+    ref_mean, ref_var = norm.running_mean.copy(), norm.running_var.copy()
+    data, requires_grad = _layer_input(case, rng)
+    x = Tensor(data, requires_grad=requires_grad)
+    ref_x, ref_gamma, ref_beta = _twin(x), _twin(norm.gamma), _twin(norm.beta)
+    out = norm(x, train=True, update_stats=update_stats)
+    ref = op_by_op_batchnorm_relu(
+        ref_x, ref_gamma, ref_beta, ref_mean, ref_var, norm.momentum, norm.eps, update_stats
+    )
+    assert np.array_equal(out.data, ref.data)
+    assert (out.data == 0).any() and (out.data > 0).any()
+    assert np.array_equal(norm.running_mean, ref_mean) and np.array_equal(norm.running_var, ref_var)
+    upstream = rng.normal(size=out.shape)
+    _backward_through(out, upstream)
+    _backward_through(ref, upstream)
+    _assert_same_grads([(x, ref_x), (norm.gamma, ref_gamma), (norm.beta, ref_beta)])
+    assert requires_grad == (x.grad is not None)
+
+
+def test_recon_orth_backward_stays_within_its_memory_bound():
+    # allocations of one loss plus backward: the parameters' gradients plus a
+    # fixed number of batch-sized arrays per hidden layer. Measured: 7.1 such
+    # arrays with one node per layer, 17.5 with the op-by-op graph.
+    dims, batch, width = (32, 48), 64, 256
+    bundle = build_bundle(list(dims), 32, (width, width), True, 0)
+    rng = np.random.default_rng(0)
+    xs = [rng.normal(size=(batch, d)) for d in dims]
+    param_bytes = sum(p.data.nbytes for p in bundle.named_parameters().values())
+    hidden_layers = 2 * len(dims) * 2  # encoder and decoder of every view
+    tracemalloc.start()
+    try:
+        loss, _ = recon_orth_loss(xs, bundle, 0.1)
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= param_bytes + 10 * hidden_layers * batch * width * 8
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +418,48 @@ def test_adam_rejects_nonfinite_gradient():
     p.grad = np.array([1.0, np.nan])
     with pytest.raises(NumericalError):
         Adam({"p": p}, lr=1e-3).step()
+
+
+@pytest.mark.parametrize("size", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+def test_adam_chunked_step_matches_the_whole_array_update_bit_for_bit(size):
+    rng = np.random.default_rng(size)
+    params = {
+        "flat": Tensor(rng.normal(size=size), requires_grad=True),
+        "matrix": Tensor(rng.normal(size=(size, 2)), requires_grad=True),
+        "unreached": Tensor(rng.normal(size=size), requires_grad=True),
+    }
+    ref = {k: [p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)] for k, p in params.items()}
+    opt = Adam(params, lr=0.01)
+    for t in (1, 2, 3):
+        for k, p in params.items():
+            p.grad = None if k == "unreached" else rng.normal(size=p.shape)
+            g = np.zeros(p.shape) if p.grad is None else p.grad
+            pr, mr, vr = ref[k]
+            whole_array_adam(pr, g, mr, vr, t, 0.01)
+        opt.step()
+        for k, p in params.items():
+            pr, mr, vr = ref[k]
+            assert np.array_equal(p.data, pr), k
+            assert np.array_equal(opt.state_arrays()[f"m/{k}"], mr), k
+            assert np.array_equal(opt.state_arrays()[f"v/{k}"], vr), k
+    assert opt.t == 3
+
+
+def test_adam_refuses_a_bad_last_gradient_before_moving_anything():
+    params = {"a": Tensor(np.ones(3), requires_grad=True), "b": Tensor(np.ones(2), requires_grad=True)}
+    opt = Adam(params, lr=0.1)
+    for p in params.values():
+        p.grad = np.full(p.shape, 0.5)
+    opt.step()
+    before = {k: p.data.copy() for k, p in params.items()}
+    moments = {k: a.copy() for k, a in opt.state_arrays().items()}
+    params["a"].grad = np.full(3, 0.25)
+    params["b"].grad = np.array([1.0, np.nan])
+    with pytest.raises(NumericalError, match="for b"):
+        opt.step()
+    assert opt.t == 1
+    assert all(np.array_equal(p.data, before[k]) for k, p in params.items())
+    assert all(np.array_equal(a, moments[k]) for k, a in opt.state_arrays().items())
 
 
 def _stepped_adam(bundle):

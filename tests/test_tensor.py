@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from umclust.errors import ShapeError
+from umclust.nn.mlp import Linear
 from umclust.nn.tensor import Tensor, closed_form, concat_rows, no_graph, row_normalize
 
 
@@ -181,3 +182,47 @@ def test_no_graph_restores_recording_on_exit_and_on_an_exception(rng):
     out = (a * 2.0).sum()
     out.backward()
     assert np.array_equal(a.grad, np.full((2, 2), 2.0))
+
+
+OWNERSHIP_CASES = {
+    "a_plus_a": lambda a, b: a + a,
+    "a_plus_b": lambda a, b: a + b,
+    "transpose": lambda a, b: a.T,
+    "concat_rows": lambda a, b: concat_rows([a, b]),
+    "linear": lambda a, b: Linear(4, 5, np.random.default_rng(0))(a),
+}
+
+
+def _graph(root: Tensor) -> list[Tensor]:
+    found, stack = {}, [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in found:
+            found[id(t)] = t
+            stack.extend(t._parents)
+    return list(found.values())
+
+
+@pytest.mark.parametrize("case", OWNERSHIP_CASES)
+def test_every_leaf_owns_its_gradient(rng, case):
+    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    out = OWNERSHIP_CASES[case](a, b)
+    root = (out * Tensor(rng.normal(size=out.shape))).sum()
+    root.backward()
+    tensors = _graph(root)
+    leaves = [t for t in tensors if t.requires_grad and not t._parents]
+    assert leaves and all(t.grad is not None for t in leaves)
+    for leaf in leaves:
+        for other in tensors:
+            assert not np.shares_memory(leaf.grad, other.data)
+            if other is not leaf and other.grad is not None:
+                assert leaf.grad is not other.grad and not np.shares_memory(leaf.grad, other.grad)
+    for leaf in leaves:
+        before = {id(t): (t.data.copy(), None if t.grad is None else np.copy(t.grad)) for t in tensors}
+        leaf.grad += 1.0
+        for t in tensors:
+            data, grad = before[id(t)]
+            assert np.array_equal(t.data, data)
+            if t is not leaf and grad is not None:
+                assert np.array_equal(t.grad, grad)
