@@ -4,11 +4,9 @@ parameter the loss did not reach as having a zero gradient.
 
 `step()` first checks every gradient and refuses a non-finite one before
 anything moves. It then updates the moments and each parameter in
-place, `CHUNK` elements at a time through two reused scratch buffers,
-so no full-size temporary is made; each element goes through the same
-operations in the same order as a whole-array update would. The update
-writes through flat views, so parameters must be C-contiguous;
-`build_bundle` and `load_arrays` make them so.
+place, with two temporaries the size of the parameter instead of one
+per operation, in the order of operations of
+`p -= lr * (m / b1t) / (sqrt(v / b2t) + EPS)`.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from .tensor import Tensor, check_like
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
-CHUNK = 1 << 14  # elements per scratch buffer: 128 KiB, cache-sized
 
 
 class Adam:
@@ -30,8 +27,7 @@ class Adam:
         self.params = params
         self.lr = float(lr)
         self.t = 0
-        self._moments = {f"{kind}/{name}": np.zeros(p.data.shape) for kind in "mv" for name, p in params.items()}
-        self._scratch = (np.empty(CHUNK), np.empty(CHUNK))
+        self._moments = {f"{kind}/{name}": np.zeros_like(p.data) for kind in "mv" for name, p in params.items()}
 
     def step(self) -> None:
         """One in-place update of every parameter from its current gradient;
@@ -45,31 +41,22 @@ class Adam:
         b2t = 1.0 - BETA2**self.t
         for name, p in self.params.items():
             g = np.zeros_like(p.data) if p.grad is None else p.grad
-            m, v = self._moments[f"m/{name}"], self._moments[f"v/{name}"]
-            self._update(p.data.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1), b1t, b2t)
-
-    def _update(self, p, g, m, v, b1t: float, b2t: float) -> None:
-        """m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
-        p -= lr * (m / b1t) / (sqrt(v / b2t) + EPS), on flat views."""
-        s1, s2 = self._scratch
-        for lo in range(0, p.size, CHUNK):
-            hi = min(lo + CHUNK, p.size)
-            pc, gc, mc, vc = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
-            a, b = s1[: hi - lo], s2[: hi - lo]
-            mc *= BETA1
-            np.multiply(gc, 1.0 - BETA1, out=a)
-            mc += a
-            vc *= BETA2
-            np.multiply(gc, gc, out=a)
+            m = self._moments[f"m/{name}"]
+            v = self._moments[f"v/{name}"]
+            m *= BETA1
+            a = np.multiply(g, 1.0 - BETA1)
+            m += a
+            v *= BETA2
+            np.multiply(g, g, out=a)
             a *= 1.0 - BETA2
-            vc += a
-            np.divide(mc, b1t, out=a)
+            v += a
+            np.divide(m, b1t, out=a)
             a *= self.lr
-            np.divide(vc, b2t, out=b)
+            b = np.divide(v, b2t)
             np.sqrt(b, out=b)
             b += EPS
             a /= b
-            pc -= a
+            p.data -= a
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """The live moments, ``m/<param>`` for every parameter, then ``v/<param>``."""

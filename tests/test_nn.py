@@ -11,12 +11,11 @@ from oracles import (
     max_relative_gradient_error,
     op_by_op_batchnorm_relu,
     op_by_op_linear,
-    whole_array_adam,
+    reference_adam,
 )
 from umclust.errors import CheckpointError, NumericalError, ShapeError
 from umclust.losses import recon_orth_loss
 from umclust.nn import Adam, Tensor, build_bundle, load_checkpoint, save_checkpoint
-from umclust.nn.adam import CHUNK
 from umclust.nn.mlp import BatchNorm, Linear
 
 
@@ -107,11 +106,13 @@ def test_batchnorm_eval_is_affine():
     f = lambda x: bundle.encode(0, x, train=False).data
     # eval-mode output of the first (linear+BN) block is affine in the input
     # before the layer's ReLU; lifting beta puts every pre-activation above
-    # zero, so the ReLU passes the affine map through unchanged
+    # zero, so the ReLU passes the affine map through unchanged, and taking
+    # the lift back off compares at the unlifted O(1) scale
     enc = bundle.encoders[0]
     enc.norms[0].beta.data[...] = 100.0
-    block = lambda x: enc.norms[0](enc.linears[0](Tensor(x)), False).data
-    assert (block(x1) > 0).all() and (block(x2) > 0).all()
+    lifted = lambda x: enc.norms[0](enc.linears[0](Tensor(x)), False).data
+    assert (lifted(x1) > 0).all() and (lifted(x2) > 0).all()
+    block = lambda x: lifted(x) - 100.0
     lhs = block(lam * x1 + (1 - lam) * x2)
     rhs = lam * block(x1) + (1 - lam) * block(x2)
     assert np.allclose(lhs, rhs, atol=1e-10)
@@ -235,20 +236,6 @@ def test_load_arrays_refuses_mismatched_stats_and_writes_nothing(edit):
     with pytest.raises(ShapeError, match="statistic"):
         target.load_arrays(params, stats)
     assert all(np.array_equal(p.data, before[k]) for k, p in target.named_parameters().items())
-
-
-def test_load_arrays_gives_adam_parameters_it_can_update_in_place():
-    # Adam writes through each parameter's flat view, which for a
-    # Fortran-ordered array would be a copy and lose the update
-    bundle = tiny_bundle(seed=7)
-    params = {k: np.asfortranarray(p.data) for k, p in bundle.named_parameters().items()}
-    bundle.load_arrays(params, {k: s.copy() for k, s in bundle.named_stats().items()})
-    opt = Adam(bundle.named_parameters(), lr=0.1)
-    for p in bundle.named_parameters().values():
-        assert p.data.flags.c_contiguous
-        p.grad = np.ones(p.shape)
-    opt.step()
-    assert all(np.array_equal(p.data, params[k] - 0.1 / (1 + 1e-8)) for k, p in bundle.named_parameters().items())
 
 
 def test_gradient_off_path_is_zero():
@@ -420,13 +407,15 @@ def test_adam_rejects_nonfinite_gradient():
         Adam({"p": p}, lr=1e-3).step()
 
 
-@pytest.mark.parametrize("size", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
-def test_adam_chunked_step_matches_the_whole_array_update_bit_for_bit(size):
-    rng = np.random.default_rng(size)
+def test_adam_step_matches_the_reference_formula_bit_for_bit():
+    # the Fortran-ordered parameter guards the in-place write: an update
+    # made through a flat view of it would land in a copy and be lost
+    rng = np.random.default_rng(8)
     params = {
-        "flat": Tensor(rng.normal(size=size), requires_grad=True),
-        "matrix": Tensor(rng.normal(size=(size, 2)), requires_grad=True),
-        "unreached": Tensor(rng.normal(size=size), requires_grad=True),
+        "flat": Tensor(rng.normal(size=7), requires_grad=True),
+        "matrix": Tensor(rng.normal(size=(5, 3)), requires_grad=True),
+        "fortran": Tensor(np.asfortranarray(rng.normal(size=(3, 4))), requires_grad=True),
+        "unreached": Tensor(rng.normal(size=6), requires_grad=True),
     }
     ref = {k: [p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)] for k, p in params.items()}
     opt = Adam(params, lr=0.01)
@@ -435,7 +424,7 @@ def test_adam_chunked_step_matches_the_whole_array_update_bit_for_bit(size):
             p.grad = None if k == "unreached" else rng.normal(size=p.shape)
             g = np.zeros(p.shape) if p.grad is None else p.grad
             pr, mr, vr = ref[k]
-            whole_array_adam(pr, g, mr, vr, t, 0.01)
+            reference_adam(pr, g, mr, vr, t, 0.01)
         opt.step()
         for k, p in params.items():
             pr, mr, vr = ref[k]
