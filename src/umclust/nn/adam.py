@@ -2,24 +2,31 @@
 moments up front, and `step()` reads each parameter's `.grad`, taking a
 parameter the loss did not reach as having a zero gradient.
 
-`step()` first checks every gradient and refuses a non-finite one before
-anything moves. It then updates the moments and each parameter in
-place, with two temporaries the size of the parameter instead of one
-per operation, in the order of operations of
-`p -= lr * (m / b1t) / (sqrt(v / b2t) + EPS)`.
+`step()` first checks every gradient and every parameter's layout and
+refuses a non-finite gradient, or a parameter that is not C-contiguous,
+before anything moves. It then updates the moments and each parameter
+in place, `CHUNK` elements at a time through two reused scratch
+buffers. A parameter-sized temporary (8 MB for a 1024 x 1024 weight)
+would be fresh memory faulted in on every step; the two buffers are
+faulted in once. Each element goes through the same operations in the
+same order as a whole-array update. The update writes through flat
+views, and a flat "view" of a parameter that is not C-contiguous would
+be a copy that loses the update, hence the layout check; `build_bundle`
+and `load_arrays` make parameters C-contiguous.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import NumericalError
+from ..errors import NumericalError, ShapeError
 from .tensor import Tensor, check_like
 
 
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+CHUNK = 1 << 14  # elements per scratch buffer: 128 KiB
 
 
 class Adam:
@@ -27,36 +34,48 @@ class Adam:
         self.params = params
         self.lr = float(lr)
         self.t = 0
-        self._moments = {f"{kind}/{name}": np.zeros_like(p.data) for kind in "mv" for name, p in params.items()}
+        self._moments = {f"{kind}/{name}": np.zeros(p.data.shape) for kind in "mv" for name, p in params.items()}
+        self._scratch = (np.empty(CHUNK), np.empty(CHUNK))
 
     def step(self) -> None:
         """One in-place update of every parameter from its current gradient;
-        a non-finite gradient is refused before any parameter, moment or
-        the step count changes."""
+        a non-finite gradient or a parameter that is not C-contiguous is
+        refused before any parameter, moment or the step count changes."""
         for name, p in self.params.items():
             if p.grad is not None and not np.isfinite(p.grad).all():
                 raise NumericalError(f"non-finite gradient for {name}")
+            if not p.data.flags.c_contiguous:
+                raise ShapeError(f"parameter {name} is not C-contiguous; Adam updates it through a flat view")
         self.t += 1
         b1t = 1.0 - BETA1**self.t
         b2t = 1.0 - BETA2**self.t
         for name, p in self.params.items():
             g = np.zeros_like(p.data) if p.grad is None else p.grad
-            m = self._moments[f"m/{name}"]
-            v = self._moments[f"v/{name}"]
-            m *= BETA1
-            a = np.multiply(g, 1.0 - BETA1)
-            m += a
-            v *= BETA2
-            np.multiply(g, g, out=a)
+            m, v = self._moments[f"m/{name}"], self._moments[f"v/{name}"]
+            self._update(p.data.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1), b1t, b2t)
+
+    def _update(self, p, g, m, v, b1t: float, b2t: float) -> None:
+        """m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+        p -= lr * (m / b1t) / (sqrt(v / b2t) + EPS), on flat views."""
+        s1, s2 = self._scratch
+        for lo in range(0, p.size, CHUNK):
+            hi = min(lo + CHUNK, p.size)
+            pc, gc, mc, vc = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+            a, b = s1[: hi - lo], s2[: hi - lo]
+            mc *= BETA1
+            np.multiply(gc, 1.0 - BETA1, out=a)
+            mc += a
+            vc *= BETA2
+            np.multiply(gc, gc, out=a)
             a *= 1.0 - BETA2
-            v += a
-            np.divide(m, b1t, out=a)
+            vc += a
+            np.divide(mc, b1t, out=a)
             a *= self.lr
-            b = np.divide(v, b2t)
+            np.divide(vc, b2t, out=b)
             np.sqrt(b, out=b)
             b += EPS
             a /= b
-            p.data -= a
+            pc -= a
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """The live moments, ``m/<param>`` for every parameter, then ``v/<param>``."""

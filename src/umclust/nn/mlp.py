@@ -199,7 +199,7 @@ class AutoencoderBundle:
         check_like("parameter", params, self._params)
         check_like("statistic", stats, self._stats)
         for name, arr in params.items():
-            self._params[name].data = np.array(arr, dtype=np.float64)
+            self._params[name].data = np.array(arr, dtype=np.float64, order="C")
         for name, arr in stats.items():
             self._stats[name][...] = arr
 

@@ -339,9 +339,9 @@ def reference_lloyd(
 
 
 # ---------------------------------------------------------------------------
-# op-by-op layers and the Adam update formula: the bit-for-bit references
-# for the one-node layers in `umclust.nn.mlp` and the in-place update in
-# `umclust.nn.adam`. The layers are built from the autodiff
+# op-by-op layers and the whole-array Adam update: the bit-for-bit
+# references for the one-node layers in `umclust.nn.mlp` and the chunked
+# update in `umclust.nn.adam`. The layers are built from the autodiff
 # tensor's elementary operations, the graph a layer recorded op by op.
 
 
@@ -365,8 +365,8 @@ def op_by_op_batchnorm_relu(x, gamma, beta, running_mean, running_var, momentum,
     return (centered / denom * gamma + beta).relu()
 
 
-def reference_adam(p, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Adam step `t` as one expression per array, all updated in place."""
+def whole_array_adam(p, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam step `t` on whole arrays, all updated in place."""
     b1t = 1.0 - beta1**t
     b2t = 1.0 - beta2**t
     m *= beta1

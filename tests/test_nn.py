@@ -11,11 +11,12 @@ from oracles import (
     max_relative_gradient_error,
     op_by_op_batchnorm_relu,
     op_by_op_linear,
-    reference_adam,
+    whole_array_adam,
 )
 from umclust.errors import CheckpointError, NumericalError, ShapeError
 from umclust.losses import recon_orth_loss
 from umclust.nn import Adam, Tensor, build_bundle, load_checkpoint, save_checkpoint
+from umclust.nn.adam import CHUNK
 from umclust.nn.mlp import BatchNorm, Linear
 
 
@@ -238,6 +239,20 @@ def test_load_arrays_refuses_mismatched_stats_and_writes_nothing(edit):
     assert all(np.array_equal(p.data, before[k]) for k, p in target.named_parameters().items())
 
 
+def test_load_arrays_gives_adam_parameters_it_can_update_in_place():
+    # Adam writes through each parameter's flat view, which for a
+    # Fortran-ordered array would be a copy and lose the update
+    bundle = tiny_bundle(seed=7)
+    params = {k: np.asfortranarray(p.data) for k, p in bundle.named_parameters().items()}
+    bundle.load_arrays(params, {k: s.copy() for k, s in bundle.named_stats().items()})
+    opt = Adam(bundle.named_parameters(), lr=0.1)
+    for p in bundle.named_parameters().values():
+        assert p.data.flags.c_contiguous
+        p.grad = np.ones(p.shape)
+    opt.step()
+    assert all(np.array_equal(p.data, params[k] - 0.1 / (1 + 1e-8)) for k, p in bundle.named_parameters().items())
+
+
 def test_gradient_off_path_is_zero():
     # step 1 reaches view 0's decoder, step 2 stops at its encoder: every
     # parameter off that path has no gradient and takes Adam's update for a
@@ -407,15 +422,13 @@ def test_adam_rejects_nonfinite_gradient():
         Adam({"p": p}, lr=1e-3).step()
 
 
-def test_adam_step_matches_the_reference_formula_bit_for_bit():
-    # the Fortran-ordered parameter guards the in-place write: an update
-    # made through a flat view of it would land in a copy and be lost
-    rng = np.random.default_rng(8)
+@pytest.mark.parametrize("size", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+def test_adam_chunked_step_matches_the_whole_array_update_bit_for_bit(size):
+    rng = np.random.default_rng(size)
     params = {
-        "flat": Tensor(rng.normal(size=7), requires_grad=True),
-        "matrix": Tensor(rng.normal(size=(5, 3)), requires_grad=True),
-        "fortran": Tensor(np.asfortranarray(rng.normal(size=(3, 4))), requires_grad=True),
-        "unreached": Tensor(rng.normal(size=6), requires_grad=True),
+        "flat": Tensor(rng.normal(size=size), requires_grad=True),
+        "matrix": Tensor(rng.normal(size=(size, 2)), requires_grad=True),
+        "unreached": Tensor(rng.normal(size=size), requires_grad=True),
     }
     ref = {k: [p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)] for k, p in params.items()}
     opt = Adam(params, lr=0.01)
@@ -424,7 +437,7 @@ def test_adam_step_matches_the_reference_formula_bit_for_bit():
             p.grad = None if k == "unreached" else rng.normal(size=p.shape)
             g = np.zeros(p.shape) if p.grad is None else p.grad
             pr, mr, vr = ref[k]
-            reference_adam(pr, g, mr, vr, t, 0.01)
+            whole_array_adam(pr, g, mr, vr, t, 0.01)
         opt.step()
         for k, p in params.items():
             pr, mr, vr = ref[k]
@@ -449,6 +462,20 @@ def test_adam_refuses_a_bad_last_gradient_before_moving_anything():
     assert opt.t == 1
     assert all(np.array_equal(p.data, before[k]) for k, p in params.items())
     assert all(np.array_equal(a, moments[k]) for k, a in opt.state_arrays().items())
+
+
+def test_adam_refuses_a_parameter_it_cannot_update_in_place():
+    # a Fortran-ordered parameter's flat view would be a copy, so an update
+    # written through it would be lost without a word
+    params = {"a": Tensor(np.ones(3), requires_grad=True), "w": Tensor(np.asfortranarray(np.ones((2, 3))), requires_grad=True)}
+    opt = Adam(params, lr=0.1)
+    for p in params.values():
+        p.grad = np.full(p.shape, 0.5)
+    with pytest.raises(ShapeError, match="w is not C-contiguous"):
+        opt.step()
+    assert opt.t == 0
+    assert all(np.array_equal(p.data, np.ones(p.shape)) for p in params.values())
+    assert not any(a.any() for a in opt.state_arrays().values())
 
 
 def _stepped_adam(bundle):
