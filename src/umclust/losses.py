@@ -24,10 +24,13 @@ are all recomputed outside the loss graph and enter it as constants;
 gradients flow only through the current batch representations.
 
 l_in and l_co, which the trainer runs at the constant `TEMPERATURE`,
-compute their NT-Xent value and gradient together in closed form
-(`_nt_xent_rows`) and each enters the graph as one node. l_co works
-one anchor view at a time, so only b_v x (V * b) similarity arrays are
-alive at once, never one per level and view.
+compute their NT-Xent value and gradient together in closed form and
+each enters the graph as one node. l_in does so through `_nt_xent_rows`.
+l_co takes one similarity product and one exponent per anchor view
+(b_v x N, for the N rows of the concatenated batch) and reads every
+active level off them through cluster-indicator products, so its cost
+does not grow with the number of levels. Its two b_max x N buffers are
+allocated once per call.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .nn.tensor import Tensor, closed_form, concat_rows, row_normalize
 
 DISTRIBUTION_FLOOR = 1e-8
 TEMPERATURE = 0.1  # tau of both NT-Xent terms
+MIN_TEMPERATURE = 2.0 / 700  # lowest tau l_co accepts; see common_contrastive_loss
 
 
 @dataclass(frozen=True)
@@ -241,6 +245,15 @@ def inner_contrastive_loss(
 # common-view multi-level guidance
 
 
+def _first_seen_ids(labels: np.ndarray) -> np.ndarray:
+    """Labels renumbered 0, 1, ... in order of first appearance, so what
+    is computed from them depends on the partition, not on its names."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse]
+
+
 def common_contrastive_loss(
     z_batches: list[Tensor],
     batch_common_labels: dict[int, np.ndarray],
@@ -251,15 +264,38 @@ def common_contrastive_loss(
     At each level of `batch_common_labels` (common cluster per row of the
     concatenated batch), a pair (anchor i, view sample j) is positive when
     i and j share a common cluster, negative otherwise, and weighs
-    1/(N * V * b_v) for N anchors and b_v samples in view v. Each level
-    contributes an NT-Xent term whose denominator pools that anchor's
-    negatives across all views; levels are averaged. Every anchor is its
-    own positive; anchors with no negatives contribute nothing.
+    w_j = 1/(N * V * b_v) for N anchors and b_v samples in view v. Each
+    level contributes an NT-Xent term whose denominator pools that
+    anchor's negatives across all views; levels are averaged. Every anchor
+    is its own positive; a level with a single cluster has no negatives
+    and contributes nothing.
 
-    The concatenated view batches are the anchors themselves, so each
-    level's similarities come from the normalized union with itself,
-    built one anchor view (b_v x N) at a time.
+    Once per call, each level with two or more clusters gets one column
+    per cluster in an N x (sum of k) 0/1 `member` matrix; `outside` is its
+    complement. Per cluster this gives the positive weight c (the sum of
+    its members' w) and the weighted latent sum M, so anchor i's positive
+    term sum_j w_ij s_ij is u_i . M[c_i] and needs no b_v x N pass.
+
+    Once per anchor view (b_v x N), the block takes one similarity product
+    and one exponent, E = exp((s - 1)/tau), whatever the number of levels.
+    1 is the largest cosine, so E <= 1, and the shift cancels between the
+    negatives and their sum. `E @ outside` gives every level's negative
+    sums at once. `table @ outside.T` spreads each level's
+    c_i / (tau * negsum_i) over that level's negatives, so the gradient in
+    the similarities is that product times E: exactly 0 on pairs that are
+    positive at every level. E and the gradient block live in two
+    b_max x N buffers allocated once per call.
+
+    The fixed shift puts every negative's exponent at or above
+    exp(-2/tau). The floor tau >= 2/700 keeps that a normal double
+    (about 1e-304, not 0 or subnormal) and keeps c_i / (tau * negsum_i),
+    at most 175 * e^700 since c_i <= 1/2, a hundredfold below overflow.
+    A lower temperature raises ValueError.
     """
+    if temperature < MIN_TEMPERATURE:
+        raise ValueError(
+            f"common-view temperature {temperature!r} is below its floor 2/700 = {MIN_TEMPERATURE!r}"
+        )
     n_views = len(z_batches)
     inv_temp = 1.0 / float(temperature)
     zu = row_normalize(concat_rows(z_batches))
@@ -268,18 +304,38 @@ def common_contrastive_loss(
     n_union = int(offsets[-1])
     col_weight = np.repeat([1.0 / (n_union * n_views * b_v) for b_v in sizes], sizes)
     u = zu.data
-    value = 0.0
-    grad = np.zeros_like(u)
-    for lo, hi in zip(offsets[:-1], offsets[1:]):
-        g_blk = np.zeros((hi - lo, n_union))
-        for common in batch_common_labels.values():
-            pos = common[lo:hi, None] == common[None, :]
-            level_value, g = _nt_xent_rows(u[lo:hi] @ u.T, pos * col_weight, ~pos, inv_temp)
-            value += level_value
-            g_blk += g
-        grad[lo:hi] += g_blk @ u
-        grad += g_blk.T @ u[lo:hi]
     scale = 1.0 / len(batch_common_labels)
+    ids = [_first_seen_ids(common) for common in batch_common_labels.values()]
+    ids = [level for level in ids if level.max(initial=0) > 0]
+    if not ids:
+        return closed_form(zu, 0.0, np.zeros_like(u))
+    widths = [int(level.max()) + 1 for level in ids]
+    cols = np.stack(ids, axis=1) + np.cumsum([0, *widths[:-1]])  # (N, levels) member columns
+    member = np.zeros((n_union, sum(widths)))
+    np.put_along_axis(member, cols, 1.0, axis=1)
+    outside = 1.0 - member
+    pos_weight = col_weight @ member
+    latent_sum = member.T @ u
+    weighted_sum = member.T @ (col_weight[:, None] * u)
+    value = -inv_temp * float(np.sum(latent_sum * weighted_sum))
+    grad = -inv_temp * (weighted_sum[cols].sum(axis=1) + col_weight[:, None] * latent_sum[cols].sum(axis=1))
+    b_max = max(sizes)
+    e_buf = np.empty((b_max, n_union))
+    h_buf = np.empty((b_max, n_union))
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        u_blk, cols_blk = u[lo:hi], cols[lo:hi]
+        e = np.matmul(u_blk * inv_temp, u.T, out=e_buf[: hi - lo])
+        e -= inv_temp
+        np.exp(e, out=e)
+        negsum = np.take_along_axis(e @ outside, cols_blk, axis=1)
+        c = pos_weight[cols_blk]
+        value += float(np.sum(c * (np.log(negsum) + inv_temp)))
+        table = np.zeros((hi - lo, member.shape[1]))
+        np.put_along_axis(table, cols_blk, c * inv_temp / negsum, axis=1)
+        h = np.matmul(table, outside.T, out=h_buf[: hi - lo])
+        h *= e
+        grad[lo:hi] += h @ u
+        grad += h.T @ u_blk
     return closed_form(zu, value * scale, grad * scale)
 
 

@@ -319,6 +319,7 @@ def train(
             total.backward()
             opt.step()
             sums += [l_ae.item(), l_in.item(), l_co.item(), l_cr.item(), total.item()]
+            del l_ae, zs, l_in, l_co, l_cr, total  # free this step's graph before the next is built
         means = sums / steps
         loss_rows.append([float(epoch), *means.tolist(), coeff, *level_state.silhouettes.tolist()])
         level_trace.append(active)

@@ -1,7 +1,9 @@
 """Independent brute-force reference implementations.
 
 Everything here is deliberately naive — nested loops, exhaustive
-enumeration — and shares no code with the package internals it checks.
+enumeration — and shares no code with the package internals it checks,
+except the last sections: earlier implementations that a faster one
+replaced, kept as references for it.
 """
 
 from __future__ import annotations
@@ -10,6 +12,9 @@ import itertools
 import math
 
 import numpy as np
+
+from umclust.losses import _nt_xent_rows
+from umclust.nn.tensor import Tensor, closed_form, concat_rows, row_normalize
 
 
 def brute_hungarian(weights: np.ndarray) -> tuple[float, tuple[int, ...]]:
@@ -374,3 +379,53 @@ def whole_array_adam(p, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     v *= beta2
     v += (1.0 - beta2) * (g * g)
     p -= lr * (m / b1t) / (np.sqrt(v / b2t) + eps)
+
+
+# ---------------------------------------------------------------------------
+# the blockwise common-view term: the reference for the one-exponent-per-
+# block `umclust.losses.common_contrastive_loss`. It runs the package's
+# `_nt_xent_rows` (checked on its own through l_in against
+# `brute_inner_contrastive`) once per anchor view and level, with the row
+# max over each level's negatives as the exponent's shift.
+
+
+def blockwise_common_contrastive(
+    z_batches: list[Tensor],
+    batch_common_labels: dict[int, np.ndarray],
+    temperature: float,
+) -> Tensor:
+    """Anchor every concatenated-batch sample against each view's batch.
+
+    At each level of `batch_common_labels` (common cluster per row of the
+    concatenated batch), a pair (anchor i, view sample j) is positive when
+    i and j share a common cluster, negative otherwise, and weighs
+    1/(N * V * b_v) for N anchors and b_v samples in view v. Each level
+    contributes an NT-Xent term whose denominator pools that anchor's
+    negatives across all views; levels are averaged. Every anchor is its
+    own positive; anchors with no negatives contribute nothing.
+
+    The concatenated view batches are the anchors themselves, so each
+    level's similarities come from the normalized union with itself,
+    built one anchor view (b_v x N) at a time.
+    """
+    n_views = len(z_batches)
+    inv_temp = 1.0 / float(temperature)
+    zu = row_normalize(concat_rows(z_batches))
+    sizes = [z.data.shape[0] for z in z_batches]
+    offsets = np.cumsum([0, *sizes])
+    n_union = int(offsets[-1])
+    col_weight = np.repeat([1.0 / (n_union * n_views * b_v) for b_v in sizes], sizes)
+    u = zu.data
+    value = 0.0
+    grad = np.zeros_like(u)
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        g_blk = np.zeros((hi - lo, n_union))
+        for common in batch_common_labels.values():
+            pos = common[lo:hi, None] == common[None, :]
+            level_value, g = _nt_xent_rows(u[lo:hi] @ u.T, pos * col_weight, ~pos, inv_temp)
+            value += level_value
+            g_blk += g
+        grad[lo:hi] += g_blk @ u
+        grad += g_blk.T @ u[lo:hi]
+    scale = 1.0 / len(batch_common_labels)
+    return closed_form(zu, value * scale, grad * scale)

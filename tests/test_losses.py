@@ -1,11 +1,13 @@
 """Loss builders: hand cases, brute-force pair oracles, gradient behavior."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import (
+    blockwise_common_contrastive,
     brute_common_contrastive,
     brute_cross_view_guidance,
     brute_inner_contrastive,
@@ -17,6 +19,7 @@ from umclust.cluster import match_views
 from umclust.data import SyntheticSpec, synthesize
 from umclust.errors import ConfigError, ShapeError
 from umclust.losses import (
+    MIN_TEMPERATURE,
     ClusterSet,
     LossWeights,
     build_inner_pairs,
@@ -424,6 +427,99 @@ def test_common_loss_graph_holds_no_anchor_by_view_arrays():
         largest = max(largest, node.data.size)
         stack.extend(node._parents)
     assert largest <= n_views * b * dim
+
+
+def _blockwise_case(sizes, dim, levels, seed=0, absent=False, single=False):
+    """Latent batches of `sizes` rows with a zero row and a duplicated row
+    (within a view and across views), and random common labels per level.
+    `absent` draws each level's labels from a subset of its k ids;
+    `single` adds a level at which every row shares one cluster."""
+    rng = np.random.default_rng(seed)
+    zs = [rng.normal(size=(b, dim)) for b in sizes]
+    zs[0][0] = 0.0
+    zs[0][-1] = zs[0][1]
+    zs[-1][-1] = zs[0][1]
+    n = sum(sizes)
+    labels = {}
+    for k in levels:
+        ids = rng.choice(k, size=max(2, k // 2), replace=False) if absent and k > 2 else np.arange(k)
+        labels[k] = rng.choice(ids, size=n)
+    if single:
+        labels[1] = np.zeros(n, dtype=np.int64)
+    return zs, labels
+
+
+BLOCKWISE_CASES = {
+    "views8": ((256,) * 8, 32, (2, 5, 10), {}),
+    "views8_last_step": ((144,) * 8, 32, (2, 5, 10), {}),
+    "many_samples": ((128,) * 4, 32, (2, 10, 20), {}),
+    "wide": ((128,) * 3, 128, (2, 5, 10), {}),
+    "one_level": ((40, 30), 8, (3,), {}),
+    "two_levels": ((40, 30), 8, (3, 6), {}),
+    "unequal_batches": ((256, 144, 7, 1), 16, (2, 5, 10), {}),
+    "absent_cluster_ids": ((64, 48), 8, (2, 10, 20), {"absent": True}),
+    "single_cluster_level": ((64, 48), 8, (4, 9), {"single": True}),
+    "only_a_single_cluster": ((9, 5), 4, (), {"single": True}),
+}
+
+
+def _run_common(loss_fn, zs, labels, temperature):
+    tensors = [Tensor(z, requires_grad=True) for z in zs]
+    loss = loss_fn(tensors, labels, temperature)
+    loss.backward()
+    return loss.item(), [t.grad for t in tensors]
+
+
+@pytest.mark.parametrize("temperature", [0.1, 0.5])
+@pytest.mark.parametrize("case", list(BLOCKWISE_CASES))
+def test_common_loss_matches_the_blockwise_reference(case, temperature):
+    sizes, dim, levels, extra = BLOCKWISE_CASES[case]
+    zs, labels = _blockwise_case(sizes, dim, levels, **extra)
+    if len(levels) > 1:
+        # some pair is positive at one level and negative at another
+        first, last = labels[levels[0]], labels[levels[-1]]
+        assert ((first[:, None] == first[None, :]) != (last[:, None] == last[None, :])).any()
+    value, grads = _run_common(common_contrastive_loss, zs, labels, temperature)
+    ref_value, ref_grads = _run_common(blockwise_common_contrastive, zs, labels, temperature)
+    assert value == pytest.approx(ref_value, rel=1e-12)
+    for g, ref in zip(grads, ref_grads):
+        assert np.isfinite(g).all()
+        assert g == pytest.approx(ref, rel=1e-12, abs=1e-12 * np.abs(ref).max())
+
+
+def test_common_loss_at_its_temperature_floor_matches_the_blockwise_reference():
+    # each anchor's only negative is antipodal, so its exponent is the
+    # smallest the fixed shift gives: exp(-2/tau)
+    zs = [np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([[0.0, 1.0], [0.0, -1.0]])]
+    labels = {2: np.array([0, 1, 0, 1]), 4: np.array([0, 1, 2, 3])}
+    zs[1] = zs[0].copy()
+    value, grads = _run_common(common_contrastive_loss, zs, labels, MIN_TEMPERATURE)
+    ref_value, ref_grads = _run_common(blockwise_common_contrastive, zs, labels, MIN_TEMPERATURE)
+    assert value == pytest.approx(ref_value, rel=1e-12)
+    for g, ref in zip(grads, ref_grads):
+        assert g == pytest.approx(ref, rel=1e-12, abs=1e-12 * np.abs(ref).max())
+
+
+def test_common_loss_refuses_a_temperature_below_its_floor():
+    zs, labels = _blockwise_case((5, 4), 3, (2,))
+    with pytest.raises(ValueError, match="2/700"):
+        common_contrastive_loss([Tensor(z) for z in zs], labels, 2 / 745 * 0.99)
+
+
+def test_common_loss_backward_stays_within_its_memory_bound():
+    # views8 shape: one b x N float64 array is 4 MB here; the call and its
+    # backward may hold at most four of them at once
+    rng = np.random.default_rng(12)
+    n_views, b, dim, levels = 8, 256, 32, (2, 5, 10)
+    zs = [Tensor(rng.normal(size=(b, dim)), requires_grad=True) for _ in range(n_views)]
+    cl = {k: rng.integers(0, k, size=n_views * b) for k in levels}
+    tracemalloc.start()
+    try:
+        common_contrastive_loss(zs, cl, 0.1).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * b * (n_views * b) * 8
 
 
 # ---------------------------------------------------------------------------
