@@ -488,11 +488,10 @@ def test_common_loss_matches_the_blockwise_reference(case, temperature):
 
 
 def test_common_loss_at_its_temperature_floor_matches_the_blockwise_reference():
-    # each anchor's only negative is antipodal, so its exponent is the
-    # smallest the fixed shift gives: exp(-2/tau)
-    zs = [np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([[0.0, 1.0], [0.0, -1.0]])]
+    # at level 2 each anchor's negatives are antipodal, so their exponent
+    # is the smallest the fixed shift gives: exp(-2/tau)
+    zs = [np.array([[1.0, 0.0], [-1.0, 0.0]]) for _ in range(2)]
     labels = {2: np.array([0, 1, 0, 1]), 4: np.array([0, 1, 2, 3])}
-    zs[1] = zs[0].copy()
     value, grads = _run_common(common_contrastive_loss, zs, labels, MIN_TEMPERATURE)
     ref_value, ref_grads = _run_common(blockwise_common_contrastive, zs, labels, MIN_TEMPERATURE)
     assert value == pytest.approx(ref_value, rel=1e-12)
