@@ -470,6 +470,15 @@ def _run_common(loss_fn, zs, labels, temperature):
     return loss.item(), [t.grad for t in tensors]
 
 
+def _assert_matches_blockwise(zs, labels, temperature):
+    value, grads = _run_common(common_contrastive_loss, zs, labels, temperature)
+    ref_value, ref_grads = _run_common(blockwise_common_contrastive, zs, labels, temperature)
+    assert value == pytest.approx(ref_value, rel=1e-12)
+    for g, ref in zip(grads, ref_grads):
+        assert np.isfinite(g).all()
+        assert g == pytest.approx(ref, rel=1e-12, abs=1e-12 * np.abs(ref).max())
+
+
 @pytest.mark.parametrize("temperature", [0.1, 0.5])
 @pytest.mark.parametrize("case", list(BLOCKWISE_CASES))
 def test_common_loss_matches_the_blockwise_reference(case, temperature):
@@ -479,12 +488,7 @@ def test_common_loss_matches_the_blockwise_reference(case, temperature):
         # some pair is positive at one level and negative at another
         first, last = labels[levels[0]], labels[levels[-1]]
         assert ((first[:, None] == first[None, :]) != (last[:, None] == last[None, :])).any()
-    value, grads = _run_common(common_contrastive_loss, zs, labels, temperature)
-    ref_value, ref_grads = _run_common(blockwise_common_contrastive, zs, labels, temperature)
-    assert value == pytest.approx(ref_value, rel=1e-12)
-    for g, ref in zip(grads, ref_grads):
-        assert np.isfinite(g).all()
-        assert g == pytest.approx(ref, rel=1e-12, abs=1e-12 * np.abs(ref).max())
+    _assert_matches_blockwise(zs, labels, temperature)
 
 
 def test_common_loss_at_its_temperature_floor_matches_the_blockwise_reference():
@@ -492,11 +496,7 @@ def test_common_loss_at_its_temperature_floor_matches_the_blockwise_reference():
     # is the smallest the fixed shift gives: exp(-2/tau)
     zs = [np.array([[1.0, 0.0], [-1.0, 0.0]]) for _ in range(2)]
     labels = {2: np.array([0, 1, 0, 1]), 4: np.array([0, 1, 2, 3])}
-    value, grads = _run_common(common_contrastive_loss, zs, labels, MIN_TEMPERATURE)
-    ref_value, ref_grads = _run_common(blockwise_common_contrastive, zs, labels, MIN_TEMPERATURE)
-    assert value == pytest.approx(ref_value, rel=1e-12)
-    for g, ref in zip(grads, ref_grads):
-        assert g == pytest.approx(ref, rel=1e-12, abs=1e-12 * np.abs(ref).max())
+    _assert_matches_blockwise(zs, labels, MIN_TEMPERATURE)
 
 
 def test_common_loss_refuses_a_temperature_below_its_floor():
