@@ -123,7 +123,6 @@ def cmd_eval(args) -> int:
     if not ckpt_path.exists():
         raise ConfigError(f"no checkpoint at {ckpt_path}")
     expected = run_hash(run_config.train, ds)
-    ck = load_checkpoint(ckpt_path, expect_config_hash=expected)
     bundle = build_bundle(
         ds.feature_dims(),
         run_config.train.latent_dim,
@@ -131,8 +130,12 @@ def cmd_eval(args) -> int:
         run_config.train.batchnorm,
         run_config.train.seed,
     )
-    bundle.load_arrays(ck.params, ck.stats)
-    del ck  # the bundle holds its own copies; free the file's arrays before scoring
+    load_checkpoint(
+        ckpt_path,
+        expect_config_hash=expected,
+        params={k: p.data for k, p in bundle.named_parameters().items()},
+        stats=bundle.named_stats(),
+    )
     _, _, report = evaluate(bundle, ds, run_config.train, expected, time.time())
     report.save(out)
     print(report.to_json(), end="")

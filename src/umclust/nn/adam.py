@@ -12,7 +12,12 @@ faulted in once. Each element goes through the same operations in the
 same order as a whole-array update. The update writes through flat
 views, and a flat "view" of a parameter that is not C-contiguous would
 be a copy that loses the update, hence the layout check; `build_bundle`
-and `load_arrays` make parameters C-contiguous.
+makes parameters C-contiguous, and `load_checkpoint` copies saved
+arrays into them in place, whatever the saved layout.
+
+`state_arrays()` gives the live moments by name. A resumed run restores
+them by passing that dict to `load_checkpoint`, which fills it in place;
+the optimizer has no loader of its own, and the caller sets `t`.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NumericalError, ShapeError
-from .tensor import Tensor, check_like
+from .tensor import Tensor
 
 
 BETA1 = 0.9
@@ -80,12 +85,3 @@ class Adam:
     def state_arrays(self) -> dict[str, np.ndarray]:
         """The live moments, ``m/<param>`` for every parameter, then ``v/<param>``."""
         return self._moments
-
-    def load_state(self, t: int, arrays: dict[str, np.ndarray]) -> None:
-        """Restore what `state_arrays` saved after `t` steps; refused before
-        any change unless the arrays match the moments name for name and
-        shape for shape."""
-        check_like("Adam moment", arrays, self._moments)
-        self.t = int(t)
-        for key, arr in arrays.items():
-            self._moments[key][...] = arr

@@ -9,8 +9,20 @@ none for a finished run (`adam_arrays` and `warm_centroids` are then
 empty). Saving is atomic: the file is written under a temporary name in
 the same directory and renamed over the target, so a crash mid-write
 leaves the previous checkpoint intact.
-Loading is all-or-nothing: the file is fully parsed and validated
-before any state is handed back.
+
+Loading reads each entry straight into the array that owns it, so no
+second copy of the model exists at any moment. A caller passes
+destinations (`params`, `stats`, `adam_arrays`: name -> array, as
+`save_checkpoint` takes them) and each entry is read, checked and
+copied into its destination before the next one is read. An entry with
+no destination (a warm centroid, or every entry when none are given) is
+returned as a fresh array. Everything that needs no array data is
+checked before the first write: the format and config hash from the
+metadata, then the entry names and shapes against the destinations from
+the member headers alone. Bad entry data (a failed CRC, a non-finite
+value) raises `CheckpointError` only when its entry is read, after
+earlier entries may have been written: the destinations are then
+undefined, and the caller must discard them.
 """
 
 from __future__ import annotations
@@ -20,12 +32,18 @@ import os
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
+from numpy.lib import format as npy
 
-from ..errors import CheckpointError
+from ..errors import CheckpointError, ShapeError
 
 FORMAT_VERSION = 1
+
+# Entry kinds with caller destinations, and how a mismatch names them.
+_LABELS = {"param": "parameter", "stat": "statistic", "adam": "Adam moment"}
+_HEADER_READERS = {(1, 0): npy.read_array_header_1_0, (2, 0): npy.read_array_header_2_0}
 
 
 @dataclass
@@ -73,40 +91,114 @@ def save_checkpoint(
         tmp.unlink(missing_ok=True)
 
 
-def load_checkpoint(path: str | Path, *, expect_config_hash: str | None = None) -> CheckpointData:
+def _check_like(kind: str, shapes: dict[str, tuple[int, ...]], own: dict[str, np.ndarray]) -> None:
+    """Refuse `shapes` unless it has exactly `own`'s names, each with the
+    shape of `own`'s array of that name."""
+    if set(shapes) != set(own):
+        raise ShapeError(f"{kind} name set mismatch")
+    for name, shape in shapes.items():
+        if shape != own[name].shape:
+            raise ShapeError(f"shape mismatch for {kind} {name}")
+
+
+def load_checkpoint(
+    path: str | Path,
+    *,
+    expect_config_hash: str | None = None,
+    params: dict[str, np.ndarray] | None = None,
+    stats: dict[str, np.ndarray] | None = None,
+    adam_arrays: dict[str, np.ndarray] | Callable[[int], dict[str, np.ndarray]] | None = None,
+) -> CheckpointData:
+    """Read `path`, filling the given destinations in place; the returned
+    `CheckpointData` holds the destination dicts themselves, and fresh
+    dicts of fresh arrays for the kinds given none. `adam_arrays` may
+    also be a function of the saved epoch that returns the moment
+    destinations, for a caller whose need for moments depends on how far
+    the saved run got."""
     try:
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
-            raw = {k: npz[k] for k in npz.files}
-    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        zf = zipfile.ZipFile(path)
+    except (OSError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
-    try:
-        meta = json.loads(bytes(raw.pop("__meta__")).decode())
-        if meta.get("format") != FORMAT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint format {meta.get('format')!r}")
-        data = CheckpointData(
-            config_hash=str(meta["config_hash"]),
-            epoch=int(meta["epoch"]),
-            adam_t=int(meta["adam_t"]),
-            params={},
-            stats={},
-            adam_arrays={},
-        )
-        named = {"param": data.params, "stat": data.stats, "adam": data.adam_arrays}
-        for key, arr in raw.items():
-            kind, _, rest = key.partition("/")
-            if kind in named:
-                named[kind][rest] = arr
-            elif kind == "warm":
-                scope, _, level = rest.rpartition("/")
-                data.warm_centroids[(scope, int(level))] = arr
+    with zf:
+        try:
+            meta = json.loads(bytes(_read_entry(zf, "__meta__", path)).decode())
+            if meta.get("format") != FORMAT_VERSION:
+                raise CheckpointError(f"unsupported checkpoint format {meta.get('format')!r}")
+            data = CheckpointData(
+                config_hash=str(meta["config_hash"]),
+                epoch=int(meta["epoch"]),
+                adam_t=int(meta["adam_t"]),
+                params={} if params is None else params,
+                stats={} if stats is None else stats,
+                adam_arrays={},
+            )
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            # a metadata text that is not JSON is a ValueError too
+            raise CheckpointError(f"malformed checkpoint {path}: {exc!r}") from exc
+        if expect_config_hash is not None and data.config_hash != expect_config_hash:
+            raise CheckpointError(
+                "checkpoint was written with a different configuration "
+                f"(hash {data.config_hash[:12]}... != {expect_config_hash[:12]}...)"
+            )
+        if callable(adam_arrays):
+            adam_arrays = adam_arrays(data.epoch)
+        if adam_arrays is not None:
+            data.adam_arrays = adam_arrays
+
+        entries = _entry_headers(zf, path)
+        for kind, dest in (("param", params), ("stat", stats), ("adam", adam_arrays)):
+            if dest is not None:
+                shapes = {key: shape for k, key, shape in entries.values() if k == kind}
+                _check_like(_LABELS[kind], shapes, dest)
+        named = {"param": data.params, "stat": data.stats, "adam": data.adam_arrays, "warm": data.warm_centroids}
+        for name, (kind, key, _) in entries.items():
+            arr = _read_entry(zf, name, path)
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"non-finite values in checkpoint entry {name!r} of {path}")
+            if key in named[kind]:
+                named[kind][key][...] = arr
             else:
-                raise CheckpointError(f"unrecognized checkpoint entry {key!r}")
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        # a metadata text that is not JSON is a ValueError too
-        raise CheckpointError(f"malformed checkpoint {path}: {exc!r}") from exc
-    if expect_config_hash is not None and data.config_hash != expect_config_hash:
-        raise CheckpointError(
-            "checkpoint was written with a different configuration "
-            f"(hash {data.config_hash[:12]}... != {expect_config_hash[:12]}...)"
-        )
+                named[kind][key] = arr
+            del arr  # freed before the next entry is read
     return data
+
+
+def _entry_headers(zf: zipfile.ZipFile, path) -> dict[str, tuple[str, str | tuple[str, int], tuple[int, ...]]]:
+    """name -> (kind, key in its dict, shape) for every array entry, from
+    the member headers alone; the metadata is left out."""
+    entries = {}
+    for member in zf.namelist():
+        if member == "__meta__.npy":
+            continue
+        name = member.removesuffix(".npy")
+        kind, _, key = name.partition("/")
+        if name == member or kind not in (*_LABELS, "warm"):
+            raise CheckpointError(f"unrecognized checkpoint entry {name!r}")
+        try:
+            if kind == "warm":
+                scope, _, level = key.rpartition("/")
+                key = (scope, int(level))
+        except ValueError as exc:
+            raise CheckpointError(f"malformed checkpoint {path}: {exc!r}") from exc
+        try:
+            with zf.open(member) as fh:
+                version = npy.read_magic(fh)
+                if version not in _HEADER_READERS:
+                    raise ValueError(f"unsupported npy version {version} in {name}")
+                shape, _, dtype = _HEADER_READERS[version](fh)
+        except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
+        if dtype.kind not in "biuf":
+            raise CheckpointError(f"malformed checkpoint {path}: entry {name!r} holds {dtype}, not numbers")
+        entries[name] = (kind, key, shape)
+    return entries
+
+
+def _read_entry(zf: zipfile.ZipFile, name: str, path) -> np.ndarray:
+    """Entry `name` as a fresh array; a read that fails, or whose data
+    fails the member's CRC, is a `CheckpointError`."""
+    try:
+        with zf.open(f"{name}.npy") as fh:
+            return npy.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc

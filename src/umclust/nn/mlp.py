@@ -15,10 +15,16 @@ are bit for bit the same; they only leave out that graph's
 intermediate arrays and their gradients. Eval-mode batch normalization
 and the ReLU of a layer without it stay op by op.
 
+`Mlp` refuses a non-finite linear output with `NumericalError` naming
+the layer. It checks before the activation, because ReLU (and the ReLU
+that ends a batch-norm node) maps NaN and -inf to 0 and would hide them.
+
 `build_bundle` gives each view an encoder and its mirror-image decoder.
 `AutoencoderBundle` names the model's state once, when it is built: a
 parameter map (``v{v}.enc.lin{i}.weight`` ...) and a map of batch-norm
-running statistics, which the layers update in place.
+running statistics, which the layers update in place. Restoring a
+checkpoint fills these same arrays in place (`load_checkpoint` with
+destinations); the bundle has no loader of its own.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NumericalError, ShapeError
-from .tensor import Tensor, check_like, no_graph
+from .tensor import Tensor, no_graph
 
 
 class Linear:
@@ -122,10 +128,10 @@ class Mlp:
         last = len(self.linears) - 1
         for i, (lin, norm) in enumerate(zip(self.linears, self.norms)):
             x = lin(x)
+            if not np.isfinite(x.data).all():
+                raise NumericalError(f"non-finite linear output in layer {i}")
             if i < last:
                 x = norm(x, train, update_stats) if norm is not None else x.relu()
-            if not np.isfinite(x.data).all():
-                raise NumericalError(f"non-finite activation after layer {i}")
         return x
 
 
@@ -192,16 +198,6 @@ class AutoencoderBundle:
     def zero_grad(self) -> None:
         for p in self._params.values():
             p.zero_grad()
-
-    def load_arrays(self, params: dict[str, np.ndarray], stats: dict[str, np.ndarray]) -> None:
-        """Copy saved arrays into the model; refused before any write
-        unless both name sets and every shape match."""
-        check_like("parameter", params, self._params)
-        check_like("statistic", stats, self._stats)
-        for name, arr in params.items():
-            self._params[name].data = np.array(arr, dtype=np.float64, order="C")
-        for name, arr in stats.items():
-            self._stats[name][...] = arr
 
 
 def build_bundle(

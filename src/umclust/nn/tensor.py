@@ -298,16 +298,6 @@ def concat_rows(tensors: list[Tensor]) -> Tensor:
     return Tensor._result(out_data, tuple(tensors), backward)
 
 
-def check_like(kind: str, given: dict[str, np.ndarray], own: dict) -> None:
-    """Refuse `given` unless it has exactly `own`'s names, each with the
-    shape of `own`'s array or tensor of that name."""
-    if set(given) != set(own):
-        raise ShapeError(f"{kind} name set mismatch")
-    for name, arr in given.items():
-        if arr.shape != own[name].shape:
-            raise ShapeError(f"shape mismatch for {kind} {name}")
-
-
 MIN_SQ_NORM = 1e-60
 
 

@@ -22,8 +22,12 @@ same `evaluate` on a model restored from its checkpoint.
 
 A run that stops before its last epoch saves the Adam moments and warm
 centroids it needs to resume; a finished run saves only the model
-(parameters and batch-norm statistics). Full-data encodes record no
-autodiff graph.
+(parameters and batch-norm statistics). Resuming builds the model and
+the optimizer first, then reads the checkpoint entry by entry straight
+into their parameters, statistics and moments, so the model is never
+held twice; a checkpoint that is refused part-way raises before the
+first epoch, and the half-filled model is dropped. Full-data encodes
+record no autodiff graph.
 """
 
 from __future__ import annotations
@@ -271,13 +275,16 @@ def train(
     warm: dict[tuple[str, int], np.ndarray] = {}
     start_epoch = 1
     if resume is not None:
-        ck = load_checkpoint(resume, expect_config_hash=cfg_hash)
-        bundle.load_arrays(ck.params, ck.stats)
-        if ck.epoch < config.epochs:
-            opt.load_state(ck.adam_t, ck.adam_arrays)
-            warm = dict(ck.warm_centroids)
-        else:
-            opt.t = ck.adam_t  # a finished run saved its step count only
+        ck = load_checkpoint(
+            resume,
+            expect_config_hash=cfg_hash,
+            params={k: p.data for k, p in bundle.named_parameters().items()},
+            stats=bundle.named_stats(),
+            # a finished run saved no moments, only its step count
+            adam_arrays=lambda epoch: opt.state_arrays() if epoch < config.epochs else {},
+        )
+        opt.t = ck.adam_t
+        warm = ck.warm_centroids
         start_epoch = ck.epoch + 1
 
     steps = -(-max(v.n for v in dataset.views) // config.batch_size)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+from damage import flip_a_data_byte, set_first_value
 from umclust import cli, data
 from umclust.nn import load_checkpoint, save_checkpoint
 
@@ -150,6 +151,28 @@ def test_eval_of_a_damaged_checkpoint_exits_2(tmp_path, capsys):
     path.write_bytes(raw[: len(raw) // 2])
     assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 2
     assert "unreadable checkpoint" in capsys.readouterr().err
+
+
+def test_eval_of_a_checkpoint_with_bad_entry_data_exits_2(tmp_path, capsys):
+    # NaN or inf in a weight or statistic, or a flipped byte that only the
+    # entry's CRC catches: refused, not scored
+    config = _write_config(tmp_path)
+    assert cli.main(["generate", "-c", str(config), "-o", str(tmp_path / "data"), "--quiet"]) == 0
+    out = tmp_path / "run"
+    assert cli.main(["train", "-c", str(config), "-o", str(out), "--quiet"]) == 0
+    path = out / "checkpoint.npz"
+    sound = path.read_bytes()
+    capsys.readouterr()
+    for entry in ("param/v0.enc.lin0.weight", "param/v1.dec.lin0.weight", "stat/v0.enc.bn0.running_var"):
+        for value in (np.nan, np.inf):
+            set_first_value(path, entry, value)
+            assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 2, (entry, value)
+            assert f"non-finite values in checkpoint entry '{entry}'" in capsys.readouterr().err
+            path.write_bytes(sound)
+    flip_a_data_byte(path, "param/v0.enc.lin0.weight")
+    assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "unreadable checkpoint" in err and "Bad CRC-32" in err
 
 
 def test_zero_width_view_exits_2_before_the_run_directory(tmp_path, capsys):

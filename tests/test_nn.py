@@ -1,11 +1,14 @@
 """Autoencoder bundle, batch-norm behavior, optimizer, checkpoint round-trips."""
 
+import itertools
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from damage import flip_a_data_byte, set_first_value
 from oracles import (
     finite_difference_gradients,
     max_relative_gradient_error,
@@ -149,10 +152,15 @@ def test_same_seed_same_parameters():
 
 
 def test_nonfinite_activation_reports_layer():
-    bundle = tiny_bundle(batchnorm=False)
-    bundle.encoders[0].linears[0].weight.data[...] = np.inf
-    with pytest.raises(NumericalError, match="layer 0"):
-        bundle.encode(0, np.ones((2, 3)), train=False)
+    # layer 0 is hidden: its ReLU, or the one that ends its batch-norm
+    # node, maps NaN and -inf to 0, so the check has to come before it
+    for value, batchnorm, train in itertools.product((np.nan, -np.inf, np.inf), (True, False), (True, False)):
+        bundle = tiny_bundle(batchnorm=batchnorm)
+        bundle.encoders[0].linears[0].weight.data[0, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match="layer 0"):
+                bundle.encode(0, np.ones((2, 3)), train=train)
 
 
 def test_backward_matches_finite_differences_through_batchnorm():
@@ -223,28 +231,53 @@ def test_named_maps_are_built_once_and_hold_live_stats():
     assert bundle.named_stats()["v0.enc.bn0.running_mean"] is bundle.encoders[0].norms[0].running_mean
 
 
+def _model_checkpoint(path, bundle, **changes):
+    """Save `bundle`'s parameters and statistics as a finished run would."""
+    payload = dict(
+        config_hash="abc123",
+        epoch=7,
+        adam_t=1,
+        params={k: p.data for k, p in bundle.named_parameters().items()},
+        stats=bundle.named_stats(),
+        adam_arrays={},
+        warm_centroids={},
+    )
+    save_checkpoint(path, **{**payload, **changes})
+    return path
+
+
+def _param_arrays(bundle):
+    return {k: p.data for k, p in bundle.named_parameters().items()}
+
+
 @pytest.mark.parametrize("edit", ["missing", "shape"])
-def test_load_arrays_refuses_mismatched_stats_and_writes_nothing(edit):
+def test_load_arrays_refuses_mismatched_stats_and_writes_nothing(tmp_path, edit):
+    # the checkpoint loader, given the bundle's arrays as destinations
     source = tiny_bundle(seed=7)
-    params = {k: p.data.copy() for k, p in source.named_parameters().items()}
     stats = {k: s.copy() for k, s in source.named_stats().items()}
     if edit == "missing":
         del stats["v1.dec.bn0.running_var"]
     else:
         stats["v0.enc.bn0.running_mean"] = np.zeros(6)
+    path = _model_checkpoint(tmp_path / "ck.npz", source, stats=stats)
     target = tiny_bundle(seed=8)
     before = {k: p.data.copy() for k, p in target.named_parameters().items()}
+    stats_before = {k: s.copy() for k, s in target.named_stats().items()}
     with pytest.raises(ShapeError, match="statistic"):
-        target.load_arrays(params, stats)
+        load_checkpoint(path, params=_param_arrays(target), stats=target.named_stats())
     assert all(np.array_equal(p.data, before[k]) for k, p in target.named_parameters().items())
+    assert all(np.array_equal(s, stats_before[k]) for k, s in target.named_stats().items())
 
 
-def test_load_arrays_gives_adam_parameters_it_can_update_in_place():
+def test_load_arrays_gives_adam_parameters_it_can_update_in_place(tmp_path):
     # Adam writes through each parameter's flat view, which for a
     # Fortran-ordered array would be a copy and lose the update
     bundle = tiny_bundle(seed=7)
-    params = {k: np.asfortranarray(p.data) for k, p in bundle.named_parameters().items()}
-    bundle.load_arrays(params, {k: s.copy() for k, s in bundle.named_stats().items()})
+    params = {k: np.array(p.data, order="F") for k, p in bundle.named_parameters().items()}
+    path = _model_checkpoint(tmp_path / "ck.npz", bundle, params=params)
+    with np.load(path, allow_pickle=False) as npz:
+        assert not npz["param/v0.enc.lin0.weight"].flags.c_contiguous
+    load_checkpoint(path, params=_param_arrays(bundle), stats=bundle.named_stats())
     opt = Adam(bundle.named_parameters(), lr=0.1)
     for p in bundle.named_parameters().values():
         assert p.data.flags.c_contiguous
@@ -486,21 +519,26 @@ def _stepped_adam(bundle):
     return opt
 
 
-def test_adam_load_state_restores_saved_moments():
+def test_adam_load_state_restores_saved_moments(tmp_path):
+    # the checkpoint loader fills the optimizer's own moments in place
     bundle = tiny_bundle(seed=3)
     saved = _stepped_adam(bundle)
+    path = _model_checkpoint(tmp_path / "ck.npz", bundle, adam_t=saved.t, adam_arrays=saved.state_arrays())
     fresh = Adam(bundle.named_parameters(), lr=1e-3)
     assert fresh.t == 0 and fresh.state_arrays().keys() == saved.state_arrays().keys()
     assert not any(a.any() for a in fresh.state_arrays().values())
-    fresh.load_state(saved.t, saved.state_arrays())
-    assert fresh.t == 1
+    moments = dict(fresh.state_arrays())
+    ck = load_checkpoint(path, adam_arrays=fresh.state_arrays())
+    assert ck.adam_t == 1 and ck.adam_arrays is fresh.state_arrays()
     for k, a in fresh.state_arrays().items():
+        assert a is moments[k]
         assert np.array_equal(a, saved.state_arrays()[k]) and a is not saved.state_arrays()[k]
 
 
 @pytest.mark.parametrize("edit", ["extra_axis", "missing", "stray"])
-def test_adam_load_state_refuses_mismatched_moments_and_changes_nothing(edit):
-    source = _stepped_adam(tiny_bundle(seed=3))
+def test_adam_load_state_refuses_mismatched_moments_and_changes_nothing(tmp_path, edit):
+    source_bundle = tiny_bundle(seed=3)
+    source = _stepped_adam(source_bundle)
     arrays = {k: a.copy() for k, a in source.state_arrays().items()}
     if edit == "extra_axis":
         arrays["m/v0.enc.lin0.weight"] = arrays["m/v0.enc.lin0.weight"][None]
@@ -508,12 +546,21 @@ def test_adam_load_state_refuses_mismatched_moments_and_changes_nothing(edit):
         del arrays["v/v1.dec.lin0.bias"]
     else:
         arrays["x/v0.enc.lin0.weight"] = arrays["m/v0.enc.lin0.weight"]
-    target = _stepped_adam(tiny_bundle(seed=5))
+    path = _model_checkpoint(tmp_path / "ck.npz", source_bundle, adam_t=source.t + 1, adam_arrays=arrays)
+    target_bundle = tiny_bundle(seed=5)
+    target = _stepped_adam(target_bundle)
     before = {k: a.copy() for k, a in target.state_arrays().items()}
+    params_before = {k: p.data.copy() for k, p in target_bundle.named_parameters().items()}
     with pytest.raises(ShapeError, match="Adam moment"):
-        target.load_state(source.t + 1, arrays)
+        load_checkpoint(
+            path,
+            params=_param_arrays(target_bundle),
+            stats=target_bundle.named_stats(),
+            adam_arrays=target.state_arrays(),
+        )
     assert target.t == 1
     assert all(np.array_equal(a, before[k]) for k, a in target.state_arrays().items())
+    assert all(np.array_equal(p.data, params_before[k]) for k, p in target_bundle.named_parameters().items())
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +596,14 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(ck.stats[k], s)
     assert np.array_equal(ck.warm_centroids[("common", 2)], np.ones((2, 2)))
     fresh = tiny_bundle(seed=99)
-    fresh.load_arrays(ck.params, ck.stats)
+    destinations = _param_arrays(fresh)
+    ck = load_checkpoint(path, params=destinations, stats=fresh.named_stats())
+    assert ck.params is destinations and ck.stats is fresh.named_stats()
     for k, p in fresh.named_parameters().items():
+        assert p.data is destinations[k]
         assert np.array_equal(p.data, bundle.named_parameters()[k].data)
+    for k, s in fresh.named_stats().items():
+        assert np.array_equal(s, bundle.named_stats()[k])
 
 
 def test_checkpoint_hash_mismatch_refused(tmp_path):
@@ -618,3 +670,93 @@ def test_malformed_checkpoint_is_refused(tmp_path, meta, entry):
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **{entry: np.ones(2)})
     with pytest.raises(CheckpointError, match="malformed checkpoint"):
         load_checkpoint(path)
+
+
+_NONFINITE_ENTRIES = ["param/v0.enc.lin0.weight", "param/v1.dec.lin0.weight", "stat/v0.enc.bn0.running_var"]
+
+
+@pytest.mark.parametrize("into", ["fresh_arrays", "destinations"])
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry", _NONFINITE_ENTRIES)
+def test_checkpoint_with_a_nonfinite_entry_is_refused(tmp_path, entry, value, into):
+    bundle = tiny_bundle(seed=3)
+    path = _model_checkpoint(tmp_path / "ck.npz", bundle)
+    set_first_value(path, entry, value)
+    target = tiny_bundle(seed=4)
+    destinations = {} if into == "fresh_arrays" else dict(params=_param_arrays(target), stats=target.named_stats())
+    with pytest.raises(CheckpointError, match=f"non-finite values in checkpoint entry '{entry}'"):
+        load_checkpoint(path, **destinations)
+
+
+@pytest.mark.parametrize("into", ["fresh_arrays", "destinations"])
+def test_checkpoint_with_a_flipped_data_byte_is_refused(tmp_path, into):
+    bundle = tiny_bundle(seed=3)
+    path = _model_checkpoint(tmp_path / "ck.npz", bundle)
+    flip_a_data_byte(path, "param/v0.enc.lin0.weight")
+    target = tiny_bundle(seed=4)
+    destinations = {} if into == "fresh_arrays" else dict(params=_param_arrays(target), stats=target.named_stats())
+    with pytest.raises(CheckpointError, match="unreadable checkpoint .* Bad CRC-32"):
+        load_checkpoint(path, **destinations)
+
+
+def test_names_and_shapes_are_checked_before_any_entry_data_is_read(tmp_path):
+    # a stray statistic after a parameter whose data fails its CRC: the
+    # name check, from the member headers, refuses the file first (the
+    # weight is 16 KiB, more than a header read buffers, so reading its
+    # header does not reach the end of its data, where the CRC is checked)
+    bundle = tiny_bundle(seed=3, dims=(32, 4), hidden=(64,))
+    stats = {**bundle.named_stats(), "v9.enc.bn0.running_mean": np.zeros(5)}
+    path = _model_checkpoint(tmp_path / "ck.npz", bundle, stats=stats)
+    flip_a_data_byte(path, "param/v0.enc.lin0.weight")
+    target = tiny_bundle(seed=4, dims=(32, 4), hidden=(64,))
+    before = {k: p.data.copy() for k, p in target.named_parameters().items()}
+    with pytest.raises(ShapeError, match="statistic name set mismatch"):
+        load_checkpoint(path, params=_param_arrays(target), stats=target.named_stats())
+    assert all(np.array_equal(p.data, before[k]) for k, p in target.named_parameters().items())
+
+
+# Wide enough that holding every entry at once overshoots the bound below:
+# the largest entry is a 512 x 512 weight (2 MiB) of 9.2 MiB in all.
+_WIDE = dict(dims=(64, 48), hidden=(512, 512), latent=16)
+_SLACK = 1 << 20
+
+
+def _load_peak(path, **destinations) -> int:
+    """Bytes `load_checkpoint` allocates at its peak beyond what already existed."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        load_checkpoint(path, **destinations)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _largest_entry(bundle) -> int:
+    return max(p.data.nbytes for p in bundle.named_parameters().values())
+
+
+def test_loading_into_a_bundle_holds_at_most_one_entry_at_a_time(tmp_path):
+    saved = tiny_bundle(seed=3, **_WIDE)
+    path = _model_checkpoint(tmp_path / "ck.npz", saved)
+    bundle = tiny_bundle(seed=4, **_WIDE)
+    model = sum(p.data.nbytes for p in bundle.named_parameters().values())
+    assert model > 3 * (_largest_entry(bundle) + _SLACK)
+    peak = _load_peak(path, params=_param_arrays(bundle), stats=bundle.named_stats())
+    assert peak <= _largest_entry(bundle) + _SLACK
+    assert all(np.array_equal(p.data, saved.named_parameters()[k].data) for k, p in bundle.named_parameters().items())
+
+
+def test_resuming_into_a_bundle_and_its_adam_holds_at_most_one_entry_at_a_time(tmp_path):
+    saved = tiny_bundle(seed=3, **_WIDE)
+    moments = {k: np.full(a.shape, 0.5) for k, a in Adam(saved.named_parameters(), lr=1e-3).state_arrays().items()}
+    path = _model_checkpoint(
+        tmp_path / "ck.npz", saved, adam_arrays=moments, warm_centroids={("common", 3): np.ones((3, 16))}
+    )
+    bundle = tiny_bundle(seed=4, **_WIDE)
+    opt = Adam(bundle.named_parameters(), lr=1e-3)
+    peak = _load_peak(
+        path, params=_param_arrays(bundle), stats=bundle.named_stats(), adam_arrays=opt.state_arrays()
+    )
+    assert peak <= _largest_entry(bundle) + _SLACK
+    assert all((a == 0.5).all() for a in opt.state_arrays().values())

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from damage import flip_a_data_byte
 from umclust.cluster import kmeans
 from umclust.data import MultiViewDataset, SyntheticSpec, ViewData, synthesize, view_batches
 from umclust.errors import CheckpointError, DataError, NumericalError, ShapeError
@@ -292,6 +293,16 @@ def test_resume_refuses_an_adam_moment_with_an_extra_axis(tmp_path):
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
     with pytest.raises(ShapeError, match="Adam moment m/v0.enc.lin0.weight"):
+        train(cfg, ds, resume=path)
+
+
+def test_resume_refuses_a_checkpoint_whose_data_fails_its_crc(tmp_path):
+    ds = small_dataset()
+    cfg = small_config()
+    train(cfg, ds, out_dir=tmp_path, stop_after_epoch=4)
+    path = tmp_path / "checkpoint.npz"
+    flip_a_data_byte(path, "param/v0.enc.lin0.weight")
+    with pytest.raises(CheckpointError, match="Bad CRC-32"):
         train(cfg, ds, resume=path)
 
 
