@@ -3,11 +3,12 @@
 Per-view autoencoders embed disjoint sample sets into a shared-size
 latent space; a schedule of coarse-to-fine clustering levels drives
 contrastive losses inside each view and against the concatenated
-common representation. Views with stronger silhouettes guide the rest:
-each guided view's heavy-tailed cluster assignments are pulled, by
-cross-entropy, toward the centroid of each sample's common cluster,
-weighted by |reliable set| / V^2. Final assignments come from
-K-means on the concatenated latents.
+common representation. Every view is guided toward the common view:
+its heavy-tailed cluster assignments are pulled, by cross-entropy,
+toward the centroid of each sample's common cluster, weighted
+(V-1)/V^2. (Guidance was once gated on per-view silhouettes; the gate
+was removed because on barely trained latents it kept the term off.)
+Final assignments come from K-means on the concatenated latents.
 """
 
 __version__ = "0.1.0"

@@ -6,11 +6,13 @@ similarity, the per-view mean silhouette coefficient, exact
 maximum-weight bipartite matching, and cluster-structure matching
 between views that share no space; each matching is an index map.
 
-Training re-clusters every view and scores its silhouette at every
-refresh, so two kernels carry the cost: per-cluster means
-(`cluster_means`, one `bincount` that adds rows in index order) and
-all-pairs distances (`_pairwise_distances`, one Gram product with the
-cancelling pairs recomputed from their differences).
+Training re-clusters and re-matches every view at every refresh, so
+two kernels carry the cost: per-cluster means (`cluster_means`, one
+`bincount` that adds rows in index order) and all-pairs distances
+(`_pairwise_distances`, one Gram product with the cancelling pairs
+recomputed from their differences). The refresh no longer scores
+silhouettes: they once gated the guidance term, and the gate was
+removed because it kept that term off.
 """
 
 from __future__ import annotations

@@ -10,18 +10,22 @@ sample pairs whose same/different-cluster relation holds at every
 active clustering level, l_co contrasts every concatenated-batch
 anchor against the batch samples of every view, positives being the
 samples that share the anchor's common-view cluster, and l_cr guides
-every view that has peers with strictly better silhouettes: each of
-its samples' heavy-tailed assignments to the common centroids is
-pulled, by cross-entropy, toward the centroid of the sample's common
-cluster, weighted by |reliable set| / V^2. The lambdas are the
-`LossWeights` of YAML section ``train.weights``.
+every view: each of its samples' heavy-tailed assignments to the
+common centroids is pulled, by cross-entropy, toward the centroid of
+the sample's common cluster, weighted (V-1)/V^2 per view. The lambdas
+are the `LossWeights` of YAML section ``train.weights``.
+
+l_cr once guided only views whose peers had strictly better
+silhouettes. On barely trained latents the silhouettes are nearly
+equal, so that gate kept the term at exactly 0 for whole runs; it was
+removed, and (V-1)/V^2 is the weight the gate gave when fully open.
 
 The common view enters both cross-view terms as labels only: one
 common cluster per sample and level. How the views' clusters were
 joined into it is the refresh's business, not the losses'. Cluster
-assignments, centroids, common labels, silhouettes and reliable sets
-are all recomputed outside the loss graph and enter it as constants;
-gradients flow only through the current batch representations.
+assignments, centroids and common labels are all recomputed outside
+the loss graph and enter it as constants; gradients flow only through
+the current batch representations.
 
 l_in and l_co, which the trainer runs at the constant `TEMPERATURE`,
 compute their NT-Xent value and gradient together in closed form and
@@ -114,7 +118,6 @@ class LevelState:
     view_labels: dict[int, list[np.ndarray]]       # level -> per view (n_v,)
     common_labels: dict[int, np.ndarray]           # level -> (N,)
     final_centroids: np.ndarray                    # (K, D) latent mean per final common cluster
-    silhouettes: np.ndarray                        # (V,) at the final level
 
 
 @dataclass
@@ -340,7 +343,7 @@ def common_contrastive_loss(
 
 
 # ---------------------------------------------------------------------------
-# cross-view reliable guidance
+# cross-view guidance
 
 
 def student_assignments(z: Tensor, centroids: np.ndarray) -> Tensor:
@@ -362,46 +365,28 @@ def cross_view_guidance_loss(
     z_batches: list[Tensor],
     centroids: np.ndarray,
     batch_common_labels: list[np.ndarray],
-    reliable: list[list[int]],
 ) -> Tensor:
-    """Alignment pull toward the common-view frame for guided views.
+    """Alignment pull of every view toward the common-view frame.
 
-    A view with at least one more-reliable peer gets every batch sample
-    pulled toward the centroid of its common cluster (per view, the
-    final-level common label of each batch row): the sample's
-    heavy-tailed assignment distribution is scored against that
-    centroid (cross-entropy), so whole clusters migrate onto the shared
-    frame that reliable views anchor. Each guided view is weighted by
-    |reliable set| / V^2, preserving the double-sum structure of the
-    objective; views with no more-reliable peer contribute nothing.
+    Every batch sample is pulled toward the centroid of its common
+    cluster (per view, the final-level common label of each batch row):
+    the sample's heavy-tailed assignment distribution is scored against
+    that centroid (cross-entropy), so whole clusters migrate onto the
+    shared frame. Each view is weighted (V-1)/V^2, the double sum over
+    ordered view pairs, so a single view contributes nothing.
     """
     n_views = len(z_batches)
     k = centroids.shape[0]
+    weight = (n_views - 1) / (n_views * n_views)
     total = Tensor(0.0)
-    for v, targets in enumerate(reliable):
-        if not targets:
-            continue
-        sample_targets = batch_common_labels[v]
+    for z, sample_targets in zip(z_batches, batch_common_labels):
         b = sample_targets.shape[0]
-        q = student_assignments(z_batches[v], centroids).clip_min(DISTRIBUTION_FLOOR)
+        q = student_assignments(z, centroids).clip_min(DISTRIBUTION_FLOOR)
         pick = np.zeros((b, k))
         pick[np.arange(b), sample_targets] = 1.0
         ce = (q.log() * Tensor(-pick)).sum() * (1.0 / b)
-        total = total + ce * (len(targets) / (n_views * n_views))
+        total = total + ce * weight
     return total
-
-
-def select_reliable(silhouettes: np.ndarray, coeff: float) -> list[list[int]]:
-    """Indices of views whose silhouette strictly beats the current view's
-    threshold. For a non-positive silhouette the multiplicative threshold
-    would drop below the view's own score, so the margin turns additive:
-    sils_r > sils_v + coeff * |sils_v|."""
-    sils = np.asarray(silhouettes, dtype=np.float64)
-    out: list[list[int]] = []
-    for v, sv in enumerate(sils.tolist()):
-        threshold = coeff * sv if sv > 0 else sv + coeff * abs(sv)
-        out.append([r for r, sr in enumerate(sils.tolist()) if r != v and sr > threshold])
-    return out
 
 
 # ---------------------------------------------------------------------------

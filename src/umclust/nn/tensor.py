@@ -188,13 +188,6 @@ class Tensor:
 
         return Tensor._result(self.data.sum(axis=axis, keepdims=keepdims), (self,), backward)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        if axis is None:
-            n = self.data.size
-        else:
-            n = self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
     # -- elementwise nonlinearities -----------------------------------------------
 
     def log(self) -> "Tensor":

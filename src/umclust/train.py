@@ -1,24 +1,25 @@
 """Training orchestration.
 
 Each epoch starts by re-clustering the full representations of every
-view at all active levels, joining the views' clusters into a common
-view by cluster-structure matching, and measuring per-view
-silhouettes. The common view leaves the refresh as labels only (one
-common cluster per sample and level), which is all the cross-view
-loss terms read. The epoch then takes ceil(max n_v / batch_size)
-steps of one `data.view_batches` batch per view (a shorter view starts
-another reshuffled pass), building the four-term objective and
-applying an adaptive-moment update.
+view at all active levels and joining the views' clusters into a
+common view by cluster-structure matching. The common view leaves the
+refresh as labels only (one common cluster per sample and level),
+which is all the cross-view loss terms read. The epoch then takes
+ceil(max n_v / batch_size) steps of one `data.view_batches` batch per
+view (a shorter view starts another reshuffled pass), building the
+four-term objective and applying an adaptive-moment update.
 
 `ClusterSet.active` gives the active levels: the coarsest for the
 first quarter of the epochs, the two coarsest through the half point,
-then all. The reliable-view coefficient and the NT-Xent temperature
-are constants, not `TrainConfig` (YAML ``train``) settings: epoch t
-uses max(1.0, 1.5 * 0.99^(t-1)). After the last epoch `evaluate`
-scores the model: the final assignment comes from K-means (best of
-several restarts) on the concatenated eval-mode latents, and the report
-scores it and a K-means of each view alone. `umclust eval` calls the
-same `evaluate` on a model restored from its checkpoint.
+then all. The NT-Xent temperature is a constant, not a `TrainConfig`
+(YAML ``train``) setting. Every view is guided on every step: the
+refresh no longer scores per-view silhouettes to gate the guidance
+term, because on barely trained latents that gate kept the term off
+for whole runs. After the last epoch `evaluate` scores the model: the
+final assignment comes from K-means (best of several restarts) on the
+concatenated eval-mode latents, and the report scores it and a K-means
+of each view alone. `umclust eval` calls the same `evaluate` on a
+model restored from its checkpoint.
 
 A run that stops before its last epoch saves the Adam moments and warm
 centroids it needs to resume; a finished run saves only the model
@@ -41,7 +42,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .cluster import Assignment, cluster_means, kmeans, match_views, silhouette_view
+from .cluster import Assignment, cluster_means, kmeans, match_views
+# silhouette_view is not called here: bench/spans.py wraps it by name in this module.
+from .cluster import silhouette_view  # noqa: F401
 from .data import MultiViewDataset, view_batches
 from .errors import ConfigError, DataError, NumericalError
 from .losses import (
@@ -54,19 +57,12 @@ from .losses import (
     cross_view_guidance_loss,
     inner_contrastive_loss,
     recon_orth_loss,
-    select_reliable,
     total_loss,
 )
 from .metrics import MetricsReport, build_report, export_embeddings
 from .nn import Adam, build_bundle, load_checkpoint, save_checkpoint
 
 logger = logging.getLogger("umclust")
-
-
-# The reliable-view coefficient of epoch t is max(FLOOR, START * DECAY^(t-1)).
-RELIABILITY_START = 1.5
-RELIABILITY_DECAY = 0.99
-RELIABILITY_FLOOR = 1.0
 
 
 @dataclass(frozen=True)
@@ -104,11 +100,6 @@ class TrainConfig:
     @property
     def kmeans_seed(self) -> int:
         return self.seed + 2
-
-
-def reliability_coeff(epoch: int) -> float:
-    """Coefficient used during 1-based `epoch`."""
-    return max(RELIABILITY_FLOOR, RELIABILITY_START * RELIABILITY_DECAY ** (epoch - 1))
 
 
 def run_hash(config: TrainConfig, dataset: MultiViewDataset) -> str:
@@ -174,26 +165,24 @@ def refresh_level_state(
 ) -> tuple[LevelState, list[np.ndarray]]:
     """Recluster full representations of every view at every needed level.
 
-    The final level is always computed (silhouettes and the cross-view
-    correspondence live there) even before it becomes active. Centroids
-    warm-start from the previous refresh at the same level when
-    available. Views share no samples, so `match_views` joins their
-    clusters into the common view by the latents' cluster structure and
-    returns it as one common label per sample and level. Each final
-    common centroid is the latent mean of its joined clusters.
+    The final level is always computed (the cross-view correspondence
+    and the guidance centroids live there) even before it becomes
+    active. Centroids warm-start from the previous refresh at the same
+    level when available. Views share no samples, so `match_views` joins
+    their clusters into the common view by the latents' cluster
+    structure and returns it as one common label per sample and level.
+    Each final common centroid is the latent mean of its joined clusters.
 
     Latents come from a train-mode pass with frozen running statistics:
     mini-batch optimization sees batch-normalized geometry, so the
-    assignments, common view, and silhouettes guiding it must be computed
-    on that same geometry. (Running statistics lag far behind early in
-    training; an eval-mode refresh would cluster a space the losses
-    never see.)
+    assignments and common view guiding it must be computed on that same
+    geometry. (Running statistics lag far behind early in training; an
+    eval-mode refresh would cluster a space the losses never see.)
     """
     latents = bundle.encode_all(dataset.feature_matrices(), train=True)
     final = cluster_set.final
     needed = sorted(set(active) | {final})
     view_labels: dict[int, list[np.ndarray]] = {}
-    final_assignments: list[Assignment] = []
     for level in needed:
         view_labels[level] = []
         for v, z in enumerate(latents):
@@ -204,15 +193,11 @@ def refresh_level_state(
             )
             view_labels[level].append(a_v.labels)
             warm[(f"view{v}", level)] = c_v
-            if level == final:
-                final_assignments.append(a_v)
     common_labels = match_views(latents, view_labels, final)
-    sils = np.array([silhouette_view(z, a) for z, a in zip(latents, final_assignments)])
     state = LevelState(
         view_labels=view_labels,
         common_labels=common_labels,
         final_centroids=cluster_means(np.concatenate(latents, axis=0), common_labels[final], final),
-        silhouettes=sils,
     )
     return state, latents
 
@@ -296,8 +281,6 @@ def train(
     for epoch in range(start_epoch, last_epoch + 1):
         active = cluster_set.active(epoch, config.epochs)
         level_state, _ = refresh_level_state(bundle, dataset, cluster_set, active, config, warm)
-        coeff = reliability_coeff(epoch)
-        reliable = select_reliable(level_state.silhouettes, coeff)
         final_common = level_state.common_labels[cluster_set.final]
 
         streams = [
@@ -319,7 +302,7 @@ def train(
             rows = [offsets[v] + batch_idx[v] for v in range(n_views)]
             batch_common = {k: level_state.common_labels[k][np.concatenate(rows)] for k in active}
             l_co = common_contrastive_loss(zs, batch_common, TEMPERATURE)
-            l_cr = cross_view_guidance_loss(zs, level_state.final_centroids, [final_common[r] for r in rows], reliable)
+            l_cr = cross_view_guidance_loss(zs, level_state.final_centroids, [final_common[r] for r in rows])
             total = total_loss(l_ae, l_in, l_co, l_cr, config.weights)
             if not np.isfinite(total.data):
                 raise NumericalError(f"non-finite total loss at epoch {epoch} step {step}")
@@ -328,17 +311,15 @@ def train(
             sums += [l_ae.item(), l_in.item(), l_co.item(), l_cr.item(), total.item()]
             del l_ae, zs, l_in, l_co, l_cr, total  # free this step's graph before the next is built
         means = sums / steps
-        loss_rows.append([float(epoch), *means.tolist(), coeff, *level_state.silhouettes.tolist()])
+        loss_rows.append([float(epoch), *means.tolist()])
         level_trace.append(active)
         logger.info(
-            "epoch=%d total=%.6f l_ae=%.6f l_in=%.6f l_co=%.6f l_cr=%.6f coeff=%.6f levels=%s",
-            epoch, means[4], means[0], means[1], means[2], means[3], coeff, list(active),
+            "epoch=%d total=%.6f l_ae=%.6f l_in=%.6f l_co=%.6f l_cr=%.6f levels=%s",
+            epoch, means[4], means[0], means[1], means[2], means[3], list(active),
         )
 
     latents, final, report = evaluate(bundle, dataset, config, cfg_hash, started_at)
-    columns = ["epoch", "l_ae", "l_in", "l_co", "l_cr", "total", "reliability_coeff"] + [
-        f"silhouette_view{v}" for v in range(n_views)
-    ]
+    columns = ["epoch", "l_ae", "l_in", "l_co", "l_cr", "total"]
     artifacts = RunArtifacts(
         loss_table=np.array(loss_rows) if loss_rows else np.zeros((0, len(columns))),
         level_trace=level_trace,

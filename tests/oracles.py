@@ -217,30 +217,27 @@ def brute_cross_view_guidance(
     centroids: np.ndarray,
     matchings: list[np.ndarray],
     view_labels: list[np.ndarray],
-    reliable: list[list[int]],
     floor: float = 1e-8,
 ) -> float:
-    """Reliable-view guidance straight from its definition.
+    """Cross-view guidance straight from its definition.
 
-    In every view v with a non-empty reliable set, sample i of view
-    cluster c targets the one common cluster g that the matching of v
-    links to c. Its heavy-tailed assignment
+    In every view v, sample i of view cluster c targets the one common
+    cluster g that the matching of v links to c. Its heavy-tailed
+    assignment
     q_ig = (1 + |z_i - mu_g|^2)^-1 / sum_h (1 + |z_i - mu_h|^2)^-1, floored
     at `floor`, adds -log(q_ig) / b_v, and the view's sum is weighted
-    |reliable[v]| / V^2.
+    1 / V^2 once for each of the other V - 1 views.
     """
     n_views = len(z_batches)
     total = 0.0
     for v, z in enumerate(z_batches):
-        if not reliable[v]:
-            continue
         view_sum = 0.0
         for i, row in enumerate(z):
             cluster = int(view_labels[v][i])
             (target,) = [g for g in range(len(centroids)) if matchings[v][g][cluster]]
             kernel = [1.0 / (1.0 + sum((a - m) ** 2 for a, m in zip(row, mu))) for mu in centroids]
             view_sum -= math.log(max(kernel[target] / sum(kernel), floor))
-        total += view_sum / z.shape[0] * len(reliable[v]) / n_views**2
+        total += view_sum / z.shape[0] * (n_views - 1) / n_views**2
     return total
 
 
@@ -359,9 +356,10 @@ def op_by_op_batchnorm_relu(x, gamma, beta, running_mean, running_var, momentum,
     """Train-mode batch normalization then ReLU, one recorded operation at
     a time; the running statistics (arrays) move in place when
     `update_stats`."""
-    mu = x.mean(axis=0)
+    inv_b = 1.0 / x.data.shape[0]
+    mu = x.sum(axis=0) * inv_b
     centered = x - mu
-    var = centered.square().mean(axis=0)
+    var = centered.square().sum(axis=0) * inv_b
     if update_stats:
         for stat, batch in ((running_mean, mu.data), (running_var, var.data)):
             stat *= momentum

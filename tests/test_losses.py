@@ -27,7 +27,6 @@ from umclust.losses import (
     cross_view_guidance_loss,
     inner_contrastive_loss,
     recon_orth_term,
-    select_reliable,
     total_loss,
 )
 from umclust.nn import build_bundle
@@ -522,53 +521,32 @@ def test_common_loss_backward_stays_within_its_memory_bound():
 
 
 # ---------------------------------------------------------------------------
-# reliable views and guidance
+# guidance
 
 
-def test_select_reliable_strictly_increasing():
-    sils = np.array([0.1, 0.2, 0.3])
-    out = select_reliable(sils, coeff=1.0)
-    assert out == [[1, 2], [2], []]
-
-
-def test_select_reliable_all_equal_empty():
-    assert select_reliable(np.array([0.4, 0.4, 0.4]), 1.0) == [[], [], []]
-
-
-def test_select_reliable_spec_example():
-    out = select_reliable(np.array([0.5, 0.2, 0.4]), coeff=1.5)
-    assert out[1] == [0, 2]
-    assert out[0] == []
-    assert out[2] == []
-
-
-def test_select_reliable_negative_silhouette_additive_margin():
-    # threshold for view 0 is -0.2 + 1.5*0.2 = 0.1, not 1.5*(-0.2) = -0.3
-    out = select_reliable(np.array([-0.2, 0.05, 0.2]), coeff=1.5)
-    assert out[0] == [2]
-
-
-def test_guidance_hand_case_pulls_guided_view_only():
-    # view 0 is guided by view 1; its samples sit in common clusters [0, 1]
+def test_guidance_hand_case_pulls_every_view():
+    # both views' samples sit in common clusters [0, 1]; each view weighs (2-1)/2^2
     z0 = Tensor(np.array([[0.0, 0.0], [1.0, 0.0]]), requires_grad=True)
-    z1 = Tensor(np.array([[5.0, 5.0], [6.0, 5.0]]), requires_grad=True)
+    z1 = Tensor(np.array([[1.0, 1.0], [2.0, 0.0]]), requires_grad=True)
     centroids = np.array([[0.0, 0.0], [3.0, 0.0]])
-    loss = cross_view_guidance_loss(
-        [z0, z1], centroids, [np.array([0, 1]), np.array([0, 1])], reliable=[[1], []],
-    )
-    # sample 0: q = (1, 0.1)/1.1, target 0; sample 1: q = (0.5, 0.2)/0.7, target 1
-    expected = (math.log(1.1) + math.log(3.5)) / 2 * (1 / 4)
-    assert loss.item() == pytest.approx(expected, rel=1e-12)
+    loss = cross_view_guidance_loss([z0, z1], centroids, [np.array([0, 1]), np.array([0, 1])])
+    # view 0: sample 0 has q = (1, 0.1)/1.1, target 0; sample 1 has q = (0.5, 0.2)/0.7, target 1
+    # view 1: sample 0 has q = (1/3, 1/6)/(1/2), target 0; sample 1 has q = (0.2, 0.5)/0.7, target 1
+    view0 = (math.log(1.1) + math.log(3.5)) / 2
+    view1 = (math.log(1.5) + math.log(1.4)) / 2
+    assert loss.item() == pytest.approx((view0 + view1) / 4, rel=1e-12)
     loss.backward()
-    assert z0.grad is not None and np.any(z0.grad != 0)
-    assert z1.grad is None
+    for z in (z0, z1):
+        assert z.grad is not None and np.any(z.grad != 0)
 
 
 def test_guidance_zero_without_reliable_peers():
-    z = Tensor(np.ones((3, 2)))
-    labels = np.array([0, 1, 0])
-    loss = cross_view_guidance_loss([z, z], np.eye(2), [labels, labels], reliable=[[], []])
+    # one view has no peer: its weight (1-1)/1^2 is 0
+    z = Tensor(np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]]), requires_grad=True)
+    loss = cross_view_guidance_loss([z], np.eye(2), [np.array([0, 1, 0])])
     assert loss.item() == 0.0
+    loss.backward()
+    assert z.grad is None or not np.any(z.grad)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -577,9 +555,8 @@ def test_guidance_matches_the_matching_oracle(seed):
     k = LEVELS[-1]
     centroids = np.random.default_rng(seed).normal(size=(k, 4))
     split = np.split(common_labels[k], np.cumsum(SIZES)[:-1])
-    reliable = [[1], [0]] if seed % 2 else [[1], []]
-    value = cross_view_guidance_loss([Tensor(z) for z in zs], centroids, split, reliable).item()
-    expected = brute_cross_view_guidance(zs, centroids, matchings[k], view_labels[k], reliable)
+    value = cross_view_guidance_loss([Tensor(z) for z in zs], centroids, split).item()
+    expected = brute_cross_view_guidance(zs, centroids, matchings[k], view_labels[k])
     assert value == pytest.approx(expected, rel=1e-12)
 
 
@@ -587,9 +564,8 @@ def test_guidance_on_a_refresh_state_matches_the_matching_oracle():
     state, zs, view_labels, common_labels, matchings = _refresh_case()
     k = max(common_labels)
     split = np.split(common_labels[k], len(zs))
-    reliable = [[1], [0]]
-    value = cross_view_guidance_loss([Tensor(z) for z in zs], state.final_centroids, split, reliable).item()
-    expected = brute_cross_view_guidance(zs, state.final_centroids, matchings[k], view_labels[k], reliable)
+    value = cross_view_guidance_loss([Tensor(z) for z in zs], state.final_centroids, split).item()
+    expected = brute_cross_view_guidance(zs, state.final_centroids, matchings[k], view_labels[k])
     assert value == pytest.approx(expected, rel=1e-12)
 
 
