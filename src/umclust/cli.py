@@ -2,6 +2,9 @@
 
 `train` and `eval` score a model through the one `train.evaluate`; `eval`
 first restores it from a checkpoint written under the same run hash.
+Scoring runs only the encoders, so `eval` builds those alone, draws no
+weights for them, and checks the decoder entries of the checkpoint
+without keeping them.
 
 Exit codes: 0 on success, 2 for configuration or input errors, 3 for
 numerical failures during training.
@@ -129,12 +132,14 @@ def cmd_eval(args) -> int:
         run_config.train.hidden_dims,
         run_config.train.batchnorm,
         run_config.train.seed,
+        encoders_only=True,
     )
     load_checkpoint(
         ckpt_path,
         expect_config_hash=expected,
         params={k: p.data for k, p in bundle.named_parameters().items()},
         stats=bundle.named_stats(),
+        drop=bundle.unbuilt,
     )
     _, _, report = evaluate(bundle, ds, run_config.train, expected, time.time())
     report.save(out)

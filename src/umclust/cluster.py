@@ -59,22 +59,29 @@ class Assignment:
     inertia_history: list[float] = field(default_factory=list, repr=False)
 
 
-def _sqdist(z: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    zz = np.einsum("ij,ij->i", z, z)[:, None]
-    cc = np.einsum("ij,ij->i", centers, centers)[None, :]
-    d2 = zz + cc - 2.0 * (z @ centers.T)
+def _row_sq_norms(z: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", z, z)
+
+
+def _sqdist(z: np.ndarray, zz: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances of the rows of `z` (squared norms `zz`) to `centers`."""
+    cc = _row_sq_norms(centers)[None, :]
+    d2 = zz[:, None] + cc - 2.0 * (z @ centers.T)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
 
-def _kmeanspp_init(z: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_init(z: np.ndarray, k: int, rng: np.random.Generator, zz: np.ndarray | None = None) -> np.ndarray:
+    """k-means++ seeding; `zz` passes the squared row norms of `z` when
+    the caller has them."""
+    zz = _row_sq_norms(z) if zz is None else zz
     n = z.shape[0]
     centers = np.empty((k, z.shape[1]))
     chosen: set[int] = set()
     idx = int(rng.integers(n))
     centers[0] = z[idx]
     chosen.add(idx)
-    d2 = _sqdist(z, centers[0:1])[:, 0]
+    d2 = _sqdist(z, zz, centers[0:1])[:, 0]
     for c in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -84,15 +91,15 @@ def _kmeanspp_init(z: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
             idx = next(i for i in range(n) if i not in chosen)
         centers[c] = z[idx]
         chosen.add(idx)
-        np.minimum(d2, _sqdist(z, centers[c : c + 1])[:, 0], out=d2)
+        np.minimum(d2, _sqdist(z, zz, centers[c : c + 1])[:, 0], out=d2)
     return centers
 
 
-def _assign_with_repair(z: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
+def _assign_with_repair(z: np.ndarray, zz: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
     """Nearest-centroid labels; each empty cluster seizes the point farthest
     from its own centroid (ascending cluster index, each point seized once)."""
     k = centers.shape[0]
-    d2 = _sqdist(z, centers)
+    d2 = _sqdist(z, zz, centers)
     labels = np.argmin(d2, axis=1)
     counts = np.bincount(labels, minlength=k)
     empties = np.flatnonzero(counts == 0)
@@ -122,21 +129,35 @@ def cluster_means(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
 
 def _lloyd(
     z: np.ndarray,
+    zz: np.ndarray,
     centers: np.ndarray,
     max_iter: int,
     tol: float,
 ) -> tuple[Assignment, np.ndarray]:
+    """Lloyd iterations until the centroids move less than `tol`.
+
+    When an assignment returns the labels the centroids were averaged
+    from, the next iteration is known without running it: it would
+    average the same labels into the same centroids bit for bit (a shift
+    of 0, below any positive `tol`) and assign them again unchanged. So
+    its inertia is recorded and the loop stops, as it would have after
+    that iteration. Non-finite centroids (an empty cluster's NaN mean)
+    give a NaN shift that never stops the loop, so they are left to run.
+    """
     k = centers.shape[0]
     history: list[float] = []
-    labels, inertia = _assign_with_repair(z, centers)
+    labels, inertia = _assign_with_repair(z, zz, centers)
     history.append(inertia)
-    for _ in range(max_iter):
+    for i in range(max_iter):
         new_centers = cluster_means(z, labels, k)
         shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
-        centers = new_centers
-        labels, inertia = _assign_with_repair(z, centers)
+        centers, averaged = new_centers, labels
+        labels, inertia = _assign_with_repair(z, zz, centers)
         history.append(inertia)
         if shift < tol:
+            break
+        if tol > 0 and i + 1 < max_iter and np.array_equal(labels, averaged) and np.isfinite(centers).all():
+            history.append(inertia)
             break
     return Assignment(labels=labels, k=k, inertia=inertia, inertia_history=history), centers
 
@@ -163,15 +184,16 @@ def kmeans(
         raise ValueError(f"k must be >= 1, got {k}")
     if z.shape[0] < k:
         raise ValueError(f"kmeans needs at least k={k} rows, got {z.shape[0]}")
+    zz = _row_sq_norms(z)
     if init_centroids is not None:
         init = np.asarray(init_centroids, dtype=np.float64)
         if init.shape != (k, z.shape[1]):
             raise ShapeError(f"warm-start centroids must be {(k, z.shape[1])}, got {init.shape}")
-        return _lloyd(z, init.copy(), max_iter, tol)
+        return _lloyd(z, zz, init.copy(), max_iter, tol)
     best: tuple[Assignment, np.ndarray] | None = None
     for r in range(max(1, int(restarts))):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), r]))
-        assignment, centers = _lloyd(z, _kmeanspp_init(z, k, rng), max_iter, tol)
+        assignment, centers = _lloyd(z, zz, _kmeanspp_init(z, k, rng, zz), max_iter, tol)
         if best is None or assignment.inertia < best[0].inertia:
             best = (assignment, centers)
     return best

@@ -279,9 +279,11 @@ def load_paired(manifest_path: str | Path) -> PairedDataset:
 
 
 def _write_feature_csv(path: Path, ids: np.ndarray, feats: np.ndarray) -> None:
+    """One row per sample, the id then each feature's shortest round-trip repr."""
+    feats = np.asarray(feats, dtype=np.float64)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for sid, row in zip(ids.tolist(), feats):
-            fh.write(str(int(sid)) + "," + ",".join(repr(float(x)) for x in row) + "\n")
+            fh.write(str(int(sid)) + "," + ",".join(map(repr, row.tolist())) + "\n")
 
 
 def save_dataset(ds: MultiViewDataset | PairedDataset, out_dir: str | Path) -> Path:

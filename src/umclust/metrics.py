@@ -199,7 +199,8 @@ def export_embeddings(
     n, d = latents.shape
     if not (ids.shape[0] == view_of_row.shape[0] == true_labels.shape[0] == pred_labels.shape[0] == n):
         raise ShapeError("embedding export inputs disagree in length")
+    latents = np.asarray(latents, dtype=np.float64)
     with open(Path(path), "w", encoding="utf-8", newline="\n") as fh:
         for i in range(n):
-            coords = ",".join(repr(float(x)) for x in latents[i])
+            coords = ",".join(map(repr, latents[i].tolist()))
             fh.write(f"{int(ids[i])},{int(view_of_row[i])},{int(true_labels[i])},{int(pred_labels[i])},{coords}\n")

@@ -16,10 +16,13 @@ destinations (`params`, `stats`, `adam_arrays`: name -> array, as
 `save_checkpoint` takes them) and each entry is read, checked and
 copied into its destination before the next one is read. An entry with
 no destination (a warm centroid, or every entry when none are given) is
-returned as a fresh array. Everything that needs no array data is
-checked before the first write: the format and config hash from the
-metadata, then the entry names and shapes against the destinations from
-the member headers alone. Bad entry data (a failed CRC, a non-finite
+returned as a fresh array. A caller that has no use for some entries
+(`umclust eval` holds no decoders) names them with their shapes in
+`drop`: each is checked like any other entry, then dropped as soon as
+it has been read. Everything that needs no array data is checked before
+the first write: the format and config hash from the metadata, then the
+entry names and shapes against the destinations and `drop` from the
+member headers alone. Bad entry data (a failed CRC, a non-finite
 value) raises `CheckpointError` only when its entry is read, after
 earlier entries may have been written: the destinations are then
 undefined, and the caller must discard them.
@@ -91,13 +94,13 @@ def save_checkpoint(
         tmp.unlink(missing_ok=True)
 
 
-def _check_like(kind: str, shapes: dict[str, tuple[int, ...]], own: dict[str, np.ndarray]) -> None:
+def _check_like(kind: str, shapes: dict[str, tuple[int, ...]], own: dict[str, tuple[int, ...]]) -> None:
     """Refuse `shapes` unless it has exactly `own`'s names, each with the
-    shape of `own`'s array of that name."""
+    shape `own` gives it."""
     if set(shapes) != set(own):
         raise ShapeError(f"{kind} name set mismatch")
     for name, shape in shapes.items():
-        if shape != own[name].shape:
+        if shape != own[name]:
             raise ShapeError(f"shape mismatch for {kind} {name}")
 
 
@@ -108,13 +111,17 @@ def load_checkpoint(
     params: dict[str, np.ndarray] | None = None,
     stats: dict[str, np.ndarray] | None = None,
     adam_arrays: dict[str, np.ndarray] | Callable[[int], dict[str, np.ndarray]] | None = None,
+    drop: dict[str, tuple[int, ...]] | None = None,
 ) -> CheckpointData:
     """Read `path`, filling the given destinations in place; the returned
     `CheckpointData` holds the destination dicts themselves, and fresh
     dicts of fresh arrays for the kinds given none. `adam_arrays` may
     also be a function of the saved epoch that returns the moment
     destinations, for a caller whose need for moments depends on how far
-    the saved run got."""
+    the saved run got. `drop` maps entry names (``param/<name>``,
+    ``stat/<name>``, as saved) of kinds given destinations to their
+    shapes: those entries must be there and are checked, but nothing
+    keeps them."""
     try:
         zf = zipfile.ZipFile(path)
     except (OSError, zipfile.BadZipFile) as exc:
@@ -145,17 +152,24 @@ def load_checkpoint(
         if adam_arrays is not None:
             data.adam_arrays = adam_arrays
 
+        drop = {} if drop is None else drop
         entries = _entry_headers(zf, path)
         for kind, dest in (("param", params), ("stat", stats), ("adam", adam_arrays)):
             if dest is not None:
                 shapes = {key: shape for k, key, shape in entries.values() if k == kind}
-                _check_like(_LABELS[kind], shapes, dest)
+                own = {key: arr.shape for key, arr in dest.items()}
+                for name, shape in drop.items():
+                    if name.startswith(f"{kind}/"):
+                        own[name.partition("/")[2]] = shape
+                _check_like(_LABELS[kind], shapes, own)
         named = {"param": data.params, "stat": data.stats, "adam": data.adam_arrays, "warm": data.warm_centroids}
         for name, (kind, key, _) in entries.items():
             arr = _read_entry(zf, name, path)
             if not np.isfinite(arr).all():
                 raise CheckpointError(f"non-finite values in checkpoint entry {name!r} of {path}")
-            if key in named[kind]:
+            if name in drop:
+                pass  # checked, and kept nowhere
+            elif key in named[kind]:
                 named[kind][key][...] = arr
             else:
                 named[kind][key] = arr

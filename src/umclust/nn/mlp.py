@@ -25,6 +25,12 @@ parameter map (``v{v}.enc.lin{i}.weight`` ...) and a map of batch-norm
 running statistics, which the layers update in place. Restoring a
 checkpoint fills these same arrays in place (`load_checkpoint` with
 destinations); the bundle has no loader of its own.
+
+Scoring a saved model runs only the encoders, so
+``build_bundle(..., encoders_only=True)`` builds the eval model: the
+encoders alone, their arrays left uninitialized for the loader to fill
+(no weights are drawn), and `unbuilt`, the checkpoint entry name and
+shape of every decoder array, which `load_checkpoint` checks and drops.
 """
 
 from __future__ import annotations
@@ -36,10 +42,16 @@ from .tensor import Tensor, no_graph
 
 
 class Linear:
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
-        bound = np.sqrt(6.0 / in_dim)
-        self.weight = Tensor(rng.uniform(-bound, bound, size=(in_dim, out_dim)), requires_grad=True)
-        self.bias = Tensor(np.zeros(out_dim), requires_grad=True)
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None):
+        """Weights drawn from `rng`; with `rng` None both arrays are left
+        uninitialized, for a checkpoint to fill."""
+        if rng is None:
+            weight, bias = np.empty((in_dim, out_dim)), np.empty(out_dim)
+        else:
+            bound = np.sqrt(6.0 / in_dim)
+            weight, bias = rng.uniform(-bound, bound, size=(in_dim, out_dim)), np.zeros(out_dim)
+        self.weight = Tensor(weight, requires_grad=True)
+        self.bias = Tensor(bias, requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         """x @ weight + bias as one node."""
@@ -120,7 +132,7 @@ class BatchNorm:
 class Mlp:
     """Linear layers through `dims`; the last one is purely linear."""
 
-    def __init__(self, dims: tuple[int, ...], batchnorm: bool, rng: np.random.Generator):
+    def __init__(self, dims: tuple[int, ...], batchnorm: bool, rng: np.random.Generator | None):
         self.linears = [Linear(a, b, rng) for a, b in zip(dims, dims[1:])]
         self.norms = [BatchNorm(d) if batchnorm else None for d in dims[1:-1]] + [None]
 
@@ -136,30 +148,43 @@ class Mlp:
 
 
 class AutoencoderBundle:
-    """One encoder and one mirror-image decoder per view.
+    """One encoder and one mirror-image decoder per view, or the encoders
+    alone (`decoders` empty) with `unbuilt` naming the decoders' arrays.
 
     Every forward call names its mode: `train=True` normalizes by batch
     statistics, `train=False` applies the running ones.
     """
 
-    def __init__(self, input_dims: list[int], latent_dim: int, encoders: list[Mlp], decoders: list[Mlp]):
+    def __init__(
+        self,
+        input_dims: list[int],
+        latent_dim: int,
+        encoders: list[Mlp],
+        decoders: list[Mlp],
+        unbuilt: dict[str, tuple[int, ...]] | None = None,
+    ):
         self.input_dims = input_dims
         self.latent_dim = latent_dim
         self.encoders = encoders
         self.decoders = decoders
+        self.unbuilt = {} if unbuilt is None else unbuilt
         self._params: dict[str, Tensor] = {}
         self._stats: dict[str, np.ndarray] = {}
-        for v, (encoder, decoder) in enumerate(zip(encoders, decoders)):
-            for prefix, mlp in ((f"v{v}.enc", encoder), (f"v{v}.dec", decoder)):
-                for i, lin in enumerate(mlp.linears):
-                    self._params[f"{prefix}.lin{i}.weight"] = lin.weight
-                    self._params[f"{prefix}.lin{i}.bias"] = lin.bias
-                for i, norm in enumerate(mlp.norms):
-                    if norm is not None:
-                        self._params[f"{prefix}.bn{i}.gamma"] = norm.gamma
-                        self._params[f"{prefix}.bn{i}.beta"] = norm.beta
-                        self._stats[f"{prefix}.bn{i}.running_mean"] = norm.running_mean
-                        self._stats[f"{prefix}.bn{i}.running_var"] = norm.running_var
+        for v, encoder in enumerate(encoders):
+            self._register(f"v{v}.enc", encoder)
+            if decoders:
+                self._register(f"v{v}.dec", decoders[v])
+
+    def _register(self, prefix: str, mlp: Mlp) -> None:
+        for i, lin in enumerate(mlp.linears):
+            self._params[f"{prefix}.lin{i}.weight"] = lin.weight
+            self._params[f"{prefix}.lin{i}.bias"] = lin.bias
+        for i, norm in enumerate(mlp.norms):
+            if norm is not None:
+                self._params[f"{prefix}.bn{i}.gamma"] = norm.gamma
+                self._params[f"{prefix}.bn{i}.beta"] = norm.beta
+                self._stats[f"{prefix}.bn{i}.running_mean"] = norm.running_mean
+                self._stats[f"{prefix}.bn{i}.running_var"] = norm.running_var
 
     # -- forward ------------------------------------------------------------
 
@@ -200,22 +225,46 @@ class AutoencoderBundle:
             p.zero_grad()
 
 
+def _entry_shapes(prefix: str, dims: tuple[int, ...], batchnorm: bool) -> dict[str, tuple[int, ...]]:
+    """Checkpoint entry name -> shape of every array an `Mlp(dims, batchnorm)`
+    registered under `prefix` holds, without building it."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    for i, (a, b) in enumerate(zip(dims, dims[1:])):
+        shapes[f"param/{prefix}.lin{i}.weight"] = (a, b)
+        shapes[f"param/{prefix}.lin{i}.bias"] = (b,)
+    if batchnorm:
+        for i, d in enumerate(dims[1:-1]):
+            for name in ("param/{}.gamma", "param/{}.beta", "stat/{}.running_mean", "stat/{}.running_var"):
+                shapes[name.format(f"{prefix}.bn{i}")] = (d,)
+    return shapes
+
+
 def build_bundle(
     input_dims: list[int],
     latent_dim: int,
     hidden_dims: tuple[int, ...],
     batchnorm: bool,
     seed: int,
+    *,
+    encoders_only: bool = False,
 ) -> AutoencoderBundle:
     """View v's encoder runs through (input_dims[v], *hidden_dims, latent_dim)
     and its decoder back through the reversed dims. Each view draws its
-    weights, encoder then decoder, from its own generator seeded by (seed, v)."""
-    encoders, decoders = [], []
+    weights, encoder then decoder, from its own generator seeded by (seed, v).
+
+    `encoders_only` builds the eval model: no decoders, no weights drawn
+    (every array is left for `load_checkpoint` to fill), and the bundle's
+    `unbuilt` names each decoder entry with its shape."""
+    encoders, decoders, unbuilt = [], [], {}
     for v, d in enumerate(input_dims):
         dims = (d, *hidden_dims, latent_dim)
         if min(dims) < 1:
             raise ShapeError(f"all layer dims must be >= 1, got {dims}")
+        if encoders_only:
+            encoders.append(Mlp(dims, batchnorm, None))
+            unbuilt.update(_entry_shapes(f"v{v}.dec", dims[::-1], batchnorm))
+            continue
         rng = np.random.default_rng(np.random.SeedSequence([seed, v]))
         encoders.append(Mlp(dims, batchnorm, rng))
         decoders.append(Mlp(dims[::-1], batchnorm, rng))
-    return AutoencoderBundle(list(input_dims), latent_dim, encoders, decoders)
+    return AutoencoderBundle(list(input_dims), latent_dim, encoders, decoders, unbuilt)

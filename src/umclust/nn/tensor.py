@@ -8,6 +8,14 @@ training objective are implemented; all of them broadcast the same way
 numpy does, and gradients of broadcast operands are summed back to the
 operand's shape.
 
+Backward consumes the graph's interior state: once a node's rule has
+run, the node drops its gradient and its rule, and with the rule every
+array the rule kept (a batch-norm node's normalized input, a
+``closed_form`` gradient), so a step holds each of them only until
+backward has passed its node. Leaves keep their gradients and every
+node keeps its parents, so the graph can still be walked; it cannot be
+differentiated a second time.
+
 A loss whose gradient is cheaper to derive by hand than to record op by
 op enters the graph through ``closed_form``: one scalar node that holds
 its value and its gradient with respect to one parent, both computed in
@@ -239,7 +247,9 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into every requires_grad leaf.
 
-        `self` must be a scalar (size-1) tensor.
+        `self` must be a scalar (size-1) tensor. Each interior node
+        (one with a backward rule, `self` included) ends with `.grad`
+        and its rule set to None, freed as soon as the rule has run.
         """
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar loss")
@@ -260,8 +270,10 @@ class Tensor:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node._backward is not None:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node.grad = node._backward = None
 
 
 def closed_form(parent: Tensor, value: float, grad: np.ndarray) -> Tensor:

@@ -29,6 +29,12 @@ into their parameters, statistics and moments, so the model is never
 held twice; a checkpoint that is refused part-way raises before the
 first epoch, and the half-filled model is dropped. Full-data encodes
 record no autodiff graph.
+
+Each step keeps its memory only as long as something reads it:
+backward frees every interior gradient and saved array as it passes
+the node, and the parameter gradients are released as soon as Adam has
+read them, so a refresh, `evaluate` or a checkpoint write never runs
+beside a dead model-sized set of gradients.
 """
 
 from __future__ import annotations
@@ -290,7 +296,6 @@ def train(
         for step in range(steps):
             batch_idx = [next(streams[v]) for v in range(n_views)]
             x_batches = [features[v][batch_idx[v]] for v in range(n_views)]
-            bundle.zero_grad()
             l_ae, zs = recon_orth_loss(x_batches, bundle, config.weights.lambda1)
             pair_sets = [
                 build_inner_pairs(
@@ -308,6 +313,7 @@ def train(
                 raise NumericalError(f"non-finite total loss at epoch {epoch} step {step}")
             total.backward()
             opt.step()
+            bundle.zero_grad()  # the gradients die with the step that read them
             sums += [l_ae.item(), l_in.item(), l_co.item(), l_cr.item(), total.item()]
             del l_ae, zs, l_in, l_co, l_cr, total  # free this step's graph before the next is built
         means = sums / steps

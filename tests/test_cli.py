@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,82 @@ def test_eval_of_a_checkpoint_with_bad_entry_data_exits_2(tmp_path, capsys):
     assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert "unreadable checkpoint" in err and "Bad CRC-32" in err
+
+
+@pytest.fixture
+def eval_spy(monkeypatch):
+    """Record the bundle `umclust eval` builds and the `tracemalloc` peak,
+    above what existed before, of building it and loading the checkpoint."""
+    seen = {}
+    real_build, real_load = cli.build_bundle, cli.load_checkpoint
+
+    def build(*args, **kwargs):
+        tracemalloc.start()
+        seen["base"] = tracemalloc.get_traced_memory()[0]
+        seen["bundle"] = real_build(*args, **kwargs)
+        return seen["bundle"]
+
+    def load(*args, **kwargs):
+        try:
+            return real_load(*args, **kwargs)
+        finally:
+            seen["peak"] = tracemalloc.get_traced_memory()[1] - seen["base"]
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "build_bundle", build)
+    monkeypatch.setattr(cli, "load_checkpoint", load)
+    yield seen
+    tracemalloc.stop()  # in case a build was not followed by a load
+
+
+def test_eval_builds_and_loads_only_the_encoders(tmp_path, eval_spy):
+    # wide enough that the decoders outweigh the slack of the bound below
+    config = _write_config(tmp_path)
+    raw = yaml.safe_load(config.read_text(encoding="utf-8"))
+    raw["dataset"]["synthetic"]["dims"] = [64, 48]
+    raw["train"].update(hidden_dims=[512, 512], latent_dim=16)
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    assert cli.main(["generate", "-c", str(config), "-o", str(tmp_path / "data"), "--quiet"]) == 0
+    out = tmp_path / "run"
+    assert cli.main(["train", "-c", str(config), "-o", str(out), "--quiet"]) == 0
+    trained = json.loads((out / "metrics.json").read_text(encoding="utf-8"))
+    saved = load_checkpoint(out / "checkpoint.npz")
+    largest = max(a.nbytes for a in [*saved.params.values(), *saved.stats.values()])
+    decoder_bytes = sum(a.nbytes for k, a in [*saved.params.items(), *saved.stats.items()] if ".dec." in k)
+    assert decoder_bytes > largest + (1 << 20)
+
+    assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 0
+    bundle = eval_spy["bundle"]
+    assert bundle.decoders == []
+    encoder_bytes = sum(p.data.nbytes for p in bundle.named_parameters().values())
+    encoder_bytes += sum(s.nbytes for s in bundle.named_stats().values())
+    assert eval_spy["peak"] <= encoder_bytes + largest + (1 << 20)
+    assert json.loads((out / "metrics.json").read_text(encoding="utf-8"))["scopes"] == trained["scopes"]
+
+
+def test_eval_checks_the_decoder_entries_it_does_not_hold(tmp_path, capsys, eval_spy):
+    config = _write_config(tmp_path)
+    assert cli.main(["generate", "-c", str(config), "-o", str(tmp_path / "data"), "--quiet"]) == 0
+    out = tmp_path / "run"
+    assert cli.main(["train", "-c", str(config), "-o", str(out), "--quiet"]) == 0
+    path = out / "checkpoint.npz"
+    sound = path.read_bytes()
+    assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 0
+    assert eval_spy["bundle"].decoders == []
+    capsys.readouterr()
+
+    set_first_value(path, "stat/v1.dec.bn0.running_mean", np.nan)
+    assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 2
+    assert "non-finite values in checkpoint entry 'stat/v1.dec.bn0.running_mean'" in capsys.readouterr().err
+
+    path.write_bytes(sound)
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    arrays["param/v0.dec.lin0.weight"] = arrays["param/v0.dec.lin0.weight"].T.copy()
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 2
+    assert "shape mismatch for parameter v0.dec.lin0.weight" in capsys.readouterr().err
 
 
 def test_zero_width_view_exits_2_before_the_run_directory(tmp_path, capsys):

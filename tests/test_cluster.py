@@ -13,6 +13,7 @@ from oracles import (
     brute_two_partition_kmeans,
     reference_lloyd,
 )
+from umclust import cluster
 from umclust.cluster import (
     Assignment,
     _kmeanspp_init,
@@ -173,6 +174,35 @@ def test_kmeans_restarts_match_reference_lloyd():
     assert np.array_equal(assignment.labels, labels)
     assert np.array_equal(centers, ref_centers)
     assert assignment.inertia_history == history
+
+
+def test_kmeans_stops_once_labels_repeat_and_computes_row_norms_once(monkeypatch):
+    # four far-apart blobs warm-started near their centers: the second
+    # assignment returns the labels the centroids were averaged from
+    rng = np.random.default_rng(5)
+    centers = np.array([[0.0, 0.0, 0.0], [30.0, 0.0, 0.0], [0.0, 30.0, 0.0], [0.0, 0.0, 30.0]])
+    z = (centers[:, None, :] + rng.normal(size=(4, 40, 3))).reshape(-1, 3)
+    init = centers + rng.normal(scale=2.0, size=centers.shape)
+    calls = []
+    real_sqdist = cluster._sqdist
+
+    def counting(*args):
+        calls.append(args)
+        return real_sqdist(*args)
+
+    monkeypatch.setattr(cluster, "_sqdist", counting)
+    assignment, got = kmeans(z, 4, init_centroids=init, max_iter=50, tol=1e-6)
+    labels, ref_centers, history = reference_lloyd(z, init.copy(), max_iter=50, tol=1e-6)
+    assert np.array_equal(assignment.labels, labels)
+    assert np.array_equal(got, ref_centers)
+    assert assignment.inertia_history == history == [history[0], history[1], history[1]]
+    # the last inertia is known without a third assignment
+    assert len(calls) == len(history) - 1
+    assert all(args[1] is calls[0][1] for args in calls)
+
+    calls.clear()
+    kmeans(z, 4, seed=1, max_iter=50, restarts=3)  # k-means++ and Lloyd share one set of row norms
+    assert len(calls) > 3 * 4 and all(args[1] is calls[0][1] for args in calls)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from umclust.data import (
     view_batches,
 )
 from umclust.errors import DataError
-from umclust.metrics import nmi
+from umclust.metrics import export_embeddings, nmi
 
 
 def toy_unpaired() -> MultiViewDataset:
@@ -64,6 +64,29 @@ def test_save_load_roundtrip(tmp_path):
         assert np.array_equal(orig.ids, back.ids)
         assert np.array_equal(orig.features, back.features)  # full-precision floats
         assert np.array_equal(orig.labels, back.labels)
+
+
+def test_csv_writers_keep_the_bytes_of_one_repr_per_value(tmp_path):
+    # the feature and embedding files print each float exactly as
+    # repr(float(x)) of its numpy scalar does, also where that takes 17
+    # significant digits
+    hard = np.array([
+        [0.1 + 0.2, 1 / 3, np.nextafter(1.0, 2.0), -0.0],
+        [5e-324, 1e300, 123456789.12345679, -2.0 / 3.0],
+    ])
+    digits = [len(repr(x).split("e")[0].lstrip("-").replace(".", "").lstrip("0")) for x in hard.ravel().tolist()]
+    assert max(digits) == 17
+    ids, labels = np.array([7, 9]), np.array([0, 1])
+    save_dataset(MultiViewDataset(name="hard", n_clusters=2, views=[ViewData(0, ids, hard, labels)]), tmp_path)
+    expected = "".join(f"{int(i)}," + ",".join(repr(float(x)) for x in row) + "\n" for i, row in zip(ids, hard))
+    assert (tmp_path / "view0.csv").read_bytes() == expected.encode()
+
+    export_embeddings(tmp_path / "emb.csv", ids, np.array([0, 1]), labels, labels[::-1], hard)
+    expected = "".join(
+        f"{int(ids[i])},{i},{int(labels[i])},{int(labels[1 - i])}," + ",".join(repr(float(x)) for x in hard[i]) + "\n"
+        for i in range(2)
+    )
+    assert (tmp_path / "emb.csv").read_bytes() == expected.encode()
 
 
 def test_toy_manifest_counts(tmp_path):

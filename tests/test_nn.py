@@ -391,8 +391,10 @@ def test_train_batchnorm_node_matches_the_op_by_op_graph_bit_for_bit(case, updat
 
 def test_recon_orth_backward_stays_within_its_memory_bound():
     # allocations of one loss plus backward: the parameters' gradients plus a
-    # fixed number of batch-sized arrays per hidden layer. Measured: 7.1 such
-    # arrays with one node per layer, 17.5 with the op-by-op graph.
+    # fixed number of batch-sized arrays per hidden layer. Measured: 3.1 such
+    # arrays with one node per layer and backward freeing each node's
+    # gradient and saved arrays once used, 7.1 when it kept them, 17.5 with
+    # the op-by-op graph.
     dims, batch, width = (32, 48), 64, 256
     bundle = build_bundle(list(dims), 32, (width, width), True, 0)
     rng = np.random.default_rng(0)
@@ -406,7 +408,7 @@ def test_recon_orth_backward_stays_within_its_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= param_bytes + 10 * hidden_layers * batch * width * 8
+    assert peak <= param_bytes + 5 * hidden_layers * batch * width * 8
 
 
 # ---------------------------------------------------------------------------
@@ -760,3 +762,43 @@ def test_resuming_into_a_bundle_and_its_adam_holds_at_most_one_entry_at_a_time(t
     )
     assert peak <= _largest_entry(bundle) + _SLACK
     assert all((a == 0.5).all() for a in opt.state_arrays().values())
+
+
+@pytest.mark.parametrize("batchnorm", [True, False])
+def test_the_eval_model_holds_the_encoders_and_names_the_decoder_entries(batchnorm):
+    full = tiny_bundle(batchnorm=batchnorm, hidden=(5, 6))
+    enc = build_bundle([3, 4], 2, (5, 6), batchnorm, 0, encoders_only=True)
+    assert enc.decoders == [] and full.unbuilt == {}
+    assert {k: p.shape for k, p in enc.named_parameters().items()} == {
+        k: p.shape for k, p in full.named_parameters().items() if ".enc." in k
+    }
+    assert {k: s.shape for k, s in enc.named_stats().items()} == {
+        k: s.shape for k, s in full.named_stats().items() if ".enc." in k
+    }
+    decoder_entries = {f"param/{k}": p.shape for k, p in full.named_parameters().items() if ".dec." in k}
+    decoder_entries.update({f"stat/{k}": s.shape for k, s in full.named_stats().items() if ".dec." in k})
+    assert enc.unbuilt == decoder_entries
+
+
+@pytest.mark.parametrize("edit", ["missing", "wrong_shape", "nan"])
+def test_dropped_entries_are_checked_like_kept_ones(tmp_path, edit):
+    saved = tiny_bundle(seed=3)
+    stats = dict(saved.named_stats())
+    if edit == "missing":
+        del stats["v1.dec.bn0.running_var"]
+    elif edit == "wrong_shape":
+        stats["v1.dec.bn0.running_var"] = np.ones(7)
+    path = _model_checkpoint(tmp_path / "ck.npz", saved, stats=stats)
+    if edit == "nan":
+        set_first_value(path, "stat/v1.dec.bn0.running_var", np.nan)
+    bundle = build_bundle([3, 4], 2, (5,), True, 0, encoders_only=True)
+    before = {k: p.data.copy() for k, p in bundle.named_parameters().items()}
+    expected = {
+        "missing": (ShapeError, "statistic name set mismatch"),
+        "wrong_shape": (ShapeError, "shape mismatch for statistic v1.dec.bn0.running_var"),
+        "nan": (CheckpointError, "non-finite values in checkpoint entry 'stat/v1.dec.bn0.running_var'"),
+    }[edit]
+    with pytest.raises(expected[0], match=expected[1]):
+        load_checkpoint(path, params=_param_arrays(bundle), stats=bundle.named_stats(), drop=bundle.unbuilt)
+    if edit != "nan":  # refused from the member headers, before any entry data is read
+        assert all(np.array_equal(p.data, before[k], equal_nan=True) for k, p in bundle.named_parameters().items())

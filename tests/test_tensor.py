@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from umclust.errors import ShapeError
-from umclust.nn.mlp import Linear
+from umclust.nn.mlp import BatchNorm, Linear
 from umclust.nn.tensor import Tensor, closed_form, concat_rows, no_graph, row_normalize
 
 
@@ -226,3 +226,23 @@ def test_every_leaf_owns_its_gradient(rng, case):
             assert np.array_equal(t.data, data)
             if t is not leaf and grad is not None:
                 assert np.array_equal(t.grad, grad)
+
+
+def test_backward_frees_interior_state_and_keeps_leaf_gradients(rng):
+    # interior nodes of every kind: a layer node, a train-mode batch-norm
+    # node (whose rule keeps batch-sized arrays), a closed-form loss, row
+    # stacking and op-by-op arithmetic
+    x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+    lin = Linear(4, 5, np.random.default_rng(1))
+    norm = BatchNorm(5)
+    h = norm(lin(x), train=True)
+    z = row_normalize(concat_rows([h, h * 2.0]))
+    root = (z * Tensor(rng.normal(size=z.shape))).sum() + closed_form(h, 0.5, rng.normal(size=h.shape))
+    root.backward()
+    tensors = _graph(root)
+    interior = [t for t in tensors if t._parents]
+    leaves = [t for t in tensors if t.requires_grad and not t._parents]
+    assert root in interior and len(interior) > 10
+    assert all(t.grad is None and t._backward is None for t in interior)
+    assert {id(t) for t in leaves} == {id(p) for p in (x, lin.weight, lin.bias, norm.gamma, norm.beta)}
+    assert all(t.grad is not None and t.grad.shape == t.shape for t in leaves)

@@ -15,6 +15,7 @@ from umclust.data import MultiViewDataset, SyntheticSpec, ViewData, synthesize, 
 from umclust.errors import CheckpointError, DataError, NumericalError, ShapeError
 from umclust.losses import ClusterSet, LossWeights, recon_orth_loss
 from umclust.metrics import nmi
+from umclust import train as train_module
 from umclust.nn import Adam, build_bundle, load_checkpoint
 from umclust.train import (
     TrainConfig,
@@ -214,6 +215,31 @@ def test_ablated_run_equals_plain_autoencoder(tmp_path):
     with np.load(tmp_path / "checkpoint.npz", allow_pickle=False) as ck:
         for name, p in bundle.named_parameters().items():
             assert np.array_equal(ck[f"param/{name}"], p.data), name
+
+
+def test_no_parameter_gradient_outlives_its_step(tmp_path, monkeypatch):
+    # every refresh, the final scoring and the checkpoint write run with no
+    # gradient alive, and none is left when train() returns
+    built, seen = [], []
+
+    def build(*args, **kwargs):
+        built.append(build_bundle(*args, **kwargs))
+        return built[-1]
+
+    def alive_then(name, fn):
+        def wrapped(*args, **kwargs):
+            seen.append((name, sum(p.grad is not None for p in built[0].named_parameters().values())))
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(train_module, "build_bundle", build)
+    for name in ("refresh_level_state", "evaluate", "save_checkpoint"):
+        monkeypatch.setattr(train_module, name, alive_then(name, getattr(train_module, name)))
+    train(small_config(epochs=4), small_dataset(), out_dir=tmp_path)
+    assert [name for name, _ in seen] == ["refresh_level_state"] * 4 + ["evaluate", "save_checkpoint"]
+    assert all(alive == 0 for _, alive in seen), seen
+    assert all(p.grad is None for p in built[0].named_parameters().values())
 
 
 def test_checkpoint_resume_bit_identical(tmp_path):
