@@ -6,9 +6,7 @@ contrastive losses inside each view and against the concatenated
 common representation. Every view is guided toward the common view:
 its heavy-tailed cluster assignments are pulled, by cross-entropy,
 toward the centroid of each sample's common cluster, weighted
-(V-1)/V^2. (Guidance was once gated on per-view silhouettes; the gate
-was removed because on barely trained latents it kept the term off.)
-Final assignments come from K-means on the concatenated latents.
+(V-1)/V^2. Final assignments come from K-means on the concatenated latents.
 """
 
 __version__ = "0.1.0"

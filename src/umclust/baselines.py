@@ -1,7 +1,7 @@
 """Training-free baselines that a trained model has to beat on the same data.
 
 `structure_matched_kmeans` clusters every view's raw features on its own
-and takes each sample's common label from `match_views`, the
+and takes each sample's common label from `correspondence`, the
 cluster-structure matching the trainer applies to latents, applied here
 to raw features. Matching centroid-distance matrices across raw feature
 spaces only makes sense when the views see the classes with similar
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cluster import Assignment, kmeans, match_views
+from .cluster import Assignment, correspondence, kmeans
 
 
 def structure_matched_kmeans(
@@ -32,5 +32,5 @@ def structure_matched_kmeans(
         a_v, _ = kmeans(x, n_clusters, seed=view_seed, restarts=restarts)
         labels.append(a_v.labels)
         inertia += a_v.inertia
-    common = match_views(features, {n_clusters: labels}, n_clusters)[n_clusters]
+    common = np.concatenate(correspondence(features, labels, n_clusters))
     return Assignment(labels=common, k=n_clusters, inertia=inertia)

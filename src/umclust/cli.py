@@ -236,8 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", "-c", required=True, help="YAML run configuration")
         p.add_argument("--out", "-o", default=None, help=f"output directory (default under ${OUT_ROOT_ENV})")
         p.add_argument("--seed", type=int, default=None, help="override all seeds from one value")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers (sweep only)")
-        p.add_argument("--force", action="store_true", help="allow writing into a non-empty directory")
+        if name == "sweep":
+            p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+        if name != "eval":
+            p.add_argument("--force", action="store_true", help="allow writing into a non-empty directory")
         p.add_argument("--quiet", action="store_true", help="suppress progress logging")
     return parser
 

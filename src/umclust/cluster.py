@@ -10,9 +10,7 @@ Training re-clusters and re-matches every view at every refresh, so
 two kernels carry the cost: per-cluster means (`cluster_means`, one
 `bincount` that adds rows in index order) and all-pairs distances
 (`_pairwise_distances`, one Gram product with the cancelling pairs
-recomputed from their differences). The refresh no longer scores
-silhouettes: they once gated the guidance term, and the gate was
-removed because it kept that term off.
+recomputed from their differences).
 """
 
 from __future__ import annotations
@@ -47,6 +45,8 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # k-means
+
+KMEANS_TOL = 1e-6  # Lloyd stops once no centroid moves this far
 
 
 @dataclass
@@ -132,14 +132,13 @@ def _lloyd(
     zz: np.ndarray,
     centers: np.ndarray,
     max_iter: int,
-    tol: float,
 ) -> tuple[Assignment, np.ndarray]:
-    """Lloyd iterations until the centroids move less than `tol`.
+    """Lloyd iterations until the centroids move less than `KMEANS_TOL`.
 
     When an assignment returns the labels the centroids were averaged
     from, the next iteration is known without running it: it would
     average the same labels into the same centroids bit for bit (a shift
-    of 0, below any positive `tol`) and assign them again unchanged. So
+    of 0, below the tolerance) and assign them again unchanged. So
     its inertia is recorded and the loop stops, as it would have after
     that iteration. Non-finite centroids (an empty cluster's NaN mean)
     give a NaN shift that never stops the loop, so they are left to run.
@@ -154,9 +153,9 @@ def _lloyd(
         centers, averaged = new_centers, labels
         labels, inertia = _assign_with_repair(z, zz, centers)
         history.append(inertia)
-        if shift < tol:
+        if shift < KMEANS_TOL:
             break
-        if tol > 0 and i + 1 < max_iter and np.array_equal(labels, averaged) and np.isfinite(centers).all():
+        if i + 1 < max_iter and np.array_equal(labels, averaged) and np.isfinite(centers).all():
             history.append(inertia)
             break
     return Assignment(labels=labels, k=k, inertia=inertia, inertia_history=history), centers
@@ -167,7 +166,6 @@ def kmeans(
     k: int,
     seed: int = 0,
     max_iter: int = 100,
-    tol: float = 1e-6,
     init_centroids: np.ndarray | None = None,
     restarts: int = 1,
 ) -> tuple[Assignment, np.ndarray]:
@@ -189,11 +187,11 @@ def kmeans(
         init = np.asarray(init_centroids, dtype=np.float64)
         if init.shape != (k, z.shape[1]):
             raise ShapeError(f"warm-start centroids must be {(k, z.shape[1])}, got {init.shape}")
-        return _lloyd(z, zz, init.copy(), max_iter, tol)
+        return _lloyd(z, zz, init.copy(), max_iter)
     best: tuple[Assignment, np.ndarray] | None = None
     for r in range(max(1, int(restarts))):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), r]))
-        assignment, centers = _lloyd(z, zz, _kmeanspp_init(z, k, rng, zz), max_iter, tol)
+        assignment, centers = _lloyd(z, zz, _kmeanspp_init(z, k, rng, zz), max_iter)
         if best is None or assignment.inertia < best[0].inertia:
             best = (assignment, centers)
     return best
@@ -430,24 +428,35 @@ def match_structure(ref_dist: np.ndarray, view_dist: np.ndarray) -> np.ndarray:
     return perm
 
 
+def correspondence(spaces: list[np.ndarray], labels: list[np.ndarray], k: int) -> list[np.ndarray]:
+    """Common label of every sample, per view, for views that share no samples.
+
+    View 0's k clusters name the common clusters. Every later view's
+    cluster means in `spaces[v]` give a centroid-distance matrix, and
+    `match_structure` pairs its clusters with view 0's.
+    """
+    ref = centroid_distances(spaces[0], labels[0], k)
+    # perm maps common cluster -> view cluster, so its inverse labels the view's samples
+    return [labels[0]] + [
+        np.argsort(match_structure(ref, centroid_distances(x, view, k)))[view]
+        for x, view in zip(spaces[1:], labels[1:])
+    ]
+
+
 def match_views(
     spaces: list[np.ndarray], view_labels: dict[int, list[np.ndarray]], final: int
 ) -> dict[int, np.ndarray]:
-    """Common label of every sample, for views that share no samples.
+    """Common label of every sample at every level of `view_labels`.
 
-    At the `final` level each view's cluster means in `spaces[v]` give a
-    centroid-distance matrix; view 0's clusters name the common clusters
-    and `match_structure` pairs every view's clusters with them. A
-    coarser level inherits that correspondence: each coarse cluster
-    joins view 0's coarse cluster whose mix of final-level common
-    clusters is most alike.
+    The `final` level is the `correspondence` of the views' clusters. A
+    coarser level inherits it: each coarse cluster of a later view joins
+    view 0's coarse cluster whose mix of final-level common clusters is
+    most alike, and view 0's coarse clusters name the common ones.
 
     Returns, per level of `view_labels` and in its order, the common
     label of every sample, views in order.
     """
-    dists = [centroid_distances(x, labels, final) for x, labels in zip(spaces, view_labels[final])]
-    # perm maps common cluster -> view cluster, so its inverse labels the view's samples
-    fine = [np.argsort(match_structure(dists[0], d))[labels] for d, labels in zip(dists, view_labels[final])]
+    fine = correspondence(spaces, view_labels[final], final)
     common: dict[int, np.ndarray] = {}
     for level, labels_per_view in view_labels.items():
         joined = fine
@@ -456,9 +465,9 @@ def match_views(
                 np.bincount(labels * final + f, minlength=level * final).reshape(level, final).astype(np.float64)
                 for labels, f in zip(labels_per_view, fine)
             ]
-            joined = [
+            joined = [labels_per_view[0]] + [
                 np.argsort(hungarian_max(cosine_matrix(mixes[0], mix)))[labels]
-                for mix, labels in zip(mixes, labels_per_view)
+                for mix, labels in zip(mixes[1:], labels_per_view[1:])
             ]
         common[level] = np.concatenate(joined)
     return common

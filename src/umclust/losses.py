@@ -15,11 +15,6 @@ common centroids is pulled, by cross-entropy, toward the centroid of
 the sample's common cluster, weighted (V-1)/V^2 per view. The lambdas
 are the `LossWeights` of YAML section ``train.weights``.
 
-l_cr once guided only views whose peers had strictly better
-silhouettes. On barely trained latents the silhouettes are nearly
-equal, so that gate kept the term at exactly 0 for whole runs; it was
-removed, and (V-1)/V^2 is the weight the gate gave when fully open.
-
 The common view enters both cross-view terms as labels only: one
 common cluster per sample and level. How the views' clusters were
 joined into it is the refresh's business, not the losses'. Cluster
@@ -27,9 +22,9 @@ assignments, centroids and common labels are all recomputed outside
 the loss graph and enter it as constants; gradients flow only through
 the current batch representations.
 
-l_in and l_co, which the trainer runs at the constant `TEMPERATURE`,
-compute their NT-Xent value and gradient together in closed form and
-each enters the graph as one node. l_in does so through `_nt_xent_rows`.
+l_in and l_co, both at the constant `TEMPERATURE`, compute their
+NT-Xent value and gradient together in closed form and each enters
+the graph as one node. l_in does so through `_nt_xent_rows`.
 l_co takes one similarity product and one exponent per anchor view
 (b_v x N, for the N rows of the concatenated batch) and reads every
 active level off them through cluster-indicator products, so its cost
@@ -50,7 +45,6 @@ from .nn.tensor import Tensor, closed_form, concat_rows, row_normalize
 
 DISTRIBUTION_FLOOR = 1e-8
 TEMPERATURE = 0.1  # tau of both NT-Xent terms
-MIN_TEMPERATURE = 2.0 / 700  # lowest tau l_co accepts; see common_contrastive_loss
 
 
 @dataclass(frozen=True)
@@ -225,7 +219,6 @@ def _nt_xent_rows(
 def inner_contrastive_loss(
     z_batches: list[Tensor],
     pair_sets: list[PairSets],
-    temperature: float,
 ) -> Tensor:
     """NT-Xent over true-positive pairs against true-negative denominators.
 
@@ -234,7 +227,7 @@ def inner_contrastive_loss(
     positives or negatives contribute nothing.
     """
     n_views = len(z_batches)
-    inv_temp = 1.0 / float(temperature)
+    inv_temp = 1.0 / TEMPERATURE
     total = Tensor(0.0)
     for z, pairs in zip(z_batches, pair_sets):
         zn = row_normalize(z)
@@ -260,7 +253,6 @@ def _first_seen_ids(labels: np.ndarray) -> np.ndarray:
 def common_contrastive_loss(
     z_batches: list[Tensor],
     batch_common_labels: dict[int, np.ndarray],
-    temperature: float,
 ) -> Tensor:
     """Anchor every concatenated-batch sample against each view's batch.
 
@@ -288,19 +280,9 @@ def common_contrastive_loss(
     the similarities is that product times E: exactly 0 on pairs that are
     positive at every level. E and the gradient block live in two
     b_max x N buffers allocated once per call.
-
-    The fixed shift puts every negative's exponent at or above
-    exp(-2/tau). The floor tau >= 2/700 keeps that a normal double
-    (about 1e-304, not 0 or subnormal) and keeps c_i / (tau * negsum_i),
-    at most 175 * e^700 since c_i <= 1/2, a hundredfold below overflow.
-    A lower temperature raises ValueError.
     """
-    if temperature < MIN_TEMPERATURE:
-        raise ValueError(
-            f"common-view temperature {temperature!r} is below its floor 2/700 = {MIN_TEMPERATURE!r}"
-        )
     n_views = len(z_batches)
-    inv_temp = 1.0 / float(temperature)
+    inv_temp = 1.0 / TEMPERATURE
     zu = row_normalize(concat_rows(z_batches))
     sizes = [z.data.shape[0] for z in z_batches]
     offsets = np.cumsum([0, *sizes])

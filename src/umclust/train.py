@@ -12,14 +12,12 @@ four-term objective and applying an adaptive-moment update.
 `ClusterSet.active` gives the active levels: the coarsest for the
 first quarter of the epochs, the two coarsest through the half point,
 then all. The NT-Xent temperature is a constant, not a `TrainConfig`
-(YAML ``train``) setting. Every view is guided on every step: the
-refresh no longer scores per-view silhouettes to gate the guidance
-term, because on barely trained latents that gate kept the term off
-for whole runs. After the last epoch `evaluate` scores the model: the
-final assignment comes from K-means (best of several restarts) on the
-concatenated eval-mode latents, and the report scores it and a K-means
-of each view alone. `umclust eval` calls the same `evaluate` on a
-model restored from its checkpoint.
+(YAML ``train``) setting. Every view is guided on every step. After
+the last epoch `evaluate` scores the model: the final assignment comes
+from K-means (best of several restarts) on the concatenated eval-mode
+latents, and the report scores it and a K-means of each view alone.
+`umclust eval` calls the same `evaluate` on a model restored from its
+checkpoint.
 
 A run that stops before its last epoch saves the Adam moments and warm
 centroids it needs to resume; a finished run saves only the model
@@ -54,7 +52,6 @@ from .cluster import silhouette_view  # noqa: F401
 from .data import MultiViewDataset, view_batches
 from .errors import ConfigError, DataError, NumericalError
 from .losses import (
-    TEMPERATURE,
     ClusterSet,
     LevelState,
     LossWeights,
@@ -175,8 +172,9 @@ def refresh_level_state(
     and the guidance centroids live there) even before it becomes
     active. Centroids warm-start from the previous refresh at the same
     level when available. Views share no samples, so `match_views` joins
-    their clusters into the common view by the latents' cluster
-    structure and returns it as one common label per sample and level.
+    their clusters into the common view, through
+    `cluster.correspondence` on the latents' cluster structure, and
+    returns it as one common label per sample and level.
     Each final common centroid is the latent mean of its joined clusters.
 
     Latents come from a train-mode pass with frozen running statistics:
@@ -303,10 +301,10 @@ def train(
                 )
                 for v in range(n_views)
             ]
-            l_in = inner_contrastive_loss(zs, pair_sets, TEMPERATURE)
+            l_in = inner_contrastive_loss(zs, pair_sets)
             rows = [offsets[v] + batch_idx[v] for v in range(n_views)]
             batch_common = {k: level_state.common_labels[k][np.concatenate(rows)] for k in active}
-            l_co = common_contrastive_loss(zs, batch_common, TEMPERATURE)
+            l_co = common_contrastive_loss(zs, batch_common)
             l_cr = cross_view_guidance_loss(zs, level_state.final_centroids, [final_common[r] for r in rows])
             total = total_loss(l_ae, l_in, l_co, l_cr, config.weights)
             if not np.isfinite(total.data):

@@ -1,9 +1,12 @@
 """Cross-view correspondence from cluster structure, the common view built on
 it, and the training-free baseline that uses it on raw features."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from umclust import cluster
 from umclust.baselines import structure_matched_kmeans
 from umclust.cluster import centroid_distances, match_structure, match_views
 from umclust.data import SyntheticSpec, synthesize
@@ -105,6 +108,66 @@ def test_refresh_final_centroids_are_latent_means_of_joined_clusters():
     assert state.final_centroids.shape == (3, 4)
     for c in range(3):
         assert np.allclose(state.final_centroids[c], z[state.common_labels[3] == c].mean(axis=0))
+
+
+def _three_views():
+    return synthesize(SyntheticSpec(clusters=4, views=3, dims=(5, 6, 7), samples_per_cluster=8, separation=6.0, noise_std=1.0, seed=3))
+
+
+def _refresh_per_view(ds):
+    """One refresh of an untrained model on `ds` at levels (2, 3, 4): per
+    level, each view's cluster labels and common labels."""
+    cfg = TrainConfig(epochs=4, latent_dim=4, hidden_dims=(8,))
+    bundle = build_bundle(ds.feature_dims(), cfg.latent_dim, cfg.hidden_dims, True, 1)
+    state, _ = refresh_level_state(bundle, ds, ClusterSet((2, 3, 4)), (2, 3, 4), cfg, {})
+    ends = np.cumsum([v.n for v in ds.views])[:-1]
+    return state.view_labels, {k: np.split(common, ends) for k, common in state.common_labels.items()}
+
+
+def _count_calls(monkeypatch, name, counts):
+    real = getattr(cluster, name)
+
+    def counted(*args):
+        counts[name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(cluster, name, counted)
+
+
+def test_one_refresh_matches_every_view_but_the_first(monkeypatch):
+    counts = {"match_structure": 0, "hungarian_max": 0}
+    for name in counts:
+        _count_calls(monkeypatch, name, counts)
+    view_labels, common = _refresh_per_view(_three_views())
+    # views 1 and 2 are matched at the final level and joined at the 2 coarse ones
+    assert counts == {"match_structure": 2, "hungarian_max": 2 * 3}
+    for level in (2, 3, 4):
+        assert np.array_equal(common[level][0], view_labels[level][0])
+
+
+def test_a_swapped_correspondence_names_the_final_level_and_joins_the_coarse_ones(monkeypatch):
+    ds = _three_views()
+    classes = [v.labels for v in ds.views]
+    monkeypatch.setattr(cluster, "correspondence", lambda spaces, labels, k: classes)
+    view_labels, common = _refresh_per_view(ds)
+    for joined, y in zip(common[4], classes):
+        assert np.array_equal(joined, y)
+    for level in (2, 3):
+        assert np.array_equal(common[level][0], view_labels[level][0])
+        mixes = [
+            np.array([np.bincount(y[labels == c], minlength=4) for c in range(level)], dtype=float)
+            for labels, y in zip(view_labels[level], classes)
+        ]
+        mixes = [m / np.linalg.norm(m, axis=1, keepdims=True) for m in mixes]
+        for labels, joined, mix in zip(view_labels[level][1:], common[level][1:], mixes[1:]):
+            # each view cluster joins one common cluster, one-to-one ...
+            to_common = np.array([joined[labels == c][0] for c in range(level)])
+            assert np.array_equal(joined, to_common[labels])
+            assert sorted(to_common) == list(range(level))
+            # ... the one whose class mix in view 0 is most alike
+            agreement = mix @ mixes[0].T
+            best = max(agreement[range(level), list(p)].sum() for p in itertools.permutations(range(level)))
+            assert agreement[range(level), to_common].sum() == pytest.approx(best, rel=1e-12)
 
 
 def test_structure_matched_baseline_aligns_unpaired_views():

@@ -121,6 +121,31 @@ def test_eval_reproduces_train_and_refuses_other_checkpoints(tmp_path, capsys):
     assert "checkpoint was written with a different configuration" in capsys.readouterr().err
 
 
+def test_metrics_csv_lists_the_scopes_of_metrics_json(tmp_path):
+    config = _write_config(tmp_path)
+    assert cli.main(["generate", "-c", str(config), "-o", str(tmp_path / "data"), "--quiet"]) == 0
+    out = tmp_path / "run"
+    assert cli.main(["train", "-c", str(config), "-o", str(out), "--quiet"]) == 0
+    scopes = json.loads((out / "metrics.json").read_text(encoding="utf-8"))["scopes"]
+    with open(out / "metrics.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["scope"] for r in rows] == [s["scope"] for s in scopes]
+    assert "all-view" in {r["scope"] for r in rows}
+    for row, scope in zip(rows, scopes):
+        assert {m: float(row[m]) for m in ("nmi", "acc", "f1")} == {m: scope[m] for m in ("nmi", "acc", "f1")}
+        assert int(row["n_samples"]) == scope["n_samples"]
+
+
+@pytest.mark.parametrize("argv", [["train", "--jobs", "2"], ["eval", "--force"]])
+def test_options_of_other_commands_exit_2(tmp_path, capsys, argv):
+    config = _write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "-c", str(config), "-o", str(tmp_path / "run"), "--quiet"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_eval_of_a_damaged_checkpoint_exits_2(tmp_path, capsys):
     config = _write_config(tmp_path)
     assert cli.main(["generate", "-c", str(config), "-o", str(tmp_path / "data"), "--quiet"]) == 0

@@ -15,6 +15,7 @@ from oracles import (
 )
 from umclust import cluster
 from umclust.cluster import (
+    KMEANS_TOL,
     Assignment,
     _kmeanspp_init,
     _pairwise_distances,
@@ -154,8 +155,8 @@ def test_kmeans_warm_start_matches_reference_lloyd():
     z = rng.normal(size=(300, 5))
     init = z[rng.choice(300, size=7, replace=False)] + rng.normal(scale=0.1, size=(7, 5))
     init[6] = 1e3  # starts empty and is repaired
-    assignment, centers = kmeans(z, 7, init_centroids=init, max_iter=50, tol=1e-6)
-    labels, ref_centers, history = reference_lloyd(z, init.copy(), max_iter=50, tol=1e-6)
+    assignment, centers = kmeans(z, 7, init_centroids=init, max_iter=50)
+    labels, ref_centers, history = reference_lloyd(z, init.copy(), max_iter=50, tol=KMEANS_TOL)
     assert np.array_equal(assignment.labels, labels)
     assert np.array_equal(centers, ref_centers)
     assert assignment.inertia_history == history
@@ -165,11 +166,11 @@ def test_kmeans_warm_start_matches_reference_lloyd():
 def test_kmeans_restarts_match_reference_lloyd():
     rng = np.random.default_rng(12)
     z = rng.uniform(size=(250, 4))
-    assignment, centers = kmeans(z, 6, seed=3, max_iter=40, tol=1e-6, restarts=3)
+    assignment, centers = kmeans(z, 6, seed=3, max_iter=40, restarts=3)
     runs = []
     for r in range(3):
         init = _kmeanspp_init(z, 6, np.random.default_rng(np.random.SeedSequence([3, r])))
-        runs.append(reference_lloyd(z, init, max_iter=40, tol=1e-6))
+        runs.append(reference_lloyd(z, init, max_iter=40, tol=KMEANS_TOL))
     labels, ref_centers, history = min(runs, key=lambda run: run[2][-1])  # earliest among ties
     assert np.array_equal(assignment.labels, labels)
     assert np.array_equal(centers, ref_centers)
@@ -191,8 +192,8 @@ def test_kmeans_stops_once_labels_repeat_and_computes_row_norms_once(monkeypatch
         return real_sqdist(*args)
 
     monkeypatch.setattr(cluster, "_sqdist", counting)
-    assignment, got = kmeans(z, 4, init_centroids=init, max_iter=50, tol=1e-6)
-    labels, ref_centers, history = reference_lloyd(z, init.copy(), max_iter=50, tol=1e-6)
+    assignment, got = kmeans(z, 4, init_centroids=init, max_iter=50)
+    labels, ref_centers, history = reference_lloyd(z, init.copy(), max_iter=50, tol=KMEANS_TOL)
     assert np.array_equal(assignment.labels, labels)
     assert np.array_equal(got, ref_centers)
     assert assignment.inertia_history == history == [history[0], history[1], history[1]]

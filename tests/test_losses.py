@@ -15,11 +15,12 @@ from oracles import (
     finite_difference_gradients,
     max_relative_gradient_error,
 )
+from umclust import losses
 from umclust.cluster import match_views
 from umclust.data import SyntheticSpec, synthesize
 from umclust.errors import ConfigError, ShapeError
 from umclust.losses import (
-    MIN_TEMPERATURE,
+    TEMPERATURE,
     ClusterSet,
     LossWeights,
     build_inner_pairs,
@@ -168,7 +169,7 @@ def test_adding_levels_shrinks_pair_sets():
 def test_inner_loss_zero_without_negatives():
     z = Tensor(np.random.default_rng(0).normal(size=(4, 3)), requires_grad=True)
     pairs = build_inner_pairs({2: np.zeros(4, dtype=int)}, np.arange(4))
-    loss = inner_contrastive_loss([z], [pairs], temperature=0.1)
+    loss = inner_contrastive_loss([z], [pairs])
     assert loss.item() == 0.0
 
 
@@ -178,7 +179,7 @@ def test_inner_loss_hand_value():
     # weighted 1/(V * b * m_i) = 1/3
     z = Tensor(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     pairs = build_inner_pairs({2: np.array([0, 0, 1])}, np.arange(3))
-    loss = inner_contrastive_loss([z], [pairs], temperature=0.1)
+    loss = inner_contrastive_loss([z], [pairs])
     assert loss.item() == pytest.approx(-20.0 / 3.0, abs=1e-10)
 
 
@@ -186,7 +187,7 @@ def test_inner_loss_decreases_when_positive_similarity_rises():
     def loss_at(theta):
         z = Tensor(np.array([[1.0, 0.0], [math.cos(theta), math.sin(theta)], [-0.3, 1.0]]))
         pairs = build_inner_pairs({2: np.array([0, 0, 1])}, np.arange(3))
-        return inner_contrastive_loss([z], [pairs], temperature=0.1).item()
+        return inner_contrastive_loss([z], [pairs]).item()
 
     assert loss_at(0.2) < loss_at(0.8) < loss_at(1.4)
 
@@ -194,7 +195,7 @@ def test_inner_loss_decreases_when_positive_similarity_rises():
 def test_inner_loss_gradient_flows():
     z = Tensor(np.random.default_rng(1).normal(size=(5, 3)), requires_grad=True)
     pairs = build_inner_pairs({2: np.array([0, 0, 1, 1, 0])}, np.arange(5))
-    loss = inner_contrastive_loss([z], [pairs], temperature=0.5)
+    loss = inner_contrastive_loss([z], [pairs])
     loss.backward()
     assert z.grad is not None and np.isfinite(z.grad).all()
 
@@ -215,14 +216,14 @@ def test_common_loss_hand_value():
     # the other row (similarity 0): each positive term is -log(e^10/e^0) = -10
     # with weight 1/(N_b * V * b_v) = 1/4
     zs, cl = _simple_common_setup()
-    loss = common_contrastive_loss(zs, cl, temperature=0.1)
+    loss = common_contrastive_loss(zs, cl)
     assert loss.item() == pytest.approx(-10.0 * 2 / 4, abs=1e-10)
 
 
 def test_common_loss_skips_anchor_without_negatives():
     # one common cluster -> no negatives anywhere -> loss contributes 0
     z = Tensor(np.array([[1.0, 0.0], [0.8, 0.2]]))
-    loss = common_contrastive_loss([z], {2: np.array([0, 0])}, temperature=0.1)
+    loss = common_contrastive_loss([z], {2: np.array([0, 0])})
     assert loss.item() == 0.0
 
 
@@ -231,17 +232,17 @@ def test_common_loss_relabeling_invariance():
     zs = [Tensor(rng.normal(size=(5, 4))), Tensor(rng.normal(size=(4, 4)))]
     k = 3
     cl = {k: rng.integers(0, k, size=9)}
-    base = common_contrastive_loss(zs, cl, 0.1).item()
+    base = common_contrastive_loss(zs, cl).item()
     # renaming the common clusters changes no pair
     perm = np.array([2, 0, 1])
-    permuted = common_contrastive_loss(zs, {k: perm[cl[k]]}, 0.1).item()
+    permuted = common_contrastive_loss(zs, {k: perm[cl[k]]}).item()
     assert permuted == base
 
 
 def test_common_loss_multi_level_average():
     zs, cl = _simple_common_setup()
-    one = common_contrastive_loss(zs, cl, 0.1).item()
-    two = common_contrastive_loss(zs, {2: cl[2], 3: cl[2]}, 0.1).item()
+    one = common_contrastive_loss(zs, cl).item()
+    two = common_contrastive_loss(zs, {2: cl[2], 3: cl[2]}).item()
     assert two == pytest.approx(one, abs=1e-12)  # identical levels average to the same value
 
 
@@ -250,7 +251,7 @@ def test_common_loss_gradient_flows_to_all_views():
     zs = [Tensor(rng.normal(size=(4, 3)), requires_grad=True) for _ in range(2)]
     k = 2
     cl = {k: rng.integers(0, k, size=8)}
-    loss = common_contrastive_loss(zs, cl, 0.1)
+    loss = common_contrastive_loss(zs, cl)
     loss.backward()
     for z in zs:
         assert z.grad is not None and np.isfinite(z.grad).all()
@@ -327,8 +328,8 @@ def _pair_sets(view_labels, active):
     ]
 
 
-def _inner_value(zs, view_labels, active, temperature):
-    return inner_contrastive_loss(zs, _pair_sets(view_labels, active), temperature)
+def _inner_value(zs, view_labels, active):
+    return inner_contrastive_loss(zs, _pair_sets(view_labels, active))
 
 
 def test_contrastive_case_covers_the_edge_rows():
@@ -342,23 +343,31 @@ def test_contrastive_case_covers_the_edge_rows():
             assert np.array_equal(a @ a.T, np.eye(k, dtype=np.int64))
 
 
+@pytest.fixture
+def temperature(request, monkeypatch):
+    """Runs both NT-Xent terms at tau = `request.param`: the closed forms
+    must follow `losses.TEMPERATURE`, whatever its value."""
+    monkeypatch.setattr(losses, "TEMPERATURE", request.param)
+    return request.param
+
+
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("active", [(2,), (2, 3), LEVELS])
-@pytest.mark.parametrize("temperature", [0.1, 0.5])
+@pytest.mark.parametrize("temperature", [TEMPERATURE, 0.5], indirect=True)
 def test_contrastive_losses_match_oracles(seed, active, temperature):
     zs, view_labels, common_labels, matchings = _contrastive_case(seed)
     tensors = [Tensor(z) for z in zs]
     pairs = _pair_sets(view_labels, active)
     tp_sets = [[set(np.flatnonzero(p.tp[i])) for i in range(b)] for p, b in zip(pairs, SIZES)]
     tn_sets = [[set(np.flatnonzero(p.tn[i])) for i in range(b)] for p, b in zip(pairs, SIZES)]
-    inner = _inner_value(tensors, view_labels, active, temperature).item()
+    inner = _inner_value(tensors, view_labels, active).item()
     assert inner == pytest.approx(brute_inner_contrastive(zs, tp_sets, tn_sets, temperature), rel=1e-12)
-    common = common_contrastive_loss(tensors, {k: common_labels[k] for k in active}, temperature).item()
+    common = common_contrastive_loss(tensors, {k: common_labels[k] for k in active}).item()
     expected = brute_common_contrastive(zs, common_labels, view_labels, matchings, active, temperature)
     assert common == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.parametrize("temperature", [0.1, 0.5])
+@pytest.mark.parametrize("temperature", [TEMPERATURE, 0.5], indirect=True)
 def test_common_loss_on_a_refresh_state_matches_the_matching_oracle(temperature):
     _, zs, view_labels, common_labels, matchings = _refresh_case()
     levels = tuple(common_labels)
@@ -366,7 +375,7 @@ def test_common_loss_on_a_refresh_state_matches_the_matching_oracle(temperature)
     for k in levels:
         for a in matchings[k]:
             assert np.array_equal(a.sum(axis=0), np.ones(k)) and np.array_equal(a.sum(axis=1), np.ones(k))
-    value = common_contrastive_loss([Tensor(z) for z in zs], common_labels, temperature).item()
+    value = common_contrastive_loss([Tensor(z) for z in zs], common_labels).item()
     expected = brute_common_contrastive(zs, common_labels, view_labels, matchings, levels, temperature)
     assert value == pytest.approx(expected, rel=1e-12)
 
@@ -380,8 +389,8 @@ def test_contrastive_gradients_match_finite_differences(seed, active, which):
 
     def build():
         if which == "inner":
-            return _inner_value(tensors, view_labels, active, 0.5)
-        return common_contrastive_loss(tensors, {k: common_labels[k] for k in active}, 0.5)
+            return _inner_value(tensors, view_labels, active)
+        return common_contrastive_loss(tensors, {k: common_labels[k] for k in active})
 
     build().backward()
     params = {f"z{v}": t for v, t in enumerate(tensors)}
@@ -402,9 +411,9 @@ def test_contrastive_losses_stay_non_finite_on_non_finite_latents(which):
     zs[1][4, 0] = np.nan
     tensors = [Tensor(z) for z in zs]
     if which == "inner":
-        loss = _inner_value(tensors, view_labels, LEVELS, 0.1)
+        loss = _inner_value(tensors, view_labels, LEVELS)
     else:
-        loss = common_contrastive_loss(tensors, common_labels, 0.1)
+        loss = common_contrastive_loss(tensors, common_labels)
     assert not np.isfinite(loss.item())
 
 
@@ -416,7 +425,7 @@ def test_common_loss_graph_holds_no_anchor_by_view_arrays():
     n_views, b, dim, levels = 8, 256, 32, (2, 5, 10)
     zs = [Tensor(rng.normal(size=(b, dim)), requires_grad=True) for _ in range(n_views)]
     cl = {k: rng.integers(0, k, size=n_views * b) for k in levels}
-    loss = common_contrastive_loss(zs, cl, 0.1)
+    loss = common_contrastive_loss(zs, cl)
     seen, stack, largest = set(), [loss], 0
     while stack:
         node = stack.pop()
@@ -462,23 +471,23 @@ BLOCKWISE_CASES = {
 }
 
 
-def _run_common(loss_fn, zs, labels, temperature):
+def _run_common(loss_fn, zs):
     tensors = [Tensor(z, requires_grad=True) for z in zs]
-    loss = loss_fn(tensors, labels, temperature)
+    loss = loss_fn(tensors)
     loss.backward()
     return loss.item(), [t.grad for t in tensors]
 
 
 def _assert_matches_blockwise(zs, labels, temperature):
-    value, grads = _run_common(common_contrastive_loss, zs, labels, temperature)
-    ref_value, ref_grads = _run_common(blockwise_common_contrastive, zs, labels, temperature)
+    value, grads = _run_common(lambda ts: common_contrastive_loss(ts, labels), zs)
+    ref_value, ref_grads = _run_common(lambda ts: blockwise_common_contrastive(ts, labels, temperature), zs)
     assert value == pytest.approx(ref_value, rel=1e-12)
     for g, ref in zip(grads, ref_grads):
         assert np.isfinite(g).all()
         assert g == pytest.approx(ref, rel=1e-12, abs=1e-12 * np.abs(ref).max())
 
 
-@pytest.mark.parametrize("temperature", [0.1, 0.5])
+@pytest.mark.parametrize("temperature", [TEMPERATURE, 0.5], indirect=True)
 @pytest.mark.parametrize("case", list(BLOCKWISE_CASES))
 def test_common_loss_matches_the_blockwise_reference(case, temperature):
     sizes, dim, levels, extra = BLOCKWISE_CASES[case]
@@ -490,20 +499,6 @@ def test_common_loss_matches_the_blockwise_reference(case, temperature):
     _assert_matches_blockwise(zs, labels, temperature)
 
 
-def test_common_loss_at_its_temperature_floor_matches_the_blockwise_reference():
-    # at level 2 each anchor's negatives are antipodal, so their exponent
-    # is the smallest the fixed shift gives: exp(-2/tau)
-    zs = [np.array([[1.0, 0.0], [-1.0, 0.0]]) for _ in range(2)]
-    labels = {2: np.array([0, 1, 0, 1]), 4: np.array([0, 1, 2, 3])}
-    _assert_matches_blockwise(zs, labels, MIN_TEMPERATURE)
-
-
-def test_common_loss_refuses_a_temperature_below_its_floor():
-    zs, labels = _blockwise_case((5, 4), 3, (2,))
-    with pytest.raises(ValueError, match="2/700"):
-        common_contrastive_loss([Tensor(z) for z in zs], labels, 2 / 745 * 0.99)
-
-
 def test_common_loss_backward_stays_within_its_memory_bound():
     # views8 shape: one b x N float64 array is 4 MB here; the call and its
     # backward may hold at most four of them at once
@@ -513,7 +508,7 @@ def test_common_loss_backward_stays_within_its_memory_bound():
     cl = {k: rng.integers(0, k, size=n_views * b) for k in levels}
     tracemalloc.start()
     try:
-        common_contrastive_loss(zs, cl, 0.1).backward()
+        common_contrastive_loss(zs, cl).backward()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
