@@ -30,6 +30,12 @@ l_co takes one similarity product and one exponent per anchor view
 active level off them through cluster-indicator products, so its cost
 does not grow with the number of levels. Its two b_max x N buffers are
 allocated once per call.
+
+Every term computes in the dtype of the latents it is given. Its
+constants (the identity of the Gram term, the guidance targets and
+centroids, l_co's cluster indicators, weights and buffers) are built in
+that dtype, so a float32 model's step holds no float64 array of the
+batch's size.
 """
 
 from __future__ import annotations
@@ -146,7 +152,7 @@ def recon_orth_term(x: Tensor, x_hat: Tensor, z: Tensor, lambda1: float) -> Tens
     if b == 0:
         raise ShapeError("empty batch")
     rec = (x - x_hat).square().sum() * (1.0 / b)
-    reg = (z @ z.T - Tensor(np.eye(b))).square().sum() * (1.0 / (b * b))
+    reg = (z @ z.T - Tensor(np.eye(b, dtype=z.data.dtype))).square().sum() * (1.0 / (b * b))
     return rec + float(lambda1) * reg
 
 
@@ -155,16 +161,17 @@ def recon_orth_loss(
     bundle: AutoencoderBundle,
     lambda1: float,
 ) -> tuple[Tensor, list[Tensor]]:
-    """Sum of per-view reconstruction terms, in train mode; also returns the latent batches."""
-    total = Tensor(0.0)
+    """Sum of per-view reconstruction terms, in train mode; also returns the
+    latent batches. Each batch is taken in the model's dtype."""
+    terms: list[Tensor] = []
     zs: list[Tensor] = []
     for v, xb in enumerate(x_batches):
-        x = Tensor(xb)
+        x = Tensor(np.asarray(xb, dtype=bundle.dtype))
         z = bundle.encode(v, x, train=True)
         x_hat = bundle.decode(v, z, train=True)
-        total = total + recon_orth_term(x, x_hat, z, lambda1)
+        terms.append(recon_orth_term(x, x_hat, z, lambda1))
         zs.append(z)
-    return total, zs
+    return sum(terms), zs
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +235,13 @@ def inner_contrastive_loss(
     """
     n_views = len(z_batches)
     inv_temp = 1.0 / TEMPERATURE
-    total = Tensor(0.0)
+    terms: list[Tensor] = []
     for z, pairs in zip(z_batches, pair_sets):
         zn = row_normalize(z)
-        row_weight = 1.0 / (np.maximum(pairs.tp.sum(axis=1), 1) * n_views * z.data.shape[0])
+        row_weight = 1.0 / (np.maximum(pairs.tp.sum(axis=1), 1) * n_views * z.data.shape[0]).astype(z.data.dtype)
         value, g = _nt_xent_rows(zn.data @ zn.data.T, pairs.tp * row_weight[:, None], pairs.tn, inv_temp)
-        total = total + closed_form(zn, value, (g + g.T) @ zn.data)
-    return total
+        terms.append(closed_form(zn, value, (g + g.T) @ zn.data))
+    return sum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +294,8 @@ def common_contrastive_loss(
     sizes = [z.data.shape[0] for z in z_batches]
     offsets = np.cumsum([0, *sizes])
     n_union = int(offsets[-1])
-    col_weight = np.repeat([1.0 / (n_union * n_views * b_v) for b_v in sizes], sizes)
     u = zu.data
+    col_weight = np.repeat(np.array([1.0 / (n_union * n_views * b_v) for b_v in sizes], u.dtype), sizes)
     scale = 1.0 / len(batch_common_labels)
     ids = [_first_seen_ids(common) for common in batch_common_labels.values()]
     ids = [level for level in ids if level.max(initial=0) > 0]
@@ -296,7 +303,7 @@ def common_contrastive_loss(
         return closed_form(zu, 0.0, np.zeros_like(u))
     widths = [int(level.max()) + 1 for level in ids]
     cols = np.stack(ids, axis=1) + np.cumsum([0, *widths[:-1]])  # (N, levels) member columns
-    member = np.zeros((n_union, sum(widths)))
+    member = np.zeros((n_union, sum(widths)), u.dtype)
     np.put_along_axis(member, cols, 1.0, axis=1)
     outside = 1.0 - member
     pos_weight = col_weight @ member
@@ -305,8 +312,8 @@ def common_contrastive_loss(
     value = -inv_temp * float(np.sum(latent_sum * weighted_sum))
     grad = -inv_temp * (weighted_sum[cols].sum(axis=1) + col_weight[:, None] * latent_sum[cols].sum(axis=1))
     b_max = max(sizes)
-    e_buf = np.empty((b_max, n_union))
-    h_buf = np.empty((b_max, n_union))
+    e_buf = np.empty((b_max, n_union), u.dtype)
+    h_buf = np.empty((b_max, n_union), u.dtype)
     for lo, hi in zip(offsets[:-1], offsets[1:]):
         u_blk, cols_blk = u[lo:hi], cols[lo:hi]
         e = np.matmul(u_blk * inv_temp, u.T, out=e_buf[: hi - lo])
@@ -315,7 +322,7 @@ def common_contrastive_loss(
         negsum = np.take_along_axis(e @ outside, cols_blk, axis=1)
         c = pos_weight[cols_blk]
         value += float(np.sum(c * (np.log(negsum) + inv_temp)))
-        table = np.zeros((hi - lo, member.shape[1]))
+        table = np.zeros((hi - lo, member.shape[1]), u.dtype)
         np.put_along_axis(table, cols_blk, c * inv_temp / negsum, axis=1)
         h = np.matmul(table, outside.T, out=h_buf[: hi - lo])
         h *= e
@@ -360,15 +367,16 @@ def cross_view_guidance_loss(
     n_views = len(z_batches)
     k = centroids.shape[0]
     weight = (n_views - 1) / (n_views * n_views)
-    total = Tensor(0.0)
+    centroids = centroids.astype(z_batches[0].data.dtype, copy=False)
+    terms: list[Tensor] = []
     for z, sample_targets in zip(z_batches, batch_common_labels):
         b = sample_targets.shape[0]
         q = student_assignments(z, centroids).clip_min(DISTRIBUTION_FLOOR)
-        pick = np.zeros((b, k))
+        pick = np.zeros((b, k), z.data.dtype)
         pick[np.arange(b), sample_targets] = 1.0
         ce = (q.log() * Tensor(-pick)).sum() * (1.0 / b)
-        total = total + ce * weight
-    return total
+        terms.append(ce * weight)
+    return sum(terms)
 
 
 # ---------------------------------------------------------------------------

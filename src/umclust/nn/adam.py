@@ -6,14 +6,16 @@ parameter the loss did not reach as having a zero gradient.
 refuses a non-finite gradient, or a parameter that is not C-contiguous,
 before anything moves. It then updates the moments and each parameter
 in place, `CHUNK` elements at a time through two reused scratch
-buffers. A parameter-sized temporary (8 MB for a 1024 x 1024 weight)
-would be fresh memory faulted in on every step; the two buffers are
-faulted in once. Each element goes through the same operations in the
-same order as a whole-array update. The update writes through flat
-views, and a flat "view" of a parameter that is not C-contiguous would
-be a copy that loses the update, hence the layout check; `build_bundle`
-makes parameters C-contiguous, and `load_checkpoint` copies saved
-arrays into them in place, whatever the saved layout.
+buffers. A parameter-sized temporary (4 MB for a float32 1024 x 1024
+weight) would be fresh memory faulted in on every step; the two buffers
+are faulted in once. The moments and the scratch buffers a parameter
+uses are of that parameter's dtype. Each element goes through the same
+operations in the same order as a whole-array update. The update writes
+through flat views, and a flat "view" of a parameter that is not
+C-contiguous would be a copy that loses the update, hence the layout
+check; `build_bundle` makes parameters C-contiguous, and
+`load_checkpoint` copies saved arrays into them in place, whatever the
+saved layout.
 
 `state_arrays()` gives the live moments by name. A resumed run restores
 them by passing that dict to `load_checkpoint`, which fills it in place;
@@ -31,7 +33,7 @@ from .tensor import Tensor
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
-CHUNK = 1 << 14  # elements per scratch buffer: 128 KiB
+CHUNK = 1 << 14  # elements per scratch buffer: 64 KiB in float32
 
 
 class Adam:
@@ -39,8 +41,11 @@ class Adam:
         self.params = params
         self.lr = float(lr)
         self.t = 0
-        self._moments = {f"{kind}/{name}": np.zeros(p.data.shape) for kind in "mv" for name, p in params.items()}
-        self._scratch = (np.empty(CHUNK), np.empty(CHUNK))
+        self._moments = {
+            f"{kind}/{name}": np.zeros(p.data.shape, p.data.dtype) for kind in "mv" for name, p in params.items()
+        }
+        dtypes = {p.data.dtype for p in params.values()}
+        self._scratch = {dtype: (np.empty(CHUNK, dtype), np.empty(CHUNK, dtype)) for dtype in dtypes}
 
     def step(self) -> None:
         """One in-place update of every parameter from its current gradient;
@@ -62,7 +67,7 @@ class Adam:
     def _update(self, p, g, m, v, b1t: float, b2t: float) -> None:
         """m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
         p -= lr * (m / b1t) / (sqrt(v / b2t) + EPS), on flat views."""
-        s1, s2 = self._scratch
+        s1, s2 = self._scratch[p.dtype]
         for lo in range(0, p.size, CHUNK):
             hi = min(lo + CHUNK, p.size)
             pc, gc, mc, vc = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]

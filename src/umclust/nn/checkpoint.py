@@ -1,10 +1,11 @@
 """Bit-exact save/restore of training state.
 
-Everything lives in one ``.npz`` container: raw float64 arrays for
-parameters and batch-norm running statistics, plus a JSON metadata
-entry carrying the format version, config hash, and counters. A
-checkpoint of a run that stopped early also holds the optimizer moments
-and warm-start centroids, which only resuming reads; the trainer writes
+Everything lives in one ``.npz`` container: the raw arrays of the
+parameters and batch-norm running statistics, in the model's dtype
+(float32), plus a JSON metadata entry carrying the format version,
+config hash, and counters. A checkpoint of a run that stopped early
+also holds the optimizer moments and the warm-start centroids (float64,
+as K-means makes them), which only resuming reads; the trainer writes
 none for a finished run (`adam_arrays` and `warm_centroids` are then
 empty). Saving is atomic: the file is written under a temporary name in
 the same directory and renamed over the target, so a crash mid-write
@@ -17,15 +18,18 @@ destinations (`params`, `stats`, `adam_arrays`: name -> array, as
 copied into its destination before the next one is read. An entry with
 no destination (a warm centroid, or every entry when none are given) is
 returned as a fresh array. A caller that has no use for some entries
-(`umclust eval` holds no decoders) names them with their shapes in
-`drop`: each is checked like any other entry, then dropped as soon as
-it has been read. Everything that needs no array data is checked before
-the first write: the format and config hash from the metadata, then the
-entry names and shapes against the destinations and `drop` from the
-member headers alone. Bad entry data (a failed CRC, a non-finite
-value) raises `CheckpointError` only when its entry is read, after
-earlier entries may have been written: the destinations are then
-undefined, and the caller must discard them.
+(`umclust eval` holds no decoders) names them with their shapes and
+dtypes in `drop`: each is checked like any other entry, then dropped as
+soon as it has been read. Everything that needs no array data is
+checked before the first write: the format and config hash from the
+metadata, then the entry names, shapes and dtypes against the
+destinations and `drop` from the member headers alone. An entry whose
+dtype is not its destination's is refused, not cast: a float64 weight
+would otherwise be rounded into the float32 model without a word. Bad
+entry data (a failed CRC, a non-finite value) raises `CheckpointError`
+only when its entry is read, after earlier entries may have been
+written: the destinations are then undefined, and the caller must
+discard them.
 """
 
 from __future__ import annotations
@@ -42,11 +46,13 @@ from numpy.lib import format as npy
 
 from ..errors import CheckpointError, ShapeError
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 2: the float32 model; 1 held float64 arrays
 
 # Entry kinds with caller destinations, and how a mismatch names them.
 _LABELS = {"param": "parameter", "stat": "statistic", "adam": "Adam moment"}
 _HEADER_READERS = {(1, 0): npy.read_array_header_1_0, (2, 0): npy.read_array_header_2_0}
+
+Layout = tuple[tuple[int, ...], np.dtype]  # an entry's shape and dtype
 
 
 @dataclass
@@ -94,14 +100,17 @@ def save_checkpoint(
         tmp.unlink(missing_ok=True)
 
 
-def _check_like(kind: str, shapes: dict[str, tuple[int, ...]], own: dict[str, tuple[int, ...]]) -> None:
-    """Refuse `shapes` unless it has exactly `own`'s names, each with the
-    shape `own` gives it."""
-    if set(shapes) != set(own):
+def _check_like(kind: str, saved: dict[str, Layout], own: dict[str, Layout], path) -> None:
+    """Refuse `saved` unless it has exactly `own`'s names, each with the
+    shape (else a `ShapeError`) and the dtype (else a `CheckpointError`)
+    `own` gives it."""
+    if set(saved) != set(own):
         raise ShapeError(f"{kind} name set mismatch")
-    for name, shape in shapes.items():
-        if shape != own[name]:
+    for name, (shape, dtype) in saved.items():
+        if shape != own[name][0]:
             raise ShapeError(f"shape mismatch for {kind} {name}")
+        if dtype != own[name][1]:
+            raise CheckpointError(f"dtype mismatch for {kind} {name} in {path}: {dtype}, not {own[name][1]}")
 
 
 def load_checkpoint(
@@ -111,7 +120,7 @@ def load_checkpoint(
     params: dict[str, np.ndarray] | None = None,
     stats: dict[str, np.ndarray] | None = None,
     adam_arrays: dict[str, np.ndarray] | Callable[[int], dict[str, np.ndarray]] | None = None,
-    drop: dict[str, tuple[int, ...]] | None = None,
+    drop: dict[str, Layout] | None = None,
 ) -> CheckpointData:
     """Read `path`, filling the given destinations in place; the returned
     `CheckpointData` holds the destination dicts themselves, and fresh
@@ -120,8 +129,8 @@ def load_checkpoint(
     destinations, for a caller whose need for moments depends on how far
     the saved run got. `drop` maps entry names (``param/<name>``,
     ``stat/<name>``, as saved) of kinds given destinations to their
-    shapes: those entries must be there and are checked, but nothing
-    keeps them."""
+    shapes and dtypes: those entries must be there and are checked, but
+    nothing keeps them."""
     try:
         zf = zipfile.ZipFile(path)
     except (OSError, zipfile.BadZipFile) as exc:
@@ -130,7 +139,7 @@ def load_checkpoint(
         try:
             meta = json.loads(bytes(_read_entry(zf, "__meta__", path)).decode())
             if meta.get("format") != FORMAT_VERSION:
-                raise CheckpointError(f"unsupported checkpoint format {meta.get('format')!r}")
+                raise CheckpointError(f"unsupported checkpoint format {meta.get('format')!r}, not {FORMAT_VERSION}")
             data = CheckpointData(
                 config_hash=str(meta["config_hash"]),
                 epoch=int(meta["epoch"]),
@@ -156,12 +165,12 @@ def load_checkpoint(
         entries = _entry_headers(zf, path)
         for kind, dest in (("param", params), ("stat", stats), ("adam", adam_arrays)):
             if dest is not None:
-                shapes = {key: shape for k, key, shape in entries.values() if k == kind}
-                own = {key: arr.shape for key, arr in dest.items()}
-                for name, shape in drop.items():
+                saved = {key: layout for k, key, layout in entries.values() if k == kind}
+                own = {key: (arr.shape, arr.dtype) for key, arr in dest.items()}
+                for name, layout in drop.items():
                     if name.startswith(f"{kind}/"):
-                        own[name.partition("/")[2]] = shape
-                _check_like(_LABELS[kind], shapes, own)
+                        own[name.partition("/")[2]] = layout
+                _check_like(_LABELS[kind], saved, own, path)
         named = {"param": data.params, "stat": data.stats, "adam": data.adam_arrays, "warm": data.warm_centroids}
         for name, (kind, key, _) in entries.items():
             arr = _read_entry(zf, name, path)
@@ -177,9 +186,9 @@ def load_checkpoint(
     return data
 
 
-def _entry_headers(zf: zipfile.ZipFile, path) -> dict[str, tuple[str, str | tuple[str, int], tuple[int, ...]]]:
-    """name -> (kind, key in its dict, shape) for every array entry, from
-    the member headers alone; the metadata is left out."""
+def _entry_headers(zf: zipfile.ZipFile, path) -> dict[str, tuple[str, str | tuple[str, int], Layout]]:
+    """name -> (kind, key in its dict, (shape, dtype)) for every array
+    entry, from the member headers alone; the metadata is left out."""
     entries = {}
     for member in zf.namelist():
         if member == "__meta__.npy":
@@ -204,7 +213,7 @@ def _entry_headers(zf: zipfile.ZipFile, path) -> dict[str, tuple[str, str | tupl
             raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
         if dtype.kind not in "biuf":
             raise CheckpointError(f"malformed checkpoint {path}: entry {name!r} holds {dtype}, not numbers")
-        entries[name] = (kind, key, shape)
+        entries[name] = (kind, key, (shape, dtype))
     return entries
 
 

@@ -5,6 +5,15 @@ hidden layer is a linear map followed by (optional) batch normalization
 and ReLU, the final layer is purely linear. Weights use He-style uniform
 fan-in initialization from a seeded generator.
 
+Every array of the model (weights, batch-norm parameters and running
+statistics) is of one dtype, `DTYPE`, float32: a layer's products take
+about half their float64 time, and the parameters, Adam's moments, the
+activations and the checkpoint half the memory. Weights are drawn in
+float64 from the same generator stream whatever `DTYPE` is, then cast.
+`encode` and `decode` cast a plain-array input to the model's dtype;
+`encode_all` hands back float64 latents, because everything that
+clusters or scores them runs in float64.
+
 Each layer enters the autodiff graph as one node with a hand-written
 backward rule: `Linear` keeps only its input and parameters, and a
 train-mode `BatchNorm` (which includes its ReLU) keeps the centered
@@ -29,8 +38,9 @@ destinations); the bundle has no loader of its own.
 Scoring a saved model runs only the encoders, so
 ``build_bundle(..., encoders_only=True)`` builds the eval model: the
 encoders alone, their arrays left uninitialized for the loader to fill
-(no weights are drawn), and `unbuilt`, the checkpoint entry name and
-shape of every decoder array, which `load_checkpoint` checks and drops.
+(no weights are drawn), and `unbuilt`, the checkpoint entry name,
+shape and dtype of every decoder array, which `load_checkpoint` checks
+and drops.
 """
 
 from __future__ import annotations
@@ -38,7 +48,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NumericalError, ShapeError
+from .checkpoint import Layout
 from .tensor import Tensor, no_graph
+
+DTYPE = np.float32  # of every model array; tests set float64 to compare with exact oracles
 
 
 class Linear:
@@ -46,10 +59,11 @@ class Linear:
         """Weights drawn from `rng`; with `rng` None both arrays are left
         uninitialized, for a checkpoint to fill."""
         if rng is None:
-            weight, bias = np.empty((in_dim, out_dim)), np.empty(out_dim)
+            weight, bias = np.empty((in_dim, out_dim), DTYPE), np.empty(out_dim, DTYPE)
         else:
             bound = np.sqrt(6.0 / in_dim)
-            weight, bias = rng.uniform(-bound, bound, size=(in_dim, out_dim)), np.zeros(out_dim)
+            weight = rng.uniform(-bound, bound, size=(in_dim, out_dim)).astype(DTYPE, copy=False)
+            bias = np.zeros(out_dim, DTYPE)
         self.weight = Tensor(weight, requires_grad=True)
         self.bias = Tensor(bias, requires_grad=True)
 
@@ -84,10 +98,10 @@ class BatchNorm:
     momentum = 0.9
 
     def __init__(self, dim: int):
-        self.gamma = Tensor(np.ones(dim), requires_grad=True)
-        self.beta = Tensor(np.zeros(dim), requires_grad=True)
-        self.running_mean = np.zeros(dim)
-        self.running_var = np.ones(dim)
+        self.gamma = Tensor(np.ones(dim, DTYPE), requires_grad=True)
+        self.beta = Tensor(np.zeros(dim, DTYPE), requires_grad=True)
+        self.running_mean = np.zeros(dim, DTYPE)
+        self.running_var = np.ones(dim, DTYPE)
 
     def __call__(self, x: Tensor, train: bool, update_stats: bool = True) -> Tensor:
         if not train:
@@ -152,7 +166,8 @@ class AutoencoderBundle:
     alone (`decoders` empty) with `unbuilt` naming the decoders' arrays.
 
     Every forward call names its mode: `train=True` normalizes by batch
-    statistics, `train=False` applies the running ones.
+    statistics, `train=False` applies the running ones. `dtype` is the
+    `DTYPE` the bundle was built with.
     """
 
     def __init__(
@@ -161,13 +176,14 @@ class AutoencoderBundle:
         latent_dim: int,
         encoders: list[Mlp],
         decoders: list[Mlp],
-        unbuilt: dict[str, tuple[int, ...]] | None = None,
+        unbuilt: dict[str, Layout] | None = None,
     ):
         self.input_dims = input_dims
         self.latent_dim = latent_dim
         self.encoders = encoders
         self.decoders = decoders
         self.unbuilt = {} if unbuilt is None else unbuilt
+        self.dtype = np.dtype(DTYPE)
         self._params: dict[str, Tensor] = {}
         self._stats: dict[str, np.ndarray] = {}
         for v, encoder in enumerate(encoders):
@@ -189,7 +205,7 @@ class AutoencoderBundle:
     # -- forward ------------------------------------------------------------
 
     def encode(self, view: int, x, train: bool, update_stats: bool = True) -> Tensor:
-        x = x if isinstance(x, Tensor) else Tensor(x)
+        x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=self.dtype))
         if x.data.ndim != 2 or x.data.shape[1] != self.input_dims[view]:
             raise ShapeError(
                 f"view {view} expects input dim {self.input_dims[view]}, got shape {x.data.shape}"
@@ -197,7 +213,7 @@ class AutoencoderBundle:
         return self.encoders[view](x, train, update_stats)
 
     def decode(self, view: int, z, train: bool) -> Tensor:
-        z = z if isinstance(z, Tensor) else Tensor(z)
+        z = z if isinstance(z, Tensor) else Tensor(np.asarray(z, dtype=self.dtype))
         if z.data.ndim != 2 or z.data.shape[1] != self.latent_dim:
             raise ShapeError(
                 f"view {view} expects latent dim {self.latent_dim}, got shape {z.data.shape}"
@@ -205,10 +221,14 @@ class AutoencoderBundle:
         return self.decoders[view](z, train)
 
     def encode_all(self, mats: list[np.ndarray], train: bool) -> list[np.ndarray]:
-        """Plain-array latents for every view, for use outside loss graphs:
-        no graph is recorded and the running statistics stay frozen."""
+        """Plain float64 latents for every view, for use outside loss graphs:
+        no graph is recorded, the running statistics stay frozen, and each
+        view's latents are upcast once, after its last layer."""
         with no_graph():
-            return [self.encode(v, m, train=train, update_stats=False).data for v, m in enumerate(mats)]
+            return [
+                self.encode(v, m, train=train, update_stats=False).data.astype(np.float64, copy=False)
+                for v, m in enumerate(mats)
+            ]
 
     # -- parameter access ------------------------------------------------------
 
@@ -225,9 +245,9 @@ class AutoencoderBundle:
             p.zero_grad()
 
 
-def _entry_shapes(prefix: str, dims: tuple[int, ...], batchnorm: bool) -> dict[str, tuple[int, ...]]:
-    """Checkpoint entry name -> shape of every array an `Mlp(dims, batchnorm)`
-    registered under `prefix` holds, without building it."""
+def _entry_layouts(prefix: str, dims: tuple[int, ...], batchnorm: bool) -> dict[str, Layout]:
+    """Checkpoint entry name -> (shape, dtype) of every array an
+    `Mlp(dims, batchnorm)` registered under `prefix` holds, without building it."""
     shapes: dict[str, tuple[int, ...]] = {}
     for i, (a, b) in enumerate(zip(dims, dims[1:])):
         shapes[f"param/{prefix}.lin{i}.weight"] = (a, b)
@@ -236,7 +256,7 @@ def _entry_shapes(prefix: str, dims: tuple[int, ...], batchnorm: bool) -> dict[s
         for i, d in enumerate(dims[1:-1]):
             for name in ("param/{}.gamma", "param/{}.beta", "stat/{}.running_mean", "stat/{}.running_var"):
                 shapes[name.format(f"{prefix}.bn{i}")] = (d,)
-    return shapes
+    return {name: (shape, np.dtype(DTYPE)) for name, shape in shapes.items()}
 
 
 def build_bundle(
@@ -254,7 +274,7 @@ def build_bundle(
 
     `encoders_only` builds the eval model: no decoders, no weights drawn
     (every array is left for `load_checkpoint` to fill), and the bundle's
-    `unbuilt` names each decoder entry with its shape."""
+    `unbuilt` names each decoder entry with its shape and dtype."""
     encoders, decoders, unbuilt = [], [], {}
     for v, d in enumerate(input_dims):
         dims = (d, *hidden_dims, latent_dim)
@@ -262,7 +282,7 @@ def build_bundle(
             raise ShapeError(f"all layer dims must be >= 1, got {dims}")
         if encoders_only:
             encoders.append(Mlp(dims, batchnorm, None))
-            unbuilt.update(_entry_shapes(f"v{v}.dec", dims[::-1], batchnorm))
+            unbuilt.update(_entry_layouts(f"v{v}.dec", dims[::-1], batchnorm))
             continue
         rng = np.random.default_rng(np.random.SeedSequence([seed, v]))
         encoders.append(Mlp(dims, batchnorm, rng))

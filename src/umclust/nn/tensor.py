@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation on dense float64 arrays.
+"""Reverse-mode automatic differentiation on dense floating-point arrays.
 
 A Tensor wraps a numpy array and records the operation that produced it.
 Calling ``backward()`` on a scalar result walks the recorded graph in
@@ -7,6 +7,12 @@ created with ``requires_grad=True``. Only the operations needed by the
 training objective are implemented; all of them broadcast the same way
 numpy does, and gradients of broadcast operands are summed back to the
 operand's shape.
+
+A tensor keeps the floating dtype of the array it is given (anything
+else becomes float64), and results follow numpy's promotion between
+tensors. An operand that is not a tensor (a Python number, a constant
+array) is a constant in the other operand's dtype, so a float32 graph
+stays float32 however its constants are written.
 
 Backward consumes the graph's interior state: once a node's rule has
 run, the node drops its gradient and its rule, and with the rule every
@@ -25,13 +31,15 @@ Inside ``with no_graph():`` operations compute the same arrays but
 record nothing, so a forward pass nobody differentiates (a full-data
 encode) frees each intermediate as soon as the next layer has used it.
 
-Gradient ownership: a tensor's ``.grad`` is its own array, never shared
-with another tensor's gradient or data, so ``+=`` into it touches
-nothing else. The first contribution a tensor receives becomes its
-``.grad`` as is when it is a float64 array that owns its memory (what a
-backward rule computes fresh); a view or another dtype is copied. A rule
-that passes on the upstream gradient itself, as ``+`` does, copies it
-first.
+Gradient ownership: a tensor's ``.grad`` is its own array in its own
+data's dtype, never shared with another tensor's gradient or data, so
+``+=`` into it touches nothing else. The first contribution a tensor
+receives becomes its ``.grad`` as is when it is an array of the
+tensor's dtype that owns its memory (what a backward rule computes
+fresh); a view is copied, and a contribution of another dtype is cast
+once, so a float32 leaf of a float64 graph still holds a float32
+gradient. A rule that passes on the upstream gradient itself, as ``+``
+does, copies it first.
 """
 
 from __future__ import annotations
@@ -44,7 +52,13 @@ from ..errors import ShapeError
 
 
 def _as_array(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
+    a = np.asarray(x)
+    return a if a.dtype.kind == "f" else a.astype(np.float64)
+
+
+def _constant(x, like: "Tensor") -> "Tensor":
+    """`x` itself if it is a tensor, else a constant tensor in `like`'s dtype."""
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -117,7 +131,7 @@ class Tensor:
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = _constant(other, self)
 
         def backward(grad, a=self, b=other):
             for t in (a, b):
@@ -136,11 +150,11 @@ class Tensor:
         return Tensor._result(-self.data, (self,), backward)
 
     def __sub__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = _constant(other, self)
         return self + (-other)
 
     def __mul__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = _constant(other, self)
 
         def backward(grad, a=self, b=other):
             if a.requires_grad:
@@ -153,7 +167,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = _constant(other, self)
 
         def backward(grad, a=self, b=other):
             if a.requires_grad:
@@ -164,10 +178,10 @@ class Tensor:
         return Tensor._result(self.data / other.data, (self, other), backward)
 
     def __rtruediv__(self, other) -> "Tensor":
-        return Tensor(other) / self
+        return _constant(other, self) / self
 
     def __matmul__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = _constant(other, self)
         if self.data.ndim != 2 or other.data.ndim != 2:
             raise ShapeError("matmul expects 2-D operands")
 
@@ -239,8 +253,8 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            owned = grad.base is None and grad.dtype == np.float64
-            self.grad = grad if owned else grad.astype(np.float64, copy=True)
+            owned = grad.base is None and grad.dtype == self.data.dtype
+            self.grad = grad if owned else grad.astype(self.data.dtype, copy=True)
         else:
             self.grad += grad
 
@@ -280,13 +294,13 @@ def closed_form(parent: Tensor, value: float, grad: np.ndarray) -> Tensor:
     """Scalar node with a precomputed value and d(value)/d(parent) = `grad`.
 
     Backward sends `upstream * grad` to `parent`; `grad` must have the
-    parent's shape.
+    parent's shape. The value is held in the parent's dtype.
     """
 
     def backward(upstream, a=parent, g=grad):
         a._accumulate(upstream * g)
 
-    return Tensor._result(value, (parent,), backward)
+    return Tensor._result(np.asarray(value, dtype=parent.data.dtype), (parent,), backward)
 
 
 def concat_rows(tensors: list[Tensor]) -> Tensor:
@@ -303,20 +317,19 @@ def concat_rows(tensors: list[Tensor]) -> Tensor:
     return Tensor._result(out_data, tuple(tensors), backward)
 
 
-MIN_SQ_NORM = 1e-60
-
-
 def row_normalize(z: Tensor) -> Tensor:
     """Rows scaled to unit Euclidean norm; all-zero rows map to zero rows.
 
-    The squared norm is clamped before the square root so a zero row
-    divides by a tiny constant instead of producing NaNs. The result is
-    then masked to 0 on all-zero rows, so those rows also pass a
-    gradient of exactly 0 rather than the upstream gradient divided by
-    the clamped norm; every other row is multiplied by 1.0 and keeps
-    its value and gradient bit for bit.
+    The squared norm is clamped at the smallest normal number of `z`'s
+    dtype before the square root, so a zero row divides by a tiny
+    constant instead of producing NaNs (a fixed floor such as 1e-60
+    would flush to 0 in float32). The result is then masked to 0 on
+    all-zero rows, so those rows also pass a gradient of exactly 0
+    rather than the upstream gradient divided by the clamped norm; every
+    other row is multiplied by 1.0 and keeps its value and gradient bit
+    for bit.
     """
     sq = z.square().sum(axis=1, keepdims=True)
-    norm = sq.clip_min(MIN_SQ_NORM).sqrt()
-    nonzero = (z.data != 0).any(axis=1, keepdims=True).astype(np.float64)
+    norm = sq.clip_min(np.finfo(z.data.dtype).tiny).sqrt()
+    nonzero = (z.data != 0).any(axis=1, keepdims=True).astype(z.data.dtype)
     return (z / norm) * nonzero

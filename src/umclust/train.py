@@ -28,6 +28,13 @@ held twice; a checkpoint that is refused part-way raises before the
 first epoch, and the half-filled model is dropped. Full-data encodes
 record no autodiff graph.
 
+The model trains in its own dtype (`nn.mlp.DTYPE`, float32): `train`
+casts the features to it once, and every batch is a slice of that one
+copy. What clusters and scores the model stays in float64:
+`AutoencoderBundle.encode_all` upcasts each view's latents once per
+call, so each refresh, its K-means and correspondence, the guidance
+centroids and the final assignment and report see float64 latents.
+
 Each step keeps its memory only as long as something reads it:
 backward frees every interior gradient and saved array as it passes
 the node, and the parameter gradients are released as soon as Adam has
@@ -160,13 +167,14 @@ def _derived_seed(base: int, scope: int, level: int) -> int:
 
 def refresh_level_state(
     bundle,
-    dataset: MultiViewDataset,
+    features: list[np.ndarray],
     cluster_set: ClusterSet,
     active: tuple[int, ...],
     config: TrainConfig,
     warm: dict[tuple[str, int], np.ndarray],
 ) -> tuple[LevelState, list[np.ndarray]]:
-    """Recluster full representations of every view at every needed level.
+    """Recluster full representations of every view (`features`, one
+    matrix per view) at every needed level.
 
     The final level is always computed (the cross-view correspondence
     and the guidance centroids live there) even before it becomes
@@ -183,7 +191,7 @@ def refresh_level_state(
     geometry. (Running statistics lag far behind early in training; an
     eval-mode refresh would cluster a space the losses never see.)
     """
-    latents = bundle.encode_all(dataset.feature_matrices(), train=True)
+    latents = bundle.encode_all(features, train=True)
     final = cluster_set.final
     needed = sorted(set(active) | {final})
     view_labels: dict[int, list[np.ndarray]] = {}
@@ -221,8 +229,9 @@ def final_assignment(latents: list[np.ndarray], n_clusters: int, config: TrainCo
 def evaluate(
     bundle, dataset: MultiViewDataset, config: TrainConfig, config_hash: str, started_at: float
 ) -> tuple[list[np.ndarray], Assignment, MetricsReport]:
-    """Score a trained `bundle`: eval-mode latents of every view, their
-    `final_assignment` and the report of its scores."""
+    """Score a trained `bundle`: eval-mode latents of every view (each
+    view's features cast to the model's dtype once, by `encode_all`),
+    their `final_assignment` and the report of its scores."""
     latents = bundle.encode_all(dataset.feature_matrices(), train=False)
     assignment = final_assignment(latents, dataset.n_clusters, config)
     report = build_report(
@@ -250,7 +259,6 @@ def train(
     n_views = dataset.n_views
     cluster_set = cluster_set_for(config, dataset)
 
-    features = dataset.feature_matrices()
     offsets = dataset.row_offsets()
     cfg_hash = run_hash(config, dataset)
     bundle = build_bundle(
@@ -260,6 +268,7 @@ def train(
         config.batchnorm,
         config.seed,
     )
+    features = [np.asarray(m, dtype=bundle.dtype) for m in dataset.feature_matrices()]
     opt = Adam(bundle.named_parameters(), config.learning_rate)
     warm: dict[tuple[str, int], np.ndarray] = {}
     start_epoch = 1
@@ -284,7 +293,7 @@ def train(
 
     for epoch in range(start_epoch, last_epoch + 1):
         active = cluster_set.active(epoch, config.epochs)
-        level_state, _ = refresh_level_state(bundle, dataset, cluster_set, active, config, warm)
+        level_state, _ = refresh_level_state(bundle, features, cluster_set, active, config, warm)
         final_common = level_state.common_labels[cluster_set.final]
 
         streams = [

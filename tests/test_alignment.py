@@ -100,7 +100,7 @@ def test_refresh_final_centroids_are_latent_means_of_joined_clusters():
     ds = synthesize(SyntheticSpec(clusters=3, views=2, dims=(6, 7), samples_per_cluster=10, separation=8.0, noise_std=1.0, seed=0))
     cfg = TrainConfig(epochs=4, latent_dim=4, hidden_dims=(8,))
     bundle = build_bundle(ds.feature_dims(), cfg.latent_dim, cfg.hidden_dims, True, 1)
-    state, latents = refresh_level_state(bundle, ds, ClusterSet((2, 3)), (2, 3), cfg, {})
+    state, latents = refresh_level_state(bundle, ds.feature_matrices(), ClusterSet((2, 3)), (2, 3), cfg, {})
     z = np.concatenate(latents)
     common = match_views(latents, state.view_labels, final=3)
     for level in (2, 3):
@@ -119,7 +119,7 @@ def _refresh_per_view(ds):
     level, each view's cluster labels and common labels."""
     cfg = TrainConfig(epochs=4, latent_dim=4, hidden_dims=(8,))
     bundle = build_bundle(ds.feature_dims(), cfg.latent_dim, cfg.hidden_dims, True, 1)
-    state, _ = refresh_level_state(bundle, ds, ClusterSet((2, 3, 4)), (2, 3, 4), cfg, {})
+    state, _ = refresh_level_state(bundle, ds.feature_matrices(), ClusterSet((2, 3, 4)), (2, 3, 4), cfg, {})
     ends = np.cumsum([v.n for v in ds.views])[:-1]
     return state.view_labels, {k: np.split(common, ends) for k, common in state.common_labels.items()}
 

@@ -201,6 +201,41 @@ def test_eval_of_a_checkpoint_with_bad_entry_data_exits_2(tmp_path, capsys):
     assert "unreadable checkpoint" in err and "Bad CRC-32" in err
 
 
+def _rewrite(path, edit) -> None:
+    """Save the checkpoint at `path` again after `edit(arrays)` has changed its entries."""
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    edit(arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def test_eval_of_a_checkpoint_of_another_dtype_or_format_exits_2(tmp_path, capsys):
+    # a float64 entry is refused, not rounded into the float32 model; so is
+    # a float64 checkpoint of format 1, by its format
+    config = _write_config(tmp_path)
+    assert cli.main(["generate", "-c", str(config), "-o", str(tmp_path / "data"), "--quiet"]) == 0
+    out = tmp_path / "run"
+    assert cli.main(["train", "-c", str(config), "-o", str(out), "--quiet"]) == 0
+    path = out / "checkpoint.npz"
+    sound = path.read_bytes()
+    capsys.readouterr()
+    for entry, label in (("param/v0.enc.lin0.weight", "parameter"), ("stat/v1.dec.bn0.running_var", "statistic")):
+        _rewrite(path, lambda arrays: arrays.update({entry: arrays[entry].astype(np.float64)}))
+        assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 2, entry
+        assert f"dtype mismatch for {label} {entry.partition('/')[2]}" in capsys.readouterr().err
+        path.write_bytes(sound)
+
+    def format_1(arrays):
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        arrays["__meta__"] = np.frombuffer(json.dumps({**meta, "format": 1}).encode(), dtype=np.uint8)
+        arrays.update({k: a.astype(np.float64) for k, a in arrays.items() if k != "__meta__"})
+
+    _rewrite(path, format_1)
+    assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 2
+    assert "unsupported checkpoint format 1" in capsys.readouterr().err
+
+
 @pytest.fixture
 def eval_spy(monkeypatch):
     """Record the bundle `umclust eval` builds and the `tracemalloc` peak,

@@ -312,7 +312,7 @@ def _refresh_case(batch: int = 7):
     cfg = TrainConfig(epochs=4, latent_dim=4, hidden_dims=(8,))
     bundle = build_bundle(ds.feature_dims(), cfg.latent_dim, cfg.hidden_dims, True, 1)
     cluster_set = ClusterSet((2, 3, 4))
-    state, latents = refresh_level_state(bundle, ds, cluster_set, cluster_set.levels, cfg, {})
+    state, latents = refresh_level_state(bundle, ds.feature_matrices(), cluster_set, cluster_set.levels, cfg, {})
     matchings = _matrices(match_views(latents, state.view_labels, cluster_set.final), state.view_labels)
     rows = np.concatenate([offset + np.arange(batch) for offset in ds.row_offsets()])
     zs = [z[:batch] for z in latents]

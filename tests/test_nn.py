@@ -18,8 +18,9 @@ from oracles import (
 )
 from umclust.errors import CheckpointError, NumericalError, ShapeError
 from umclust.losses import recon_orth_loss
-from umclust.nn import Adam, Tensor, build_bundle, load_checkpoint, save_checkpoint
+from umclust.nn import Adam, Tensor, build_bundle, load_checkpoint, mlp, save_checkpoint
 from umclust.nn.adam import CHUNK
+from umclust.nn.checkpoint import FORMAT_VERSION
 from umclust.nn.mlp import BatchNorm, Linear
 
 
@@ -98,7 +99,7 @@ def test_roundtrip_shapes():
             assert out.data.shape == x.shape
 
 
-def test_batchnorm_eval_is_affine():
+def _check_batchnorm_eval_is_affine(atol_mix: float, atol_row: float) -> None:
     bundle = tiny_bundle(seed=5)
     rng = np.random.default_rng(5)
     # drive running stats away from the init
@@ -114,15 +115,25 @@ def test_batchnorm_eval_is_affine():
     # the lift back off compares at the unlifted O(1) scale
     enc = bundle.encoders[0]
     enc.norms[0].beta.data[...] = 100.0
-    lifted = lambda x: enc.norms[0](enc.linears[0](Tensor(x)), False).data
+    lifted = lambda x: enc.norms[0](enc.linears[0](Tensor(x.astype(bundle.dtype))), False).data
     assert (lifted(x1) > 0).all() and (lifted(x2) > 0).all()
     block = lambda x: lifted(x) - 100.0
     lhs = block(lam * x1 + (1 - lam) * x2)
     rhs = lam * block(x1) + (1 - lam) * block(x2)
-    assert np.allclose(lhs, rhs, atol=1e-10)
+    assert np.allclose(lhs, rhs, atol=atol_mix)
     # and per-row: no batch coupling
     single = np.vstack([block(x1[i : i + 1]) for i in range(4)])
-    assert np.allclose(single, block(x1), atol=1e-12)
+    assert np.allclose(single, block(x1), atol=atol_row)
+
+
+def test_batchnorm_eval_is_affine(float64_model):
+    _check_batchnorm_eval_is_affine(1e-10, 1e-12)
+
+
+def test_batchnorm_eval_is_affine_in_float32():
+    # the lifted values are near 100, where a float32 step is 7.6e-6
+    assert tiny_bundle().dtype == np.float32
+    _check_batchnorm_eval_is_affine(1e-4, 1e-4)
 
 
 def test_batchnorm_batch_of_one_uses_variance_floor():
@@ -163,7 +174,7 @@ def test_nonfinite_activation_reports_layer():
                 bundle.encode(0, np.ones((2, 3)), train=train)
 
 
-def test_backward_matches_finite_differences_through_batchnorm():
+def test_backward_matches_finite_differences_through_batchnorm(float64_model):
     bundle = tiny_bundle(seed=9)
     x = np.random.default_rng(9).normal(size=(6, 3))
 
@@ -185,6 +196,32 @@ def test_backward_matches_finite_differences_through_batchnorm():
     analytic = {k: p.grad if p.grad is not None else np.zeros_like(p.data) for k, p in params.items()}
     numeric = finite_difference_gradients(params, loss_value)
     assert max_relative_gradient_error(analytic, numeric) < 1e-4
+
+
+def _encoder_decoder_gradients(bundle, x) -> dict[str, np.ndarray]:
+    bundle.zero_grad()
+    z = bundle.encode(0, x, train=True)
+    xh = bundle.decode(0, z, train=True)
+    ((Tensor(x) - xh).square().sum() + z.square().sum()).backward()
+    return {k: p.grad for k, p in bundle.named_parameters().items() if k.startswith("v0")}
+
+
+def test_float32_backward_through_batchnorm_matches_the_float64_one(monkeypatch):
+    # the float64 backward is checked against finite differences above;
+    # the float32 one, from the same weights, must agree with it to
+    # float32 precision
+    x = np.random.default_rng(9).normal(size=(6, 3))
+    narrow = tiny_bundle(seed=9)
+    assert narrow.dtype == np.float32
+    monkeypatch.setattr(mlp, "DTYPE", np.float64)
+    wide = tiny_bundle(seed=9)
+    for k, p in wide.named_parameters().items():
+        p.data[...] = narrow.named_parameters()[k].data
+    got = _encoder_decoder_gradients(narrow, x.astype(np.float32))
+    want = _encoder_decoder_gradients(wide, x.astype(np.float32).astype(np.float64))
+    assert all(g.dtype == np.float32 for g in got.values())
+    # entries reach 50; rounding leaves ~1e-6 on those that nearly cancel
+    assert max_relative_gradient_error(got, want, floor=1.0) < 1e-4
 
 
 @pytest.mark.parametrize("train", [True, False], ids=["train_mode", "eval_mode"])
@@ -211,7 +248,7 @@ def test_encode_all_matches_a_recorded_forward_and_keeps_no_graph(monkeypatch, t
         assert np.array_equal(value, stats[name]), name
 
 
-def test_named_maps_are_built_once_and_hold_live_stats():
+def test_named_maps_are_built_once_and_hold_live_stats(float64_model):
     bundle = tiny_bundle(seed=6)
     params, stats = bundle.named_parameters(), bundle.named_stats()
     assert bundle.named_parameters() is params and bundle.named_stats() is stats
@@ -408,7 +445,7 @@ def test_recon_orth_backward_stays_within_its_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= param_bytes + 5 * hidden_layers * batch * width * 8
+    assert peak <= param_bytes + 5 * hidden_layers * batch * width * bundle.dtype.itemsize
 
 
 # ---------------------------------------------------------------------------
@@ -457,20 +494,22 @@ def test_adam_rejects_nonfinite_gradient():
         Adam({"p": p}, lr=1e-3).step()
 
 
-@pytest.mark.parametrize("size", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
-def test_adam_chunked_step_matches_the_whole_array_update_bit_for_bit(size):
+_SIZES = [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7]
+
+
+def _check_chunked_adam_matches_the_whole_array_update(size: int, dtype) -> None:
     rng = np.random.default_rng(size)
     params = {
-        "flat": Tensor(rng.normal(size=size), requires_grad=True),
-        "matrix": Tensor(rng.normal(size=(size, 2)), requires_grad=True),
-        "unreached": Tensor(rng.normal(size=size), requires_grad=True),
+        "flat": Tensor(rng.normal(size=size).astype(dtype), requires_grad=True),
+        "matrix": Tensor(rng.normal(size=(size, 2)).astype(dtype), requires_grad=True),
+        "unreached": Tensor(rng.normal(size=size).astype(dtype), requires_grad=True),
     }
-    ref = {k: [p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)] for k, p in params.items()}
+    ref = {k: [p.data.copy(), np.zeros(p.shape, dtype), np.zeros(p.shape, dtype)] for k, p in params.items()}
     opt = Adam(params, lr=0.01)
     for t in (1, 2, 3):
         for k, p in params.items():
-            p.grad = None if k == "unreached" else rng.normal(size=p.shape)
-            g = np.zeros(p.shape) if p.grad is None else p.grad
+            p.grad = None if k == "unreached" else rng.normal(size=p.shape).astype(dtype)
+            g = np.zeros(p.shape, dtype) if p.grad is None else p.grad
             pr, mr, vr = ref[k]
             whole_array_adam(pr, g, mr, vr, t, 0.01)
         opt.step()
@@ -479,7 +518,18 @@ def test_adam_chunked_step_matches_the_whole_array_update_bit_for_bit(size):
             assert np.array_equal(p.data, pr), k
             assert np.array_equal(opt.state_arrays()[f"m/{k}"], mr), k
             assert np.array_equal(opt.state_arrays()[f"v/{k}"], vr), k
+    assert all(a.dtype == dtype for a in opt.state_arrays().values())
     assert opt.t == 3
+
+
+@pytest.mark.parametrize("size", _SIZES)
+def test_adam_chunked_step_matches_the_whole_array_update_bit_for_bit(size):
+    _check_chunked_adam_matches_the_whole_array_update(size, np.float64)
+
+
+@pytest.mark.parametrize("size", _SIZES)
+def test_adam_chunked_float32_step_matches_the_whole_array_update_bit_for_bit(size):
+    _check_chunked_adam_matches_the_whole_array_update(size, np.float32)
 
 
 def test_adam_refuses_a_bad_last_gradient_before_moving_anything():
@@ -654,13 +704,13 @@ def test_truncated_or_empty_checkpoint_is_refused(tmp_path, keep):
         load_checkpoint(path)
 
 
-_META = {"format": 1, "config_hash": "abc123", "epoch": 7, "adam_t": 0}
+_META = {"format": FORMAT_VERSION, "config_hash": "abc123", "epoch": 7, "adam_t": 0}
 
 
 @pytest.mark.parametrize(
     "meta, entry",
     [
-        ({"format": 1}, "param/p"),
+        ({"format": FORMAT_VERSION}, "param/p"),
         ([1], "param/p"),
         ({**_META, "epoch": "x"}, "param/p"),
         (_META, "warm/view0/abc"),
@@ -717,9 +767,34 @@ def test_names_and_shapes_are_checked_before_any_entry_data_is_read(tmp_path):
     assert all(np.array_equal(p.data, before[k]) for k, p in target.named_parameters().items())
 
 
+@pytest.mark.parametrize("entry", ["param/v1.dec.lin0.bias", "stat/v0.enc.bn0.running_mean", "adam/v/v0.enc.lin0.weight"])
+def test_an_entry_of_another_dtype_is_refused_before_any_entry_data_is_read(tmp_path, entry):
+    # each comes after parameters that a check at read time would already have written
+    bundle = tiny_bundle(seed=3)
+    opt = _stepped_adam(bundle)
+    moments = {k: a.copy() for k, a in opt.state_arrays().items()}
+    path = _model_checkpoint(tmp_path / "ck.npz", bundle, adam_arrays=moments)
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    arrays[entry] = arrays[entry].astype(np.float64)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    target = tiny_bundle(seed=4)
+    target_opt = Adam(target.named_parameters(), lr=1e-3)
+    before = {k: p.data.copy() for k, p in target.named_parameters().items()}
+    kind, _, name = entry.partition("/")
+    label = {"param": "parameter", "stat": "statistic", "adam": "Adam moment"}[kind]
+    with pytest.raises(CheckpointError, match=f"dtype mismatch for {label} {name} .*: float64, not float32"):
+        load_checkpoint(
+            path, params=_param_arrays(target), stats=target.named_stats(), adam_arrays=target_opt.state_arrays()
+        )
+    assert all(np.array_equal(p.data, before[k]) for k, p in target.named_parameters().items())
+    assert not any(a.any() for a in target_opt.state_arrays().values())
+
+
 # Wide enough that holding every entry at once overshoots the bound below:
-# the largest entry is a 512 x 512 weight (2 MiB) of 9.2 MiB in all.
-_WIDE = dict(dims=(64, 48), hidden=(512, 512), latent=16)
+# the largest entry is a float32 512 x 512 weight (1 MiB) of 8.6 MiB in all.
+_WIDE = dict(dims=(64, 48), hidden=(512, 512, 512), latent=16)
 _SLACK = 1 << 20
 
 
@@ -751,7 +826,7 @@ def test_loading_into_a_bundle_holds_at_most_one_entry_at_a_time(tmp_path):
 
 def test_resuming_into_a_bundle_and_its_adam_holds_at_most_one_entry_at_a_time(tmp_path):
     saved = tiny_bundle(seed=3, **_WIDE)
-    moments = {k: np.full(a.shape, 0.5) for k, a in Adam(saved.named_parameters(), lr=1e-3).state_arrays().items()}
+    moments = {k: np.full_like(a, 0.5) for k, a in Adam(saved.named_parameters(), lr=1e-3).state_arrays().items()}
     path = _model_checkpoint(
         tmp_path / "ck.npz", saved, adam_arrays=moments, warm_centroids={("common", 3): np.ones((3, 16))}
     )
@@ -775,8 +850,8 @@ def test_the_eval_model_holds_the_encoders_and_names_the_decoder_entries(batchno
     assert {k: s.shape for k, s in enc.named_stats().items()} == {
         k: s.shape for k, s in full.named_stats().items() if ".enc." in k
     }
-    decoder_entries = {f"param/{k}": p.shape for k, p in full.named_parameters().items() if ".dec." in k}
-    decoder_entries.update({f"stat/{k}": s.shape for k, s in full.named_stats().items() if ".dec." in k})
+    decoder_entries = {f"param/{k}": (p.shape, p.data.dtype) for k, p in full.named_parameters().items() if ".dec." in k}
+    decoder_entries.update({f"stat/{k}": (s.shape, s.dtype) for k, s in full.named_stats().items() if ".dec." in k})
     assert enc.unbuilt == decoder_entries
 
 

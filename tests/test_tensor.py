@@ -118,6 +118,26 @@ def test_row_normalize_zero_row_passes_zero_gradient(rng):
     assert np.array_equal(z.grad[rows], ref.grad)
 
 
+def test_row_normalize_zero_row_is_safe_in_float32():
+    # a fixed 1e-60 floor flushes to 0 in float32, and 0 / 0 warns
+    z = Tensor(np.array([[0.0, 0.0], [3.0, 4.0]], np.float32), requires_grad=True)
+    out = row_normalize(z)
+    assert out.data.dtype == np.float32
+    assert np.array_equal(out.data[0], [0.0, 0.0]) and np.allclose(out.data[1], [0.6, 0.8], atol=1e-7)
+    out.square().sum().backward()
+    assert z.grad.dtype == np.float32 and np.array_equal(z.grad[0], [0.0, 0.0])
+
+
+def test_row_normalize_zero_row_passes_zero_gradient_in_float32(rng):
+    data = rng.normal(size=(4, 3)).astype(np.float32)
+    data[1] = 0.0
+    w = rng.normal(size=(4, 3)).astype(np.float32)
+    z = Tensor(data, requires_grad=True)
+    (row_normalize(z) * Tensor(w)).sum().backward()
+    assert z.grad.dtype == np.float32
+    assert np.array_equal(z.grad[1], np.zeros(3)) and np.isfinite(z.grad).all()
+
+
 def test_diamond_graph_accumulates(rng):
     a = Tensor(rng.normal(size=(3,)), requires_grad=True)
     check_op(lambda: (a * a + a * 3.0).sum(), a)

@@ -13,10 +13,20 @@ from damage import flip_a_data_byte
 from umclust.cluster import kmeans
 from umclust.data import MultiViewDataset, SyntheticSpec, ViewData, synthesize, view_batches
 from umclust.errors import CheckpointError, DataError, NumericalError, ShapeError
-from umclust.losses import ClusterSet, LossWeights, recon_orth_loss
+from umclust import losses
+from umclust.losses import (
+    ClusterSet,
+    LossWeights,
+    build_inner_pairs,
+    common_contrastive_loss,
+    cross_view_guidance_loss,
+    inner_contrastive_loss,
+    recon_orth_loss,
+    total_loss,
+)
 from umclust.metrics import nmi
 from umclust import train as train_module
-from umclust.nn import Adam, build_bundle, load_checkpoint
+from umclust.nn import Adam, Tensor, build_bundle, load_checkpoint
 from umclust.train import (
     TrainConfig,
     refresh_level_state,
@@ -88,7 +98,7 @@ def test_refresh_holds_one_active_level_plus_final():
     cfg = small_config()
     bundle = build_bundle(ds.feature_dims(), cfg.latent_dim, cfg.hidden_dims, True, 1)
     cs = ClusterSet.default(ds.n_clusters)  # (2, 3)
-    state, latents = refresh_level_state(bundle, ds, cs, active=(2,), config=cfg, warm={})
+    state, latents = refresh_level_state(bundle, ds.feature_matrices(), cs, active=(2,), config=cfg, warm={})
     assert sorted(state.view_labels) == [2, 3]  # final level always present
     assert sorted(state.common_labels) == [2, 3]
     assert len(latents) == ds.n_views
@@ -108,8 +118,8 @@ def test_refresh_deterministic():
     cfg = small_config()
     bundle = build_bundle(ds.feature_dims(), cfg.latent_dim, cfg.hidden_dims, True, 1)
     cs = ClusterSet.default(ds.n_clusters)
-    s1, _ = refresh_level_state(bundle, ds, cs, (2, 3), cfg, {})
-    s2, _ = refresh_level_state(bundle, ds, cs, (2, 3), cfg, {})
+    s1, _ = refresh_level_state(bundle, ds.feature_matrices(), cs, (2, 3), cfg, {})
+    s2, _ = refresh_level_state(bundle, ds.feature_matrices(), cs, (2, 3), cfg, {})
     assert np.array_equal(s1.final_centroids, s2.final_centroids)
     for level in s1.common_labels:
         assert np.array_equal(s1.common_labels[level], s2.common_labels[level])
@@ -125,14 +135,86 @@ def test_refresh_holds_no_n_by_n_array():
     bundle = build_bundle(ds.feature_dims(), cfg.latent_dim, cfg.hidden_dims, True, 1)
     cs = ClusterSet.default(ds.n_clusters)
     warm = {}
-    refresh_level_state(bundle, ds, cs, cs.levels, cfg, warm)
+    refresh_level_state(bundle, ds.feature_matrices(), cs, cs.levels, cfg, warm)
     tracemalloc.start()
     try:
-        refresh_level_state(bundle, ds, cs, cs.levels, cfg, warm)
+        refresh_level_state(bundle, ds.feature_matrices(), cs, cs.levels, cfg, warm)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= n * n * 8 / 4
+
+
+# ---------------------------------------------------------------------------
+# dtype
+
+
+class _NumpySpy:
+    """numpy as seen from a module it replaces: every call runs as usual,
+    and each floating array it returns or writes through `out=` is logged."""
+
+    def __init__(self, seen: list):
+        self._seen = seen
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not callable(attr) or isinstance(attr, type):
+            return attr
+
+        def call(*args, **kwargs):
+            result = attr(*args, **kwargs)
+            for array in (result, kwargs.get("out")):
+                if isinstance(array, np.ndarray) and array.dtype.kind == "f":
+                    self._seen.append((name, array.shape, array.dtype))
+            return result
+
+        return call
+
+
+def test_one_float32_step_holds_every_model_array_in_float32(monkeypatch):
+    # one training step as `train` takes it: no loss constant may promote
+    # a node, a gradient or an array the losses make to float64, while
+    # what the refresh clusters stays float64
+    ds = small_dataset()
+    cfg = small_config()
+    bundle = build_bundle(ds.feature_dims(), cfg.latent_dim, cfg.hidden_dims, True, 1)
+    assert bundle.dtype == np.float32
+    features = [m.astype(np.float32) for m in ds.feature_matrices()]
+    cs = ClusterSet.default(ds.n_clusters)
+    state, latents = refresh_level_state(bundle, features, cs, cs.levels, cfg, {})
+    assert all(z.dtype == np.float64 for z in latents) and state.final_centroids.dtype == np.float64
+
+    nodes, contributions, arrays = [], [], []
+    result, accumulate = Tensor._result, Tensor._accumulate
+
+    def record_node(data, parents, backward):
+        nodes.append(result(data, parents, backward))
+        return nodes[-1]
+
+    def record_contribution(self, grad):
+        contributions.append(grad.dtype)
+        accumulate(self, grad)
+
+    monkeypatch.setattr(Tensor, "_result", staticmethod(record_node))
+    monkeypatch.setattr(Tensor, "_accumulate", record_contribution)
+    monkeypatch.setattr(losses, "np", _NumpySpy(arrays))
+    batch = [np.arange(cfg.batch_size) for _ in ds.views]
+    rows = [offset + idx for offset, idx in zip(ds.row_offsets(), batch)]
+    l_ae, zs = recon_orth_loss([f[idx] for f, idx in zip(features, batch)], bundle, cfg.weights.lambda1)
+    pairs = [build_inner_pairs({k: state.view_labels[k][v] for k in cs.levels}, idx) for v, idx in enumerate(batch)]
+    l_in = inner_contrastive_loss(zs, pairs)
+    l_co = common_contrastive_loss(zs, {k: state.common_labels[k][np.concatenate(rows)] for k in cs.levels})
+    l_cr = cross_view_guidance_loss(zs, state.final_centroids, [state.common_labels[cs.final][r] for r in rows])
+    total = total_loss(l_ae, l_in, l_co, l_cr, cfg.weights)
+    assert nodes and all(t.data.dtype == np.float32 for t in nodes)
+    assert arrays and [a for a in arrays if a[2] != np.float32] == []
+    opt = Adam(bundle.named_parameters(), cfg.learning_rate)
+    total.backward()
+    assert contributions and set(contributions) == {np.dtype(np.float32)}
+    assert all(p.grad.dtype == np.float32 for p in bundle.named_parameters().values())
+    opt.step()
+    assert all(a.dtype == np.float32 for a in opt.state_arrays().values())
+    assert all(z.dtype == np.float64 for z in bundle.encode_all(features, train=False))
 
 
 def test_train_rejects_view_smaller_than_top_level():
@@ -357,9 +439,11 @@ def test_run_hash_depends_on_dataset_and_config():
 
 def test_nonfinite_loss_aborts_with_context():
     # Adam steps are bounded by the learning rate, so only an absurd rate
-    # drives activations past the float range; numpy warns of the overflow
+    # drives activations past the float range; numpy warns of the overflow.
+    # The rate is a float32 number: a larger one would be inf in Adam's
+    # float32 update, which then warns of 0 * inf first
     ds = small_dataset()
-    cfg = small_config(learning_rate=1e200, epochs=4)
+    cfg = small_config(learning_rate=1e30, epochs=4)
     with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(NumericalError):
         train(cfg, ds)
 
