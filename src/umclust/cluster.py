@@ -46,12 +46,15 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # k-means
 
-KMEANS_TOL = 1e-6  # Lloyd stops once no centroid moves this far
-
 
 @dataclass
 class Assignment:
-    """Cluster labels over one sample set, plus the final inertia."""
+    """Cluster labels over one sample set, plus the final inertia.
+
+    `inertia_history` holds the inertia after every assignment, the
+    first from the initial centroids, so `len(inertia_history) - 1` is
+    the number of Lloyd iterations run.
+    """
 
     labels: np.ndarray
     k: int
@@ -133,30 +136,20 @@ def _lloyd(
     centers: np.ndarray,
     max_iter: int,
 ) -> tuple[Assignment, np.ndarray]:
-    """Lloyd iterations until the centroids move less than `KMEANS_TOL`.
+    """Lloyd iterations until an assignment returns the labels the
+    centroids were averaged from, or `max_iter` iterations.
 
-    When an assignment returns the labels the centroids were averaged
-    from, the next iteration is known without running it: it would
-    average the same labels into the same centroids bit for bit (a shift
-    of 0, below the tolerance) and assign them again unchanged. So
-    its inertia is recorded and the loop stops, as it would have after
-    that iteration. Non-finite centroids (an empty cluster's NaN mean)
-    give a NaN shift that never stops the loop, so they are left to run.
+    Such labels are a fixed point: averaging them again gives the same
+    centroids bit for bit, which assign the same labels.
     """
     k = centers.shape[0]
-    history: list[float] = []
     labels, inertia = _assign_with_repair(z, zz, centers)
-    history.append(inertia)
-    for i in range(max_iter):
-        new_centers = cluster_means(z, labels, k)
-        shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
-        centers, averaged = new_centers, labels
+    history = [inertia]
+    for _ in range(max_iter):
+        centers, averaged = cluster_means(z, labels, k), labels
         labels, inertia = _assign_with_repair(z, zz, centers)
         history.append(inertia)
-        if shift < KMEANS_TOL:
-            break
-        if i + 1 < max_iter and np.array_equal(labels, averaged) and np.isfinite(centers).all():
-            history.append(inertia)
+        if np.array_equal(labels, averaged):
             break
     return Assignment(labels=labels, k=k, inertia=inertia, inertia_history=history), centers
 
@@ -169,7 +162,8 @@ def kmeans(
     init_centroids: np.ndarray | None = None,
     restarts: int = 1,
 ) -> tuple[Assignment, np.ndarray]:
-    """Seeded k-means++ followed by Lloyd iterations.
+    """Seeded k-means++ followed by Lloyd iterations, which stop at the
+    first fixed point of the labels or after `max_iter` iterations.
 
     `init_centroids` warm-starts Lloyd and skips the seeded init (and any
     restarts). With `restarts` > 1 the run with the lowest inertia wins;

@@ -300,17 +300,17 @@ def brute_pairwise_distances(z: np.ndarray) -> np.ndarray:
     return np.array([[math.dist(p, q) for q in points] for p in points])
 
 
-def reference_lloyd(
-    z: np.ndarray, centers: np.ndarray, max_iter: int, tol: float
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
+def reference_lloyd(z: np.ndarray, centers: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Lloyd's loop with the centroid sums scattered by `np.add.at`.
 
     Unlike the rest of this module it is vectorised: it pins down the
     package's summation order, so it repeats the package's assignment
     arithmetic (Gram-form squared distances, empty clusters in ascending
     order each seizing the point farthest from its own centroid) and
-    must match `kmeans` bit for bit. Returns labels, centroids and the
-    inertia after every assignment.
+    must match `kmeans` bit for bit. Stops once an assignment returns
+    the labels the centroids were averaged from, or after `max_iter`
+    iterations. Returns labels, centroids and the inertia after every
+    assignment.
     """
     n, k = z.shape[0], centers.shape[0]
 
@@ -330,12 +330,11 @@ def reference_lloyd(
     for _ in range(max_iter):
         sums = np.zeros_like(centers)
         np.add.at(sums, labels, z)
-        new_centers = sums / np.bincount(labels, minlength=k).astype(np.float64)[:, None]
-        shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
-        centers = new_centers
+        centers = sums / np.bincount(labels, minlength=k).astype(np.float64)[:, None]
+        averaged = labels
         labels, inertia = assign(centers)
         history.append(inertia)
-        if shift < tol:
+        if np.array_equal(labels, averaged):
             break
     return labels, centers, history
 

@@ -15,7 +15,6 @@ from oracles import (
 )
 from umclust import cluster
 from umclust.cluster import (
-    KMEANS_TOL,
     Assignment,
     _kmeanspp_init,
     _pairwise_distances,
@@ -156,7 +155,7 @@ def test_kmeans_warm_start_matches_reference_lloyd():
     init = z[rng.choice(300, size=7, replace=False)] + rng.normal(scale=0.1, size=(7, 5))
     init[6] = 1e3  # starts empty and is repaired
     assignment, centers = kmeans(z, 7, init_centroids=init, max_iter=50)
-    labels, ref_centers, history = reference_lloyd(z, init.copy(), max_iter=50, tol=KMEANS_TOL)
+    labels, ref_centers, history = reference_lloyd(z, init.copy(), max_iter=50)
     assert np.array_equal(assignment.labels, labels)
     assert np.array_equal(centers, ref_centers)
     assert assignment.inertia_history == history
@@ -170,7 +169,7 @@ def test_kmeans_restarts_match_reference_lloyd():
     runs = []
     for r in range(3):
         init = _kmeanspp_init(z, 6, np.random.default_rng(np.random.SeedSequence([3, r])))
-        runs.append(reference_lloyd(z, init, max_iter=40, tol=KMEANS_TOL))
+        runs.append(reference_lloyd(z, init, max_iter=40))
     labels, ref_centers, history = min(runs, key=lambda run: run[2][-1])  # earliest among ties
     assert np.array_equal(assignment.labels, labels)
     assert np.array_equal(centers, ref_centers)
@@ -193,17 +192,38 @@ def test_kmeans_stops_once_labels_repeat_and_computes_row_norms_once(monkeypatch
 
     monkeypatch.setattr(cluster, "_sqdist", counting)
     assignment, got = kmeans(z, 4, init_centroids=init, max_iter=50)
-    labels, ref_centers, history = reference_lloyd(z, init.copy(), max_iter=50, tol=KMEANS_TOL)
+    labels, ref_centers, history = reference_lloyd(z, init.copy(), max_iter=50)
     assert np.array_equal(assignment.labels, labels)
     assert np.array_equal(got, ref_centers)
-    assert assignment.inertia_history == history == [history[0], history[1], history[1]]
-    # the last inertia is known without a third assignment
-    assert len(calls) == len(history) - 1
+    assert assignment.inertia_history == history == [history[0], history[1]]
+    assert len(calls) == len(history)
     assert all(args[1] is calls[0][1] for args in calls)
 
     calls.clear()
     kmeans(z, 4, seed=1, max_iter=50, restarts=3)  # k-means++ and Lloyd share one set of row norms
     assert len(calls) > 3 * 4 and all(args[1] is calls[0][1] for args in calls)
+
+
+def test_kmeans_history_has_one_inertia_per_assignment(monkeypatch):
+    rng = np.random.default_rng(13)
+    z = rng.normal(size=(200, 4))
+    calls = []
+    real_assign = cluster._assign_with_repair
+
+    def counting(*args):
+        calls.append(args)
+        return real_assign(*args)
+
+    monkeypatch.setattr(cluster, "_assign_with_repair", counting)
+    assignment, centers = kmeans(z, 5, seed=2, max_iter=100)
+    iterations = len(assignment.inertia_history) - 1
+    assert 2 < iterations < 100  # converged, after more than two iterations
+    assert iterations == len(calls) - 1
+    # labels at a fixed point: the centroids are their own means
+    assert np.array_equal(centers, cluster_means(z, assignment.labels, 5))
+
+    capped, _ = kmeans(z, 5, seed=2, max_iter=2)
+    assert len(capped.inertia_history) == 2 + 1
 
 
 # ---------------------------------------------------------------------------
