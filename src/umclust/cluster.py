@@ -6,11 +6,13 @@ similarity, the per-view mean silhouette coefficient, exact
 maximum-weight bipartite matching, and cluster-structure matching
 between views that share no space; each matching is an index map.
 
-Training re-clusters and re-matches every view at every refresh, so
-two kernels carry the cost: per-cluster means (`cluster_means`, one
-`bincount` that adds rows in index order) and all-pairs distances
-(`_pairwise_distances`, one Gram product with the cancelling pairs
-recomputed from their differences).
+Training re-clusters every view at every level of every refresh, so
+K-means carries the cost: in a cProfile of a `many-samples` bench train
+(dataset seed 11, 2 cores) it took 2.0 s of 5.0 s, mostly in `_sqdist`
+(0.97 s) and `cluster_means` (0.57 s, one `bincount` that adds rows in
+index order). `_pairwise_distances` sees only k x k centroid
+distances. `silhouette_view` runs on no training path; it stays
+because the benchmark's tracer (`bench/spans.py`) wraps it.
 """
 
 from __future__ import annotations
@@ -265,11 +267,9 @@ def silhouette_view(z: np.ndarray, assignment: Assignment) -> float:
 # maximum-weight bipartite matching
 
 
-def _lap_min(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lap_min(cost: np.ndarray) -> np.ndarray:
     """Exact minimum-cost assignment via shortest augmenting paths with
-    potentials. Returns (col_to_row, row_potential, col_potential); the
-    potentials satisfy u[i] + v[j] <= cost[i, j] with equality on matched
-    edges (up to float rounding)."""
+    potentials; returns the column -> row map."""
     n = cost.shape[0]
     u = np.zeros(n + 1)
     v = np.zeros(n + 1)
@@ -302,69 +302,22 @@ def _lap_min(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             j1 = int(way[j0])
             match_row[j0] = match_row[j1]
             j0 = j1
-    return match_row[:n].copy(), u[:n].copy(), v[:n].copy()
-
-
-def _perfectly_matchable(adj: list[np.ndarray], start: int, n: int, used_cols: np.ndarray) -> bool:
-    """Can rows start..n-1 all be matched into columns not in used_cols?"""
-    match: dict[int, int] = {}
-
-    def try_row(r: int, visited: set[int]) -> bool:
-        for c in adj[r]:
-            c = int(c)
-            if used_cols[c] or c in visited:
-                continue
-            visited.add(c)
-            if c not in match or try_row(match[c], visited):
-                match[c] = r
-                return True
-        return False
-
-    for r in range(start, n):
-        if not try_row(r, set()):
-            return False
-    return True
+    return match_row[:n].copy()
 
 
 def hungarian_max(weights: np.ndarray) -> np.ndarray:
     """Row-to-column map (row i takes column `row_to_col[i]`) maximizing
     the total selected weight.
 
-    Among all maximizing maps, returns the lexicographically smallest.
-    Tie detection works on the dual certificate: an edge can appear in an optimal
-    assignment exactly when its reduced cost is zero, so the search for
-    the lexicographically smallest solution is a perfect-matching
-    feasibility scan over near-tight edges rather than a float
-    comparison of alternative totals.
+    Among several maximizing maps, the solver's augmenting order picks
+    one; it is deterministic, so equal weights give the same map.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ShapeError(f"hungarian_max expects a square matrix, got {w.shape}")
     if not np.isfinite(w).all():
         raise ValueError("hungarian_max requires finite weights")
-    n = w.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    cost = -w
-    _, u, v = _lap_min(cost)
-    tol = 1e-9 * (1.0 + float(np.abs(w).max()))
-    tight = (cost - u[:, None] - v[None, :]) <= tol
-    adj = [np.flatnonzero(tight[i]) for i in range(n)]
-    used = np.zeros(n, dtype=bool)
-    row_to_col = np.full(n, -1, dtype=np.int64)
-    for i in range(n):
-        for c in adj[i]:
-            c = int(c)
-            if used[c]:
-                continue
-            used[c] = True
-            if _perfectly_matchable(adj, i + 1, n, used):
-                row_to_col[i] = c
-                break
-            used[c] = False
-        if row_to_col[i] < 0:  # pragma: no cover - tight graph always matchable
-            raise RuntimeError("internal error: tight graph lost its perfect matching")
-    return row_to_col
+    return np.argsort(_lap_min(-w))
 
 
 # ---------------------------------------------------------------------------

@@ -371,4 +371,4 @@ def _write_loss_csv(path: Path, columns: list[str], table: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         for row in table:
-            fh.write(f"{int(row[0])}," + ",".join(repr(float(x)) for x in row[1:]) + "\n")
+            fh.write(f"{int(row[0])}," + ",".join(map(repr, row[1:].tolist())) + "\n")

@@ -300,7 +300,9 @@ def brute_pairwise_distances(z: np.ndarray) -> np.ndarray:
     return np.array([[math.dist(p, q) for q in points] for p in points])
 
 
-def reference_lloyd(z: np.ndarray, centers: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray, list[float]]:
+def reference_lloyd(
+    z: np.ndarray, centers: np.ndarray, max_iter: int
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Lloyd's loop with the centroid sums scattered by `np.add.at`.
 
     Unlike the rest of this module it is vectorised: it pins down the

@@ -352,14 +352,30 @@ def test_hungarian_takes_each_column_once():
     assert np.array_equal(hungarian_max(np.zeros((0, 0))), np.zeros(0, dtype=np.int64))
 
 
-def test_hungarian_lexicographic_tie_break():
-    # every assignment is optimal: the smallest row-to-column map must win
-    assert np.array_equal(hungarian_max(np.ones((4, 4))), np.arange(4))
-    # two optimal solutions: (0->0, 1->1) and (0->1, 1->0), both total 2
-    assert np.array_equal(hungarian_max(np.array([[1.0, 1.0], [1.0, 1.0]])), [0, 1])
-    # forced tie where lexicographic order prefers column 0 for row 0
-    w = np.array([[2.0, 2.0, 0.0], [2.0, 2.0, 0.0], [0.0, 0.0, 5.0]])
-    assert np.array_equal(hungarian_max(w), [0, 1, 2])
+def _assert_optimal_permutation(w, row_to_col):
+    assert np.array_equal(np.sort(row_to_col), np.arange(w.shape[0]))
+    assert _total(w, row_to_col) == brute_hungarian(w)[0]
+
+
+def test_hungarian_tie_break_is_optimal_and_repeatable():
+    tied = [
+        np.ones((4, 4)),  # every map is optimal
+        np.array([[1.0, 1.0], [1.0, 1.0]]),  # (0->0, 1->1) and (0->1, 1->0)
+        np.array([[2.0, 2.0, 0.0], [2.0, 2.0, 0.0], [0.0, 0.0, 5.0]]),  # rows 0 and 1 may swap
+    ]
+    for w in tied:
+        row_to_col = hungarian_max(w)
+        _assert_optimal_permutation(w, row_to_col)
+        assert np.array_equal(hungarian_max(w.copy()), row_to_col)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_hungarian_tie_heavy_integer_weights_match_brute_force(data):
+    k = data.draw(st.integers(1, 7))
+    entries = data.draw(st.lists(st.integers(0, 2), min_size=k * k, max_size=k * k))
+    w = np.array(entries, dtype=np.float64).reshape(k, k)
+    _assert_optimal_permutation(w, hungarian_max(w))
 
 
 def test_hungarian_beats_random_permutations_k50():

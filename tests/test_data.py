@@ -25,6 +25,7 @@ from umclust.data import (
 )
 from umclust.errors import DataError
 from umclust.metrics import export_embeddings, nmi
+from umclust.train import _write_loss_csv
 
 
 def toy_unpaired() -> MultiViewDataset:
@@ -67,7 +68,7 @@ def test_save_load_roundtrip(tmp_path):
 
 
 def test_csv_writers_keep_the_bytes_of_one_repr_per_value(tmp_path):
-    # the feature and embedding files print each float exactly as
+    # the feature, embedding and loss-curve files print each float exactly as
     # repr(float(x)) of its numpy scalar does, also where that takes 17
     # significant digits
     hard = np.array([
@@ -87,6 +88,12 @@ def test_csv_writers_keep_the_bytes_of_one_repr_per_value(tmp_path):
         for i in range(2)
     )
     assert (tmp_path / "emb.csv").read_bytes() == expected.encode()
+
+    _write_loss_csv(tmp_path / "loss.csv", ["epoch", "a", "b", "c", "d"], np.column_stack([[1, 2], hard]))
+    expected = "epoch,a,b,c,d\n" + "".join(
+        f"{epoch}," + ",".join(repr(float(x)) for x in row) + "\n" for epoch, row in zip([1, 2], hard)
+    )
+    assert (tmp_path / "loss.csv").read_bytes() == expected.encode()
 
 
 def test_toy_manifest_counts(tmp_path):
