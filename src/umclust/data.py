@@ -9,7 +9,10 @@ through :func:`unpair`.
 On disk a dataset is a JSON manifest naming per-view feature files and
 a labels file. Feature files are headerless CSV with the global id in
 the first column; the labels file maps ``id,class``. All text is UTF-8
-with LF line endings.
+with LF line endings. Every CSV the package writes goes through
+:func:`write_csv`: integers with ``%d`` and each float at the round-trip
+digits of its array's dtype, so a parsed value cast to that dtype is the
+written one bit for bit. Feature files are float64, the loaders' dtype.
 """
 
 from __future__ import annotations
@@ -278,35 +281,35 @@ def load_paired(manifest_path: str | Path) -> PairedDataset:
     )
 
 
-def _write_feature_csv(path: Path, ids: np.ndarray, feats: np.ndarray) -> None:
-    """One row per sample, the id then each feature's shortest round-trip repr."""
-    feats = np.asarray(feats, dtype=np.float64)
+def write_csv(path: str | Path, ints: np.ndarray, floats: np.ndarray, header: str = "") -> None:
+    """Write `header`, then per row the integer columns `ints` (n, a) with
+    %d and the float columns `floats` (n, d) at the round-trip digits of
+    their dtype (Steele & White, PLDI 1990): %.9g for float32 and %.17g
+    for float64, so a parsed value cast to that dtype is the written one
+    bit for bit. Each row is formatted as it is written."""
+    digits = {np.dtype(np.float32): 9, np.dtype(np.float64): 17}[floats.dtype]
+    row = ",".join(["%d"] * ints.shape[1] + [f"%.{digits}g"] * floats.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for sid, row in zip(ids.tolist(), feats):
-            fh.write(str(int(sid)) + "," + ",".join(map(repr, row.tolist())) + "\n")
+        fh.write(header)
+        fh.writelines(row % (*i, *f.tolist()) for i, f in zip(ints.tolist(), floats))
 
 
 def save_dataset(ds: MultiViewDataset | PairedDataset, out_dir: str | Path) -> Path:
     """Write manifest + feature files + labels file; returns the manifest path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    entries = []
     if isinstance(ds, PairedDataset):
-        id_label_pairs = list(zip(ds.ids.tolist(), ds.labels.tolist()))
-        for v, feats in enumerate(ds.features):
-            fname = f"view{v}.csv"
-            _write_feature_csv(out / fname, ds.ids, feats)
-            entries.append({"id": v, "path": fname, "dim": int(feats.shape[1])})
+        views = [(v, ds.ids, feats) for v, feats in enumerate(ds.features)]
+        id_labels = np.column_stack([ds.ids, ds.labels])
     else:
-        id_label_pairs = []
-        for view in ds.views:
-            fname = f"view{view.view_id}.csv"
-            _write_feature_csv(out / fname, view.ids, view.features)
-            entries.append({"id": int(view.view_id), "path": fname, "dim": view.dim})
-            id_label_pairs.extend(zip(view.ids.tolist(), view.labels.tolist()))
-    with open(out / "labels.csv", "w", encoding="utf-8", newline="\n") as fh:
-        for sid, lab in id_label_pairs:
-            fh.write(f"{int(sid)},{int(lab)}\n")
+        views = [(v.view_id, v.ids, v.features) for v in ds.views]
+        id_labels = np.column_stack([ds.all_ids(), ds.all_labels()])
+    entries = []
+    for view_id, ids, feats in views:
+        fname = f"view{view_id}.csv"
+        write_csv(out / fname, ids[:, None], np.asarray(feats, dtype=np.float64))
+        entries.append({"id": int(view_id), "path": fname, "dim": int(feats.shape[1])})
+    write_csv(out / "labels.csv", id_labels, np.empty((id_labels.shape[0], 0)))
     manifest = {
         "name": ds.name,
         "clusters": int(ds.n_clusters),

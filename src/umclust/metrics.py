@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .cluster import hungarian_max, kmeans
+from .data import write_csv
 from .errors import ShapeError
 
 
@@ -193,14 +194,11 @@ def export_embeddings(
 ) -> None:
     """One CSV row per sample: id, view, true label, predicted label, coords.
 
-    Floats are written with shortest round-trip precision, so parsing
-    the file back recovers bit-identical values.
+    Coordinates are written at the round-trip digits of the latents'
+    dtype (9 for float32, 17 for float64; see `data.write_csv`), so a
+    parsed value cast to that dtype is the exported one bit for bit.
     """
-    n, d = latents.shape
+    n = latents.shape[0]
     if not (ids.shape[0] == view_of_row.shape[0] == true_labels.shape[0] == pred_labels.shape[0] == n):
         raise ShapeError("embedding export inputs disagree in length")
-    latents = np.asarray(latents, dtype=np.float64)
-    with open(Path(path), "w", encoding="utf-8", newline="\n") as fh:
-        for i in range(n):
-            coords = ",".join(map(repr, latents[i].tolist()))
-            fh.write(f"{int(ids[i])},{int(view_of_row[i])},{int(true_labels[i])},{int(pred_labels[i])},{coords}\n")
+    write_csv(path, np.column_stack([ids, view_of_row, true_labels, pred_labels]), latents)

@@ -56,7 +56,7 @@ import numpy as np
 from .cluster import Assignment, cluster_means, kmeans, match_views
 # silhouette_view is not called here: bench/spans.py wraps it by name in this module.
 from .cluster import silhouette_view  # noqa: F401
-from .data import MultiViewDataset, view_batches
+from .data import MultiViewDataset, view_batches, write_csv
 from .errors import ConfigError, DataError, NumericalError
 from .losses import (
     ClusterSet,
@@ -362,13 +362,11 @@ def train(
             np.concatenate([np.full(v.n, v.view_id) for v in dataset.views]),
             dataset.all_labels(),
             final.labels,
-            np.concatenate(latents, axis=0),
+            # exact: encode_all upcast these from the model's dtype
+            np.concatenate(latents, axis=0, dtype=bundle.dtype),
         )
     return artifacts
 
 
 def _write_loss_csv(path: Path, columns: list[str], table: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in table:
-            fh.write(f"{int(row[0])}," + ",".join(map(repr, row[1:].tolist())) + "\n")
+    write_csv(path, table[:, :1].astype(np.int64), table[:, 1:], header=",".join(columns) + "\n")

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from umclust.cluster import hungarian_max
 from umclust.losses import _nt_xent_rows
 from umclust.nn.tensor import Tensor, closed_form, concat_rows, row_normalize
 
@@ -428,3 +429,34 @@ def blockwise_common_contrastive(
         grad += g_blk.T @ u[lo:hi]
     scale = 1.0 / len(batch_common_labels)
     return closed_form(zu, value * scale, grad * scale)
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive swap sweep: the reference for `match_structure`, which
+# screens each swap by its O(k) objective change first
+
+
+def exhaustive_match_structure(ref: np.ndarray, view: np.ndarray) -> np.ndarray:
+    """`match_structure` with the full k x k objective computed for every
+    trial swap: the same Hungarian start on the sorted distance profiles,
+    then swaps in (i, j) order, each taken when it lowers the objective by
+    more than 1e-12, until a sweep takes none."""
+    k = ref.shape[0]
+    profile_cost = ((np.sort(ref, axis=1)[:, None, :] - np.sort(view, axis=1)[None, :, :]) ** 2).sum(axis=2)
+    perm = hungarian_max(-profile_cost)
+
+    def cost(p):
+        return float(((ref - view[np.ix_(p, p)]) ** 2).sum())
+
+    best = cost(perm)
+    improved = True
+    while improved:
+        improved = False
+        for i in range(k):
+            for j in range(i + 1, k):
+                trial = perm.copy()
+                trial[i], trial[j] = perm[j], perm[i]
+                trial_cost = cost(trial)
+                if trial_cost < best - 1e-12:
+                    perm, best, improved = trial, trial_cost, True
+    return perm

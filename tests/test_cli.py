@@ -11,6 +11,7 @@ import yaml
 
 from damage import flip_a_data_byte, set_first_value
 from umclust import cli, data
+from umclust import config as cfg
 from umclust.nn import load_checkpoint, save_checkpoint
 
 
@@ -285,6 +286,22 @@ def test_eval_builds_and_loads_only_the_encoders(tmp_path, eval_spy):
     encoder_bytes += sum(s.nbytes for s in bundle.named_stats().values())
     assert eval_spy["peak"] <= encoder_bytes + largest + (1 << 20)
     assert json.loads((out / "metrics.json").read_text(encoding="utf-8"))["scopes"] == trained["scopes"]
+
+
+def test_train_exports_the_float32_latents_in_at_most_9_significant_digits(tmp_path, eval_spy):
+    config = _write_config(tmp_path)
+    assert cli.main(["generate", "-c", str(config), "-o", str(tmp_path / "data"), "--quiet"]) == 0
+    out = tmp_path / "run"
+    assert cli.main(["train", "-c", str(config), "-o", str(out), "--quiet"]) == 0
+    cells = [row.split(",")[4:] for row in (out / "embeddings.csv").read_text(encoding="utf-8").splitlines()]
+    assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 0  # restores the model
+    ds = cli._load_dataset(cfg.load_config(config).dataset)
+    restored = np.concatenate(eval_spy["bundle"].encode_all(ds.feature_matrices(), train=False))
+    assert eval_spy["bundle"].dtype == np.float32
+    exported = np.array(cells, dtype=np.float64).astype(np.float32)
+    assert np.array_equal(exported.view(np.uint32), restored.astype(np.float32).view(np.uint32))
+    digits = [len(c.split("e")[0].lstrip("-").replace(".", "").lstrip("0")) for row in cells for c in row]
+    assert max(digits) <= 9
 
 
 def test_eval_checks_the_decoder_entries_it_does_not_hold(tmp_path, capsys, eval_spy):

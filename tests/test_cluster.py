@@ -11,6 +11,7 @@ from oracles import (
     brute_pairwise_distances,
     brute_silhouette,
     brute_two_partition_kmeans,
+    exhaustive_match_structure,
     reference_lloyd,
 )
 from umclust import cluster
@@ -376,6 +377,25 @@ def test_hungarian_tie_heavy_integer_weights_match_brute_force(data):
     entries = data.draw(st.lists(st.integers(0, 2), min_size=k * k, max_size=k * k))
     w = np.array(entries, dtype=np.float64).reshape(k, k)
     _assert_optimal_permutation(w, hungarian_max(w))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_match_structure_takes_the_swaps_of_the_exhaustive_sweep(data):
+    # symmetric matrices, either with entries from a few integer levels (many
+    # swaps tie) or continuous; at a large scale tied swaps differ by rounding
+    # alone, more than the 1e-12 a swap must gain
+    k = data.draw(st.integers(1, 20))
+    levels = data.draw(st.sampled_from([2, 3, None]))
+    scale = data.draw(st.sampled_from([1.0, 1e6 / 3]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+    def symmetric():
+        a = rng.integers(0, levels, (k, k)).astype(np.float64) if levels else rng.uniform(0, 2, (k, k))
+        return scale * (a + a.T)
+
+    ref, view = symmetric(), symmetric()
+    assert np.array_equal(cluster.match_structure(ref, view), exhaustive_match_structure(ref, view))
 
 
 def test_hungarian_beats_random_permutations_k50():

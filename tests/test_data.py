@@ -22,6 +22,7 @@ from umclust.data import (
     synthesize,
     unpair,
     view_batches,
+    write_csv,
 )
 from umclust.errors import DataError
 from umclust.metrics import export_embeddings, nmi
@@ -67,33 +68,70 @@ def test_save_load_roundtrip(tmp_path):
         assert np.array_equal(orig.labels, back.labels)
 
 
-def test_csv_writers_keep_the_bytes_of_one_repr_per_value(tmp_path):
-    # the feature, embedding and loss-curve files print each float exactly as
-    # repr(float(x)) of its numpy scalar does, also where that takes 17
-    # significant digits
+def test_csv_writers_print_each_float_at_its_dtypes_round_trip_digits(tmp_path):
+    # the feature, embedding and loss-curve files print integers with %d and
+    # floats with %.17g from float64 and %.9g from float32 arrays; feature
+    # files are float64, the loaders' dtype, whatever the features' dtype
     hard = np.array([
         [0.1 + 0.2, 1 / 3, np.nextafter(1.0, 2.0), -0.0],
         [5e-324, 1e300, 123456789.12345679, -2.0 / 3.0],
     ])
-    digits = [len(repr(x).split("e")[0].lstrip("-").replace(".", "").lstrip("0")) for x in hard.ravel().tolist()]
-    assert max(digits) == 17
+    single = np.array([
+        [0.1, 1 / 3, np.nextafter(np.float32(1), np.float32(2)), -0.0],
+        [np.finfo(np.float32).smallest_subnormal, np.finfo(np.float32).max, 16777217.0, -2.0 / 3.0],
+    ], dtype=np.float32)
+    printed = {
+        "hard": [
+            "0.30000000000000004,0.33333333333333331,1.0000000000000002,-0",
+            "4.9406564584124654e-324,1.0000000000000001e+300,123456789.12345679,-0.66666666666666663",
+        ],
+        "single": ["0.100000001,0.333333343,1.00000012,-0", "1.40129846e-45,3.40282347e+38,16777216,-0.666666687"],
+        "single as float64": [
+            "0.10000000149011612,0.3333333432674408,1.0000001192092896,-0",
+            "1.4012984643248171e-45,3.4028234663852886e+38,16777216,-0.66666668653488159",
+        ],
+    }
     ids, labels = np.array([7, 9]), np.array([0, 1])
-    save_dataset(MultiViewDataset(name="hard", n_clusters=2, views=[ViewData(0, ids, hard, labels)]), tmp_path)
-    expected = "".join(f"{int(i)}," + ",".join(repr(float(x)) for x in row) + "\n" for i, row in zip(ids, hard))
-    assert (tmp_path / "view0.csv").read_bytes() == expected.encode()
+    for floats, rows, feature_rows in [
+        (hard, printed["hard"], printed["hard"]),
+        (single, printed["single"], printed["single as float64"]),
+    ]:
+        save_dataset(MultiViewDataset(name="hard", n_clusters=2, views=[ViewData(0, ids, floats, labels)]), tmp_path)
+        assert (tmp_path / "view0.csv").read_text() == f"7,{feature_rows[0]}\n9,{feature_rows[1]}\n"
+        assert (tmp_path / "labels.csv").read_text() == "7,0\n9,1\n"
 
-    export_embeddings(tmp_path / "emb.csv", ids, np.array([0, 1]), labels, labels[::-1], hard)
-    expected = "".join(
-        f"{int(ids[i])},{i},{int(labels[i])},{int(labels[1 - i])}," + ",".join(repr(float(x)) for x in hard[i]) + "\n"
-        for i in range(2)
-    )
-    assert (tmp_path / "emb.csv").read_bytes() == expected.encode()
+        export_embeddings(tmp_path / "emb.csv", ids, np.array([0, 1]), labels, labels[::-1], floats)
+        assert (tmp_path / "emb.csv").read_text() == f"7,0,0,1,{rows[0]}\n9,1,1,0,{rows[1]}\n"
 
-    _write_loss_csv(tmp_path / "loss.csv", ["epoch", "a", "b", "c", "d"], np.column_stack([[1, 2], hard]))
-    expected = "epoch,a,b,c,d\n" + "".join(
-        f"{epoch}," + ",".join(repr(float(x)) for x in row) + "\n" for epoch, row in zip([1, 2], hard)
-    )
-    assert (tmp_path / "loss.csv").read_bytes() == expected.encode()
+        table = np.column_stack([np.array([1, 2], dtype=floats.dtype), floats])
+        _write_loss_csv(tmp_path / "loss.csv", ["epoch", "a", "b", "c", "d"], table)
+        assert (tmp_path / "loss.csv").read_text() == f"epoch,a,b,c,d\n1,{rows[0]}\n2,{rows[1]}\n"
+
+
+def _finite_values(dtype):
+    """Finite values of `dtype`: its extremes and any bit pattern."""
+    info = np.finfo(dtype)
+    uint = np.dtype(f"uint{info.bits}")
+    special = [0.0, -0.0, info.smallest_subnormal, info.tiny - info.smallest_subnormal, info.tiny, info.max]
+    special += [-x for x in special] + [0.1, 1 / 3, np.nextafter(dtype(1), dtype(2))]
+    patterns = st.integers(0, np.iinfo(uint).max).map(lambda b: np.array(b, dtype=uint).view(dtype)[()])
+    return st.one_of(st.sampled_from([dtype(x) for x in special]), patterns.filter(np.isfinite))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_written_values_parse_back_bit_for_bit_in_their_dtype(tmp_path_factory, dtype, data):
+    values = np.array(data.draw(st.lists(_finite_values(dtype), min_size=1, max_size=24)), dtype=dtype)
+    floats = np.resize(values, (values.size + 2) // 3 * 3).reshape(-1, 3)
+    path = tmp_path_factory.mktemp("csv") / "values.csv"
+    write_csv(path, np.arange(floats.shape[0])[:, None], floats)
+    bits = f"uint{floats.itemsize * 8}"
+    for parsed in (
+        np.loadtxt(path, delimiter=",", ndmin=2)[:, 1:].astype(dtype),
+        np.array([[float(x) for x in row.split(",")[1:]] for row in path.read_text().splitlines()], dtype=dtype),
+    ):
+        assert np.array_equal(parsed.view(bits), floats.view(bits))
 
 
 def test_toy_manifest_counts(tmp_path):
