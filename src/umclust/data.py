@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -409,8 +410,9 @@ class SyntheticSpec:
         if any(d < 1 for d in self.dims):
             raise DataError(f"dims entries must be >= 1, got {list(self.dims)}")
         for name in ("separation", "noise_std"):
-            if getattr(self, name) <= 0:
-                raise DataError(f"{name} must be > 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise DataError(f"{name} must be > 0 and finite, got {value}")
         if self.seed < 0:
             raise DataError(f"seed must be non-negative, got {self.seed}")
 

@@ -22,9 +22,17 @@ assignments, centroids and common labels are all recomputed outside
 the loss graph and enter it as constants; gradients flow only through
 the current batch representations.
 
-l_in and l_co, both at the constant `TEMPERATURE`, compute their
-NT-Xent value and gradient together in closed form and each enters
-the graph as one node. l_in does so through `_nt_xent_rows`.
+Every term computes its value and its gradient in each view's latent
+batch (and, for l_ae, in each reconstruction) together, in numpy, and
+enters the autodiff graph as one `closed_form` node over all views;
+`total_loss` is a `closed_form` over the four scalar terms, with the
+lambdas as their gradients. A step's loss graph is therefore the layer
+nodes plus five. l_ae and l_cr have textbook gradients (l_cr's is
+DEC's, Xie et al. 2016). l_in and l_co, both NT-Xent at the constant
+`TEMPERATURE`, normalize each latent row inside the term
+(`_unit_rows`) and map their gradient in the unit rows back to the
+latents; an all-zero row gets a finite value and a gradient of
+exactly 0. l_in runs `_nt_xent_rows` per view.
 l_co takes one similarity product and one exponent per anchor view
 (b_v x N, for the N rows of the concatenated batch) and reads every
 active level off them through cluster-indicator products, so its cost
@@ -47,7 +55,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .nn.mlp import AutoencoderBundle
-from .nn.tensor import Tensor, closed_form, concat_rows, row_normalize
+from .nn.tensor import Tensor, closed_form
 
 DISTRIBUTION_FLOOR = 1e-8
 TEMPERATURE = 0.1  # tau of both NT-Xent terms
@@ -64,8 +72,9 @@ class LossWeights:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ConfigError(f"{f.name} must be non-negative")
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{f.name} must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -137,23 +146,33 @@ class PairSets:
 # autoencoder term
 
 
-def recon_orth_term(x: Tensor, x_hat: Tensor, z: Tensor, lambda1: float) -> Tensor:
-    """Per-view reconstruction plus batch-Gram orthogonality regularizer.
+def recon_orth_term(
+    x: np.ndarray, x_hat: np.ndarray, z: np.ndarray, lambda1: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Per-view reconstruction plus batch-Gram orthogonality regularizer,
+    and its gradients in `x_hat` and in `z`.
 
-    For a batch of b rows:
+    For a batch of b rows, with G = Z Z' - I_b:
 
-        ||X - X_hat||^2 / b  +  lambda1 * ||Z Z' - I_b||^2 / b^2
+        ||X_hat - X||^2 / b  +  lambda1 * ||G||^2 / b^2
 
     The reconstruction error is summed over features and averaged over
     samples; the regularizer pushes the b x b sample Gram of the latent
-    batch toward the identity and is averaged over its b^2 entries.
+    batch toward the identity and is averaged over its b^2 entries. The
+    gradient in X_hat is 2 (X_hat - X) / b, and in Z it is
+    4 lambda1 G Z / b^2.
     """
-    b = x.data.shape[0]
+    b = x.shape[0]
     if b == 0:
         raise ShapeError("empty batch")
-    rec = (x - x_hat).square().sum() * (1.0 / b)
-    reg = (z @ z.T - Tensor(np.eye(b, dtype=z.data.dtype))).square().sum() * (1.0 / (b * b))
-    return rec + float(lambda1) * reg
+    diff = x_hat - x
+    gram = z @ z.T
+    gram[np.diag_indices(b)] -= 1.0
+    value = float(np.vdot(diff, diff)) / b + float(lambda1) * float(np.vdot(gram, gram)) / (b * b)
+    diff *= 2.0 / b
+    grad_z = gram @ z
+    grad_z *= 4.0 * float(lambda1) / (b * b)
+    return value, diff, grad_z
 
 
 def recon_orth_loss(
@@ -161,17 +180,21 @@ def recon_orth_loss(
     bundle: AutoencoderBundle,
     lambda1: float,
 ) -> tuple[Tensor, list[Tensor]]:
-    """Sum of per-view reconstruction terms, in train mode; also returns the
-    latent batches. Each batch is taken in the model's dtype."""
-    terms: list[Tensor] = []
+    """Sum of per-view reconstruction terms, in train mode, as one node;
+    also returns the latent batches. Each batch is taken in the model's
+    dtype."""
+    value = 0.0
+    grads: list[tuple[Tensor, np.ndarray]] = []
     zs: list[Tensor] = []
     for v, xb in enumerate(x_batches):
-        x = Tensor(np.asarray(xb, dtype=bundle.dtype))
+        x = np.asarray(xb, dtype=bundle.dtype)
         z = bundle.encode(v, x, train=True)
         x_hat = bundle.decode(v, z, train=True)
-        terms.append(recon_orth_term(x, x_hat, z, lambda1))
+        term, grad_x_hat, grad_z = recon_orth_term(x, x_hat.data, z.data, lambda1)
+        value += term
+        grads += [(x_hat, grad_x_hat), (z, grad_z)]
         zs.append(z)
-    return sum(terms), zs
+    return closed_form(value, *grads), zs
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +246,29 @@ def _nt_xent_rows(
     return value, buf
 
 
+def _unit_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of `z` scaled to unit Euclidean norm, and the (n, 1) norms
+    they were divided by.
+
+    A squared norm is clamped at the smallest normal number of `z`'s
+    dtype before the square root, so a tiny row does not underflow to a
+    zero division. An all-zero row is divided by an infinite norm: it
+    maps to a zero row, and `_from_unit_rows` gives it a gradient of
+    exactly 0, in float32 as in float64.
+    """
+    norm = np.sqrt(np.maximum((z * z).sum(axis=1, keepdims=True), np.finfo(z.dtype).tiny))
+    norm[~z.any(axis=1)] = np.inf
+    return z / norm, norm
+
+
+def _from_unit_rows(grad: np.ndarray, u: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """A gradient in the unit rows `u` = z / `norm` mapped back to z:
+    (g - u (u . g)) / norm, computed in place in `grad`."""
+    grad -= u * np.einsum("ij,ij->i", u, grad)[:, None]
+    grad /= norm
+    return grad
+
+
 def inner_contrastive_loss(
     z_batches: list[Tensor],
     pair_sets: list[PairSets],
@@ -231,17 +277,19 @@ def inner_contrastive_loss(
 
     Per view: sum_i sum_{j in tp(i)} -log(exp(s_ij/tau) / sum_{tn(i)} exp(s/tau))
     weighted 1/(batch * |tp(i)|), averaged over views. Samples lacking either
-    positives or negatives contribute nothing.
+    positives or negatives contribute nothing. All views are one node.
     """
     n_views = len(z_batches)
     inv_temp = 1.0 / TEMPERATURE
-    terms: list[Tensor] = []
+    value = 0.0
+    grads: list[tuple[Tensor, np.ndarray]] = []
     for z, pairs in zip(z_batches, pair_sets):
-        zn = row_normalize(z)
-        row_weight = 1.0 / (np.maximum(pairs.tp.sum(axis=1), 1) * n_views * z.data.shape[0]).astype(z.data.dtype)
-        value, g = _nt_xent_rows(zn.data @ zn.data.T, pairs.tp * row_weight[:, None], pairs.tn, inv_temp)
-        terms.append(closed_form(zn, value, (g + g.T) @ zn.data))
-    return sum(terms)
+        u, norm = _unit_rows(z.data)
+        row_weight = 1.0 / (np.maximum(pairs.tp.sum(axis=1), 1) * n_views * u.shape[0]).astype(u.dtype)
+        view_value, g = _nt_xent_rows(u @ u.T, pairs.tp * row_weight[:, None], pairs.tn, inv_temp)
+        value += view_value
+        grads.append((z, _from_unit_rows((g + g.T) @ u, u, norm)))
+    return closed_form(value, *grads)
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +338,16 @@ def common_contrastive_loss(
     """
     n_views = len(z_batches)
     inv_temp = 1.0 / TEMPERATURE
-    zu = row_normalize(concat_rows(z_batches))
+    u, norm = _unit_rows(np.concatenate([z.data for z in z_batches]))
     sizes = [z.data.shape[0] for z in z_batches]
     offsets = np.cumsum([0, *sizes])
     n_union = int(offsets[-1])
-    u = zu.data
     col_weight = np.repeat(np.array([1.0 / (n_union * n_views * b_v) for b_v in sizes], u.dtype), sizes)
     scale = 1.0 / len(batch_common_labels)
     ids = [_first_seen_ids(common) for common in batch_common_labels.values()]
     ids = [level for level in ids if level.max(initial=0) > 0]
     if not ids:
-        return closed_form(zu, 0.0, np.zeros_like(u))
+        return closed_form(0.0, *((z, np.zeros_like(z.data)) for z in z_batches))
     widths = [int(level.max()) + 1 for level in ids]
     cols = np.stack(ids, axis=1) + np.cumsum([0, *widths[:-1]])  # (N, levels) member columns
     member = np.zeros((n_union, sum(widths)), u.dtype)
@@ -328,26 +375,31 @@ def common_contrastive_loss(
         h *= e
         grad[lo:hi] += h @ u
         grad += h.T @ u_blk
-    return closed_form(zu, value * scale, grad * scale)
+    grad *= scale
+    grad = _from_unit_rows(grad, u, norm)
+    return closed_form(value * scale, *zip(z_batches, np.split(grad, offsets[1:-1])))
 
 
 # ---------------------------------------------------------------------------
 # cross-view guidance
 
 
-def student_assignments(z: Tensor, centroids: np.ndarray) -> Tensor:
-    """Heavy-tailed soft assignment of rows to centroids.
+def student_assignments(z: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Heavy-tailed soft assignment of rows to centroids, and its live kernel.
 
-    Rows get the t-distribution kernel 1/(1 + squared distance),
-    normalized per row. Unlike a temperature softmax this never
-    saturates: far samples still receive a usable pull toward a target
-    centroid, which is what lets the guidance term move whole clusters.
+    Rows get the t-distribution kernel k = 1/(1 + squared distance), the
+    squared distance clipped at 0, normalized per row. Unlike a
+    temperature softmax this never saturates: far samples still receive
+    a usable pull toward a target centroid, which is what lets the
+    guidance term move whole clusters. The live kernel is k where the
+    squared distance is positive and 0 where it was clipped, the only
+    entries through which z moves the assignment.
     """
-    zz = z.square().sum(axis=1, keepdims=True)
-    cc = Tensor((centroids**2).sum(axis=1)[None, :])
-    d2 = zz + cc - (z @ Tensor(centroids.T)) * 2.0
-    q = 1.0 / (d2.clip_min(0.0) + 1.0)
-    return q / q.sum(axis=1, keepdims=True)
+    d2 = (z * z).sum(axis=1, keepdims=True) + (centroids**2).sum(axis=1)[None, :] - (z @ centroids.T) * 2.0
+    kernel = 1.0 / (np.maximum(d2, 0.0) + 1.0)
+    q = kernel / kernel.sum(axis=1, keepdims=True)
+    kernel[d2 <= 0] = 0.0
+    return q, kernel
 
 
 def cross_view_guidance_loss(
@@ -363,20 +415,32 @@ def cross_view_guidance_loss(
     that centroid (cross-entropy), so whole clusters migrate onto the
     shared frame. Each view is weighted (V-1)/V^2, the double sum over
     ordered view pairs, so a single view contributes nothing.
+
+    Per view of b rows with targets t, the value is
+    -(w/b) sum_i log max(q_it, floor), and all views are one node. Its
+    gradient in the squared distances is (w/b) (k_it [j = t] - q_ij k_ij)
+    for the live kernel k, 0 on a row whose q_it is at the floor; in
+    z_i it is 2 (sum_j g_ij z_i - sum_j g_ij c_j).
     """
     n_views = len(z_batches)
-    k = centroids.shape[0]
     weight = (n_views - 1) / (n_views * n_views)
     centroids = centroids.astype(z_batches[0].data.dtype, copy=False)
-    terms: list[Tensor] = []
-    for z, sample_targets in zip(z_batches, batch_common_labels):
-        b = sample_targets.shape[0]
-        q = student_assignments(z, centroids).clip_min(DISTRIBUTION_FLOOR)
-        pick = np.zeros((b, k), z.data.dtype)
-        pick[np.arange(b), sample_targets] = 1.0
-        ce = (q.log() * Tensor(-pick)).sum() * (1.0 / b)
-        terms.append(ce * weight)
-    return sum(terms)
+    value = 0.0
+    grads: list[tuple[Tensor, np.ndarray]] = []
+    for z, targets in zip(z_batches, batch_common_labels):
+        b = targets.shape[0]
+        rows = np.arange(b)
+        q, kernel = student_assignments(z.data, centroids)
+        picked = q[rows, targets]
+        value -= weight / b * float(np.log(np.maximum(picked, DISTRIBUTION_FLOOR)).sum())
+        g = -(q * kernel)
+        g[rows, targets] += kernel[rows, targets]
+        g[picked <= DISTRIBUTION_FLOOR] = 0.0
+        g *= 2.0 * weight / b
+        grad_z = g.sum(axis=1, keepdims=True) * z.data
+        grad_z -= g @ centroids
+        grads.append((z, grad_z))
+    return closed_form(value, *grads)
 
 
 # ---------------------------------------------------------------------------
@@ -390,4 +454,7 @@ def total_loss(
     l_cr: Tensor,
     weights: LossWeights,
 ) -> Tensor:
-    return l_ae + weights.lambda2 * l_in + weights.lambda3 * l_co + weights.lambda4 * l_cr
+    """l_ae + lambda2 l_in + lambda3 l_co + lambda4 l_cr as one node whose
+    gradients are the weights."""
+    terms = ((l_ae, 1.0), (l_in, weights.lambda2), (l_co, weights.lambda3), (l_cr, weights.lambda4))
+    return closed_form(sum(t.item() * w for t, w in terms), *terms)

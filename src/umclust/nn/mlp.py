@@ -15,14 +15,13 @@ float64 from the same generator stream whatever `DTYPE` is, then cast.
 clusters or scores them runs in float64.
 
 Each layer enters the autodiff graph as one node with a hand-written
-backward rule: `Linear` keeps only its input and parameters, and a
+backward rule: `Linear` keeps only its input and parameters, a
 train-mode `BatchNorm` (which includes its ReLU) keeps the centered
 input, the normalized input, the per-feature denominator and the ReLU
-mask. Both rules run the numpy operations that the op-by-op graph of
-the same layer would run, in the same order, so values and gradients
-are bit for bit the same; they only leave out that graph's
-intermediate arrays and their gradients. Eval-mode batch normalization
-and the ReLU of a layer without it stay op by op.
+mask, and the ReLU of a layer without batch norm (`relu`) keeps its
+mask. Eval-mode `BatchNorm` records no graph: it applies the frozen
+statistics and the ReLU in place on one array, so a full-data encode
+holds one layer-sized temporary per layer.
 
 `Mlp` refuses a non-finite linear output with `NumericalError` naming
 the layer. It checks before the activation, because ReLU (and the ReLU
@@ -91,7 +90,7 @@ class BatchNorm:
     one row hits the epsilon floor instead of dividing by zero) and
     updates the running mean/variance in place with momentum. Eval mode
     applies the frozen running statistics, making the layer an affine
-    map before its ReLU.
+    map before its ReLU, and records no graph.
     """
 
     eps = 1e-5
@@ -105,8 +104,12 @@ class BatchNorm:
 
     def __call__(self, x: Tensor, train: bool, update_stats: bool = True) -> Tensor:
         if not train:
-            scale = 1.0 / np.sqrt(self.running_var + self.eps)
-            return ((x - self.running_mean) * Tensor(scale) * self.gamma + self.beta).relu()
+            y = x.data - self.running_mean
+            y *= 1.0 / np.sqrt(self.running_var + self.eps)
+            y *= self.gamma.data
+            y += self.beta.data
+            np.copyto(y, 0.0, where=y <= 0)
+            return Tensor(y)
         n = x.data.shape[0]
         mu = x.data.sum(axis=0) * (1.0 / n)
         centered = x.data - mu
@@ -143,6 +146,16 @@ class BatchNorm:
         return Tensor._result(np.where(mask, y, 0.0), (x, self.gamma, self.beta), backward)
 
 
+def relu(x: Tensor) -> Tensor:
+    """max(x, 0) as one node; the gradient passes where x > 0."""
+    mask = x.data > 0
+
+    def backward(grad, x=x, mask=mask):
+        x._accumulate(grad * mask)
+
+    return Tensor._result(np.where(mask, x.data, 0.0), (x,), backward)
+
+
 class Mlp:
     """Linear layers through `dims`; the last one is purely linear."""
 
@@ -157,7 +170,7 @@ class Mlp:
             if not np.isfinite(x.data).all():
                 raise NumericalError(f"non-finite linear output in layer {i}")
             if i < last:
-                x = norm(x, train, update_stats) if norm is not None else x.relu()
+                x = norm(x, train, update_stats) if norm is not None else relu(x)
         return x
 
 

@@ -35,11 +35,14 @@ copy. What clusters and scores the model stays in float64:
 call, so each refresh, its K-means and correspondence, the guidance
 centroids and the final assignment and report see float64 latents.
 
-Each step keeps its memory only as long as something reads it:
-backward frees every interior gradient and saved array as it passes
-the node, and the parameter gradients are released as soon as Adam has
-read them, so a refresh, `evaluate` or a checkpoint write never runs
-beside a dead model-sized set of gradients.
+A step's autodiff graph is a list of hand-derived nodes: one per
+layer of every encoder and decoder it runs, one `closed_form` node per
+loss term over all views, and one for their weighted total. Each step
+keeps its memory only as long as something reads it: backward frees
+every interior gradient and saved array as it passes the node, and the
+parameter gradients are released as soon as Adam has read them, so a
+refresh, `evaluate` or a checkpoint write never runs beside a dead
+model-sized set of gradients.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -98,8 +102,8 @@ class TrainConfig:
         for name in ("batch_size", "latent_dim", "final_restarts", "kmeans_max_iter"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be > 0 and finite, got {self.learning_rate}")
         if any(d < 1 for d in self.hidden_dims):
             raise ConfigError(f"hidden_dims entries must be >= 1, got {list(self.hidden_dims)}")
         if self.seed < 0:

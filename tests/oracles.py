@@ -15,7 +15,6 @@ import numpy as np
 
 from umclust.cluster import hungarian_max
 from umclust.losses import _nt_xent_rows
-from umclust.nn.tensor import Tensor, closed_form, concat_rows, row_normalize
 
 
 def brute_hungarian(weights: np.ndarray) -> tuple[float, tuple[int, ...]]:
@@ -344,30 +343,31 @@ def reference_lloyd(
 
 # ---------------------------------------------------------------------------
 # op-by-op layers and the whole-array Adam update: the bit-for-bit
-# references for the one-node layers in `umclust.nn.mlp` and the chunked
-# update in `umclust.nn.adam`. The layers are built from the autodiff
-# tensor's elementary operations, the graph a layer recorded op by op.
+# references for the forward pass of the one-node layers in
+# `umclust.nn.mlp` and the chunked update in `umclust.nn.adam`. The
+# layers are plain numpy, one elementary operation at a time; their
+# gradients are checked against finite differences instead.
 
 
 def op_by_op_linear(x, weight, bias):
-    """x @ weight + bias as two recorded operations."""
+    """x @ weight + bias as two operations."""
     return x @ weight + bias
 
 
 def op_by_op_batchnorm_relu(x, gamma, beta, running_mean, running_var, momentum, eps, update_stats):
-    """Train-mode batch normalization then ReLU, one recorded operation at
-    a time; the running statistics (arrays) move in place when
-    `update_stats`."""
-    inv_b = 1.0 / x.data.shape[0]
+    """Train-mode batch normalization then ReLU, one operation at a time;
+    the running statistics move in place when `update_stats`."""
+    inv_b = 1.0 / x.shape[0]
     mu = x.sum(axis=0) * inv_b
     centered = x - mu
-    var = centered.square().sum(axis=0) * inv_b
+    var = (centered * centered).sum(axis=0) * inv_b
     if update_stats:
-        for stat, batch in ((running_mean, mu.data), (running_var, var.data)):
+        for stat, batch in ((running_mean, mu), (running_var, var)):
             stat *= momentum
             stat += (1 - momentum) * batch
-    denom = (var + eps).sqrt()
-    return (centered / denom * gamma + beta).relu()
+    denom = np.sqrt(var + eps)
+    y = centered / denom * gamma + beta
+    return np.where(y > 0, y, 0.0)
 
 
 def whole_array_adam(p, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -390,11 +390,12 @@ def whole_array_adam(p, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
 
 def blockwise_common_contrastive(
-    z_batches: list[Tensor],
+    z_batches: list[np.ndarray],
     batch_common_labels: dict[int, np.ndarray],
     temperature: float,
-) -> Tensor:
-    """Anchor every concatenated-batch sample against each view's batch.
+) -> tuple[float, list[np.ndarray]]:
+    """Anchor every concatenated-batch sample against each view's batch;
+    the value and its gradient in each view's latent batch.
 
     At each level of `batch_common_labels` (common cluster per row of the
     concatenated batch), a pair (anchor i, view sample j) is positive when
@@ -404,18 +405,22 @@ def blockwise_common_contrastive(
     negatives across all views; levels are averaged. Every anchor is its
     own positive; anchors with no negatives contribute nothing.
 
-    The concatenated view batches are the anchors themselves, so each
-    level's similarities come from the normalized union with itself,
-    built one anchor view (b_v x N) at a time.
+    The concatenated view batches, each row divided by its norm (an
+    all-zero row stays zero and gets no gradient), are the anchors
+    themselves, so each level's similarities come from the normalized
+    union with itself, built one anchor view (b_v x N) at a time.
     """
     n_views = len(z_batches)
     inv_temp = 1.0 / float(temperature)
-    zu = row_normalize(concat_rows(z_batches))
-    sizes = [z.data.shape[0] for z in z_batches]
+    z = np.concatenate(z_batches)
+    norm = np.linalg.norm(z, axis=1)
+    nonzero = norm > 0
+    u = np.zeros_like(z)
+    u[nonzero] = z[nonzero] / norm[nonzero, None]
+    sizes = [b.shape[0] for b in z_batches]
     offsets = np.cumsum([0, *sizes])
     n_union = int(offsets[-1])
     col_weight = np.repeat([1.0 / (n_union * n_views * b_v) for b_v in sizes], sizes)
-    u = zu.data
     value = 0.0
     grad = np.zeros_like(u)
     for lo, hi in zip(offsets[:-1], offsets[1:]):
@@ -428,7 +433,10 @@ def blockwise_common_contrastive(
         grad[lo:hi] += g_blk @ u
         grad += g_blk.T @ u[lo:hi]
     scale = 1.0 / len(batch_common_labels)
-    return closed_form(zu, value * scale, grad * scale)
+    grad_z = np.zeros_like(z)
+    radial = (u[nonzero] * grad[nonzero]).sum(axis=1, keepdims=True)
+    grad_z[nonzero] = (grad[nonzero] - radial * u[nonzero]) / norm[nonzero, None]
+    return value * scale, np.split(grad_z * scale, offsets[1:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,25 @@ def test_unusable_train_values_exit_2_before_the_run_directory(tmp_path, capsys)
         assert not out.exists()
 
 
+def test_non_finite_settings_exit_2_before_the_run_directory(tmp_path, capsys):
+    config = _write_config(tmp_path)
+    assert cli.main(["generate", "-c", str(config), "-o", str(tmp_path / "data"), "--quiet"]) == 0
+    for section, key, path in (
+        ("weights", "lambda4", "train.weights.lambda4"),
+        (None, "learning_rate", "train.learning_rate"),
+    ):
+        raw = yaml.safe_load(config.read_text(encoding="utf-8"))
+        target = raw["train"] if section is None else raw["train"].setdefault(section, {})
+        target[key] = float("nan")
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        assert ".nan" in bad.read_text(encoding="utf-8")
+        out = tmp_path / "run"
+        assert cli.main(["train", "-c", str(bad), "-o", str(out), "--quiet"]) == 2
+        assert f"error: {path} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_unpair_partitions_the_paired_ids(tmp_path, capsys):
     rng = np.random.default_rng(0)
     paired = data.PairedDataset(

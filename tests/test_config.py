@@ -1,5 +1,6 @@
 """YAML run configuration: defaults come from the dataclasses they fill."""
 
+import math
 import re
 from dataclasses import replace
 
@@ -180,6 +181,18 @@ def test_lossy_synthetic_casts_are_refused(override, path):
         ({"train": {"kmeans_max_iter": -1}}, "train.kmeans_max_iter"),
         ({"train": {"cluster_levels": [3, 2]}}, "train.cluster_levels must be strictly increasing"),
         ({"train": {"cluster_levels": []}}, "train.cluster_levels"),
+        ({"train": {"weights": {"lambda4": math.nan}}}, "train.weights.lambda4"),
+        ({"train": {"weights": {"lambda1": math.inf}}}, "train.weights.lambda1"),
+        ({"train": {"weights": {"lambda2": -math.inf}}}, "train.weights.lambda2"),
+        ({"train": {"learning_rate": math.inf}}, "train.learning_rate"),
+        ({"train": {"learning_rate": math.nan}}, "train.learning_rate"),
+        ({"train": {"learning_rate": "nan"}}, "train.learning_rate"),
+        ({"dataset": {"synthetic": {**SYNTHETIC, "separation": math.nan}}}, "dataset.synthetic.separation"),
+        ({"dataset": {"synthetic": {**SYNTHETIC, "separation": math.inf}}}, "dataset.synthetic.separation"),
+        ({"dataset": {"synthetic": {**SYNTHETIC, "noise_std": math.inf}}}, "dataset.synthetic.noise_std"),
+        ({"dataset": {"synthetic": {**SYNTHETIC, "noise_std": -math.inf}}}, "dataset.synthetic.noise_std"),
+        ({"sweep": {"lambda3": [0.1, math.nan]}}, "sweep.lambda3"),
+        ({"sweep": {"lambda4": [math.inf]}}, "sweep.lambda4"),
     ],
 )
 def test_values_the_trainer_cannot_use_are_refused_at_parse_time(raw, key):

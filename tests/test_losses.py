@@ -31,7 +31,7 @@ from umclust.losses import (
     total_loss,
 )
 from umclust.nn import build_bundle
-from umclust.nn.tensor import Tensor
+from umclust.nn.tensor import Tensor, closed_form
 from umclust.train import TrainConfig, refresh_level_state
 
 
@@ -70,9 +70,11 @@ def test_cluster_set_prefix_and_validation():
 
 
 def test_recon_orth_zero_for_perfect_autoencoder_orthonormal_rows():
-    z = Tensor(np.eye(3)[:2])  # orthonormal rows
-    x = Tensor(np.random.default_rng(0).normal(size=(2, 4)))
-    assert recon_orth_term(x, x, z, lambda1=1.0).item() == pytest.approx(0.0, abs=1e-15)
+    z = np.eye(3)[:2]  # orthonormal rows
+    x = np.random.default_rng(0).normal(size=(2, 4))
+    value, grad_x_hat, grad_z = recon_orth_term(x, x, z, lambda1=1.0)
+    assert value == pytest.approx(0.0, abs=1e-15)
+    assert not grad_x_hat.any() and not grad_z.any()
 
 
 def test_recon_orth_lambda_zero_is_pure_reconstruction():
@@ -80,8 +82,9 @@ def test_recon_orth_lambda_zero_is_pure_reconstruction():
     x = rng.normal(size=(3, 4))
     xh = rng.normal(size=(3, 4))
     z = rng.normal(size=(3, 2))
-    got = recon_orth_term(Tensor(x), Tensor(xh), Tensor(z), lambda1=0.0).item()
+    got, grad_x_hat, grad_z = recon_orth_term(x, xh, z, lambda1=0.0)
     assert got == pytest.approx(((x - xh) ** 2).sum() / 3, rel=1e-12)
+    assert np.allclose(grad_x_hat, 2 * (xh - x) / 3, rtol=1e-12, atol=0) and not grad_z.any()
 
 
 def test_recon_orth_hand_case():
@@ -93,13 +96,14 @@ def test_recon_orth_hand_case():
     rec = ((x - xh) ** 2).sum() / 2
     gram = z @ z.T - np.eye(2)
     reg = (gram**2).sum() / 4
-    got = recon_orth_term(Tensor(x), Tensor(xh), Tensor(z), lambda1=lam).item()
+    got, _, grad_z = recon_orth_term(x, xh, z, lambda1=lam)
     assert got == pytest.approx(rec + lam * reg, abs=1e-10)
+    assert np.allclose(grad_z, 4 * lam * gram @ z / 4, rtol=1e-12, atol=0)
 
 
 def test_recon_orth_rejects_empty_batch():
     with pytest.raises(ShapeError):
-        recon_orth_term(Tensor(np.zeros((0, 2))), Tensor(np.zeros((0, 2))), Tensor(np.zeros((0, 2))), 1.0)
+        recon_orth_term(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2)), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -380,29 +384,74 @@ def test_common_loss_on_a_refresh_state_matches_the_matching_oracle(temperature)
     assert value == pytest.approx(expected, rel=1e-12)
 
 
+def _guidance_targets(common_labels, rng):
+    """Centroids for the final level plus one far centroid, and per-view
+    targets read off the final-level common labels, except that view 0's
+    first row targets the far centroid: its assignment to it sits below
+    `DISTRIBUTION_FLOOR`."""
+    k = LEVELS[-1]
+    centroids = np.vstack([rng.normal(size=(k, 4)), np.full((1, 4), 5e4)])
+    targets = np.split(common_labels[k].copy(), np.cumsum(SIZES)[:-1])
+    targets[0][0] = k
+    return centroids, targets
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("active", [(2, 3), LEVELS])
-@pytest.mark.parametrize("which", ["inner", "common"])
+@pytest.mark.parametrize("which", ["inner", "common", "guidance", "recon"])
 def test_contrastive_gradients_match_finite_differences(seed, active, which):
     zs, view_labels, common_labels, matchings = _contrastive_case(seed)
+    rng = np.random.default_rng(seed)
     tensors = [Tensor(z, requires_grad=True) for z in zs]
+    params = {f"z{v}": t for v, t in enumerate(tensors)}
+    centroids, targets = _guidance_targets(common_labels, rng)
+    xs = [rng.normal(size=(b, 3)) for b in SIZES]
+    x_hats = [Tensor(rng.normal(size=(b, 3)), requires_grad=True) for b in SIZES]
+    if which == "recon":
+        params.update({f"x_hat{v}": t for v, t in enumerate(x_hats)})
 
     def build():
         if which == "inner":
             return _inner_value(tensors, view_labels, active)
-        return common_contrastive_loss(tensors, {k: common_labels[k] for k in active})
+        if which == "common":
+            return common_contrastive_loss(tensors, {k: common_labels[k] for k in active})
+        if which == "guidance":
+            return cross_view_guidance_loss(tensors, centroids, targets)
+        # one node over both views, as recon_orth_loss builds it
+        terms = [recon_orth_term(x, xh.data, z.data, 0.7) for x, xh, z in zip(xs, x_hats, tensors)]
+        pairs = [(xh, gx) for xh, (_, gx, _) in zip(x_hats, terms)] + [(z, gz) for z, (*_, gz) in zip(tensors, terms)]
+        return closed_form(sum(t[0] for t in terms), *pairs)
 
     build().backward()
-    params = {f"z{v}": t for v, t in enumerate(tensors)}
     numeric = finite_difference_gradients(params, lambda: build().item())
-    # row_normalize maps the all-zero row to zero and is not differentiable
-    # there; every other row's gradient must match, and none may be NaN
-    keep = {name: np.abs(t.data).sum(axis=1, keepdims=True) > 0 for name, t in params.items()}
     grads = {name: np.zeros_like(t.data) if t.grad is None else t.grad for name, t in params.items()}
     assert all(np.isfinite(g).all() for g in grads.values())
-    analytic = {name: np.where(keep[name], g, 0.0) for name, g in grads.items()}
-    numeric = {name: np.where(keep[name], g, 0.0) for name, g in numeric.items()}
-    assert max_relative_gradient_error(analytic, numeric) < 1e-6
+    if which == "guidance":
+        # the row whose target assignment sits at the floor passes nothing back
+        assert np.all(grads["z0"][0] == 0.0) and np.any(grads["z0"][1:] != 0.0)
+    if which in ("inner", "common"):
+        # row normalization is not differentiable at the all-zero row,
+        # which passes back exactly 0; every other row must match
+        assert np.all(grads["z0"][2] == 0.0)
+        numeric["z0"][2] = 0.0
+    assert max_relative_gradient_error(grads, numeric) < 1e-6
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("which", ["inner", "common"])
+def test_an_all_zero_latent_row_gives_a_finite_value_and_a_zero_gradient(which, dtype):
+    zs, view_labels, common_labels, _ = _contrastive_case(0)
+    assert not zs[0][2].any()
+    tensors = [Tensor(z.astype(dtype), requires_grad=True) for z in zs]
+    if which == "inner":
+        loss = _inner_value(tensors, view_labels, (2,))
+    else:
+        loss = common_contrastive_loss(tensors, common_labels)
+    assert loss.data.dtype == dtype and np.isfinite(loss.item())
+    loss.backward()
+    assert all(t.grad.dtype == dtype and np.isfinite(t.grad).all() for t in tensors)
+    assert np.all(tensors[0].grad[2] == 0.0)
+    assert np.all((tensors[0].grad != 0.0).any(axis=1)[[0, 1, 3, 4, 5]])
 
 
 @pytest.mark.parametrize("which", ["inner", "common"])
@@ -471,16 +520,12 @@ BLOCKWISE_CASES = {
 }
 
 
-def _run_common(loss_fn, zs):
-    tensors = [Tensor(z, requires_grad=True) for z in zs]
-    loss = loss_fn(tensors)
-    loss.backward()
-    return loss.item(), [t.grad for t in tensors]
-
-
 def _assert_matches_blockwise(zs, labels, temperature):
-    value, grads = _run_common(lambda ts: common_contrastive_loss(ts, labels), zs)
-    ref_value, ref_grads = _run_common(lambda ts: blockwise_common_contrastive(ts, labels, temperature), zs)
+    tensors = [Tensor(z, requires_grad=True) for z in zs]
+    loss = common_contrastive_loss(tensors, labels)
+    loss.backward()
+    value, grads = loss.item(), [t.grad for t in tensors]
+    ref_value, ref_grads = blockwise_common_contrastive(zs, labels, temperature)
     assert value == pytest.approx(ref_value, rel=1e-12)
     for g, ref in zip(grads, ref_grads):
         assert np.isfinite(g).all()
@@ -581,7 +626,10 @@ def test_total_loss_gradient_is_weighted_sum():
     x = Tensor(rng.normal(size=(3,)), requires_grad=True)
 
     def parts():
-        return (x * x).sum(), (x * 2.0).sum(), (x * -1.0).sum(), (x * 0.5).sum()
+        # sum(x^2), then sum(c x) for c = 2, -1 and 0.5, each with its gradient
+        return closed_form(float(x.data @ x.data), (x, 2 * x.data)), *(
+            closed_form(c * float(x.data.sum()), (x, np.full(3, c))) for c in (2.0, -1.0, 0.5)
+        )
 
     w = LossWeights(lambda2=2.0, lambda3=3.0, lambda4=4.0)
     total_loss(*parts(), w).backward()

@@ -21,11 +21,24 @@ from umclust.losses import recon_orth_loss
 from umclust.nn import Adam, Tensor, build_bundle, load_checkpoint, mlp, save_checkpoint
 from umclust.nn.adam import CHUNK
 from umclust.nn.checkpoint import FORMAT_VERSION
-from umclust.nn.mlp import BatchNorm, Linear
+from umclust.nn.mlp import BatchNorm, Linear, relu
+from umclust.nn.tensor import closed_form
 
 
 def tiny_bundle(batchnorm=True, seed=0, dims=(3, 4), hidden=(5,), latent=2):
     return build_bundle(list(dims), latent, hidden, batchnorm, seed)
+
+
+def weighted_sum(out: Tensor, weights) -> Tensor:
+    """sum(out * weights) as one node: its gradient in `out` is `weights`."""
+    weights = np.broadcast_to(np.asarray(weights, out.data.dtype), out.shape)
+    return closed_form(float((out.data * weights).sum()), (out, weights))
+
+
+def squared_error(x: np.ndarray, x_hat: Tensor, z: Tensor) -> Tensor:
+    """||x_hat - x||^2 + ||z||^2 as one node."""
+    diff = x_hat.data - x
+    return closed_form(float((diff * diff).sum() + (z.data * z.data).sum()), (x_hat, 2.0 * diff), (z, 2.0 * z.data))
 
 
 def test_decoder_layers_mirror_the_encoder():
@@ -77,7 +90,7 @@ def test_hidden_relu_outputs_nonnegative():
     h = Tensor(x)
     h = enc.linears[0](h)
     h = enc.norms[0](h, True)
-    h = h.relu()
+    h = relu(h)
     assert (h.data >= 0).all()
 
 
@@ -181,7 +194,7 @@ def test_backward_matches_finite_differences_through_batchnorm(float64_model):
     def loss_value():
         z = bundle.encode(0, x, train=True)
         xh = bundle.decode(0, z, train=True)
-        return ((Tensor(x) - xh).square().sum() + z.square().sum()).item()
+        return squared_error(x, xh, z).item()
 
     params = {k: v for k, v in bundle.named_parameters().items() if k.startswith("v0")}
     # batchnorm running stats drift per forward call; freeze them for the check
@@ -192,7 +205,7 @@ def test_backward_matches_finite_differences_through_batchnorm(float64_model):
     bundle.zero_grad()
     z = bundle.encode(0, x, train=True)
     xh = bundle.decode(0, z, train=True)
-    ((Tensor(x) - xh).square().sum() + z.square().sum()).backward()
+    squared_error(x, xh, z).backward()
     analytic = {k: p.grad if p.grad is not None else np.zeros_like(p.data) for k, p in params.items()}
     numeric = finite_difference_gradients(params, loss_value)
     assert max_relative_gradient_error(analytic, numeric) < 1e-4
@@ -202,7 +215,7 @@ def _encoder_decoder_gradients(bundle, x) -> dict[str, np.ndarray]:
     bundle.zero_grad()
     z = bundle.encode(0, x, train=True)
     xh = bundle.decode(0, z, train=True)
-    ((Tensor(x) - xh).square().sum() + z.square().sum()).backward()
+    squared_error(x, xh, z).backward()
     return {k: p.grad for k, p in bundle.named_parameters().items() if k.startswith("v0")}
 
 
@@ -332,10 +345,10 @@ def test_gradient_off_path_is_zero():
     opt = Adam(params, lr=0.1)
     x = np.random.default_rng(1).normal(size=(4, 3))
     bundle.zero_grad()
-    bundle.decode(0, bundle.encode(0, x, train=True), train=True).sum().backward()
+    weighted_sum(bundle.decode(0, bundle.encode(0, x, train=True), train=True), 1.0).backward()
     opt.step()
     bundle.zero_grad()
-    bundle.encode(0, x, train=True).sum().backward()
+    weighted_sum(bundle.encode(0, x, train=True), 1.0).backward()
     assert [k for k, p in params.items() if p.grad is not None] == [k for k in params if k.startswith("v0.enc")]
     before = {k: p.data.copy() for k, p in params.items()}
     m = {k: 0.9 * opt.state_arrays()[f"m/{k}"] for k in params}
@@ -350,7 +363,8 @@ def test_gradient_off_path_is_zero():
 
 
 # ---------------------------------------------------------------------------
-# one-node layers: bit for bit the op-by-op graph they replace
+# one-node layers: the forward pass bit for bit the op-by-op numpy
+# reference, the gradients those of finite differences
 
 
 def _layer_input(case, rng):
@@ -366,42 +380,34 @@ def _layer_input(case, rng):
 LAYER_CASES = ["batch", "batch_of_one", "zero_row", "input_without_grad"]
 
 
-def _twin(t: Tensor) -> Tensor:
-    return Tensor(t.data.copy(), requires_grad=t.requires_grad)
-
-
-def _backward_through(out: Tensor, upstream: np.ndarray) -> None:
-    (out * Tensor(upstream)).sum().backward()
-
-
-def _assert_same_grads(pairs):
-    for node, ref in pairs:
-        assert (node.grad is None) == (ref.grad is None)
-        if ref.grad is not None:
-            assert np.array_equal(node.grad, ref.grad)
+def _assert_gradients_match_finite_differences(forward, leaves, upstream):
+    """Backward of sum(forward() * upstream) against central differences
+    in every leaf that requires a gradient; the others get none."""
+    weighted_sum(forward(), upstream).backward()
+    params = {name: t for name, t in leaves.items() if t.requires_grad}
+    numeric = finite_difference_gradients(params, lambda: float((forward().data * upstream).sum()))
+    assert max_relative_gradient_error({name: t.grad for name, t in params.items()}, numeric) < 1e-6
+    assert all(t.grad is None for t in leaves.values() if not t.requires_grad)
 
 
 @pytest.mark.parametrize("case", LAYER_CASES)
-def test_linear_node_matches_the_op_by_op_graph_bit_for_bit(case):
+def test_linear_node_matches_the_op_by_op_graph_bit_for_bit(float64_model, case):
     rng = np.random.default_rng(21)
     lin = Linear(4, 5, rng)
     lin.bias.data[...] = rng.normal(size=5)
     data, requires_grad = _layer_input(case, rng)
     x = Tensor(data, requires_grad=requires_grad)
-    ref_x, ref_w, ref_b = _twin(x), _twin(lin.weight), _twin(lin.bias)
     out = lin(x)
-    ref = op_by_op_linear(ref_x, ref_w, ref_b)
-    assert np.array_equal(out.data, ref.data)
+    assert np.array_equal(out.data, op_by_op_linear(data, lin.weight.data, lin.bias.data))
     upstream = rng.normal(size=out.shape)
-    _backward_through(out, upstream)
-    _backward_through(ref, upstream)
-    _assert_same_grads([(x, ref_x), (lin.weight, ref_w), (lin.bias, ref_b)])
-    assert requires_grad == (x.grad is not None)
+    _assert_gradients_match_finite_differences(
+        lambda: lin(x), {"x": x, "weight": lin.weight, "bias": lin.bias}, upstream
+    )
 
 
 @pytest.mark.parametrize("update_stats", [True, False], ids=["update_stats", "frozen_stats"])
 @pytest.mark.parametrize("case", LAYER_CASES)
-def test_train_batchnorm_node_matches_the_op_by_op_graph_bit_for_bit(case, update_stats):
+def test_train_batchnorm_node_matches_the_op_by_op_graph_bit_for_bit(float64_model, case, update_stats):
     rng = np.random.default_rng(22)
     norm = BatchNorm(4)
     norm.gamma.data[...] = rng.normal(size=4)
@@ -411,19 +417,19 @@ def test_train_batchnorm_node_matches_the_op_by_op_graph_bit_for_bit(case, updat
     ref_mean, ref_var = norm.running_mean.copy(), norm.running_var.copy()
     data, requires_grad = _layer_input(case, rng)
     x = Tensor(data, requires_grad=requires_grad)
-    ref_x, ref_gamma, ref_beta = _twin(x), _twin(norm.gamma), _twin(norm.beta)
     out = norm(x, train=True, update_stats=update_stats)
     ref = op_by_op_batchnorm_relu(
-        ref_x, ref_gamma, ref_beta, ref_mean, ref_var, norm.momentum, norm.eps, update_stats
+        data, norm.gamma.data, norm.beta.data, ref_mean, ref_var, norm.momentum, norm.eps, update_stats
     )
-    assert np.array_equal(out.data, ref.data)
+    assert np.array_equal(out.data, ref)
     assert (out.data == 0).any() and (out.data > 0).any()
     assert np.array_equal(norm.running_mean, ref_mean) and np.array_equal(norm.running_var, ref_var)
     upstream = rng.normal(size=out.shape)
-    _backward_through(out, upstream)
-    _backward_through(ref, upstream)
-    _assert_same_grads([(x, ref_x), (norm.gamma, ref_gamma), (norm.beta, ref_beta)])
-    assert requires_grad == (x.grad is not None)
+    _assert_gradients_match_finite_differences(
+        lambda: norm(x, train=True, update_stats=False),
+        {"x": x, "gamma": norm.gamma, "beta": norm.beta},
+        upstream,
+    )
 
 
 def test_recon_orth_backward_stays_within_its_memory_bound():
@@ -566,7 +572,8 @@ def test_adam_refuses_a_parameter_it_cannot_update_in_place():
 def _stepped_adam(bundle):
     opt = Adam(bundle.named_parameters(), lr=1e-3)
     bundle.zero_grad()
-    bundle.encode(0, np.random.default_rng(4).normal(size=(5, 3)), train=True).square().sum().backward()
+    z = bundle.encode(0, np.random.default_rng(4).normal(size=(5, 3)), train=True)
+    weighted_sum(z, z.data).backward()
     opt.step()
     return opt
 
@@ -636,7 +643,8 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     opt = Adam(bundle.named_parameters(), lr=1e-3)
     x = np.random.default_rng(3).normal(size=(5, 3))
     bundle.zero_grad()
-    bundle.encode(0, x, train=True).square().sum().backward()
+    z = bundle.encode(0, x, train=True)
+    weighted_sum(z, z.data).backward()
     opt.step()
     path = tmp_path / "ck.npz"
     save_checkpoint(path, **_checkpoint_payload(bundle, opt))

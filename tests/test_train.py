@@ -324,6 +324,39 @@ def test_no_parameter_gradient_outlives_its_step(tmp_path, monkeypatch):
     assert all(p.grad is None for p in built[0].named_parameters().values())
 
 
+@pytest.mark.parametrize("batchnorm", [True, False], ids=["batchnorm", "relu"])
+def test_every_training_step_records_its_layer_nodes_plus_five(monkeypatch, batchnorm):
+    # the graph of a step is a node list: one node per layer, and one per
+    # loss term (l_ae, l_in, l_co, l_cr) plus the total, whatever the
+    # number of views
+    spec = SyntheticSpec(clusters=3, views=3, dims=(6, 7, 5), samples_per_cluster=12, separation=8.0, noise_std=1.0)
+    built, counts, recorded = [], [], []
+    result, backward = Tensor._result, Tensor.backward
+
+    def build(*args, **kwargs):
+        built.append(build_bundle(*args, **kwargs))
+        return built[-1]
+
+    def record_node(data, parents, rule):
+        out = result(data, parents, rule)
+        recorded.append(out._backward is not None)
+        return out
+
+    def count_then_backward(self):
+        counts.append(sum(recorded))
+        recorded.clear()
+        backward(self)
+
+    monkeypatch.setattr(train_module, "build_bundle", build)
+    monkeypatch.setattr(Tensor, "_result", staticmethod(record_node))
+    monkeypatch.setattr(Tensor, "backward", count_then_backward)
+    train(small_config(epochs=4, batch_size=16, batchnorm=batchnorm), synthesize(spec))
+    bundle = built[0]
+    layers = sum(2 * len(mlp.linears) - 1 for mlp in bundle.encoders + bundle.decoders)
+    assert layers == 3 * 2 * 3
+    assert counts == [layers + 5] * (4 * 3)
+
+
 def test_checkpoint_resume_bit_identical(tmp_path):
     ds = small_dataset()
     cfg = small_config()
