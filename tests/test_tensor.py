@@ -1,10 +1,12 @@
-"""Autodiff engine checks: the graph walk, `closed_form`, gradient ownership
-and the freeing of interior state, on the nodes the package has."""
+"""Autodiff engine checks: the graph walk, `closed_form`, the row
+normalization under the contrastive terms, gradient ownership and the
+freeing of interior state, on the nodes the package has."""
 
 import numpy as np
 import pytest
 
 from umclust.errors import ShapeError
+from umclust.losses import _from_unit_rows, _unit_rows
 from umclust.nn.mlp import BatchNorm, Linear, relu
 from umclust.nn.tensor import Tensor, closed_form, no_graph
 
@@ -119,6 +121,76 @@ def test_no_graph_restores_recording_on_exit_and_on_an_exception(rng):
     out = closed_form(0.0, (a, np.full((2, 2), 2.0)))
     out.backward()
     assert np.array_equal(a.grad, np.full((2, 2), 2.0))
+
+
+def row_normalize(z: Tensor, weights: np.ndarray | None = None) -> tuple[np.ndarray, Tensor]:
+    """The unit rows u of `z`, normalized as the contrastive terms do, and
+    one node for sum(weights * u), or sum(u * u) without `weights`."""
+    u, norm = _unit_rows(z.data)
+    if weights is None:
+        value, grad = (u * u).sum(), 2.0 * u
+    else:
+        value, grad = (u * weights).sum(), weights.astype(u.dtype)
+    return u, closed_form(float(value), (z, _from_unit_rows(grad, u, norm)))
+
+
+def test_row_normalize_grad(rng):
+    a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    w = rng.normal(size=(4, 3))
+    check_op(lambda: row_normalize(a, w)[1], a)
+
+
+def test_row_normalize_zero_row_is_safe():
+    z = Tensor(np.array([[0.0, 0.0], [3.0, 4.0]]), requires_grad=True)
+    out, loss = row_normalize(z)
+    assert np.allclose(out, [[0.0, 0.0], [0.6, 0.8]])
+    loss.backward()
+    assert np.isfinite(z.grad).all()
+    assert np.allclose(z.grad[0], 0.0)
+
+
+def test_row_normalize_zero_row_passes_zero_gradient(rng):
+    data = rng.normal(size=(4, 3))
+    data[1] = 0.0
+    w = rng.normal(size=(4, 3))  # non-zero upstream on the zero row too
+    z = Tensor(data.copy(), requires_grad=True)
+    out, loss = row_normalize(z, w)
+    loss.backward()
+    assert np.array_equal(out[1], np.zeros(3))
+    assert np.array_equal(z.grad[1], np.zeros(3))
+    # the other rows match the same rows normalized without the zero row,
+    # bit for bit, and the unmasked formula
+    rows = np.array([0, 2, 3])
+    ref = Tensor(data[rows].copy(), requires_grad=True)
+    ref_out, ref_loss = row_normalize(ref, w[rows])
+    ref_loss.backward()
+    assert np.array_equal(out[rows], ref_out)
+    assert np.array_equal(z.grad[rows], ref.grad)
+    norm = np.sqrt((data[rows] ** 2).sum(axis=1, keepdims=True))
+    u = data[rows] / norm
+    assert np.allclose(out[rows], u, rtol=1e-14, atol=0.0)
+    expected = (w[rows] - u * (u * w[rows]).sum(axis=1, keepdims=True)) / norm
+    assert np.allclose(z.grad[rows], expected, rtol=1e-12, atol=1e-15)
+
+
+def test_row_normalize_zero_row_is_safe_in_float32():
+    # a fixed 1e-60 floor flushes to 0 in float32, and 0 / 0 warns
+    z = Tensor(np.array([[0.0, 0.0], [3.0, 4.0]], np.float32), requires_grad=True)
+    out, loss = row_normalize(z)
+    assert out.dtype == np.float32
+    assert np.array_equal(out[0], [0.0, 0.0]) and np.allclose(out[1], [0.6, 0.8], atol=1e-7)
+    loss.backward()
+    assert z.grad.dtype == np.float32 and np.array_equal(z.grad[0], [0.0, 0.0])
+
+
+def test_row_normalize_zero_row_passes_zero_gradient_in_float32(rng):
+    data = rng.normal(size=(4, 3)).astype(np.float32)
+    data[1] = 0.0
+    w = rng.normal(size=(4, 3)).astype(np.float32)
+    z = Tensor(data, requires_grad=True)
+    row_normalize(z, w)[1].backward()
+    assert z.grad.dtype == np.float32
+    assert np.array_equal(z.grad[1], np.zeros(3)) and np.isfinite(z.grad).all()
 
 
 def _latent_read_by_decoder_and_loss(a, b, rng):
