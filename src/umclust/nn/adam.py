@@ -1,11 +1,21 @@
-"""Adam over one model's named parameters: `Adam(params, lr)` creates both
-moments up front, and `step()` reads each parameter's `.grad`, taking a
-parameter the loss did not reach as having a zero gradient.
+"""Adam over one model's named parameters, fused into backward:
+`Adam(params, lr)` creates both moments up front, and `step(loss)`
+differentiates `loss` and updates every parameter in place.
 
-`step()` first checks every gradient and every parameter's layout and
-refuses a non-finite gradient, or a parameter that is not C-contiguous,
-before anything moves. It then updates the moments and each parameter
-in place, `CHUNK` elements at a time through two reused scratch
+`step(loss)` refuses a parameter that is not C-contiguous before
+anything moves, then advances the step count and runs `loss.backward`.
+Each parameter is updated, and its gradient dropped, as soon as the
+walk has passed the last node that uses it (`Tensor.backward`'s
+`on_leaf_done`), so the gradients of the whole model are never alive
+at once. An update runs after every rule that reads its parameter and
+touches nothing but the parameter and its moments, so the result is
+bit for bit that of a full backward followed by one update per
+parameter. A parameter the loss did not reach takes the update of a
+zero gradient after the walk. A non-finite gradient is refused with
+`NumericalError`, naming its parameter, before that parameter or its
+moments move; parameters updated earlier in the walk have moved.
+
+The update goes `CHUNK` elements at a time through two reused scratch
 buffers. A parameter-sized temporary (4 MB for a float32 1024 x 1024
 weight) would be fresh memory faulted in on every step; the two buffers
 are faulted in once. The moments and the scratch buffers a parameter
@@ -41,28 +51,43 @@ class Adam:
         self.params = params
         self.lr = float(lr)
         self.t = 0
+        self._names = {id(p): name for name, p in params.items()}
         self._moments = {
             f"{kind}/{name}": np.zeros(p.data.shape, p.data.dtype) for kind in "mv" for name, p in params.items()
         }
         dtypes = {p.data.dtype for p in params.values()}
         self._scratch = {dtype: (np.empty(CHUNK, dtype), np.empty(CHUNK, dtype)) for dtype in dtypes}
 
-    def step(self) -> None:
-        """One in-place update of every parameter from its current gradient;
-        a non-finite gradient or a parameter that is not C-contiguous is
-        refused before any parameter, moment or the step count changes."""
+    def step(self, loss: Tensor) -> None:
+        """Backward of the scalar `loss` with one in-place update of every
+        parameter; a parameter that is not C-contiguous is refused before
+        anything moves, a non-finite gradient before its parameter moves."""
         for name, p in self.params.items():
-            if p.grad is not None and not np.isfinite(p.grad).all():
-                raise NumericalError(f"non-finite gradient for {name}")
             if not p.data.flags.c_contiguous:
                 raise ShapeError(f"parameter {name} is not C-contiguous; Adam updates it through a flat view")
         self.t += 1
         b1t = 1.0 - BETA1**self.t
         b2t = 1.0 - BETA2**self.t
-        for name, p in self.params.items():
-            g = np.zeros_like(p.data) if p.grad is None else p.grad
+        unreached = dict(self.params)
+
+        def update(name: str, p: Tensor, grad: np.ndarray | None) -> None:
+            if grad is None:
+                grad = np.zeros_like(p.data)
+            elif not np.isfinite(grad).all():
+                raise NumericalError(f"non-finite gradient for {name}")
             m, v = self._moments[f"m/{name}"], self._moments[f"v/{name}"]
-            self._update(p.data.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1), b1t, b2t)
+            self._update(p.data.reshape(-1), grad.reshape(-1), m.reshape(-1), v.reshape(-1), b1t, b2t)
+            p.grad = None
+
+        def on_leaf_done(leaf: Tensor) -> None:
+            name = self._names.get(id(leaf))
+            if name is not None:
+                del unreached[name]
+                update(name, leaf, leaf.grad)
+
+        loss.backward(on_leaf_done)
+        for name, p in unreached.items():
+            update(name, p, None)
 
     def _update(self, p, g, m, v, b1t: float, b2t: float) -> None:
         """m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;

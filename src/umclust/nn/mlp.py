@@ -253,10 +253,6 @@ class AutoencoderBundle:
         """Every live batch-norm running statistic by name; the same dict on every call."""
         return self._stats
 
-    def zero_grad(self) -> None:
-        for p in self._params.values():
-            p.zero_grad()
-
 
 def _entry_layouts(prefix: str, dims: tuple[int, ...], batchnorm: bool) -> dict[str, Layout]:
     """Checkpoint entry name -> (shape, dtype) of every array an

@@ -19,9 +19,15 @@ Backward consumes the graph's interior state: once a node's rule has
 run, the node drops its gradient and its rule, and with the rule every
 array the rule kept (a batch-norm node's normalized input, a
 ``closed_form`` gradient), so a step holds each of them only until
-backward has passed its node. Leaves keep their gradients and every
-node keeps its parents, so the graph can still be walked; it cannot be
-differentiated a second time.
+backward has passed its node. Every node keeps its parents, so the
+graph can still be walked; it cannot be differentiated a second time.
+
+A leaf's gradient is final once the walk has passed the last node that
+lists the leaf as a parent; ``backward(on_leaf_done)`` calls
+``on_leaf_done(leaf)`` there, with ``.grad`` None when no such node
+contributed. `nn.adam` updates each parameter and drops its gradient in
+that call, so the whole model's gradients are never alive at once.
+Without a callback, leaves keep their gradients.
 
 Inside ``with no_graph():`` nodes compute the same arrays but record
 nothing, so a forward pass nobody differentiates (a full-data encode)
@@ -98,9 +104,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
             owned = isinstance(grad, np.ndarray) and grad.base is None and grad.dtype == self.data.dtype
@@ -108,12 +111,15 @@ class Tensor:
         else:
             self.grad += grad
 
-    def backward(self) -> None:
+    def backward(self, on_leaf_done=None) -> None:
         """Accumulate d(self)/d(leaf) into every requires_grad leaf.
 
         `self` must be a scalar (size-1) tensor. Each interior node
         (one with a backward rule, `self` included) ends with `.grad`
         and its rule set to None, freed as soon as the rule has run.
+        `on_leaf_done(leaf)`, when given, is called for every
+        requires_grad leaf right after the rule of the last node that
+        lists it as a parent; the leaf's `.grad` is then final, or None.
         """
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar loss")
@@ -132,12 +138,21 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in seen and parent.requires_grad:
                     stack.append((parent, False))
+        walk = order[::-1]
+        done_after: dict[int, list[Tensor]] = {}
+        if on_leaf_done is not None:
+            last = {id(parent): i for i, node in enumerate(walk) for parent in node._parents}
+            for i, node in enumerate(walk):
+                if node._backward is None and node.requires_grad:
+                    done_after.setdefault(last.get(id(node), i), []).append(node)
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        for i, node in enumerate(walk):
             if node._backward is not None:
                 if node.grad is not None:
                     node._backward(node.grad)
                 node.grad = node._backward = None
+            for leaf in done_after.get(i, ()):
+                on_leaf_done(leaf)
 
 
 def closed_form(value: float, *pairs: tuple[Tensor, np.ndarray | float]) -> Tensor:

@@ -38,11 +38,14 @@ centroids and the final assignment and report see float64 latents.
 A step's autodiff graph is a list of hand-derived nodes: one per
 layer of every encoder and decoder it runs, one `closed_form` node per
 loss term over all views, and one for their weighted total. Each step
-keeps its memory only as long as something reads it: backward frees
-every interior gradient and saved array as it passes the node, and the
-parameter gradients are released as soon as Adam has read them, so a
-refresh, `evaluate` or a checkpoint write never runs beside a dead
-model-sized set of gradients.
+keeps its memory only as long as something reads it: `Adam.step(total)`
+runs backward, which frees every interior gradient and saved array as
+it passes the node and updates each parameter, dropping its gradient,
+as soon as the walk has passed the layer that uses it. So one layer's
+parameter gradients are alive at a time, and none beside a refresh,
+`evaluate` or a checkpoint write. A non-finite gradient raises
+`NumericalError` before its own parameter moves but after earlier
+layers of that step have, and the run ends without a checkpoint.
 """
 
 from __future__ import annotations
@@ -322,9 +325,7 @@ def train(
             total = total_loss(l_ae, l_in, l_co, l_cr, config.weights)
             if not np.isfinite(total.data):
                 raise NumericalError(f"non-finite total loss at epoch {epoch} step {step}")
-            total.backward()
-            opt.step()
-            bundle.zero_grad()  # the gradients die with the step that read them
+            opt.step(total)
             sums += [l_ae.item(), l_in.item(), l_co.item(), l_cr.item(), total.item()]
             del l_ae, zs, l_in, l_co, l_cr, total  # free this step's graph before the next is built
         means = sums / steps

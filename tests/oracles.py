@@ -342,11 +342,12 @@ def reference_lloyd(
 
 
 # ---------------------------------------------------------------------------
-# op-by-op layers and the whole-array Adam update: the bit-for-bit
+# op-by-op layers and the whole-array Adam step: the bit-for-bit
 # references for the forward pass of the one-node layers in
-# `umclust.nn.mlp` and the chunked update in `umclust.nn.adam`. The
-# layers are plain numpy, one elementary operation at a time; their
-# gradients are checked against finite differences instead.
+# `umclust.nn.mlp` and the chunked update fused into backward in
+# `umclust.nn.adam`. The layers are plain numpy, one elementary
+# operation at a time; their gradients are checked against finite
+# differences instead.
 
 
 def op_by_op_linear(x, weight, bias):
@@ -379,6 +380,19 @@ def whole_array_adam(p, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     v *= beta2
     v += (1.0 - beta2) * (g * g)
     p -= lr * (m / b1t) / (np.sqrt(v / b2t) + eps)
+
+
+def two_phase_adam_step(params, moments, t, lr, loss):
+    """Adam step `t` in two phases: the full backward of `loss`, with
+    every parameter's gradient alive at once, then `whole_array_adam` on
+    each parameter, a parameter the loss did not reach taking a zero
+    gradient. `moments` maps ``m/<name>`` and ``v/<name>`` to arrays
+    updated in place; the gradients are dropped after the update."""
+    loss.backward()
+    for name, p in params.items():
+        g = np.zeros_like(p.data) if p.grad is None else p.grad
+        whole_array_adam(p.data, g, moments[f"m/{name}"], moments[f"v/{name}"], t, lr)
+        p.grad = None
 
 
 # ---------------------------------------------------------------------------

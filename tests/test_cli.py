@@ -12,7 +12,9 @@ import yaml
 from damage import flip_a_data_byte, set_first_value
 from umclust import cli, data
 from umclust import config as cfg
+from umclust import train as train_module
 from umclust.nn import load_checkpoint, save_checkpoint
+from umclust.nn.tensor import closed_form
 
 
 _real_sweep_point = cli._sweep_point
@@ -426,6 +428,23 @@ def test_non_finite_settings_exit_2_before_the_run_directory(tmp_path, capsys):
         assert cli.main(["train", "-c", str(bad), "-o", str(out), "--quiet"]) == 2
         assert f"error: {path} must be" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_a_non_finite_gradient_exits_3_without_a_checkpoint(tmp_path, capsys, monkeypatch):
+    # a finite guidance value with a NaN gradient in view 0's latents: Adam
+    # refuses the first gradient of view 0's encoder it meets, after the
+    # layers the walk passed before it have moved, so nothing is saved
+    config = _write_config(tmp_path)
+    assert cli.main(["generate", "-c", str(config), "-o", str(tmp_path / "data"), "--quiet"]) == 0
+
+    def nan_gradient(zs, centroids, targets):
+        return closed_form(0.0, (zs[0], np.full(zs[0].shape, np.nan, zs[0].data.dtype)))
+
+    monkeypatch.setattr(train_module, "cross_view_guidance_loss", nan_gradient)
+    out = tmp_path / "run"
+    assert cli.main(["train", "-c", str(config), "-o", str(out), "--quiet"]) == 3
+    assert "numerical failure: non-finite gradient for v0.enc." in capsys.readouterr().err
+    assert not (out / "checkpoint.npz").exists()
 
 
 def test_unpair_partitions_the_paired_ids(tmp_path, capsys):

@@ -14,6 +14,7 @@ from oracles import (
     max_relative_gradient_error,
     op_by_op_batchnorm_relu,
     op_by_op_linear,
+    two_phase_adam_step,
     whole_array_adam,
 )
 from umclust.errors import CheckpointError, NumericalError, ShapeError
@@ -33,6 +34,12 @@ def weighted_sum(out: Tensor, weights) -> Tensor:
     """sum(out * weights) as one node: its gradient in `out` is `weights`."""
     weights = np.broadcast_to(np.asarray(weights, out.data.dtype), out.shape)
     return closed_form(float((out.data * weights).sum()), (out, weights))
+
+
+def gradient_loss(*pairs) -> Tensor:
+    """A loss of value 0 whose gradient in each (tensor, g) pair's tensor
+    is exactly `g`; a tensor left out gets none."""
+    return closed_form(0.0, *pairs) if pairs else Tensor(0.0)
 
 
 def squared_error(x: np.ndarray, x_hat: Tensor, z: Tensor) -> Tensor:
@@ -202,7 +209,6 @@ def test_backward_matches_finite_differences_through_batchnorm(float64_model):
         for norm in mlp.norms:
             if norm is not None:
                 norm.momentum = 1.0
-    bundle.zero_grad()
     z = bundle.encode(0, x, train=True)
     xh = bundle.decode(0, z, train=True)
     squared_error(x, xh, z).backward()
@@ -212,7 +218,6 @@ def test_backward_matches_finite_differences_through_batchnorm(float64_model):
 
 
 def _encoder_decoder_gradients(bundle, x) -> dict[str, np.ndarray]:
-    bundle.zero_grad()
     z = bundle.encode(0, x, train=True)
     xh = bundle.decode(0, z, train=True)
     squared_error(x, xh, z).backward()
@@ -329,10 +334,8 @@ def test_load_arrays_gives_adam_parameters_it_can_update_in_place(tmp_path):
         assert not npz["param/v0.enc.lin0.weight"].flags.c_contiguous
     load_checkpoint(path, params=_param_arrays(bundle), stats=bundle.named_stats())
     opt = Adam(bundle.named_parameters(), lr=0.1)
-    for p in bundle.named_parameters().values():
-        assert p.data.flags.c_contiguous
-        p.grad = np.ones(p.shape)
-    opt.step()
+    assert all(p.data.flags.c_contiguous for p in bundle.named_parameters().values())
+    opt.step(gradient_loss(*((p, np.ones(p.shape)) for p in bundle.named_parameters().values())))
     assert all(np.array_equal(p.data, params[k] - 0.1 / (1 + 1e-8)) for k, p in bundle.named_parameters().items())
 
 
@@ -344,16 +347,15 @@ def test_gradient_off_path_is_zero():
     params = bundle.named_parameters()
     opt = Adam(params, lr=0.1)
     x = np.random.default_rng(1).normal(size=(4, 3))
-    bundle.zero_grad()
-    weighted_sum(bundle.decode(0, bundle.encode(0, x, train=True), train=True), 1.0).backward()
-    opt.step()
-    bundle.zero_grad()
+    opt.step(weighted_sum(bundle.decode(0, bundle.encode(0, x, train=True), train=True), 1.0))
     weighted_sum(bundle.encode(0, x, train=True), 1.0).backward()
     assert [k for k, p in params.items() if p.grad is not None] == [k for k in params if k.startswith("v0.enc")]
+    for p in params.values():
+        p.grad = None
     before = {k: p.data.copy() for k, p in params.items()}
     m = {k: 0.9 * opt.state_arrays()[f"m/{k}"] for k in params}
     v = {k: 0.999 * opt.state_arrays()[f"v/{k}"] for k in params}
-    opt.step()
+    opt.step(weighted_sum(bundle.encode(0, x, train=True), 1.0))
     for k, p in params.items():
         if not k.startswith("v0.enc"):
             expected = before[k] - 0.1 * (m[k] / (1 - 0.9**2)) / (np.sqrt(v[k] / (1 - 0.999**2)) + 1e-8)
@@ -462,18 +464,15 @@ def test_adam_zero_gradient_keeps_parameters():
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     opt = Adam({"p": p}, lr=0.1)
     before = p.data.copy()
-    p.grad = np.zeros(2)
-    opt.step()
-    p.zero_grad()
-    opt.step()
+    opt.step(gradient_loss((p, np.zeros(2))))
+    opt.step(gradient_loss())
     assert np.array_equal(p.data, before)
 
 
 def test_adam_single_scalar_hand_update():
     p = Tensor(np.array([1.0]), requires_grad=True)
     opt = Adam({"p": p}, lr=0.1)
-    p.grad = np.array([0.5])
-    opt.step()
+    opt.step(gradient_loss((p, np.array([0.5]))))
     m_hat = (0.1 * 0.5) / (1 - 0.9)
     v_hat = (0.001 * 0.25) / (1 - 0.999)
     expected = 1.0 - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
@@ -486,8 +485,7 @@ def test_adam_two_runs_bit_identical():
         p = Tensor(np.ones(3), requires_grad=True)
         opt = Adam({"p": p}, lr=0.01)
         for _ in range(5):
-            p.grad = rng.normal(size=3)
-            opt.step()
+            opt.step(gradient_loss((p, rng.normal(size=3))))
         return p.data
 
     assert np.array_equal(run(), run())
@@ -495,9 +493,8 @@ def test_adam_two_runs_bit_identical():
 
 def test_adam_rejects_nonfinite_gradient():
     p = Tensor(np.ones(2), requires_grad=True)
-    p.grad = np.array([1.0, np.nan])
-    with pytest.raises(NumericalError):
-        Adam({"p": p}, lr=1e-3).step()
+    with pytest.raises(NumericalError, match="for p"):
+        Adam({"p": p}, lr=1e-3).step(gradient_loss((p, np.array([1.0, np.nan]))))
 
 
 _SIZES = [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7]
@@ -513,12 +510,11 @@ def _check_chunked_adam_matches_the_whole_array_update(size: int, dtype) -> None
     ref = {k: [p.data.copy(), np.zeros(p.shape, dtype), np.zeros(p.shape, dtype)] for k, p in params.items()}
     opt = Adam(params, lr=0.01)
     for t in (1, 2, 3):
+        grads = {k: rng.normal(size=p.shape).astype(dtype) for k, p in params.items() if k != "unreached"}
         for k, p in params.items():
-            p.grad = None if k == "unreached" else rng.normal(size=p.shape).astype(dtype)
-            g = np.zeros(p.shape, dtype) if p.grad is None else p.grad
             pr, mr, vr = ref[k]
-            whole_array_adam(pr, g, mr, vr, t, 0.01)
-        opt.step()
+            whole_array_adam(pr, grads.get(k, np.zeros(p.shape, dtype)), mr, vr, t, 0.01)
+        opt.step(gradient_loss(*((params[k], g) for k, g in grads.items())))
         for k, p in params.items():
             pr, mr, vr = ref[k]
             assert np.array_equal(p.data, pr), k
@@ -538,21 +534,52 @@ def test_adam_chunked_float32_step_matches_the_whole_array_update_bit_for_bit(si
     _check_chunked_adam_matches_the_whole_array_update(size, np.float32)
 
 
-def test_adam_refuses_a_bad_last_gradient_before_moving_anything():
+@pytest.mark.parametrize("batchnorm", [True, False], ids=["batchnorm", "relu"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+def test_fused_adam_step_matches_the_two_phase_step_bit_for_bit(monkeypatch, dtype, batchnorm):
+    # the fused step updates each parameter inside backward, as soon as the
+    # walk has passed its layer; a full backward followed by a whole-array
+    # update per parameter must land on the same bits. View 1 is never
+    # reached, view 0's decoder only on odd steps
+    monkeypatch.setattr(mlp, "DTYPE", dtype)
+    fused, reference = (tiny_bundle(batchnorm=batchnorm, seed=5, hidden=(5, 4)) for _ in range(2))
+    initial = {k: p.data.copy() for k, p in fused.named_parameters().items()}
+    opt = Adam(fused.named_parameters(), lr=0.01)
+    moments = {k: np.zeros_like(a) for k, a in opt.state_arrays().items()}
+    rng = np.random.default_rng(6)
+    for t in range(1, 5):
+        x = rng.normal(size=(6, 3))
+        losses = []
+        for bundle in (fused, reference):
+            z = bundle.encode(0, x, train=True)
+            losses.append(squared_error(x, bundle.decode(0, z, train=True), z) if t % 2 else weighted_sum(z, z.data))
+        opt.step(losses[0])
+        two_phase_adam_step(reference.named_parameters(), moments, t, 0.01, losses[1])
+        for k, p in fused.named_parameters().items():
+            assert p.grad is None and np.array_equal(p.data, reference.named_parameters()[k].data), (t, k)
+        assert all(np.array_equal(a, moments[k]) for k, a in opt.state_arrays().items()), t
+    assert opt.t == 4
+    for k, p in fused.named_parameters().items():
+        assert p.data.dtype == dtype
+        assert np.array_equal(p.data, initial[k]) == k.startswith("v1"), k
+
+
+@pytest.mark.parametrize("bad", ["a", "b"])
+def test_adam_refuses_a_bad_gradient_before_its_parameter_moves(bad):
+    # the update is fused into backward, so a parameter updated earlier in
+    # the walk has moved; the one with the bad gradient, named in the
+    # error, and its moments have not
     params = {"a": Tensor(np.ones(3), requires_grad=True), "b": Tensor(np.ones(2), requires_grad=True)}
     opt = Adam(params, lr=0.1)
-    for p in params.values():
-        p.grad = np.full(p.shape, 0.5)
-    opt.step()
+    opt.step(gradient_loss(*((p, np.full(p.shape, 0.5)) for p in params.values())))
     before = {k: p.data.copy() for k, p in params.items()}
     moments = {k: a.copy() for k, a in opt.state_arrays().items()}
-    params["a"].grad = np.full(3, 0.25)
-    params["b"].grad = np.array([1.0, np.nan])
-    with pytest.raises(NumericalError, match="for b"):
-        opt.step()
-    assert opt.t == 1
-    assert all(np.array_equal(p.data, before[k]) for k, p in params.items())
-    assert all(np.array_equal(a, moments[k]) for k, a in opt.state_arrays().items())
+    grads = {k: np.full(p.shape, 0.25) for k, p in params.items()}
+    grads[bad][-1] = np.nan
+    with pytest.raises(NumericalError, match=f"non-finite gradient for {bad}$"):
+        opt.step(gradient_loss(*((params[k], g) for k, g in grads.items())))
+    assert np.array_equal(params[bad].data, before[bad])
+    assert all(np.array_equal(opt.state_arrays()[f"{kind}/{bad}"], moments[f"{kind}/{bad}"]) for kind in "mv")
 
 
 def test_adam_refuses_a_parameter_it_cannot_update_in_place():
@@ -560,10 +587,8 @@ def test_adam_refuses_a_parameter_it_cannot_update_in_place():
     # written through it would be lost without a word
     params = {"a": Tensor(np.ones(3), requires_grad=True), "w": Tensor(np.asfortranarray(np.ones((2, 3))), requires_grad=True)}
     opt = Adam(params, lr=0.1)
-    for p in params.values():
-        p.grad = np.full(p.shape, 0.5)
     with pytest.raises(ShapeError, match="w is not C-contiguous"):
-        opt.step()
+        opt.step(gradient_loss(*((p, np.full(p.shape, 0.5)) for p in params.values())))
     assert opt.t == 0
     assert all(np.array_equal(p.data, np.ones(p.shape)) for p in params.values())
     assert not any(a.any() for a in opt.state_arrays().values())
@@ -571,10 +596,8 @@ def test_adam_refuses_a_parameter_it_cannot_update_in_place():
 
 def _stepped_adam(bundle):
     opt = Adam(bundle.named_parameters(), lr=1e-3)
-    bundle.zero_grad()
     z = bundle.encode(0, np.random.default_rng(4).normal(size=(5, 3)), train=True)
-    weighted_sum(z, z.data).backward()
-    opt.step()
+    opt.step(weighted_sum(z, z.data))
     return opt
 
 
@@ -642,10 +665,8 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     bundle = tiny_bundle(seed=3)
     opt = Adam(bundle.named_parameters(), lr=1e-3)
     x = np.random.default_rng(3).normal(size=(5, 3))
-    bundle.zero_grad()
     z = bundle.encode(0, x, train=True)
-    weighted_sum(z, z.data).backward()
-    opt.step()
+    opt.step(weighted_sum(z, z.data))
     path = tmp_path / "ck.npz"
     save_checkpoint(path, **_checkpoint_payload(bundle, opt))
     ck = load_checkpoint(path, expect_config_hash="abc123")

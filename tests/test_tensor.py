@@ -28,7 +28,7 @@ def numeric_grad(build_loss, leaf: Tensor, h: float = 1e-6) -> np.ndarray:
 
 def check_op(build_loss, *leaves: Tensor, tol: float = 1e-6):
     for leaf in leaves:
-        leaf.zero_grad()
+        leaf.grad = None
     loss = build_loss()
     loss.backward()
     for leaf in leaves:
@@ -263,3 +263,32 @@ def test_backward_frees_interior_state_and_keeps_leaf_gradients(rng):
     params = (x, norm.gamma, norm.beta, *(p for layer in (lin, head, dec) for p in (layer.weight, layer.bias)))
     assert {id(t) for t in leaves} == {id(p) for p in params}
     assert all(t.grad is not None and t.grad.shape == t.shape for t in leaves)
+
+
+def test_backward_reports_each_leaf_after_the_last_node_that_lists_it(float64_model, rng):
+    # `second` and `unused` both read `first`'s output; the root sends a
+    # gradient to `second` only. Each parameter is reported once, right
+    # after its own layer's rule: `second`'s before `first`'s rule has run,
+    # with the gradient a plain backward gives, and `unused`'s with none
+    first, second, unused = Linear(3, 2, rng), Linear(2, 2, rng), Linear(2, 1, rng)
+    x = Tensor(rng.normal(size=(4, 3)))
+
+    def loss():
+        h = first(x)
+        out, side = second(h), unused(h)
+        return Tensor._result(np.asarray(0.0), (out, side), lambda g, out=out: out._accumulate(np.ones(out.shape)))
+
+    layers = {"first": first, "second": second, "unused": unused}
+    params = {f"{n}.{p}": getattr(layer, p) for n, layer in layers.items() for p in ("weight", "bias")}
+    loss().backward()
+    expected = {name: p.grad for name, p in params.items()}
+    assert expected["unused.weight"] is None and expected["first.weight"] is not None
+    for p in params.values():
+        p.grad = None
+    names = {id(p): name for name, p in params.items()}
+    reported = []
+    loss().backward(lambda leaf: reported.append((names[id(leaf)], leaf.grad, first.weight.grad is None)))
+    assert sorted(name for name, _, _ in reported) == sorted(params)
+    for name, grad, first_pending in reported:
+        assert (grad is None) if expected[name] is None else np.array_equal(grad, expected[name]), name
+        assert first_pending == (not name.startswith("first")), name

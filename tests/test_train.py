@@ -192,8 +192,8 @@ def test_one_float32_step_holds_every_model_array_in_float32(monkeypatch):
         return nodes[-1]
 
     def record_contribution(self, grad):
-        contributions.append(grad.dtype)
         accumulate(self, grad)
+        contributions.append((grad.dtype, self.grad.dtype))
 
     monkeypatch.setattr(Tensor, "_result", staticmethod(record_node))
     monkeypatch.setattr(Tensor, "_accumulate", record_contribution)
@@ -209,10 +209,9 @@ def test_one_float32_step_holds_every_model_array_in_float32(monkeypatch):
     assert nodes and all(t.data.dtype == np.float32 for t in nodes)
     assert arrays and [a for a in arrays if a[2] != np.float32] == []
     opt = Adam(bundle.named_parameters(), cfg.learning_rate)
-    total.backward()
-    assert contributions and set(contributions) == {np.dtype(np.float32)}
-    assert all(p.grad.dtype == np.float32 for p in bundle.named_parameters().values())
-    opt.step()
+    opt.step(total)
+    assert contributions and set(contributions) == {(np.dtype(np.float32), np.dtype(np.float32))}
+    assert all(p.data.dtype == np.float32 for p in bundle.named_parameters().values())
     assert all(a.dtype == np.float32 for a in opt.state_arrays().values())
     assert all(z.dtype == np.float64 for z in bundle.encode_all(features, train=False))
 
@@ -289,10 +288,8 @@ def test_ablated_run_equals_plain_autoencoder(tmp_path):
         streams = [view_batches(cfg.seed + 1, cfg.batch_size, epoch, v, ds.views[v].n) for v in range(ds.n_views)]
         for _ in range(3):
             xb = [feats[v][next(streams[v])] for v in range(ds.n_views)]
-            bundle.zero_grad()
             loss, _ = recon_orth_loss(xb, bundle, 0.0)
-            loss.backward()
-            opt.step()
+            opt.step(loss)
     # the trainer run must land on numerically identical parameters
     with np.load(tmp_path / "checkpoint.npz", allow_pickle=False) as ck:
         for name, p in bundle.named_parameters().items():
@@ -342,10 +339,10 @@ def test_every_training_step_records_its_layer_nodes_plus_five(monkeypatch, batc
         recorded.append(out._backward is not None)
         return out
 
-    def count_then_backward(self):
+    def count_then_backward(self, on_leaf_done=None):
         counts.append(sum(recorded))
         recorded.clear()
-        backward(self)
+        backward(self, on_leaf_done)
 
     monkeypatch.setattr(train_module, "build_bundle", build)
     monkeypatch.setattr(Tensor, "_result", staticmethod(record_node))
@@ -355,6 +352,33 @@ def test_every_training_step_records_its_layer_nodes_plus_five(monkeypatch, batc
     layers = sum(2 * len(mlp.linears) - 1 for mlp in bundle.encoders + bundle.decoders)
     assert layers == 3 * 2 * 3
     assert counts == [layers + 5] * (4 * 3)
+
+
+def test_a_training_step_holds_the_parameter_gradients_of_one_node_at_a_time(monkeypatch):
+    # Adam updates each parameter inside backward and drops its gradient
+    # once the walk has passed the layer that uses it, so the parameter
+    # gradients alive at any contribution never outweigh the weight and
+    # bias of the largest layer, let alone the whole model
+    built, alive = [], []
+    accumulate = Tensor._accumulate
+
+    def build(*args, **kwargs):
+        built.append(build_bundle(*args, **kwargs))
+        return built[-1]
+
+    def record(self, grad):
+        accumulate(self, grad)
+        alive.append(sum(p.grad.nbytes for p in built[0].named_parameters().values() if p.grad is not None))
+
+    monkeypatch.setattr(train_module, "build_bundle", build)
+    monkeypatch.setattr(Tensor, "_accumulate", record)
+    train(small_config(epochs=4, hidden_dims=(16, 16)), small_dataset())
+    bundle = built[0]
+    largest = max(
+        lin.weight.data.nbytes + lin.bias.data.nbytes for net in bundle.encoders + bundle.decoders for lin in net.linears
+    )
+    assert 0 < max(alive) <= largest
+    assert largest < sum(p.data.nbytes for p in bundle.named_parameters().values()) / 4
 
 
 def test_checkpoint_resume_bit_identical(tmp_path):
