@@ -1,10 +1,11 @@
 """Command-line surface: generate, unpair, train, eval, sweep.
 
 `train` and `eval` score a model through the one `train.evaluate`; `eval`
-first restores it from a checkpoint written under the same run hash.
-Scoring runs only the encoders, so `eval` builds those alone, draws no
-weights for them, and checks the decoder entries of the checkpoint
-without keeping them.
+first restores it from the checkpoint of a finished run written under
+the same run hash. Scoring runs only the encoders, and a finished run's
+checkpoint holds nothing else, so `eval` builds the encoders alone,
+draws no weights for them and reads only encoder entries. The checkpoint
+of a run that stopped early is refused before any entry is read.
 
 Exit codes: 0 on success, 2 for configuration or input errors, 3 for
 numerical failures during training.
@@ -26,7 +27,7 @@ from pathlib import Path
 
 from . import config as cfg
 from . import data
-from .errors import ConfigError, NumericalError, UmclustError
+from .errors import CheckpointError, ConfigError, NumericalError, UmclustError
 # build_report and final_assignment are not called here: bench/spans.py wraps them by name in this module.
 from .metrics import build_report  # noqa: F401
 from .nn import build_bundle, load_checkpoint
@@ -134,13 +135,15 @@ def cmd_eval(args) -> int:
         run_config.train.seed,
         encoders_only=True,
     )
-    load_checkpoint(
-        ckpt_path,
-        expect_config_hash=expected,
-        params={k: p.data for k, p in bundle.named_parameters().items()},
-        stats=bundle.named_stats(),
-        drop=bundle.unbuilt,
-    )
+    params, stats = bundle.model_arrays()
+    epochs = run_config.train.epochs
+
+    def finished_model(epoch: int) -> dict:
+        if epoch != epochs:
+            raise CheckpointError(f"{ckpt_path} was saved at epoch {epoch} of {epochs}; only a finished run is scored")
+        return params
+
+    load_checkpoint(ckpt_path, expect_config_hash=expected, params=finished_model, stats=stats)
     _, _, report = evaluate(bundle, ds, run_config.train, expected, time.time())
     report.save(out)
     print(report.to_json(), end="")

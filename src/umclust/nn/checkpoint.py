@@ -1,29 +1,31 @@
 """Bit-exact save/restore of training state.
 
-Everything lives in one ``.npz`` container: the raw arrays of the
-parameters and batch-norm running statistics, in the model's dtype
-(float32), plus a JSON metadata entry carrying the format version,
-config hash, and counters. A checkpoint of a run that stopped early
-also holds the optimizer moments and the warm-start centroids (float64,
-as K-means makes them), which only resuming reads; the trainer writes
-none for a finished run (`adam_arrays` and `warm_centroids` are then
-empty). Saving is atomic: the file is written under a temporary name in
-the same directory and renamed over the target, so a crash mid-write
-leaves the previous checkpoint intact.
+Everything lives in one ``.npz`` container: raw arrays in the model's
+dtype (float32) plus a JSON metadata entry carrying the format version,
+config hash, and counters. What the arrays are depends on how far the
+run got. A finished run saves the eval model only: the encoders'
+parameters and batch-norm running statistics, under the names an
+`encoders_only` bundle registers (`AutoencoderBundle.model_arrays`
+picks them), since scoring needs nothing else and resuming a finished
+run trains nothing. A run that stopped early saves everything resuming
+reads: the whole model, the optimizer moments and the warm-start
+centroids (float64, as K-means makes them). Saving is atomic: the file
+is written under a temporary name in the same directory and renamed
+over the target, so a crash mid-write leaves the previous checkpoint
+intact.
 
 Loading reads each entry straight into the array that owns it, so no
 second copy of the model exists at any moment. A caller passes
 destinations (`params`, `stats`, `adam_arrays`: name -> array, as
-`save_checkpoint` takes them) and each entry is read, checked and
-copied into its destination before the next one is read. An entry with
-no destination (a warm centroid, or every entry when none are given) is
-returned as a fresh array. A caller that has no use for some entries
-(`umclust eval` holds no decoders) names them with their shapes and
-dtypes in `drop`: each is checked like any other entry, then dropped as
-soon as it has been read. Everything that needs no array data is
+`save_checkpoint` takes them), or for each a function of the saved
+epoch that returns them, and each entry is read, checked and copied
+into its destination before the next one is read. An entry with no
+destination (a warm centroid, or every entry when none are given) is
+returned as a fresh array. Everything that needs no array data is
 checked before the first write: the format and config hash from the
 metadata, then the entry names, shapes and dtypes against the
-destinations and `drop` from the member headers alone. An entry whose
+destinations from the member headers alone, so a checkpoint holding an
+entry its reader has no array for is refused whole. An entry whose
 dtype is not its destination's is refused, not cast: a float64 weight
 would otherwise be rounded into the float32 model without a word. Bad
 entry data (a failed CRC, a non-finite value) raises `CheckpointError`
@@ -46,13 +48,15 @@ from numpy.lib import format as npy
 
 from ..errors import CheckpointError, ShapeError
 
-FORMAT_VERSION = 2  # 2: the float32 model; 1 held float64 arrays
+FORMAT_VERSION = 3  # 3: a finished run saves only the encoders; 2 saved the whole float32 model; 1 held float64 arrays
 
 # Entry kinds with caller destinations, and how a mismatch names them.
 _LABELS = {"param": "parameter", "stat": "statistic", "adam": "Adam moment"}
 _HEADER_READERS = {(1, 0): npy.read_array_header_1_0, (2, 0): npy.read_array_header_2_0}
 
 Layout = tuple[tuple[int, ...], np.dtype]  # an entry's shape and dtype
+# name -> array to fill, or a function of the saved epoch that returns them
+Destinations = dict[str, np.ndarray] | Callable[[int], dict[str, np.ndarray]]
 
 
 @dataclass
@@ -60,9 +64,9 @@ class CheckpointData:
     config_hash: str
     epoch: int
     adam_t: int
-    params: dict[str, np.ndarray]
-    stats: dict[str, np.ndarray]
-    adam_arrays: dict[str, np.ndarray]
+    params: dict[str, np.ndarray] = field(default_factory=dict)
+    stats: dict[str, np.ndarray] = field(default_factory=dict)
+    adam_arrays: dict[str, np.ndarray] = field(default_factory=dict)
     warm_centroids: dict[tuple[str, int], np.ndarray] = field(default_factory=dict)
 
 
@@ -117,20 +121,17 @@ def load_checkpoint(
     path: str | Path,
     *,
     expect_config_hash: str | None = None,
-    params: dict[str, np.ndarray] | None = None,
-    stats: dict[str, np.ndarray] | None = None,
-    adam_arrays: dict[str, np.ndarray] | Callable[[int], dict[str, np.ndarray]] | None = None,
-    drop: dict[str, Layout] | None = None,
+    params: Destinations | None = None,
+    stats: Destinations | None = None,
+    adam_arrays: Destinations | None = None,
 ) -> CheckpointData:
     """Read `path`, filling the given destinations in place; the returned
     `CheckpointData` holds the destination dicts themselves, and fresh
-    dicts of fresh arrays for the kinds given none. `adam_arrays` may
-    also be a function of the saved epoch that returns the moment
-    destinations, for a caller whose need for moments depends on how far
-    the saved run got. `drop` maps entry names (``param/<name>``,
-    ``stat/<name>``, as saved) of kinds given destinations to their
-    shapes and dtypes: those entries must be there and are checked, but
-    nothing keeps them."""
+    dicts of fresh arrays for the kinds given none. Each kind may also
+    be given as a function of the saved epoch that returns its
+    destinations, for a caller whose needs depend on how far the saved
+    run got; it is called once the metadata has passed its checks and
+    before any entry is read, so it may also refuse the checkpoint."""
     try:
         zf = zipfile.ZipFile(path)
     except (OSError, zipfile.BadZipFile) as exc:
@@ -144,9 +145,6 @@ def load_checkpoint(
                 config_hash=str(meta["config_hash"]),
                 epoch=int(meta["epoch"]),
                 adam_t=int(meta["adam_t"]),
-                params={} if params is None else params,
-                stats={} if stats is None else stats,
-                adam_arrays={},
             )
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             # a metadata text that is not JSON is a ValueError too
@@ -156,29 +154,21 @@ def load_checkpoint(
                 "checkpoint was written with a different configuration "
                 f"(hash {data.config_hash[:12]}... != {expect_config_hash[:12]}...)"
             )
-        if callable(adam_arrays):
-            adam_arrays = adam_arrays(data.epoch)
-        if adam_arrays is not None:
-            data.adam_arrays = adam_arrays
+        given = {"param": params, "stat": stats, "adam": adam_arrays}
+        given = {kind: dest(data.epoch) if callable(dest) else dest for kind, dest in given.items()}
+        data.params, data.stats, data.adam_arrays = ({} if dest is None else dest for dest in given.values())
 
-        drop = {} if drop is None else drop
         entries = _entry_headers(zf, path)
-        for kind, dest in (("param", params), ("stat", stats), ("adam", adam_arrays)):
+        for kind, dest in given.items():
             if dest is not None:
                 saved = {key: layout for k, key, layout in entries.values() if k == kind}
-                own = {key: (arr.shape, arr.dtype) for key, arr in dest.items()}
-                for name, layout in drop.items():
-                    if name.startswith(f"{kind}/"):
-                        own[name.partition("/")[2]] = layout
-                _check_like(_LABELS[kind], saved, own, path)
+                _check_like(_LABELS[kind], saved, {key: (arr.shape, arr.dtype) for key, arr in dest.items()}, path)
         named = {"param": data.params, "stat": data.stats, "adam": data.adam_arrays, "warm": data.warm_centroids}
         for name, (kind, key, _) in entries.items():
             arr = _read_entry(zf, name, path)
             if not np.isfinite(arr).all():
                 raise CheckpointError(f"non-finite values in checkpoint entry {name!r} of {path}")
-            if name in drop:
-                pass  # checked, and kept nowhere
-            elif key in named[kind]:
+            if key in named[kind]:
                 named[kind][key][...] = arr
             else:
                 named[kind][key] = arr

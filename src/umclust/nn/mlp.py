@@ -37,9 +37,10 @@ destinations); the bundle has no loader of its own.
 Scoring a saved model runs only the encoders, so
 ``build_bundle(..., encoders_only=True)`` builds the eval model: the
 encoders alone, their arrays left uninitialized for the loader to fill
-(no weights are drawn), and `unbuilt`, the checkpoint entry name,
-shape and dtype of every decoder array, which `load_checkpoint` checks
-and drops.
+(no weights are drawn). `AutoencoderBundle.model_arrays` is the one
+place that decides which arrays are the encoders' half: with
+`encoders_only` it gives the arrays an eval model registers, under the
+same names, which is all a finished run saves and all eval reads.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NumericalError, ShapeError
-from .checkpoint import Layout
 from .tensor import Tensor, no_graph
 
 DTYPE = np.float32  # of every model array; tests set float64 to compare with exact oracles
@@ -176,7 +176,7 @@ class Mlp:
 
 class AutoencoderBundle:
     """One encoder and one mirror-image decoder per view, or the encoders
-    alone (`decoders` empty) with `unbuilt` naming the decoders' arrays.
+    alone (`decoders` empty).
 
     Every forward call names its mode: `train=True` normalizes by batch
     statistics, `train=False` applies the running ones. `dtype` is the
@@ -189,13 +189,11 @@ class AutoencoderBundle:
         latent_dim: int,
         encoders: list[Mlp],
         decoders: list[Mlp],
-        unbuilt: dict[str, Layout] | None = None,
     ):
         self.input_dims = input_dims
         self.latent_dim = latent_dim
         self.encoders = encoders
         self.decoders = decoders
-        self.unbuilt = {} if unbuilt is None else unbuilt
         self.dtype = np.dtype(DTYPE)
         self._params: dict[str, Tensor] = {}
         self._stats: dict[str, np.ndarray] = {}
@@ -253,19 +251,17 @@ class AutoencoderBundle:
         """Every live batch-norm running statistic by name; the same dict on every call."""
         return self._stats
 
+    def model_arrays(self, encoders_only: bool = False) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+        """(parameters, statistics): the live arrays by name, as a checkpoint
+        saves and restores them. `encoders_only` keeps the encoders' alone,
+        exactly the names an `encoders_only` bundle registers."""
+        def keep(name: str) -> bool:
+            return not encoders_only or name.split(".")[1] == "enc"
 
-def _entry_layouts(prefix: str, dims: tuple[int, ...], batchnorm: bool) -> dict[str, Layout]:
-    """Checkpoint entry name -> (shape, dtype) of every array an
-    `Mlp(dims, batchnorm)` registered under `prefix` holds, without building it."""
-    shapes: dict[str, tuple[int, ...]] = {}
-    for i, (a, b) in enumerate(zip(dims, dims[1:])):
-        shapes[f"param/{prefix}.lin{i}.weight"] = (a, b)
-        shapes[f"param/{prefix}.lin{i}.bias"] = (b,)
-    if batchnorm:
-        for i, d in enumerate(dims[1:-1]):
-            for name in ("param/{}.gamma", "param/{}.beta", "stat/{}.running_mean", "stat/{}.running_var"):
-                shapes[name.format(f"{prefix}.bn{i}")] = (d,)
-    return {name: (shape, np.dtype(DTYPE)) for name, shape in shapes.items()}
+        return (
+            {k: p.data for k, p in self._params.items() if keep(k)},
+            {k: s for k, s in self._stats.items() if keep(k)},
+        )
 
 
 def build_bundle(
@@ -281,19 +277,17 @@ def build_bundle(
     and its decoder back through the reversed dims. Each view draws its
     weights, encoder then decoder, from its own generator seeded by (seed, v).
 
-    `encoders_only` builds the eval model: no decoders, no weights drawn
-    (every array is left for `load_checkpoint` to fill), and the bundle's
-    `unbuilt` names each decoder entry with its shape and dtype."""
-    encoders, decoders, unbuilt = [], [], {}
+    `encoders_only` builds the eval model: no decoders and no weights drawn
+    (every array is left for `load_checkpoint` to fill)."""
+    encoders, decoders = [], []
     for v, d in enumerate(input_dims):
         dims = (d, *hidden_dims, latent_dim)
         if min(dims) < 1:
             raise ShapeError(f"all layer dims must be >= 1, got {dims}")
         if encoders_only:
             encoders.append(Mlp(dims, batchnorm, None))
-            unbuilt.update(_entry_layouts(f"v{v}.dec", dims[::-1], batchnorm))
             continue
         rng = np.random.default_rng(np.random.SeedSequence([seed, v]))
         encoders.append(Mlp(dims, batchnorm, rng))
         decoders.append(Mlp(dims[::-1], batchnorm, rng))
-    return AutoencoderBundle(list(input_dims), latent_dim, encoders, decoders, unbuilt)
+    return AutoencoderBundle(list(input_dims), latent_dim, encoders, decoders)

@@ -19,12 +19,16 @@ latents, and the report scores it and a K-means of each view alone.
 `umclust eval` calls the same `evaluate` on a model restored from its
 checkpoint.
 
-A run that stops before its last epoch saves the Adam moments and warm
-centroids it needs to resume; a finished run saves only the model
-(parameters and batch-norm statistics). Resuming builds the model and
-the optimizer first, then reads the checkpoint entry by entry straight
-into their parameters, statistics and moments, so the model is never
-held twice; a checkpoint that is refused part-way raises before the
+A run that stops before its last epoch saves everything it needs to
+resume: the whole model, the Adam moments and the warm centroids. A
+finished run saves only the model it is scored with, the encoders'
+parameters and batch-norm statistics (`AutoencoderBundle.model_arrays`
+with `encoders_only`): the decoders serve only the reconstruction term,
+and a finished run has nothing left to train. Resuming builds the model
+and the optimizer first, then reads the checkpoint entry by entry
+straight into their parameters, statistics and moments, so the model is
+never held twice; resuming a finished run reads only its encoders and
+trains nothing. A checkpoint that is refused part-way raises before the
 first epoch, and the half-filled model is dropped. Full-data encodes
 record no autodiff graph.
 
@@ -123,9 +127,8 @@ def run_hash(config: TrainConfig, dataset: MultiViewDataset) -> str:
     """Hash of the resolved config plus a content fingerprint of the dataset."""
     digest = hashlib.sha256()
     for v in dataset.views:
-        digest.update(v.ids.tobytes())
-        digest.update(np.ascontiguousarray(v.features).tobytes())
-        digest.update(v.labels.tobytes())
+        for arr in (v.ids, v.features, v.labels):
+            digest.update(np.ascontiguousarray(arr))  # hashed in place, not copied
     payload = {
         "config": asdict(config),
         "dataset": {
@@ -280,12 +283,14 @@ def train(
     warm: dict[tuple[str, int], np.ndarray] = {}
     start_epoch = 1
     if resume is not None:
+        def model(epoch: int):  # a finished run saved only the encoders, and of Adam only its step count
+            return bundle.model_arrays(encoders_only=epoch == config.epochs)
+
         ck = load_checkpoint(
             resume,
             expect_config_hash=cfg_hash,
-            params={k: p.data for k, p in bundle.named_parameters().items()},
-            stats=bundle.named_stats(),
-            # a finished run saved no moments, only its step count
+            params=lambda epoch: model(epoch)[0],
+            stats=lambda epoch: model(epoch)[1],
             adam_arrays=lambda epoch: opt.state_arrays() if epoch < config.epochs else {},
         )
         opt.t = ck.adam_t
@@ -349,13 +354,14 @@ def train(
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         finished = last_epoch == config.epochs
+        params, stats = bundle.model_arrays(encoders_only=finished)
         save_checkpoint(
             out / "checkpoint.npz",
             config_hash=cfg_hash,
             epoch=last_epoch,
             adam_t=opt.t,
-            params={k: p.data for k, p in bundle.named_parameters().items()},
-            stats=bundle.named_stats(),
+            params=params,
+            stats=stats,
             adam_arrays={} if finished else opt.state_arrays(),
             warm_centroids={} if finished else warm,
         )

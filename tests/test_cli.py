@@ -13,7 +13,7 @@ from damage import flip_a_data_byte, set_first_value
 from umclust import cli, data
 from umclust import config as cfg
 from umclust import train as train_module
-from umclust.nn import load_checkpoint, save_checkpoint
+from umclust.nn import checkpoint, load_checkpoint, save_checkpoint
 from umclust.nn.tensor import closed_form
 
 
@@ -192,7 +192,7 @@ def test_eval_of_a_checkpoint_with_bad_entry_data_exits_2(tmp_path, capsys):
     path = out / "checkpoint.npz"
     sound = path.read_bytes()
     capsys.readouterr()
-    for entry in ("param/v0.enc.lin0.weight", "param/v1.dec.lin0.weight", "stat/v0.enc.bn0.running_var"):
+    for entry in ("param/v0.enc.lin0.weight", "param/v1.enc.lin0.weight", "stat/v0.enc.bn0.running_var"):
         for value in (np.nan, np.inf):
             set_first_value(path, entry, value)
             assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 2, (entry, value)
@@ -215,7 +215,8 @@ def _rewrite(path, edit) -> None:
 
 def test_eval_of_a_checkpoint_of_another_dtype_or_format_exits_2(tmp_path, capsys):
     # a float64 entry is refused, not rounded into the float32 model; so is
-    # a float64 checkpoint of format 1, by its format
+    # a float64 checkpoint of format 1, and a format-2 one that still holds
+    # its decoders, by their format
     config = _write_config(tmp_path)
     assert cli.main(["generate", "-c", str(config), "-o", str(tmp_path / "data"), "--quiet"]) == 0
     out = tmp_path / "run"
@@ -223,20 +224,26 @@ def test_eval_of_a_checkpoint_of_another_dtype_or_format_exits_2(tmp_path, capsy
     path = out / "checkpoint.npz"
     sound = path.read_bytes()
     capsys.readouterr()
-    for entry, label in (("param/v0.enc.lin0.weight", "parameter"), ("stat/v1.dec.bn0.running_var", "statistic")):
+    for entry, label in (("param/v0.enc.lin0.weight", "parameter"), ("stat/v1.enc.bn0.running_var", "statistic")):
         _rewrite(path, lambda arrays: arrays.update({entry: arrays[entry].astype(np.float64)}))
         assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 2, entry
         assert f"dtype mismatch for {label} {entry.partition('/')[2]}" in capsys.readouterr().err
         path.write_bytes(sound)
 
-    def format_1(arrays):
-        meta = json.loads(bytes(arrays["__meta__"]).decode())
-        arrays["__meta__"] = np.frombuffer(json.dumps({**meta, "format": 1}).encode(), dtype=np.uint8)
-        arrays.update({k: a.astype(np.float64) for k, a in arrays.items() if k != "__meta__"})
+    def older_format(version, dtype):
+        def edit(arrays):
+            meta = json.loads(bytes(arrays["__meta__"]).decode())
+            arrays["__meta__"] = np.frombuffer(json.dumps({**meta, "format": version}).encode(), dtype=np.uint8)
+            for k in [k for k in arrays if k != "__meta__"]:
+                arrays[k] = arrays[k].astype(dtype)
+                arrays[k.replace(".enc.", ".dec.")] = arrays[k]  # a stand-in for the decoder it saved then
+        return edit
 
-    _rewrite(path, format_1)
-    assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 2
-    assert "unsupported checkpoint format 1" in capsys.readouterr().err
+    for version, dtype in ((1, np.float64), (2, np.float32)):
+        path.write_bytes(sound)
+        _rewrite(path, older_format(version, dtype))
+        assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 2, version
+        assert f"unsupported checkpoint format {version}" in capsys.readouterr().err
 
 
 @pytest.fixture
@@ -278,8 +285,14 @@ def test_eval_builds_and_loads_only_the_encoders(tmp_path, eval_spy):
     trained = json.loads((out / "metrics.json").read_text(encoding="utf-8"))
     saved = load_checkpoint(out / "checkpoint.npz")
     largest = max(a.nbytes for a in [*saved.params.values(), *saved.stats.values()])
-    decoder_bytes = sum(a.nbytes for k, a in [*saved.params.items(), *saved.stats.items()] if ".dec." in k)
+    train_config = cfg.load_config(config).train
+    full = train_module.build_bundle(
+        [64, 48], train_config.latent_dim, train_config.hidden_dims, train_config.batchnorm, train_config.seed
+    )
+    params, stats = full.model_arrays()
+    decoder_bytes = sum(a.nbytes for k, a in [*params.items(), *stats.items()] if ".dec." in k)
     assert decoder_bytes > largest + (1 << 20)
+    assert not any(".dec." in k for k in [*saved.params, *saved.stats])
 
     assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 0
     bundle = eval_spy["bundle"]
@@ -306,29 +319,53 @@ def test_train_exports_the_float32_latents_in_at_most_9_significant_digits(tmp_p
     assert max(digits) <= 9
 
 
-def test_eval_checks_the_decoder_entries_it_does_not_hold(tmp_path, capsys, eval_spy):
+@pytest.fixture
+def no_entry_data_read(monkeypatch):
+    """Once called, make reading any checkpoint entry but the metadata fail the test."""
+    real = checkpoint._read_entry
+
+    def read_entry(zf, name, path):
+        assert name == "__meta__", f"entry {name} was read"
+        return real(zf, name, path)
+
+    return lambda: monkeypatch.setattr(checkpoint, "_read_entry", read_entry)
+
+
+def test_eval_refuses_a_finished_checkpoint_with_a_decoder_entry(tmp_path, capsys, eval_spy, no_entry_data_read):
+    # the eval model has no array for it: refused from the member headers alone
     config = _write_config(tmp_path)
     assert cli.main(["generate", "-c", str(config), "-o", str(tmp_path / "data"), "--quiet"]) == 0
     out = tmp_path / "run"
     assert cli.main(["train", "-c", str(config), "-o", str(out), "--quiet"]) == 0
     path = out / "checkpoint.npz"
-    sound = path.read_bytes()
     assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 0
     assert eval_spy["bundle"].decoders == []
+    metrics = (out / "metrics.json").read_bytes()
     capsys.readouterr()
 
-    set_first_value(path, "stat/v1.dec.bn0.running_mean", np.nan)
+    _rewrite(path, lambda arrays: arrays.update({"param/v0.dec.lin0.weight": arrays["param/v0.enc.lin0.weight"]}))
+    no_entry_data_read()
     assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 2
-    assert "non-finite values in checkpoint entry 'stat/v1.dec.bn0.running_mean'" in capsys.readouterr().err
+    assert "parameter name set mismatch" in capsys.readouterr().err
+    assert (out / "metrics.json").read_bytes() == metrics
 
-    path.write_bytes(sound)
-    with np.load(path, allow_pickle=False) as npz:
-        arrays = {k: npz[k] for k in npz.files}
-    arrays["param/v0.dec.lin0.weight"] = arrays["param/v0.dec.lin0.weight"].T.copy()
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+
+def test_eval_refuses_the_checkpoint_of_an_unfinished_run(tmp_path, capsys, no_entry_data_read):
+    config = _write_config(tmp_path)
+    assert cli.main(["generate", "-c", str(config), "-o", str(tmp_path / "data"), "--quiet"]) == 0
+    out = tmp_path / "run"
+    assert cli.main(["train", "-c", str(config), "-o", str(out), "--quiet"]) == 0
+    metrics = (out / "metrics.json").read_bytes()
+    run_config = cfg.load_config(config)
+    train_module.train(run_config.train, cli._load_dataset(run_config.dataset), out_dir=tmp_path / "partial",
+                       stop_after_epoch=2)
+    (out / "checkpoint.npz").write_bytes((tmp_path / "partial" / "checkpoint.npz").read_bytes())
+    capsys.readouterr()
+
+    no_entry_data_read()
     assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 2
-    assert "shape mismatch for parameter v0.dec.lin0.weight" in capsys.readouterr().err
+    assert "saved at epoch 2 of 4" in capsys.readouterr().err
+    assert (out / "metrics.json").read_bytes() == metrics
 
 
 def test_zero_width_view_exits_2_before_the_run_directory(tmp_path, capsys):

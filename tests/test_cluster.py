@@ -44,10 +44,14 @@ def test_cosine_zero_vector_convention():
     assert np.array_equal(m, np.zeros((1, 2)))
 
 
+# No subnormal entries: scaling one by alpha < 1 can round it to zero (say
+# 0.5 * 5e-324), and a vector that loses its only nonzero entry has no
+# direction left, so the property is false there. The smallest normal
+# entry times 0.1 is still nonzero.
 @settings(max_examples=50, deadline=None)
 @given(
-    st.lists(st.floats(-10, 10), min_size=3, max_size=3),
-    st.lists(st.floats(-10, 10), min_size=3, max_size=3),
+    st.lists(st.floats(-10, 10, allow_subnormal=False), min_size=3, max_size=3),
+    st.lists(st.floats(-10, 10, allow_subnormal=False), min_size=3, max_size=3),
     st.floats(0.1, 50),
     st.floats(0.1, 50),
 )

@@ -870,39 +870,47 @@ def test_resuming_into_a_bundle_and_its_adam_holds_at_most_one_entry_at_a_time(t
 
 @pytest.mark.parametrize("batchnorm", [True, False])
 def test_the_eval_model_holds_the_encoders_and_names_the_decoder_entries(batchnorm):
+    # the full model's encoder half is the eval model's arrays, name for
+    # name, and what it leaves out is exactly the decoders'
     full = tiny_bundle(batchnorm=batchnorm, hidden=(5, 6))
     enc = build_bundle([3, 4], 2, (5, 6), batchnorm, 0, encoders_only=True)
-    assert enc.decoders == [] and full.unbuilt == {}
+    assert enc.decoders == []
     assert {k: p.shape for k, p in enc.named_parameters().items()} == {
         k: p.shape for k, p in full.named_parameters().items() if ".enc." in k
     }
     assert {k: s.shape for k, s in enc.named_stats().items()} == {
         k: s.shape for k, s in full.named_stats().items() if ".enc." in k
     }
-    decoder_entries = {f"param/{k}": (p.shape, p.data.dtype) for k, p in full.named_parameters().items() if ".dec." in k}
-    decoder_entries.update({f"stat/{k}": (s.shape, s.dtype) for k, s in full.named_stats().items() if ".dec." in k})
-    assert enc.unbuilt == decoder_entries
+    for kept, own, every in zip(full.model_arrays(encoders_only=True), enc.model_arrays(), full.model_arrays()):
+        assert kept.keys() == own.keys()
+        assert all(kept[k] is every[k] for k in kept)
+        assert set(every) - set(kept) == {k for k in every if ".dec." in k}
+    params, stats = full.model_arrays()
+    assert all(params[k] is p.data for k, p in full.named_parameters().items())
+    assert stats == full.named_stats()
 
 
 @pytest.mark.parametrize("edit", ["missing", "wrong_shape", "nan"])
-def test_dropped_entries_are_checked_like_kept_ones(tmp_path, edit):
+def test_an_encoders_only_load_checks_every_entry(tmp_path, edit):
     saved = tiny_bundle(seed=3)
-    stats = dict(saved.named_stats())
+    params, stats = saved.model_arrays(encoders_only=True)
+    stats = dict(stats)
     if edit == "missing":
-        del stats["v1.dec.bn0.running_var"]
+        del stats["v1.enc.bn0.running_var"]
     elif edit == "wrong_shape":
-        stats["v1.dec.bn0.running_var"] = np.ones(7)
-    path = _model_checkpoint(tmp_path / "ck.npz", saved, stats=stats)
+        stats["v1.enc.bn0.running_var"] = np.ones(7, np.float32)
+    path = _model_checkpoint(tmp_path / "ck.npz", saved, params=params, stats=stats)
     if edit == "nan":
-        set_first_value(path, "stat/v1.dec.bn0.running_var", np.nan)
+        set_first_value(path, "stat/v1.enc.bn0.running_var", np.nan)
     bundle = build_bundle([3, 4], 2, (5,), True, 0, encoders_only=True)
     before = {k: p.data.copy() for k, p in bundle.named_parameters().items()}
     expected = {
         "missing": (ShapeError, "statistic name set mismatch"),
-        "wrong_shape": (ShapeError, "shape mismatch for statistic v1.dec.bn0.running_var"),
-        "nan": (CheckpointError, "non-finite values in checkpoint entry 'stat/v1.dec.bn0.running_var'"),
+        "wrong_shape": (ShapeError, "shape mismatch for statistic v1.enc.bn0.running_var"),
+        "nan": (CheckpointError, "non-finite values in checkpoint entry 'stat/v1.enc.bn0.running_var'"),
     }[edit]
+    params, stats = bundle.model_arrays()
     with pytest.raises(expected[0], match=expected[1]):
-        load_checkpoint(path, params=_param_arrays(bundle), stats=bundle.named_stats(), drop=bundle.unbuilt)
+        load_checkpoint(path, params=params, stats=stats)
     if edit != "nan":  # refused from the member headers, before any entry data is read
         assert all(np.array_equal(p.data, before[k], equal_nan=True) for k, p in bundle.named_parameters().items())

@@ -290,10 +290,13 @@ def test_ablated_run_equals_plain_autoencoder(tmp_path):
             xb = [feats[v][next(streams[v])] for v in range(ds.n_views)]
             loss, _ = recon_orth_loss(xb, bundle, 0.0)
             opt.step(loss)
-    # the trainer run must land on numerically identical parameters
+    # the trainer run must land on numerically identical parameters; its
+    # finished checkpoint holds the encoders, which every decoder step moved
+    params, _ = bundle.model_arrays(encoders_only=True)
     with np.load(tmp_path / "checkpoint.npz", allow_pickle=False) as ck:
-        for name, p in bundle.named_parameters().items():
-            assert np.array_equal(ck[f"param/{name}"], p.data), name
+        assert {k for k in ck.files if k.startswith("param/")} == {f"param/{name}" for name in params}
+        for name, p in params.items():
+            assert np.array_equal(ck[f"param/{name}"], p), name
 
 
 def test_no_parameter_gradient_outlives_its_step(tmp_path, monkeypatch):
@@ -397,29 +400,42 @@ def test_checkpoint_resume_bit_identical(tmp_path):
     assert np.array_equal(straight.loss_table[4:], resumed.loss_table)
 
 
-def _checkpoint_kinds(path):
+def _checkpoint_names(path):
     with np.load(path, allow_pickle=False) as npz:
-        return {key.partition("/")[0] for key in npz.files}
+        return set(npz.files)
 
 
 def test_only_an_unfinished_run_saves_optimizer_state(tmp_path):
+    # a finished run saves the eval model's arrays, by its names; one that
+    # stopped early keeps the whole model, decoders too, to resume from
     ds = small_dataset()
     cfg = small_config()
     train(cfg, ds, out_dir=tmp_path / "straight")
     train(cfg, ds, out_dir=tmp_path / "partial", stop_after_epoch=4)
-    assert _checkpoint_kinds(tmp_path / "straight" / "checkpoint.npz") == {"__meta__", "param", "stat"}
-    assert _checkpoint_kinds(tmp_path / "partial" / "checkpoint.npz") == {"__meta__", "param", "stat", "adam", "warm"}
+    finished = _checkpoint_names(tmp_path / "straight" / "checkpoint.npz")
+    partial = _checkpoint_names(tmp_path / "partial" / "checkpoint.npz")
+    assert {key.partition("/")[0] for key in finished} == {"__meta__", "param", "stat"}
+    assert {key.partition("/")[0] for key in partial} == {"__meta__", "param", "stat", "adam", "warm"}
+    params, stats = build_bundle(
+        ds.feature_dims(), cfg.latent_dim, cfg.hidden_dims, cfg.batchnorm, cfg.seed, encoders_only=True
+    ).model_arrays()
+    assert finished == {"__meta__", *(f"param/{k}" for k in params), *(f"stat/{k}" for k in stats)}
+    full = build_bundle(ds.feature_dims(), cfg.latent_dim, cfg.hidden_dims, cfg.batchnorm, cfg.seed)
+    decoders = {f"param/{k}" for k in full.named_parameters() if ".dec." in k}
+    decoders |= {f"stat/{k}" for k in full.named_stats() if ".dec." in k}
+    assert decoders and decoders <= partial
 
 
 def test_finished_checkpoint_is_about_the_size_of_the_model(tmp_path):
-    # Adam's two moments alone would double the parameter bytes
+    # the encoders alone: the decoders, or Adam's two moments, would each
+    # add about as many bytes again
     ds = small_dataset()
     cfg = small_config(epochs=4, hidden_dims=(64,), latent_dim=16)
     train(cfg, ds, out_dir=tmp_path)
     bundle = build_bundle(ds.feature_dims(), cfg.latent_dim, cfg.hidden_dims, cfg.batchnorm, cfg.seed)
-    model_bytes = sum(p.data.nbytes for p in bundle.named_parameters().values())
-    model_bytes += sum(s.nbytes for s in bundle.named_stats().values())
-    assert (tmp_path / "checkpoint.npz").stat().st_size <= model_bytes + 16 * 1024
+    params, stats = bundle.model_arrays(encoders_only=True)
+    encoder_bytes = sum(a.nbytes for a in [*params.values(), *stats.values()])
+    assert (tmp_path / "checkpoint.npz").stat().st_size <= encoder_bytes + 16 * 1024
 
 
 def test_resuming_a_finished_run_trains_nothing_and_saves_the_same_model(tmp_path):
@@ -492,6 +508,11 @@ def test_run_hash_depends_on_dataset_and_config():
     assert run_hash(cfg, ds) == run_hash(cfg, ds)
     assert run_hash(cfg, ds) != run_hash(small_config(learning_rate=2e-3), ds)
     assert run_hash(cfg, ds) != run_hash(cfg, small_dataset(seed=1))
+
+
+def test_run_hash_of_a_fixed_run_is_pinned():
+    # hashing the feature arrays in place must give the digest of their bytes
+    assert run_hash(small_config(), small_dataset()) == "7eb80bbe0f144c15478378bc4ead7e0583fb3afe93b52fd770d9abfdece8a428"
 
 
 def test_nonfinite_loss_aborts_with_context():
