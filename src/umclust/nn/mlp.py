@@ -15,17 +15,21 @@ float64 from the same generator stream whatever `DTYPE` is, then cast.
 clusters or scores them runs in float64.
 
 Each layer enters the autodiff graph as one node with a hand-written
-backward rule: `Linear` keeps only its input and parameters, a
-train-mode `BatchNorm` (which includes its ReLU) keeps the centered
-input, the normalized input, the per-feature denominator and the ReLU
-mask, and the ReLU of a layer without batch norm (`relu`) keeps its
-mask. Eval-mode `BatchNorm` records no graph: it applies the frozen
-statistics and the ReLU in place on one array, so a full-data encode
+backward rule. The last layer is a `Linear` node, which keeps only its
+input and parameters. A hidden layer is one `hidden_layer` node: the
+linear map, then batch norm and ReLU, or ReLU alone. It writes the
+linear output into an array of its own and normalizes and rectifies it
+there, in place. In train mode a batch-norm node keeps the centered
+linear output, the per-feature denominator and its output; backward
+recomputes the normalized input and the ReLU mask from them, bit for
+bit the forward's values. Without batch norm the node keeps only its
+output. Eval-mode batch norm records no graph, so a full-data encode
 holds one layer-sized temporary per layer.
 
-`Mlp` refuses a non-finite linear output with `NumericalError` naming
-the layer. It checks before the activation, because ReLU (and the ReLU
-that ends a batch-norm node) maps NaN and -inf to 0 and would hide them.
+A hidden-layer node, and `Mlp` after its last layer, refuse a
+non-finite linear output with `NumericalError` naming the layer. The
+check comes before the activation, because ReLU maps NaN and -inf to 0
+and would hide them.
 
 `build_bundle` gives each view an encoder and its mirror-image decoder.
 `AutoencoderBundle` names the model's state once, when it is built: a
@@ -66,31 +70,40 @@ class Linear:
         self.weight = Tensor(weight, requires_grad=True)
         self.bias = Tensor(bias, requires_grad=True)
 
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """x @ weight + bias in a fresh array."""
+        out = x @ self.weight.data
+        out += self.bias.data
+        return out
+
+    def backward(self, grad: np.ndarray, x: Tensor) -> None:
+        """Send the gradient of `product(x.data)`, `grad`, to the weight,
+        the bias and `x`, each where it requires one."""
+        if self.bias.requires_grad:
+            self.bias._accumulate(grad.sum(axis=0))
+        if self.weight.requires_grad:
+            self.weight._accumulate(x.data.T @ grad)
+        if x.requires_grad:
+            x._accumulate(grad @ self.weight.data.T)
+
     def __call__(self, x: Tensor) -> Tensor:
         """x @ weight + bias as one node."""
-        out = x.data @ self.weight.data
-        out += self.bias.data
 
-        def backward(grad, x=x, w=self.weight, b=self.bias):
-            if b.requires_grad:
-                b._accumulate(grad.sum(axis=0))
-            if w.requires_grad:
-                w._accumulate(x.data.T @ grad)
-            if x.requires_grad:
-                x._accumulate(grad @ w.data.T)
+        def backward(grad, x=x):
+            self.backward(grad, x)
 
-        return Tensor._result(out, (x, self.weight, self.bias), backward)
+        return Tensor._result(self.product(x.data), (x, self.weight, self.bias), backward)
 
 
 class BatchNorm:
-    """Feature-wise batch normalization with running statistics, followed
-    by ReLU: a call returns relu(normalized * gamma + beta).
+    """The parameters and running statistics of one hidden layer's
+    feature-wise batch normalization; `hidden_layer` applies them.
 
     Train mode normalizes by the biased batch variance (so a batch of
     one row hits the epsilon floor instead of dividing by zero) and
     updates the running mean/variance in place with momentum. Eval mode
     applies the frozen running statistics, making the layer an affine
-    map before its ReLU, and records no graph.
+    map before its ReLU.
     """
 
     eps = 1e-5
@@ -102,62 +115,71 @@ class BatchNorm:
         self.running_mean = np.zeros(dim, DTYPE)
         self.running_var = np.ones(dim, DTYPE)
 
-    def __call__(self, x: Tensor, train: bool, update_stats: bool = True) -> Tensor:
-        if not train:
-            y = x.data - self.running_mean
-            y *= 1.0 / np.sqrt(self.running_var + self.eps)
-            y *= self.gamma.data
-            y += self.beta.data
-            np.copyto(y, 0.0, where=y <= 0)
-            return Tensor(y)
-        n = x.data.shape[0]
-        mu = x.data.sum(axis=0) * (1.0 / n)
-        centered = x.data - mu
-        var = (centered * centered).sum(axis=0) * (1.0 / n)
-        if update_stats:
-            for stat, batch in ((self.running_mean, mu), (self.running_var, var)):
-                stat *= self.momentum
-                stat += (1 - self.momentum) * batch
-        denom = np.sqrt(var + self.eps)
-        xhat = centered / denom
-        y = xhat * self.gamma.data
-        y += self.beta.data
-        mask = y > 0
 
-        def backward(grad, x=x, gamma=self.gamma, beta=self.beta):
-            g = grad * mask
-            if beta.requires_grad:
-                beta._accumulate(g.sum(axis=0))
-            if gamma.requires_grad:
-                gamma._accumulate((g * xhat).sum(axis=0))
-            if not x.requires_grad:
-                return
-            g *= gamma.data  # d/d xhat
-            t = -g
-            t *= centered
-            t /= denom * denom
-            d_sq = t.sum(axis=0) * 0.5 / denom * (1.0 / n)  # to each squared deviation, through denom
-            g /= denom
-            np.multiply(d_sq * 2.0, centered, out=t)
-            g += t  # d/d centered: the direct path plus the variance path
-            g += -g.sum(axis=0) * (1.0 / n)  # through mu
-            x._accumulate(g)
+def hidden_layer(
+    x: Tensor, lin: Linear, norm: BatchNorm | None, train: bool, update_stats: bool = True, layer: int = 0
+) -> Tensor:
+    """relu(batchnorm(lin(x))), or relu(lin(x)) with `norm` None, as one
+    node; `layer` names the layer when the linear output is not finite."""
+    h = lin.product(x.data)
+    if not np.isfinite(h).all():
+        raise NumericalError(f"non-finite linear output in layer {layer}")
+    if norm is None:
+        np.copyto(h, 0.0, where=h <= 0)
 
-        return Tensor._result(np.where(mask, y, 0.0), (x, self.gamma, self.beta), backward)
+        def relu_backward(grad, x=x, out=h):
+            lin.backward(grad * (out > 0), x)
 
+        return Tensor._result(h, (x, lin.weight, lin.bias), relu_backward)
+    gamma, beta = norm.gamma, norm.beta
+    if not train:
+        h -= norm.running_mean
+        h *= 1.0 / np.sqrt(norm.running_var + norm.eps)
+        h *= gamma.data
+        h += beta.data
+        np.copyto(h, 0.0, where=h <= 0)
+        return Tensor(h)
+    n = h.shape[0]
+    mu = h.sum(axis=0) * (1.0 / n)
+    h -= mu  # h is now the centered linear output
+    var = (h * h).sum(axis=0) * (1.0 / n)
+    if update_stats:
+        for stat, batch in ((norm.running_mean, mu), (norm.running_var, var)):
+            stat *= norm.momentum
+            stat += (1 - norm.momentum) * batch
+    denom = np.sqrt(var + norm.eps)
+    out = h / denom  # the normalized input, xhat, until the affine map and ReLU below
+    out *= gamma.data
+    out += beta.data
+    np.copyto(out, 0.0, where=~(out > 0))  # NaN too, as the mask `out > 0` in backward reads it
 
-def relu(x: Tensor) -> Tensor:
-    """max(x, 0) as one node; the gradient passes where x > 0."""
-    mask = x.data > 0
+    def backward(grad, x=x, centered=h, out=out):
+        g = grad * (out > 0)
+        if beta.requires_grad:
+            beta._accumulate(g.sum(axis=0))
+        if gamma.requires_grad:
+            xhat = centered / denom
+            xhat *= g
+            gamma._accumulate(xhat.sum(axis=0))
+            del xhat
+        g *= gamma.data  # d/d xhat
+        t = -g
+        t *= centered
+        t /= denom * denom
+        d_sq = t.sum(axis=0) * 0.5 / denom * (1.0 / n)  # to each squared deviation, through denom
+        g /= denom
+        np.multiply(d_sq * 2.0, centered, out=t)
+        g += t  # d/d centered: the direct path plus the variance path
+        del t
+        g += -g.sum(axis=0) * (1.0 / n)  # through mu
+        lin.backward(g, x)
 
-    def backward(grad, x=x, mask=mask):
-        x._accumulate(grad * mask)
-
-    return Tensor._result(np.where(mask, x.data, 0.0), (x,), backward)
+    return Tensor._result(out, (x, lin.weight, lin.bias, gamma, beta), backward)
 
 
 class Mlp:
-    """Linear layers through `dims`; the last one is purely linear."""
+    """Hidden layers (`hidden_layer`) through `dims`, then one purely
+    linear layer."""
 
     def __init__(self, dims: tuple[int, ...], batchnorm: bool, rng: np.random.Generator | None):
         self.linears = [Linear(a, b, rng) for a, b in zip(dims, dims[1:])]
@@ -165,12 +187,11 @@ class Mlp:
 
     def __call__(self, x: Tensor, train: bool, update_stats: bool = True) -> Tensor:
         last = len(self.linears) - 1
-        for i, (lin, norm) in enumerate(zip(self.linears, self.norms)):
-            x = lin(x)
-            if not np.isfinite(x.data).all():
-                raise NumericalError(f"non-finite linear output in layer {i}")
-            if i < last:
-                x = norm(x, train, update_stats) if norm is not None else relu(x)
+        for i, (lin, norm) in enumerate(zip(self.linears[:last], self.norms)):
+            x = hidden_layer(x, lin, norm, train, update_stats, i)
+        x = self.linears[last](x)
+        if not np.isfinite(x.data).all():
+            raise NumericalError(f"non-finite linear output in layer {last}")
         return x
 
 

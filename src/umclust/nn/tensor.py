@@ -17,9 +17,9 @@ parent's dtype.
 
 Backward consumes the graph's interior state: once a node's rule has
 run, the node drops its gradient and its rule, and with the rule every
-array the rule kept (a batch-norm node's normalized input, a
-``closed_form`` gradient), so a step holds each of them only until
-backward has passed its node. Every node keeps its parents, so the
+array the rule kept (a batch-norm hidden layer's centered linear
+output, a ``closed_form`` gradient), so a step holds each of them only
+until backward has passed its node. Every node keeps its parents, so the
 graph can still be walked; it cannot be differentiated a second time.
 
 A leaf's gradient is final once the walk has passed the last node that

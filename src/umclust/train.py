@@ -40,8 +40,10 @@ call, so each refresh, its K-means and correspondence, the guidance
 centroids and the final assignment and report see float64 latents.
 
 A step's autodiff graph is a list of hand-derived nodes: one per
-layer of every encoder and decoder it runs, one `closed_form` node per
-loss term over all views, and one for their weighted total. Each step
+layer of every encoder and decoder it runs (a hidden layer's linear
+map, batch norm and ReLU are one node, which keeps only what its
+backward reads), one `closed_form` node per loss term over all views,
+and one for their weighted total. Each step
 keeps its memory only as long as something reads it: `Adam.step(total)`
 runs backward, which frees every interior gradient and saved array as
 it passes the node and updates each parameter, dropping its gradient,

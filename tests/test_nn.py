@@ -22,7 +22,7 @@ from umclust.losses import recon_orth_loss
 from umclust.nn import Adam, Tensor, build_bundle, load_checkpoint, mlp, save_checkpoint
 from umclust.nn.adam import CHUNK
 from umclust.nn.checkpoint import FORMAT_VERSION
-from umclust.nn.mlp import BatchNorm, Linear, relu
+from umclust.nn.mlp import BatchNorm, Linear, hidden_layer
 from umclust.nn.tensor import closed_form
 
 
@@ -94,11 +94,9 @@ def test_hidden_relu_outputs_nonnegative():
     bundle = tiny_bundle()
     x = np.random.default_rng(1).normal(size=(8, 3))
     enc = bundle.encoders[0]
-    h = Tensor(x)
-    h = enc.linears[0](h)
-    h = enc.norms[0](h, True)
-    h = relu(h)
-    assert (h.data >= 0).all()
+    for norm in (enc.norms[0], None):
+        h = hidden_layer(Tensor(x.astype(bundle.dtype)), enc.linears[0], norm, train=True)
+        assert (h.data >= 0).all() and (h.data > 0).any()
 
 
 def test_encode_shape_checks():
@@ -135,7 +133,7 @@ def _check_batchnorm_eval_is_affine(atol_mix: float, atol_row: float) -> None:
     # the lift back off compares at the unlifted O(1) scale
     enc = bundle.encoders[0]
     enc.norms[0].beta.data[...] = 100.0
-    lifted = lambda x: enc.norms[0](enc.linears[0](Tensor(x.astype(bundle.dtype))), False).data
+    lifted = lambda x: hidden_layer(Tensor(x.astype(bundle.dtype)), enc.linears[0], enc.norms[0], train=False).data
     assert (lifted(x1) > 0).all() and (lifted(x2) > 0).all()
     block = lambda x: lifted(x) - 100.0
     lhs = block(lam * x1 + (1 - lam) * x2)
@@ -407,45 +405,123 @@ def test_linear_node_matches_the_op_by_op_graph_bit_for_bit(float64_model, case)
     )
 
 
+def _hidden_layer_params(rng, batchnorm=True):
+    """A 4 -> 5 hidden layer's Linear and BatchNorm (None without batch
+    norm), every parameter and running statistic drawn from `rng`."""
+    lin = Linear(4, 5, rng)
+    lin.bias.data[...] = rng.normal(size=5)
+    if not batchnorm:
+        return lin, None
+    norm = BatchNorm(5)
+    norm.gamma.data[...] = rng.normal(size=5)
+    norm.beta.data[...] = rng.normal(size=5)
+    norm.running_mean[...] = rng.normal(size=5)
+    norm.running_var[...] = rng.uniform(0.5, 2.0, size=5)
+    return lin, norm
+
+
 @pytest.mark.parametrize("update_stats", [True, False], ids=["update_stats", "frozen_stats"])
 @pytest.mark.parametrize("case", LAYER_CASES)
 def test_train_batchnorm_node_matches_the_op_by_op_graph_bit_for_bit(float64_model, case, update_stats):
+    # the hidden-layer node: Linear, batch norm and ReLU in one
     rng = np.random.default_rng(22)
-    norm = BatchNorm(4)
-    norm.gamma.data[...] = rng.normal(size=4)
-    norm.beta.data[...] = rng.normal(size=4)
-    norm.running_mean[...] = rng.normal(size=4)
-    norm.running_var[...] = rng.uniform(0.5, 2.0, size=4)
+    lin, norm = _hidden_layer_params(rng)
     ref_mean, ref_var = norm.running_mean.copy(), norm.running_var.copy()
     data, requires_grad = _layer_input(case, rng)
     x = Tensor(data, requires_grad=requires_grad)
-    out = norm(x, train=True, update_stats=update_stats)
+    out = hidden_layer(x, lin, norm, train=True, update_stats=update_stats)
     ref = op_by_op_batchnorm_relu(
-        data, norm.gamma.data, norm.beta.data, ref_mean, ref_var, norm.momentum, norm.eps, update_stats
+        op_by_op_linear(data, lin.weight.data, lin.bias.data),
+        norm.gamma.data,
+        norm.beta.data,
+        ref_mean,
+        ref_var,
+        norm.momentum,
+        norm.eps,
+        update_stats,
     )
     assert np.array_equal(out.data, ref)
     assert (out.data == 0).any() and (out.data > 0).any()
     assert np.array_equal(norm.running_mean, ref_mean) and np.array_equal(norm.running_var, ref_var)
     upstream = rng.normal(size=out.shape)
     _assert_gradients_match_finite_differences(
-        lambda: norm(x, train=True, update_stats=False),
-        {"x": x, "gamma": norm.gamma, "beta": norm.beta},
+        lambda: hidden_layer(x, lin, norm, train=True, update_stats=False),
+        {"x": x, "weight": lin.weight, "bias": lin.bias, "gamma": norm.gamma, "beta": norm.beta},
         upstream,
     )
 
 
-def test_recon_orth_backward_stays_within_its_memory_bound():
-    # allocations of one loss plus backward: the parameters' gradients plus a
-    # fixed number of batch-sized arrays per hidden layer. Measured: 3.1 such
-    # arrays with one node per layer and backward freeing each node's
-    # gradient and saved arrays once used, 7.1 when it kept them, 17.5 with
-    # the op-by-op graph.
+@pytest.mark.parametrize("case", LAYER_CASES)
+def test_relu_hidden_layer_node_matches_the_op_by_op_graph_bit_for_bit(float64_model, case):
+    rng = np.random.default_rng(23)
+    lin, _ = _hidden_layer_params(rng, batchnorm=False)
+    data, requires_grad = _layer_input(case, rng)
+    x = Tensor(data, requires_grad=requires_grad)
+    out = hidden_layer(x, lin, None, train=True)
+    linear = op_by_op_linear(data, lin.weight.data, lin.bias.data)
+    assert np.array_equal(out.data, np.where(linear > 0, linear, 0.0))
+    assert (out.data == 0).any() and (out.data > 0).any()
+    upstream = rng.normal(size=out.shape)
+    _assert_gradients_match_finite_differences(
+        lambda: hidden_layer(x, lin, None, train=True), {"x": x, "weight": lin.weight, "bias": lin.bias}, upstream
+    )
+
+
+@pytest.mark.parametrize("batchnorm", [True, False], ids=["batchnorm", "relu"])
+@pytest.mark.parametrize("train", [True, False], ids=["train_mode", "eval_mode"])
+def test_hidden_layer_node_leaves_its_input_untouched(batchnorm, train):
+    # the node normalizes and applies its ReLU in its own array, never in
+    # the previous layer's output it reads
+    rng = np.random.default_rng(24)
+    lin, norm = _hidden_layer_params(rng, batchnorm)
+    data = rng.normal(size=(6, 4)).astype(lin.weight.data.dtype)
+    before = data.copy()
+    x = Tensor(data, requires_grad=True)
+    out = hidden_layer(x, lin, norm, train=train)
+    assert not np.shares_memory(out.data, data)
+    assert np.array_equal(data, before)
+    weighted_sum(out, rng.normal(size=out.shape)).backward()
+    assert np.array_equal(data, before)
+
+
+def _memory_case(batchnorm: bool):
+    """(bundle, batches, per_layer): two hidden layers of width 256 in every
+    encoder and decoder, a batch of 64 rows per view, and `per_layer`,
+    which gives a byte count in batch x width arrays per hidden layer."""
     dims, batch, width = (32, 48), 64, 256
-    bundle = build_bundle(list(dims), 32, (width, width), True, 0)
+    bundle = build_bundle(list(dims), 32, (width, width), batchnorm, 0)
     rng = np.random.default_rng(0)
     xs = [rng.normal(size=(batch, d)) for d in dims]
-    param_bytes = sum(p.data.nbytes for p in bundle.named_parameters().values())
     hidden_layers = 2 * len(dims) * 2  # encoder and decoder of every view
+    return bundle, xs, lambda nbytes: nbytes / (hidden_layers * batch * width * bundle.dtype.itemsize)
+
+
+@pytest.mark.parametrize("batchnorm, bound", [(True, 2.5), (False, 1.5)], ids=["batchnorm", "relu"])
+def test_a_recorded_forward_keeps_only_what_the_hidden_layers_backward_reads(batchnorm, bound):
+    # with the graph alive, a hidden-layer node holds its output and, with
+    # batch norm, its centered linear output. Measured: 2.2 arrays per
+    # layer with batch norm and 1.2 without; 4.5 and 2.5 with the linear
+    # output, batch norm and ReLU as separate nodes, each keeping its own
+    bundle, xs, per_layer = _memory_case(batchnorm)
+    tracemalloc.start()
+    try:
+        loss, _ = recon_orth_loss(xs, bundle, 0.1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert loss.requires_grad
+    assert per_layer(held) <= bound
+
+
+def test_recon_orth_backward_stays_within_its_memory_bound():
+    # allocations of one loss plus backward: the parameters' gradients plus a
+    # fixed number of batch-sized arrays per hidden layer. Measured: 1.7 such
+    # arrays with one node per hidden layer keeping only what its backward
+    # reads; 2.8 with the linear output and batch norm as separate nodes;
+    # 7.1 when backward kept each node's gradient and saved arrays once
+    # used; 17.5 with the op-by-op graph.
+    bundle, xs, per_layer = _memory_case(True)
+    param_bytes = sum(p.data.nbytes for p in bundle.named_parameters().values())
     tracemalloc.start()
     try:
         loss, _ = recon_orth_loss(xs, bundle, 0.1)
@@ -453,7 +529,7 @@ def test_recon_orth_backward_stays_within_its_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= param_bytes + 5 * hidden_layers * batch * width * bundle.dtype.itemsize
+    assert per_layer(peak - param_bytes) <= 2.25
 
 
 # ---------------------------------------------------------------------------

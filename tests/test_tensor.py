@@ -7,7 +7,7 @@ import pytest
 
 from umclust.errors import ShapeError
 from umclust.losses import _from_unit_rows, _unit_rows
-from umclust.nn.mlp import BatchNorm, Linear, relu
+from umclust.nn.mlp import BatchNorm, Linear, hidden_layer
 from umclust.nn.tensor import Tensor, closed_form, no_graph
 
 
@@ -50,13 +50,13 @@ def rng():
 
 
 def test_diamond_graph_accumulates(float64_model, rng):
-    # `a` reaches the root directly and through a linear layer and its
-    # ReLU; both contributions must add up
+    # `a` reaches the root directly and through a hidden layer (linear
+    # map and ReLU); both contributions must add up
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     lin = Linear(4, 5, rng)
 
     def loss():
-        h = relu(lin(a))
+        h = hidden_layer(a, lin, None, train=True)
         value = float((h.data * h.data).sum() + 3.0 * a.data.sum())
         return closed_form(value, (h, 2.0 * h.data), (a, np.full(a.shape, 3.0)))
 
@@ -100,9 +100,9 @@ def test_closed_form_holds_its_value_in_the_first_parents_dtype(rng):
 def test_no_graph_computes_the_same_values_and_records_nothing(rng):
     a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     lin = Linear(3, 5, rng)
-    recorded = relu(lin(a))
+    recorded = hidden_layer(a, lin, None, train=True)
     with no_graph():
-        plain = relu(lin(a))
+        plain = hidden_layer(a, lin, None, train=True)
     assert np.array_equal(plain.data, recorded.data)
     assert recorded.requires_grad and recorded._parents
     assert not plain.requires_grad and plain._parents == () and plain._backward is None
@@ -110,11 +110,12 @@ def test_no_graph_computes_the_same_values_and_records_nothing(rng):
 
 def test_no_graph_restores_recording_on_exit_and_on_an_exception(rng):
     a = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
+    lin = Linear(2, 2, rng)
     with no_graph():
         with no_graph():
             pass
-        assert relu(a)._parents == ()
-    assert relu(a)._parents
+        assert lin(a)._parents == ()
+    assert lin(a)._parents
     with pytest.raises(RuntimeError, match="inside"):
         with no_graph():
             raise RuntimeError("inside")
@@ -205,7 +206,9 @@ OWNERSHIP_CASES = {
         0.0, (a, rng.normal(size=a.shape)), (b, rng.normal(size=b.shape)), (a, rng.normal(size=a.shape))
     ),
     "linear": lambda a, b, rng: weighted_sum(Linear(4, 5, rng)(a), rng.normal(size=(3, 5))),
-    "train_batchnorm": lambda a, b, rng: weighted_sum(BatchNorm(4)(a, train=True), rng.normal(size=(3, 4))),
+    "train_batchnorm": lambda a, b, rng: weighted_sum(
+        hidden_layer(a, Linear(4, 5, rng), BatchNorm(5), train=True), rng.normal(size=(3, 5))
+    ),
 }
 
 
@@ -245,12 +248,13 @@ def test_every_leaf_owns_its_gradient(rng, case):
 
 def test_backward_frees_interior_state_and_keeps_leaf_gradients(rng):
     # interior nodes of every kind: layer nodes (a train-mode batch-norm
-    # node keeps batch-sized arrays, a ReLU node its mask), loss nodes that
-    # read a latent beside the decoder, and a total over the loss nodes
+    # hidden layer keeps batch-sized arrays, a ReLU one its output), loss
+    # nodes that read a latent beside the decoder, and a total over the
+    # loss nodes
     x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
     lin, norm, head, dec = Linear(4, 5, rng), BatchNorm(5), Linear(5, 3, rng), Linear(3, 4, rng)
-    z = head(norm(lin(x), train=True))
-    x_hat = dec(relu(z))
+    z = head(hidden_layer(x, lin, norm, train=True))
+    x_hat = hidden_layer(z, dec, None, train=True)
     l_ae = closed_form(0.5, (x_hat, rng.normal(size=x_hat.shape)), (z, rng.normal(size=z.shape)))
     l_cr = closed_form(0.25, (z, rng.normal(size=z.shape)))
     root = closed_form(0.5 + 2.0 * 0.25, (l_ae, 1.0), (l_cr, 2.0))
@@ -258,7 +262,7 @@ def test_backward_frees_interior_state_and_keeps_leaf_gradients(rng):
     tensors = _graph(root)
     interior = [t for t in tensors if t._parents]
     leaves = [t for t in tensors if t.requires_grad and not t._parents]
-    assert root in interior and len(interior) == 8
+    assert root in interior and len(interior) == 6
     assert all(t.grad is None and t._backward is None for t in interior)
     params = (x, norm.gamma, norm.beta, *(p for layer in (lin, head, dec) for p in (layer.weight, layer.bias)))
     assert {id(t) for t in leaves} == {id(p) for p in params}

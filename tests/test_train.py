@@ -326,7 +326,8 @@ def test_no_parameter_gradient_outlives_its_step(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("batchnorm", [True, False], ids=["batchnorm", "relu"])
 def test_every_training_step_records_its_layer_nodes_plus_five(monkeypatch, batchnorm):
-    # the graph of a step is a node list: one node per layer, and one per
+    # the graph of a step is a node list: one node per layer (a hidden
+    # layer's linear map, batch norm and ReLU are one node), and one per
     # loss term (l_ae, l_in, l_co, l_cr) plus the total, whatever the
     # number of views
     spec = SyntheticSpec(clusters=3, views=3, dims=(6, 7, 5), samples_per_cluster=12, separation=8.0, noise_std=1.0)
@@ -352,16 +353,17 @@ def test_every_training_step_records_its_layer_nodes_plus_five(monkeypatch, batc
     monkeypatch.setattr(Tensor, "backward", count_then_backward)
     train(small_config(epochs=4, batch_size=16, batchnorm=batchnorm), synthesize(spec))
     bundle = built[0]
-    layers = sum(2 * len(mlp.linears) - 1 for mlp in bundle.encoders + bundle.decoders)
-    assert layers == 3 * 2 * 3
+    layers = sum(len(mlp.linears) for mlp in bundle.encoders + bundle.decoders)
+    assert layers == 2 * 2 * 3
     assert counts == [layers + 5] * (4 * 3)
 
 
 def test_a_training_step_holds_the_parameter_gradients_of_one_node_at_a_time(monkeypatch):
     # Adam updates each parameter inside backward and drops its gradient
     # once the walk has passed the layer that uses it, so the parameter
-    # gradients alive at any contribution never outweigh the weight and
-    # bias of the largest layer, let alone the whole model
+    # gradients alive at any contribution never outweigh the parameters of
+    # the largest layer node (weight, bias, and a hidden layer's gamma and
+    # beta), let alone the whole model
     built, alive = [], []
     accumulate = Tensor._accumulate
 
@@ -378,7 +380,9 @@ def test_a_training_step_holds_the_parameter_gradients_of_one_node_at_a_time(mon
     train(small_config(epochs=4, hidden_dims=(16, 16)), small_dataset())
     bundle = built[0]
     largest = max(
-        lin.weight.data.nbytes + lin.bias.data.nbytes for net in bundle.encoders + bundle.decoders for lin in net.linears
+        sum(p.data.nbytes for p in (lin.weight, lin.bias, *((norm.gamma, norm.beta) if norm else ())))
+        for net in bundle.encoders + bundle.decoders
+        for lin, norm in zip(net.linears, net.norms)
     )
     assert 0 < max(alive) <= largest
     assert largest < sum(p.data.nbytes for p in bundle.named_parameters().values()) / 4
