@@ -187,6 +187,8 @@ def _run_in_pool(tasks: list[tuple], jobs: int) -> list[Future]:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     run_config = _load_run_config(args)
     if not run_config.sweep:
         raise ConfigError("missing config key 'sweep' (no grid axes defined)")

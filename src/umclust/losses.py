@@ -19,25 +19,26 @@ The common view enters both cross-view terms as labels only: one
 common cluster per sample and level. How the views' clusters were
 joined into it is the refresh's business, not the losses'. Cluster
 assignments, centroids and common labels are all recomputed outside
-the loss graph and enter it as constants; gradients flow only through
+the loss terms and enter them as constants; gradients flow only through
 the current batch representations.
 
 Every term computes its value and its gradient in each view's latent
-batch (and, for l_ae, in each reconstruction) together, in numpy, and
-enters the autodiff graph as one `closed_form` node over all views;
-`total_loss` is a `closed_form` over the four scalar terms, with the
-lambdas as their gradients. A step's loss graph is therefore the layer
-nodes plus five. l_ae and l_cr have textbook gradients (l_cr's is
-DEC's, Xie et al. 2016). l_in and l_co, both NT-Xent at the constant
-`TEMPERATURE`, normalize each latent row inside the term
-(`_unit_rows`) and map their gradient in the unit rows back to the
-latents; an all-zero row gets a finite value and a gradient of
-exactly 0. l_in runs `_nt_xent_rows` per view.
-l_co takes one similarity product and one exponent per anchor view
-(b_v x N, for the N rows of the concatenated batch) and reads every
-active level off them through cluster-indicator products, so its cost
-does not grow with the number of levels. Its two b_max x N buffers are
-allocated once per call.
+batch (and, for l_ae, in each reconstruction) together, in numpy, over
+all views. l_in, l_co and l_cr take the latent arrays and return
+(value, per-view gradients); `recon_orth_loss` runs the recorded
+forward and also returns the latents and reconstructions that
+`train.walk_back` walks back. Each value is held in the latents' dtype,
+and so is `total_loss`, the weighted sum of the four values. l_ae and
+l_cr have textbook gradients (l_cr's is DEC's, Xie et al. 2016). l_in
+and l_co, both NT-Xent at the constant `TEMPERATURE`, normalize each
+latent row inside the term (`_unit_rows`) and map their gradient in the
+unit rows back to the latents; an all-zero row gets a finite value and
+a gradient of exactly 0. l_in runs `_nt_xent_rows` per view. l_co takes
+one similarity product and one exponent per anchor view (b_v x N, for
+the N rows of the concatenated batch) and reads every active level off
+them through cluster-indicator products, so its cost does not grow with
+the number of levels. Its two b_max x N buffers are allocated once per
+call.
 
 Every term computes in the dtype of the latents it is given. Its
 constants (the identity of the Gram term, the guidance targets and
@@ -55,7 +56,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .nn.mlp import AutoencoderBundle
-from .nn.tensor import Tensor, closed_form
+from .nn.tensor import Tensor
 
 DISTRIBUTION_FLOOR = 1e-8
 TEMPERATURE = 0.1  # tau of both NT-Xent terms
@@ -179,22 +180,23 @@ def recon_orth_loss(
     x_batches: list[np.ndarray],
     bundle: AutoencoderBundle,
     lambda1: float,
-) -> tuple[Tensor, list[Tensor]]:
-    """Sum of per-view reconstruction terms, in train mode, as one node;
-    also returns the latent batches. Each batch is taken in the model's
-    dtype."""
+) -> tuple[np.floating, list[tuple[np.ndarray, np.ndarray]], list[Tensor], list[Tensor]]:
+    """Sum of per-view reconstruction terms from a recorded train-mode
+    forward; per view its gradients (in the reconstruction, in the
+    latents); the recorded latents; the recorded reconstructions. Each
+    batch is taken in the model's dtype."""
     value = 0.0
-    grads: list[tuple[Tensor, np.ndarray]] = []
-    zs: list[Tensor] = []
+    grads, zs, x_hats = [], [], []
     for v, xb in enumerate(x_batches):
         x = np.asarray(xb, dtype=bundle.dtype)
         z = bundle.encode(v, x, train=True)
-        x_hat = bundle.decode(v, z, train=True)
+        x_hat = bundle.decode(v, z.data, train=True)
         term, grad_x_hat, grad_z = recon_orth_term(x, x_hat.data, z.data, lambda1)
         value += term
-        grads += [(x_hat, grad_x_hat), (z, grad_z)]
+        grads.append((grad_x_hat, grad_z))
         zs.append(z)
-    return closed_form(value, *grads), zs
+        x_hats.append(x_hat)
+    return bundle.dtype.type(value), grads, zs, x_hats
 
 
 # ---------------------------------------------------------------------------
@@ -270,26 +272,27 @@ def _from_unit_rows(grad: np.ndarray, u: np.ndarray, norm: np.ndarray) -> np.nda
 
 
 def inner_contrastive_loss(
-    z_batches: list[Tensor],
+    z_batches: list[np.ndarray],
     pair_sets: list[PairSets],
-) -> Tensor:
+) -> tuple[np.floating, list[np.ndarray]]:
     """NT-Xent over true-positive pairs against true-negative denominators.
 
     Per view: sum_i sum_{j in tp(i)} -log(exp(s_ij/tau) / sum_{tn(i)} exp(s/tau))
     weighted 1/(batch * |tp(i)|), averaged over views. Samples lacking either
-    positives or negatives contribute nothing. All views are one node.
+    positives or negatives contribute nothing. Returns the value and its
+    gradient in each view's latents.
     """
     n_views = len(z_batches)
     inv_temp = 1.0 / TEMPERATURE
     value = 0.0
-    grads: list[tuple[Tensor, np.ndarray]] = []
+    grads = []
     for z, pairs in zip(z_batches, pair_sets):
-        u, norm = _unit_rows(z.data)
+        u, norm = _unit_rows(z)
         row_weight = 1.0 / (np.maximum(pairs.tp.sum(axis=1), 1) * n_views * u.shape[0]).astype(u.dtype)
         view_value, g = _nt_xent_rows(u @ u.T, pairs.tp * row_weight[:, None], pairs.tn, inv_temp)
         value += view_value
-        grads.append((z, _from_unit_rows((g + g.T) @ u, u, norm)))
-    return closed_form(value, *grads)
+        grads.append(_from_unit_rows((g + g.T) @ u, u, norm))
+    return z_batches[0].dtype.type(value), grads
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +309,9 @@ def _first_seen_ids(labels: np.ndarray) -> np.ndarray:
 
 
 def common_contrastive_loss(
-    z_batches: list[Tensor],
+    z_batches: list[np.ndarray],
     batch_common_labels: dict[int, np.ndarray],
-) -> Tensor:
+) -> tuple[np.floating, list[np.ndarray]]:
     """Anchor every concatenated-batch sample against each view's batch.
 
     At each level of `batch_common_labels` (common cluster per row of the
@@ -338,8 +341,8 @@ def common_contrastive_loss(
     """
     n_views = len(z_batches)
     inv_temp = 1.0 / TEMPERATURE
-    u, norm = _unit_rows(np.concatenate([z.data for z in z_batches]))
-    sizes = [z.data.shape[0] for z in z_batches]
+    u, norm = _unit_rows(np.concatenate(z_batches))
+    sizes = [z.shape[0] for z in z_batches]
     offsets = np.cumsum([0, *sizes])
     n_union = int(offsets[-1])
     col_weight = np.repeat(np.array([1.0 / (n_union * n_views * b_v) for b_v in sizes], u.dtype), sizes)
@@ -347,7 +350,7 @@ def common_contrastive_loss(
     ids = [_first_seen_ids(common) for common in batch_common_labels.values()]
     ids = [level for level in ids if level.max(initial=0) > 0]
     if not ids:
-        return closed_form(0.0, *((z, np.zeros_like(z.data)) for z in z_batches))
+        return u.dtype.type(0.0), [np.zeros_like(z) for z in z_batches]
     widths = [int(level.max()) + 1 for level in ids]
     cols = np.stack(ids, axis=1) + np.cumsum([0, *widths[:-1]])  # (N, levels) member columns
     member = np.zeros((n_union, sum(widths)), u.dtype)
@@ -377,7 +380,7 @@ def common_contrastive_loss(
         grad += h.T @ u_blk
     grad *= scale
     grad = _from_unit_rows(grad, u, norm)
-    return closed_form(value * scale, *zip(z_batches, np.split(grad, offsets[1:-1])))
+    return u.dtype.type(value * scale), np.split(grad, offsets[1:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +406,10 @@ def student_assignments(z: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarra
 
 
 def cross_view_guidance_loss(
-    z_batches: list[Tensor],
+    z_batches: list[np.ndarray],
     centroids: np.ndarray,
     batch_common_labels: list[np.ndarray],
-) -> Tensor:
+) -> tuple[np.floating, list[np.ndarray]]:
     """Alignment pull of every view toward the common-view frame.
 
     Every batch sample is pulled toward the centroid of its common
@@ -417,44 +420,38 @@ def cross_view_guidance_loss(
     ordered view pairs, so a single view contributes nothing.
 
     Per view of b rows with targets t, the value is
-    -(w/b) sum_i log max(q_it, floor), and all views are one node. Its
-    gradient in the squared distances is (w/b) (k_it [j = t] - q_ij k_ij)
-    for the live kernel k, 0 on a row whose q_it is at the floor; in
-    z_i it is 2 (sum_j g_ij z_i - sum_j g_ij c_j).
+    -(w/b) sum_i log max(q_it, floor), summed over views. Its gradient
+    in the squared distances is (w/b) (k_it [j = t] - q_ij k_ij) for the
+    live kernel k, 0 on a row whose q_it is at the floor; in z_i it is
+    2 (sum_j g_ij z_i - sum_j g_ij c_j).
     """
     n_views = len(z_batches)
     weight = (n_views - 1) / (n_views * n_views)
-    centroids = centroids.astype(z_batches[0].data.dtype, copy=False)
+    centroids = centroids.astype(z_batches[0].dtype, copy=False)
     value = 0.0
-    grads: list[tuple[Tensor, np.ndarray]] = []
+    grads = []
     for z, targets in zip(z_batches, batch_common_labels):
         b = targets.shape[0]
         rows = np.arange(b)
-        q, kernel = student_assignments(z.data, centroids)
+        q, kernel = student_assignments(z, centroids)
         picked = q[rows, targets]
         value -= weight / b * float(np.log(np.maximum(picked, DISTRIBUTION_FLOOR)).sum())
         g = -(q * kernel)
         g[rows, targets] += kernel[rows, targets]
         g[picked <= DISTRIBUTION_FLOOR] = 0.0
         g *= 2.0 * weight / b
-        grad_z = g.sum(axis=1, keepdims=True) * z.data
+        grad_z = g.sum(axis=1, keepdims=True) * z
         grad_z -= g @ centroids
-        grads.append((z, grad_z))
-    return closed_form(value, *grads)
+        grads.append(grad_z)
+    return z_batches[0].dtype.type(value), grads
 
 
 # ---------------------------------------------------------------------------
 # combination
 
 
-def total_loss(
-    l_ae: Tensor,
-    l_in: Tensor,
-    l_co: Tensor,
-    l_cr: Tensor,
-    weights: LossWeights,
-) -> Tensor:
-    """l_ae + lambda2 l_in + lambda3 l_co + lambda4 l_cr as one node whose
-    gradients are the weights."""
+def total_loss(l_ae, l_in, l_co, l_cr, weights: LossWeights) -> np.floating:
+    """l_ae + lambda2 l_in + lambda3 l_co + lambda4 l_cr, summed in float64
+    and held in the dtype of `l_ae`."""
     terms = ((l_ae, 1.0), (l_in, weights.lambda2), (l_co, weights.lambda3), (l_cr, weights.lambda4))
-    return closed_form(sum(t.item() * w for t, w in terms), *terms)
+    return np.asarray(l_ae).dtype.type(sum(float(t) * w for t, w in terms))

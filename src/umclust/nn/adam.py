@@ -1,17 +1,16 @@
-"""Adam over one model's named parameters, fused into backward:
-`Adam(params, lr)` creates both moments up front, and `step(loss)`
-differentiates `loss` and updates every parameter in place.
+"""Adam over one model's named parameters, fused into the backward walk:
+`Adam(params, lr)` creates both moments up front, and `step(backward)`
+updates every parameter in place as the walk hands its gradient over.
 
-`step(loss)` refuses a parameter that is not C-contiguous before
-anything moves, then advances the step count and runs `loss.backward`.
-Each parameter is updated, and its gradient dropped, as soon as the
-walk has passed the last node that uses it (`Tensor.backward`'s
-`on_leaf_done`), so the gradients of the whole model are never alive
-at once. An update runs after every rule that reads its parameter and
-touches nothing but the parameter and its moments, so the result is
-bit for bit that of a full backward followed by one update per
-parameter. A parameter the loss did not reach takes the update of a
-zero gradient after the walk. A non-finite gradient is refused with
+`step(backward)` refuses a parameter that is not C-contiguous before
+anything moves, then advances the step count and calls
+`backward(update)`. The walk (`Tensor.backward`, one per encoder and
+decoder) calls `update(param, grad)` once per parameter, after every
+rule that reads the parameter has run, and frees the gradient once it
+is applied; so the gradients of the whole model are never alive at
+once. An update touches nothing but its parameter and its moments, so
+the result is bit for bit that of a full backward followed by one
+update per parameter. A non-finite gradient is refused with
 `NumericalError`, naming its parameter, before that parameter or its
 moments move; parameters updated earlier in the walk have moved.
 
@@ -37,7 +36,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NumericalError, ShapeError
-from .tensor import Tensor
 
 
 BETA1 = 0.9
@@ -47,47 +45,34 @@ CHUNK = 1 << 14  # elements per scratch buffer: 64 KiB in float32
 
 
 class Adam:
-    def __init__(self, params: dict[str, Tensor], lr: float):
+    def __init__(self, params: dict[str, np.ndarray], lr: float):
         self.params = params
         self.lr = float(lr)
         self.t = 0
         self._names = {id(p): name for name, p in params.items()}
-        self._moments = {
-            f"{kind}/{name}": np.zeros(p.data.shape, p.data.dtype) for kind in "mv" for name, p in params.items()
-        }
-        dtypes = {p.data.dtype for p in params.values()}
+        self._moments = {f"{kind}/{name}": np.zeros(p.shape, p.dtype) for kind in "mv" for name, p in params.items()}
+        dtypes = {p.dtype for p in params.values()}
         self._scratch = {dtype: (np.empty(CHUNK, dtype), np.empty(CHUNK, dtype)) for dtype in dtypes}
 
-    def step(self, loss: Tensor) -> None:
-        """Backward of the scalar `loss` with one in-place update of every
-        parameter; a parameter that is not C-contiguous is refused before
+    def step(self, backward) -> None:
+        """`backward(update)` with `update(param, grad)` updating `param`
+        in place; a parameter that is not C-contiguous is refused before
         anything moves, a non-finite gradient before its parameter moves."""
         for name, p in self.params.items():
-            if not p.data.flags.c_contiguous:
+            if not p.flags.c_contiguous:
                 raise ShapeError(f"parameter {name} is not C-contiguous; Adam updates it through a flat view")
         self.t += 1
         b1t = 1.0 - BETA1**self.t
         b2t = 1.0 - BETA2**self.t
-        unreached = dict(self.params)
 
-        def update(name: str, p: Tensor, grad: np.ndarray | None) -> None:
-            if grad is None:
-                grad = np.zeros_like(p.data)
-            elif not np.isfinite(grad).all():
+        def update(p: np.ndarray, grad: np.ndarray) -> None:
+            name = self._names[id(p)]
+            if not np.isfinite(grad).all():
                 raise NumericalError(f"non-finite gradient for {name}")
             m, v = self._moments[f"m/{name}"], self._moments[f"v/{name}"]
-            self._update(p.data.reshape(-1), grad.reshape(-1), m.reshape(-1), v.reshape(-1), b1t, b2t)
-            p.grad = None
+            self._update(p.reshape(-1), grad.reshape(-1), m.reshape(-1), v.reshape(-1), b1t, b2t)
 
-        def on_leaf_done(leaf: Tensor) -> None:
-            name = self._names.get(id(leaf))
-            if name is not None:
-                del unreached[name]
-                update(name, leaf, leaf.grad)
-
-        loss.backward(on_leaf_done)
-        for name, p in unreached.items():
-            update(name, p, None)
+        backward(update)
 
     def _update(self, p, g, m, v, b1t: float, b2t: float) -> None:
         """m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;

@@ -1,4 +1,4 @@
-"""Per-view MLP autoencoders built on the autodiff tensor.
+"""Per-view MLP autoencoders with hand-written backward rules.
 
 `Mlp(dims, batchnorm, rng)` runs through the widths in `dims`: every
 hidden layer is a linear map followed by (optional) batch normalization
@@ -14,22 +14,28 @@ float64 from the same generator stream whatever `DTYPE` is, then cast.
 `encode_all` hands back float64 latents, because everything that
 clusters or scores them runs in float64.
 
-Each layer enters the autodiff graph as one node with a hand-written
-backward rule. The last layer is a `Linear` node, which keeps only its
-input and parameters. A hidden layer is one `hidden_layer` node: the
-linear map, then batch norm and ReLU, or ReLU alone. It writes the
-linear output into an array of its own and normalizes and rectifies it
-there, in place. In train mode a batch-norm node keeps the centered
-linear output, the per-feature denominator and its output; backward
-recomputes the normalized input and the ReLU mask from them, bit for
-bit the forward's values. Without batch norm the node keeps only its
-output. Eval-mode batch norm records no graph, so a full-data encode
-holds one layer-sized temporary per layer.
+A forward names its mode: `train` normalizes by batch statistics, eval
+mode applies the running ones. A train-mode forward is recorded unless
+`record=False`. A recorded forward moves the running statistics and
+returns a `Tensor` that keeps one backward rule per layer, which
+`Tensor.backward` walks once (see `nn.tensor`). An unrecorded forward
+(a full-data encode) keeps nothing and leaves the statistics alone, so
+each layer's output is freed once the next layer has read it.
 
-A hidden-layer node, and `Mlp` after its last layer, refuse a
-non-finite linear output with `NumericalError` naming the layer. The
-check comes before the activation, because ReLU maps NaN and -inf to 0
-and would hide them.
+A rule returns its input gradient and its (parameter, gradient) pairs.
+The last layer is a `Linear`, whose rule keeps only its input. A hidden
+layer (`hidden_layer`) is the linear map, then batch norm and ReLU, or
+ReLU alone. It writes the linear output into an array of its own and
+normalizes and rectifies it there, in place. A batch-norm layer's rule
+keeps the centered linear output, the per-feature denominator and the
+layer's output; it recomputes the normalized input and the ReLU mask
+from them, bit for bit the forward's values. Without batch norm the
+rule keeps only the output. Eval mode records nothing.
+
+A hidden layer, and `Mlp` after its last layer, refuse a non-finite
+linear output with `NumericalError` naming the layer. The check comes
+before the activation, because ReLU maps NaN and -inf to 0 and would
+hide them.
 
 `build_bundle` gives each view an encoder and its mirror-image decoder.
 `AutoencoderBundle` names the model's state once, when it is built: a
@@ -49,10 +55,12 @@ same names, which is all a finished run saves and all eval reads.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..errors import NumericalError, ShapeError
-from .tensor import Tensor, no_graph
+from .tensor import Tensor
 
 DTYPE = np.float32  # of every model array; tests set float64 to compare with exact oracles
 
@@ -62,37 +70,23 @@ class Linear:
         """Weights drawn from `rng`; with `rng` None both arrays are left
         uninitialized, for a checkpoint to fill."""
         if rng is None:
-            weight, bias = np.empty((in_dim, out_dim), DTYPE), np.empty(out_dim, DTYPE)
+            self.weight, self.bias = np.empty((in_dim, out_dim), DTYPE), np.empty(out_dim, DTYPE)
         else:
             bound = np.sqrt(6.0 / in_dim)
-            weight = rng.uniform(-bound, bound, size=(in_dim, out_dim)).astype(DTYPE, copy=False)
-            bias = np.zeros(out_dim, DTYPE)
-        self.weight = Tensor(weight, requires_grad=True)
-        self.bias = Tensor(bias, requires_grad=True)
+            self.weight = rng.uniform(-bound, bound, size=(in_dim, out_dim)).astype(DTYPE, copy=False)
+            self.bias = np.zeros(out_dim, DTYPE)
 
     def product(self, x: np.ndarray) -> np.ndarray:
         """x @ weight + bias in a fresh array."""
-        out = x @ self.weight.data
-        out += self.bias.data
+        out = x @ self.weight
+        out += self.bias
         return out
 
-    def backward(self, grad: np.ndarray, x: Tensor) -> None:
-        """Send the gradient of `product(x.data)`, `grad`, to the weight,
-        the bias and `x`, each where it requires one."""
-        if self.bias.requires_grad:
-            self.bias._accumulate(grad.sum(axis=0))
-        if self.weight.requires_grad:
-            self.weight._accumulate(x.data.T @ grad)
-        if x.requires_grad:
-            x._accumulate(grad @ self.weight.data.T)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        """x @ weight + bias as one node."""
-
-        def backward(grad, x=x):
-            self.backward(grad, x)
-
-        return Tensor._result(self.product(x.data), (x, self.weight, self.bias), backward)
+    def backward(self, x: np.ndarray, grad: np.ndarray, input_grad: bool) -> tuple[np.ndarray | None, list]:
+        """The gradient in `x` (None unless `input_grad`) and the
+        (parameter, gradient) pairs, given the gradient of `product(x)`."""
+        pairs = [(self.bias, grad.sum(axis=0)), (self.weight, x.T @ grad)]
+        return (grad @ self.weight.T if input_grad else None), pairs
 
 
 class BatchNorm:
@@ -100,69 +94,71 @@ class BatchNorm:
     feature-wise batch normalization; `hidden_layer` applies them.
 
     Train mode normalizes by the biased batch variance (so a batch of
-    one row hits the epsilon floor instead of dividing by zero) and
-    updates the running mean/variance in place with momentum. Eval mode
-    applies the frozen running statistics, making the layer an affine
-    map before its ReLU.
+    one row hits the epsilon floor instead of dividing by zero) and, in
+    a recorded forward, updates the running mean/variance in place with
+    momentum. Eval mode applies the frozen running statistics, making
+    the layer an affine map before its ReLU.
     """
 
     eps = 1e-5
     momentum = 0.9
 
     def __init__(self, dim: int):
-        self.gamma = Tensor(np.ones(dim, DTYPE), requires_grad=True)
-        self.beta = Tensor(np.zeros(dim, DTYPE), requires_grad=True)
+        self.gamma = np.ones(dim, DTYPE)
+        self.beta = np.zeros(dim, DTYPE)
         self.running_mean = np.zeros(dim, DTYPE)
         self.running_var = np.ones(dim, DTYPE)
 
 
 def hidden_layer(
-    x: Tensor, lin: Linear, norm: BatchNorm | None, train: bool, update_stats: bool = True, layer: int = 0
-) -> Tensor:
-    """relu(batchnorm(lin(x))), or relu(lin(x)) with `norm` None, as one
-    node; `layer` names the layer when the linear output is not finite."""
-    h = lin.product(x.data)
+    x: np.ndarray, lin: Linear, norm: BatchNorm | None, train: bool, record: bool = True, layer: int = 0
+):
+    """relu(batchnorm(lin(x))), or relu(lin(x)) with `norm` None, and its
+    backward rule: None unless `train` and `record`, which also moves the
+    running statistics. `layer` names the layer when the linear output is
+    not finite."""
+    h = lin.product(x)
     if not np.isfinite(h).all():
         raise NumericalError(f"non-finite linear output in layer {layer}")
     if norm is None:
         np.copyto(h, 0.0, where=h <= 0)
 
-        def relu_backward(grad, x=x, out=h):
-            lin.backward(grad * (out > 0), x)
+        def relu_backward(grad, input_grad):
+            return lin.backward(x, grad * (h > 0), input_grad)
 
-        return Tensor._result(h, (x, lin.weight, lin.bias), relu_backward)
+        return h, relu_backward if train and record else None
     gamma, beta = norm.gamma, norm.beta
     if not train:
         h -= norm.running_mean
         h *= 1.0 / np.sqrt(norm.running_var + norm.eps)
-        h *= gamma.data
-        h += beta.data
+        h *= gamma
+        h += beta
         np.copyto(h, 0.0, where=h <= 0)
-        return Tensor(h)
+        return h, None
     n = h.shape[0]
     mu = h.sum(axis=0) * (1.0 / n)
     h -= mu  # h is now the centered linear output
     var = (h * h).sum(axis=0) * (1.0 / n)
-    if update_stats:
+    if record:
         for stat, batch in ((norm.running_mean, mu), (norm.running_var, var)):
             stat *= norm.momentum
             stat += (1 - norm.momentum) * batch
     denom = np.sqrt(var + norm.eps)
     out = h / denom  # the normalized input, xhat, until the affine map and ReLU below
-    out *= gamma.data
-    out += beta.data
+    out *= gamma
+    out += beta
     np.copyto(out, 0.0, where=~(out > 0))  # NaN too, as the mask `out > 0` in backward reads it
+    if not record:
+        return out, None
 
-    def backward(grad, x=x, centered=h, out=out):
+    def backward(grad, input_grad, centered=h):
         g = grad * (out > 0)
-        if beta.requires_grad:
-            beta._accumulate(g.sum(axis=0))
-        if gamma.requires_grad:
-            xhat = centered / denom
-            xhat *= g
-            gamma._accumulate(xhat.sum(axis=0))
-            del xhat
-        g *= gamma.data  # d/d xhat
+        d_beta = g.sum(axis=0)
+        xhat = centered / denom
+        xhat *= g
+        d_gamma = xhat.sum(axis=0)
+        del xhat
+        g *= gamma  # d/d xhat
         t = -g
         t *= centered
         t /= denom * denom
@@ -172,27 +168,38 @@ def hidden_layer(
         g += t  # d/d centered: the direct path plus the variance path
         del t
         g += -g.sum(axis=0) * (1.0 / n)  # through mu
-        lin.backward(g, x)
+        grad_x, pairs = lin.backward(x, g, input_grad)
+        return grad_x, [*pairs, (gamma, d_gamma), (beta, d_beta)]
 
-    return Tensor._result(out, (x, lin.weight, lin.bias, gamma, beta), backward)
+    return out, backward
 
 
 class Mlp:
     """Hidden layers (`hidden_layer`) through `dims`, then one purely
-    linear layer."""
+    linear layer. `input_grad` says whether backward returns the
+    gradient in the input: a decoder's is a latent batch, an encoder's
+    is data."""
 
-    def __init__(self, dims: tuple[int, ...], batchnorm: bool, rng: np.random.Generator | None):
+    def __init__(self, dims: tuple[int, ...], batchnorm: bool, rng: np.random.Generator | None, input_grad=False):
         self.linears = [Linear(a, b, rng) for a, b in zip(dims, dims[1:])]
         self.norms = [BatchNorm(d) if batchnorm else None for d in dims[1:-1]] + [None]
+        self.input_grad = input_grad
 
-    def __call__(self, x: Tensor, train: bool, update_stats: bool = True) -> Tensor:
+    def __call__(self, x: np.ndarray, train: bool, record: bool = True) -> Tensor:
+        """The output; `train` and `record` keep every layer's backward
+        rule in it and move the running statistics."""
+        rules = []
         last = len(self.linears) - 1
         for i, (lin, norm) in enumerate(zip(self.linears[:last], self.norms)):
-            x = hidden_layer(x, lin, norm, train, update_stats, i)
-        x = self.linears[last](x)
-        if not np.isfinite(x.data).all():
+            x, rule = hidden_layer(x, lin, norm, train, record, i)
+            rules.append(rule)
+        head = self.linears[last]
+        out = head.product(x)
+        if not np.isfinite(out).all():
             raise NumericalError(f"non-finite linear output in layer {last}")
-        return x
+        if not (train and record):
+            return Tensor(out)
+        return Tensor(out, [*rules, functools.partial(head.backward, x)], self.input_grad)
 
 
 class AutoencoderBundle:
@@ -216,7 +223,7 @@ class AutoencoderBundle:
         self.encoders = encoders
         self.decoders = decoders
         self.dtype = np.dtype(DTYPE)
-        self._params: dict[str, Tensor] = {}
+        self._params: dict[str, np.ndarray] = {}
         self._stats: dict[str, np.ndarray] = {}
         for v, encoder in enumerate(encoders):
             self._register(f"v{v}.enc", encoder)
@@ -236,36 +243,31 @@ class AutoencoderBundle:
 
     # -- forward ------------------------------------------------------------
 
-    def encode(self, view: int, x, train: bool, update_stats: bool = True) -> Tensor:
-        x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=self.dtype))
-        if x.data.ndim != 2 or x.data.shape[1] != self.input_dims[view]:
-            raise ShapeError(
-                f"view {view} expects input dim {self.input_dims[view]}, got shape {x.data.shape}"
-            )
-        return self.encoders[view](x, train, update_stats)
+    def encode(self, view: int, x, train: bool, record: bool = True) -> Tensor:
+        x = np.asarray(x, dtype=self.dtype)
+        if x.ndim != 2 or x.shape[1] != self.input_dims[view]:
+            raise ShapeError(f"view {view} expects input dim {self.input_dims[view]}, got shape {x.shape}")
+        return self.encoders[view](x, train, record)
 
     def decode(self, view: int, z, train: bool) -> Tensor:
-        z = z if isinstance(z, Tensor) else Tensor(np.asarray(z, dtype=self.dtype))
-        if z.data.ndim != 2 or z.data.shape[1] != self.latent_dim:
-            raise ShapeError(
-                f"view {view} expects latent dim {self.latent_dim}, got shape {z.data.shape}"
-            )
+        z = np.asarray(z, dtype=self.dtype)
+        if z.ndim != 2 or z.shape[1] != self.latent_dim:
+            raise ShapeError(f"view {view} expects latent dim {self.latent_dim}, got shape {z.shape}")
         return self.decoders[view](z, train)
 
     def encode_all(self, mats: list[np.ndarray], train: bool) -> list[np.ndarray]:
-        """Plain float64 latents for every view, for use outside loss graphs:
-        no graph is recorded, the running statistics stay frozen, and each
-        view's latents are upcast once, after its last layer."""
-        with no_graph():
-            return [
-                self.encode(v, m, train=train, update_stats=False).data.astype(np.float64, copy=False)
-                for v, m in enumerate(mats)
-            ]
+        """Plain float64 latents for every view, for use outside a training
+        step: nothing is recorded, the running statistics stay frozen, and
+        each view's latents are upcast once, after its last layer."""
+        return [
+            self.encode(v, m, train=train, record=False).data.astype(np.float64, copy=False)
+            for v, m in enumerate(mats)
+        ]
 
     # -- parameter access ------------------------------------------------------
 
-    def named_parameters(self) -> dict[str, Tensor]:
-        """Every trainable tensor by name; the same dict on every call."""
+    def named_parameters(self) -> dict[str, np.ndarray]:
+        """Every trainable array by name; the same dict on every call."""
         return self._params
 
     def named_stats(self) -> dict[str, np.ndarray]:
@@ -280,7 +282,7 @@ class AutoencoderBundle:
             return not encoders_only or name.split(".")[1] == "enc"
 
         return (
-            {k: p.data for k, p in self._params.items() if keep(k)},
+            {k: p for k, p in self._params.items() if keep(k)},
             {k: s for k, s in self._stats.items() if keep(k)},
         )
 
@@ -310,5 +312,5 @@ def build_bundle(
             continue
         rng = np.random.default_rng(np.random.SeedSequence([seed, v]))
         encoders.append(Mlp(dims, batchnorm, rng))
-        decoders.append(Mlp(dims[::-1], batchnorm, rng))
+        decoders.append(Mlp(dims[::-1], batchnorm, rng, input_grad=True))
     return AutoencoderBundle(list(input_dims), latent_dim, encoders, decoders)

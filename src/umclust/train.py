@@ -30,7 +30,7 @@ straight into their parameters, statistics and moments, so the model is
 never held twice; resuming a finished run reads only its encoders and
 trains nothing. A checkpoint that is refused part-way raises before the
 first epoch, and the half-filled model is dropped. Full-data encodes
-record no autodiff graph.
+record nothing.
 
 The model trains in its own dtype (`nn.mlp.DTYPE`, float32): `train`
 casts the features to it once, and every batch is a slice of that one
@@ -39,23 +39,22 @@ copy. What clusters and scores the model stays in float64:
 call, so each refresh, its K-means and correspondence, the guidance
 centroids and the final assignment and report see float64 latents.
 
-A step's autodiff graph is a list of hand-derived nodes: one per
-layer of every encoder and decoder it runs (a hidden layer's linear
-map, batch norm and ReLU are one node, which keeps only what its
-backward reads), one `closed_form` node per loss term over all views,
-and one for their weighted total. Each step
-keeps its memory only as long as something reads it: `Adam.step(total)`
-runs backward, which frees every interior gradient and saved array as
-it passes the node and updates each parameter, dropping its gradient,
-as soon as the walk has passed the layer that uses it. So one layer's
-parameter gradients are alive at a time, and none beside a refresh,
-`evaluate` or a checkpoint write. A non-finite gradient raises
+A step (`step_objective`) forwards each view's encoder and decoder,
+recording one backward rule per layer, and computes each loss term's
+value and per-view gradients in plain arrays. `Adam.step` then runs
+`walk_back`, which walks each view's decoder, then its encoder, back
+once. The walk frees each layer's kept arrays as it passes the layer,
+and hands each parameter's gradient to Adam as soon as the layer's
+rule has run; Adam updates the parameter and the gradient is freed. So
+one layer's parameter gradients are alive at a time, and none beside a
+refresh, `evaluate` or a checkpoint write. A non-finite gradient raises
 `NumericalError` before its own parameter moves but after earlier
 layers of that step have, and the run ends without a checkpoint.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -260,6 +259,48 @@ def evaluate(
     return latents, assignment, report
 
 
+def step_objective(
+    bundle, features, offsets, batch_idx, level_state: LevelState, active, final: int, weights: LossWeights
+) -> tuple[list[np.floating], functools.partial]:
+    """One step's objective on rows `batch_idx[v]` of each view's
+    `features[v]`, which start at row `offsets[v]` of the concatenated
+    data, at the `active` levels and the `final` one: the terms [l_ae,
+    l_in, l_co, l_cr, total], each in the model's dtype, and the
+    `walk_back` that `Adam.step` takes."""
+    l_ae, ae_grads, zs, x_hats = recon_orth_loss(
+        [f[idx] for f, idx in zip(features, batch_idx)], bundle, weights.lambda1
+    )
+    latents = [z.data for z in zs]
+    pair_sets = [
+        build_inner_pairs({k: level_state.view_labels[k][v] for k in active}, idx)
+        for v, idx in enumerate(batch_idx)
+    ]
+    l_in, in_grads = inner_contrastive_loss(latents, pair_sets)
+    rows = [offset + idx for offset, idx in zip(offsets, batch_idx)]
+    l_co, co_grads = common_contrastive_loss(
+        latents, {k: level_state.common_labels[k][np.concatenate(rows)] for k in active}
+    )
+    l_cr, cr_grads = cross_view_guidance_loss(
+        latents, level_state.final_centroids, [level_state.common_labels[final][r] for r in rows]
+    )
+    terms = [l_ae, l_in, l_co, l_cr, total_loss(l_ae, l_in, l_co, l_cr, weights)]
+    weighted = [(weights.lambda2, in_grads), (weights.lambda3, co_grads), (weights.lambda4, cr_grads)]
+    return terms, functools.partial(walk_back, zs, x_hats, ae_grads, weighted)
+
+
+def walk_back(zs: list, x_hats: list, ae_grads: list, weighted: list, update) -> None:
+    """Walk each view's decoder, then its encoder, back once, handing every
+    parameter's gradient to `update`. View v's latent gradient is l_ae's
+    (`ae_grads[v]` holds it in the reconstruction and in the latents),
+    plus the decoder's input gradient, plus weight * gradient for each
+    (weight, per-view term gradients) pair of `weighted`, added in order."""
+    for v, (grad_x_hat, grad_z) in enumerate(ae_grads):
+        grad_z += x_hats[v].backward(grad_x_hat, update)
+        for weight, grads in weighted:
+            grad_z += weight * grads[v]
+        zs[v].backward(grad_z, update)
+
+
 def train(
     config: TrainConfig,
     dataset: MultiViewDataset,
@@ -308,7 +349,6 @@ def train(
     for epoch in range(start_epoch, last_epoch + 1):
         active = cluster_set.active(epoch, config.epochs)
         level_state, _ = refresh_level_state(bundle, features, cluster_set, active, config, warm)
-        final_common = level_state.common_labels[cluster_set.final]
 
         streams = [
             view_batches(config.seed + 1, config.batch_size, epoch, v, dataset.views[v].n) for v in range(n_views)
@@ -316,25 +356,14 @@ def train(
         sums = np.zeros(5)
         for step in range(steps):
             batch_idx = [next(streams[v]) for v in range(n_views)]
-            x_batches = [features[v][batch_idx[v]] for v in range(n_views)]
-            l_ae, zs = recon_orth_loss(x_batches, bundle, config.weights.lambda1)
-            pair_sets = [
-                build_inner_pairs(
-                    {k: level_state.view_labels[k][v] for k in active}, batch_idx[v]
-                )
-                for v in range(n_views)
-            ]
-            l_in = inner_contrastive_loss(zs, pair_sets)
-            rows = [offsets[v] + batch_idx[v] for v in range(n_views)]
-            batch_common = {k: level_state.common_labels[k][np.concatenate(rows)] for k in active}
-            l_co = common_contrastive_loss(zs, batch_common)
-            l_cr = cross_view_guidance_loss(zs, level_state.final_centroids, [final_common[r] for r in rows])
-            total = total_loss(l_ae, l_in, l_co, l_cr, config.weights)
-            if not np.isfinite(total.data):
+            terms, backward = step_objective(
+                bundle, features, offsets, batch_idx, level_state, active, cluster_set.final, config.weights
+            )
+            if not np.isfinite(terms[-1]):
                 raise NumericalError(f"non-finite total loss at epoch {epoch} step {step}")
-            opt.step(total)
-            sums += [l_ae.item(), l_in.item(), l_co.item(), l_cr.item(), total.item()]
-            del l_ae, zs, l_in, l_co, l_cr, total  # free this step's graph before the next is built
+            opt.step(backward)
+            del backward  # the step's batch arrays, before the next forward or refresh
+            sums += terms
         means = sums / steps
         loss_rows.append([float(epoch), *means.tolist()])
         level_trace.append(active)

@@ -261,11 +261,13 @@ def brute_two_partition_kmeans(z: np.ndarray) -> float:
 
 def finite_difference_gradients(params: dict, loss_fn, h: float = 1e-5) -> dict:
     """Central-difference gradient of loss_fn() w.r.t. every entry of every
-    parameter tensor. loss_fn must re-run the full forward pass."""
+    parameter array, each perturbed in place (so C-contiguous). loss_fn
+    must re-run the full forward pass."""
     grads = {}
     for name, p in params.items():
-        g = np.zeros_like(p.data)
-        flat = p.data.ravel()
+        g = np.zeros_like(p)
+        flat = p.reshape(-1)
+        assert np.shares_memory(flat, p), name
         gflat = g.ravel()
         for idx in range(flat.size):
             orig = flat[idx]
@@ -382,17 +384,21 @@ def whole_array_adam(p, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     p -= lr * (m / b1t) / (np.sqrt(v / b2t) + eps)
 
 
-def two_phase_adam_step(params, moments, t, lr, loss):
-    """Adam step `t` in two phases: the full backward of `loss`, with
-    every parameter's gradient alive at once, then `whole_array_adam` on
-    each parameter, a parameter the loss did not reach taking a zero
-    gradient. `moments` maps ``m/<name>`` and ``v/<name>`` to arrays
-    updated in place; the gradients are dropped after the update."""
-    loss.backward()
+def two_phase_adam_step(params, moments, t, lr, backward):
+    """Adam step `t` in two phases: `backward(update)` with every
+    parameter's gradient collected, all alive at once, then
+    `whole_array_adam` on each parameter. `moments` maps ``m/<name>``
+    and ``v/<name>`` to arrays updated in place."""
+    grads = {}
+
+    def collect(p, g):
+        assert id(p) not in grads
+        grads[id(p)] = g
+
+    backward(collect)
     for name, p in params.items():
-        g = np.zeros_like(p.data) if p.grad is None else p.grad
-        whole_array_adam(p.data, g, moments[f"m/{name}"], moments[f"v/{name}"], t, lr)
-        p.grad = None
+        whole_array_adam(p, grads.pop(id(p)), moments[f"m/{name}"], moments[f"v/{name}"], t, lr)
+    assert not grads
 
 
 # ---------------------------------------------------------------------------

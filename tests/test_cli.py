@@ -14,7 +14,6 @@ from umclust import cli, data
 from umclust import config as cfg
 from umclust import train as train_module
 from umclust.nn import checkpoint, load_checkpoint, save_checkpoint
-from umclust.nn.tensor import closed_form
 
 
 _real_sweep_point = cli._sweep_point
@@ -84,6 +83,15 @@ def test_sweep_values_that_print_alike_exit_2_before_the_sweep_directory(tmp_pat
     out = tmp_path / "sweep"
     assert cli.main(["sweep", "-c", str(config), "-o", str(out), "--quiet"]) == 2
     assert "sweep.lambda2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sweep_refuses_fewer_than_one_job_before_the_sweep_directory(tmp_path, capsys, jobs):
+    config = _write_config(tmp_path)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "-c", str(config), "-o", str(out), "--jobs", jobs, "--quiet"]) == 2
+    assert f"error: --jobs must be >= 1, got {jobs}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -297,7 +305,7 @@ def test_eval_builds_and_loads_only_the_encoders(tmp_path, eval_spy):
     assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 0
     bundle = eval_spy["bundle"]
     assert bundle.decoders == []
-    encoder_bytes = sum(p.data.nbytes for p in bundle.named_parameters().values())
+    encoder_bytes = sum(p.nbytes for p in bundle.named_parameters().values())
     encoder_bytes += sum(s.nbytes for s in bundle.named_stats().values())
     assert eval_spy["peak"] <= encoder_bytes + largest + (1 << 20)
     assert json.loads((out / "metrics.json").read_text(encoding="utf-8"))["scopes"] == trained["scopes"]
@@ -470,12 +478,16 @@ def test_non_finite_settings_exit_2_before_the_run_directory(tmp_path, capsys):
 def test_a_non_finite_gradient_exits_3_without_a_checkpoint(tmp_path, capsys, monkeypatch):
     # a finite guidance value with a NaN gradient in view 0's latents: Adam
     # refuses the first gradient of view 0's encoder it meets, after the
-    # layers the walk passed before it have moved, so nothing is saved
+    # layers the walk passed before it (view 0's decoder) have moved, so
+    # nothing is saved
     config = _write_config(tmp_path)
     assert cli.main(["generate", "-c", str(config), "-o", str(tmp_path / "data"), "--quiet"]) == 0
+    guidance = train_module.cross_view_guidance_loss
 
     def nan_gradient(zs, centroids, targets):
-        return closed_form(0.0, (zs[0], np.full(zs[0].shape, np.nan, zs[0].data.dtype)))
+        value, grads = guidance(zs, centroids, targets)
+        grads[0] = np.full_like(grads[0], np.nan)
+        return value, grads
 
     monkeypatch.setattr(train_module, "cross_view_guidance_loss", nan_gradient)
     out = tmp_path / "run"

@@ -23,6 +23,8 @@ from umclust.losses import (
     TEMPERATURE,
     ClusterSet,
     LossWeights,
+    _from_unit_rows,
+    _unit_rows,
     build_inner_pairs,
     common_contrastive_loss,
     cross_view_guidance_loss,
@@ -31,8 +33,7 @@ from umclust.losses import (
     total_loss,
 )
 from umclust.nn import build_bundle
-from umclust.nn.tensor import Tensor, closed_form
-from umclust.train import TrainConfig, refresh_level_state
+from umclust.train import TrainConfig, refresh_level_state, walk_back
 
 
 # ---------------------------------------------------------------------------
@@ -171,37 +172,36 @@ def test_adding_levels_shrinks_pair_sets():
 
 
 def test_inner_loss_zero_without_negatives():
-    z = Tensor(np.random.default_rng(0).normal(size=(4, 3)), requires_grad=True)
+    z = np.random.default_rng(0).normal(size=(4, 3))
     pairs = build_inner_pairs({2: np.zeros(4, dtype=int)}, np.arange(4))
-    loss = inner_contrastive_loss([z], [pairs])
-    assert loss.item() == 0.0
+    value, _ = inner_contrastive_loss([z], [pairs])
+    assert value == 0.0
 
 
 def test_inner_loss_hand_value():
     # anchors 0 and 1 are mutual positives with similarity 1; sample 2 is the
     # only negative with similarity 0: each term is -log(e^10 / e^0) = -10,
     # weighted 1/(V * b * m_i) = 1/3
-    z = Tensor(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    z = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     pairs = build_inner_pairs({2: np.array([0, 0, 1])}, np.arange(3))
-    loss = inner_contrastive_loss([z], [pairs])
-    assert loss.item() == pytest.approx(-20.0 / 3.0, abs=1e-10)
+    value, _ = inner_contrastive_loss([z], [pairs])
+    assert value == pytest.approx(-20.0 / 3.0, abs=1e-10)
 
 
 def test_inner_loss_decreases_when_positive_similarity_rises():
     def loss_at(theta):
-        z = Tensor(np.array([[1.0, 0.0], [math.cos(theta), math.sin(theta)], [-0.3, 1.0]]))
+        z = np.array([[1.0, 0.0], [math.cos(theta), math.sin(theta)], [-0.3, 1.0]])
         pairs = build_inner_pairs({2: np.array([0, 0, 1])}, np.arange(3))
-        return inner_contrastive_loss([z], [pairs]).item()
+        return inner_contrastive_loss([z], [pairs])[0]
 
     assert loss_at(0.2) < loss_at(0.8) < loss_at(1.4)
 
 
 def test_inner_loss_gradient_flows():
-    z = Tensor(np.random.default_rng(1).normal(size=(5, 3)), requires_grad=True)
+    z = np.random.default_rng(1).normal(size=(5, 3))
     pairs = build_inner_pairs({2: np.array([0, 0, 1, 1, 0])}, np.arange(5))
-    loss = inner_contrastive_loss([z], [pairs])
-    loss.backward()
-    assert z.grad is not None and np.isfinite(z.grad).all()
+    _, (grad,) = inner_contrastive_loss([z], [pairs])
+    assert grad.shape == z.shape and np.isfinite(grad).all() and grad.any()
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +210,7 @@ def test_inner_loss_gradient_flows():
 
 def _simple_common_setup():
     # one view, two samples on orthogonal axes, two common clusters
-    z = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    z = np.array([[1.0, 0.0], [0.0, 1.0]])
     common_labels = {2: np.array([0, 1])}
     return [z], common_labels
 
@@ -220,45 +220,44 @@ def test_common_loss_hand_value():
     # the other row (similarity 0): each positive term is -log(e^10/e^0) = -10
     # with weight 1/(N_b * V * b_v) = 1/4
     zs, cl = _simple_common_setup()
-    loss = common_contrastive_loss(zs, cl)
-    assert loss.item() == pytest.approx(-10.0 * 2 / 4, abs=1e-10)
+    value, _ = common_contrastive_loss(zs, cl)
+    assert value == pytest.approx(-10.0 * 2 / 4, abs=1e-10)
 
 
 def test_common_loss_skips_anchor_without_negatives():
     # one common cluster -> no negatives anywhere -> loss contributes 0
-    z = Tensor(np.array([[1.0, 0.0], [0.8, 0.2]]))
-    loss = common_contrastive_loss([z], {2: np.array([0, 0])})
-    assert loss.item() == 0.0
+    z = np.array([[1.0, 0.0], [0.8, 0.2]])
+    value, (grad,) = common_contrastive_loss([z], {2: np.array([0, 0])})
+    assert value == 0.0 and not grad.any()
 
 
 def test_common_loss_relabeling_invariance():
     rng = np.random.default_rng(3)
-    zs = [Tensor(rng.normal(size=(5, 4))), Tensor(rng.normal(size=(4, 4)))]
+    zs = [rng.normal(size=(5, 4)), rng.normal(size=(4, 4))]
     k = 3
     cl = {k: rng.integers(0, k, size=9)}
-    base = common_contrastive_loss(zs, cl).item()
+    base = common_contrastive_loss(zs, cl)[0]
     # renaming the common clusters changes no pair
     perm = np.array([2, 0, 1])
-    permuted = common_contrastive_loss(zs, {k: perm[cl[k]]}).item()
+    permuted = common_contrastive_loss(zs, {k: perm[cl[k]]})[0]
     assert permuted == base
 
 
 def test_common_loss_multi_level_average():
     zs, cl = _simple_common_setup()
-    one = common_contrastive_loss(zs, cl).item()
-    two = common_contrastive_loss(zs, {2: cl[2], 3: cl[2]}).item()
+    one = common_contrastive_loss(zs, cl)[0]
+    two = common_contrastive_loss(zs, {2: cl[2], 3: cl[2]})[0]
     assert two == pytest.approx(one, abs=1e-12)  # identical levels average to the same value
 
 
 def test_common_loss_gradient_flows_to_all_views():
     rng = np.random.default_rng(4)
-    zs = [Tensor(rng.normal(size=(4, 3)), requires_grad=True) for _ in range(2)]
+    zs = [rng.normal(size=(4, 3)) for _ in range(2)]
     k = 2
     cl = {k: rng.integers(0, k, size=8)}
-    loss = common_contrastive_loss(zs, cl)
-    loss.backward()
-    for z in zs:
-        assert z.grad is not None and np.isfinite(z.grad).all()
+    _, grads = common_contrastive_loss(zs, cl)
+    for z, grad in zip(zs, grads):
+        assert grad.shape == z.shape and np.isfinite(grad).all() and grad.any()
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +331,7 @@ def _pair_sets(view_labels, active):
     ]
 
 
-def _inner_value(zs, view_labels, active):
+def _inner_loss(zs, view_labels, active):
     return inner_contrastive_loss(zs, _pair_sets(view_labels, active))
 
 
@@ -360,13 +359,12 @@ def temperature(request, monkeypatch):
 @pytest.mark.parametrize("temperature", [TEMPERATURE, 0.5], indirect=True)
 def test_contrastive_losses_match_oracles(seed, active, temperature):
     zs, view_labels, common_labels, matchings = _contrastive_case(seed)
-    tensors = [Tensor(z) for z in zs]
     pairs = _pair_sets(view_labels, active)
     tp_sets = [[set(np.flatnonzero(p.tp[i])) for i in range(b)] for p, b in zip(pairs, SIZES)]
     tn_sets = [[set(np.flatnonzero(p.tn[i])) for i in range(b)] for p, b in zip(pairs, SIZES)]
-    inner = _inner_value(tensors, view_labels, active).item()
+    inner = _inner_loss(zs, view_labels, active)[0]
     assert inner == pytest.approx(brute_inner_contrastive(zs, tp_sets, tn_sets, temperature), rel=1e-12)
-    common = common_contrastive_loss(tensors, {k: common_labels[k] for k in active}).item()
+    common = common_contrastive_loss(zs, {k: common_labels[k] for k in active})[0]
     expected = brute_common_contrastive(zs, common_labels, view_labels, matchings, active, temperature)
     assert common == pytest.approx(expected, rel=1e-12)
 
@@ -379,7 +377,7 @@ def test_common_loss_on_a_refresh_state_matches_the_matching_oracle(temperature)
     for k in levels:
         for a in matchings[k]:
             assert np.array_equal(a.sum(axis=0), np.ones(k)) and np.array_equal(a.sum(axis=1), np.ones(k))
-    value = common_contrastive_loss([Tensor(z) for z in zs], common_labels).item()
+    value = common_contrastive_loss(zs, common_labels)[0]
     expected = brute_common_contrastive(zs, common_labels, view_labels, matchings, levels, temperature)
     assert value == pytest.approx(expected, rel=1e-12)
 
@@ -402,29 +400,29 @@ def _guidance_targets(common_labels, rng):
 def test_contrastive_gradients_match_finite_differences(seed, active, which):
     zs, view_labels, common_labels, matchings = _contrastive_case(seed)
     rng = np.random.default_rng(seed)
-    tensors = [Tensor(z, requires_grad=True) for z in zs]
-    params = {f"z{v}": t for v, t in enumerate(tensors)}
+    params = {f"z{v}": z for v, z in enumerate(zs)}
     centroids, targets = _guidance_targets(common_labels, rng)
     xs = [rng.normal(size=(b, 3)) for b in SIZES]
-    x_hats = [Tensor(rng.normal(size=(b, 3)), requires_grad=True) for b in SIZES]
+    x_hats = [rng.normal(size=(b, 3)) for b in SIZES]
     if which == "recon":
-        params.update({f"x_hat{v}": t for v, t in enumerate(x_hats)})
+        params.update({f"x_hat{v}": x_hat for v, x_hat in enumerate(x_hats)})
 
     def build():
+        """The term's value and its gradient in every array of `params`."""
         if which == "inner":
-            return _inner_value(tensors, view_labels, active)
-        if which == "common":
-            return common_contrastive_loss(tensors, {k: common_labels[k] for k in active})
-        if which == "guidance":
-            return cross_view_guidance_loss(tensors, centroids, targets)
-        # one node over both views, as recon_orth_loss builds it
-        terms = [recon_orth_term(x, xh.data, z.data, 0.7) for x, xh, z in zip(xs, x_hats, tensors)]
-        pairs = [(xh, gx) for xh, (_, gx, _) in zip(x_hats, terms)] + [(z, gz) for z, (*_, gz) in zip(tensors, terms)]
-        return closed_form(sum(t[0] for t in terms), *pairs)
+            value, grads = _inner_loss(zs, view_labels, active)
+        elif which == "common":
+            value, grads = common_contrastive_loss(zs, {k: common_labels[k] for k in active})
+        elif which == "guidance":
+            value, grads = cross_view_guidance_loss(zs, centroids, targets)
+        else:  # summed over both views, as recon_orth_loss sums it
+            terms = [recon_orth_term(x, xh, z, 0.7) for x, xh, z in zip(xs, x_hats, zs)]
+            value = sum(t[0] for t in terms)
+            grads = [gz for *_, gz in terms] + [gx for _, gx, _ in terms]
+        return value, dict(zip(params, grads))
 
-    build().backward()
-    numeric = finite_difference_gradients(params, lambda: build().item())
-    grads = {name: np.zeros_like(t.data) if t.grad is None else t.grad for name, t in params.items()}
+    _, grads = build()
+    numeric = finite_difference_gradients(params, lambda: build()[0])
     assert all(np.isfinite(g).all() for g in grads.values())
     if which == "guidance":
         # the row whose target assignment sits at the floor passes nothing back
@@ -442,48 +440,45 @@ def test_contrastive_gradients_match_finite_differences(seed, active, which):
 def test_an_all_zero_latent_row_gives_a_finite_value_and_a_zero_gradient(which, dtype):
     zs, view_labels, common_labels, _ = _contrastive_case(0)
     assert not zs[0][2].any()
-    tensors = [Tensor(z.astype(dtype), requires_grad=True) for z in zs]
+    zs = [z.astype(dtype) for z in zs]
     if which == "inner":
-        loss = _inner_value(tensors, view_labels, (2,))
+        value, grads = _inner_loss(zs, view_labels, (2,))
     else:
-        loss = common_contrastive_loss(tensors, common_labels)
-    assert loss.data.dtype == dtype and np.isfinite(loss.item())
-    loss.backward()
-    assert all(t.grad.dtype == dtype and np.isfinite(t.grad).all() for t in tensors)
-    assert np.all(tensors[0].grad[2] == 0.0)
-    assert np.all((tensors[0].grad != 0.0).any(axis=1)[[0, 1, 3, 4, 5]])
+        value, grads = common_contrastive_loss(zs, common_labels)
+    assert value.dtype == dtype and np.isfinite(value)
+    assert all(g.dtype == dtype and np.isfinite(g).all() for g in grads)
+    assert np.all(grads[0][2] == 0.0)
+    assert np.all((grads[0] != 0.0).any(axis=1)[[0, 1, 3, 4, 5]])
 
 
 @pytest.mark.parametrize("which", ["inner", "common"])
 def test_contrastive_losses_stay_non_finite_on_non_finite_latents(which):
     zs, view_labels, common_labels, matchings = _contrastive_case(0)
     zs[1][4, 0] = np.nan
-    tensors = [Tensor(z) for z in zs]
     if which == "inner":
-        loss = _inner_value(tensors, view_labels, LEVELS)
+        value, _ = _inner_loss(zs, view_labels, LEVELS)
     else:
-        loss = common_contrastive_loss(tensors, common_labels)
-    assert not np.isfinite(loss.item())
+        value, _ = common_contrastive_loss(zs, common_labels)
+    assert not np.isfinite(value)
 
 
 def test_common_loss_graph_holds_no_anchor_by_view_arrays():
     # views8 shape: 8 views x 256 rows, D=32, 3 levels. Similarities are
-    # N x b_v per view and level; none of them may stay in the graph, so no
-    # reachable tensor exceeds the N x D latent union.
+    # N x b_v per view and level; none of them may outlive the call, so
+    # what it returns (the value and the latent gradients) holds no more
+    # than the N x D latent union.
     rng = np.random.default_rng(11)
     n_views, b, dim, levels = 8, 256, 32, (2, 5, 10)
-    zs = [Tensor(rng.normal(size=(b, dim)), requires_grad=True) for _ in range(n_views)]
+    zs = [rng.normal(size=(b, dim)) for _ in range(n_views)]
     cl = {k: rng.integers(0, k, size=n_views * b) for k in levels}
-    loss = common_contrastive_loss(zs, cl)
-    seen, stack, largest = set(), [loss], 0
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        largest = max(largest, node.data.size)
-        stack.extend(node._parents)
-    assert largest <= n_views * b * dim
+    tracemalloc.start()
+    try:
+        value, grads = common_contrastive_loss(zs, cl)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert [g.shape for g in grads] == [z.shape for z in zs]
+    assert held <= n_views * b * dim * 8 + (1 << 16)
 
 
 def _blockwise_case(sizes, dim, levels, seed=0, absent=False, single=False):
@@ -521,10 +516,7 @@ BLOCKWISE_CASES = {
 
 
 def _assert_matches_blockwise(zs, labels, temperature):
-    tensors = [Tensor(z, requires_grad=True) for z in zs]
-    loss = common_contrastive_loss(tensors, labels)
-    loss.backward()
-    value, grads = loss.item(), [t.grad for t in tensors]
+    value, grads = common_contrastive_loss(zs, labels)
     ref_value, ref_grads = blockwise_common_contrastive(zs, labels, temperature)
     assert value == pytest.approx(ref_value, rel=1e-12)
     for g, ref in zip(grads, ref_grads):
@@ -545,15 +537,16 @@ def test_common_loss_matches_the_blockwise_reference(case, temperature):
 
 
 def test_common_loss_backward_stays_within_its_memory_bound():
-    # views8 shape: one b x N float64 array is 4 MB here; the call and its
-    # backward may hold at most four of them at once
+    # views8 shape: one b x N float64 array is 4 MB here; the call, which
+    # computes the value and its gradients, may hold at most four of them
+    # at once
     rng = np.random.default_rng(12)
     n_views, b, dim, levels = 8, 256, 32, (2, 5, 10)
-    zs = [Tensor(rng.normal(size=(b, dim)), requires_grad=True) for _ in range(n_views)]
+    zs = [rng.normal(size=(b, dim)) for _ in range(n_views)]
     cl = {k: rng.integers(0, k, size=n_views * b) for k in levels}
     tracemalloc.start()
     try:
-        common_contrastive_loss(zs, cl).backward()
+        common_contrastive_loss(zs, cl)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -566,27 +559,25 @@ def test_common_loss_backward_stays_within_its_memory_bound():
 
 def test_guidance_hand_case_pulls_every_view():
     # both views' samples sit in common clusters [0, 1]; each view weighs (2-1)/2^2
-    z0 = Tensor(np.array([[0.0, 0.0], [1.0, 0.0]]), requires_grad=True)
-    z1 = Tensor(np.array([[1.0, 1.0], [2.0, 0.0]]), requires_grad=True)
+    z0 = np.array([[0.0, 0.0], [1.0, 0.0]])
+    z1 = np.array([[1.0, 1.0], [2.0, 0.0]])
     centroids = np.array([[0.0, 0.0], [3.0, 0.0]])
-    loss = cross_view_guidance_loss([z0, z1], centroids, [np.array([0, 1]), np.array([0, 1])])
+    value, grads = cross_view_guidance_loss([z0, z1], centroids, [np.array([0, 1]), np.array([0, 1])])
     # view 0: sample 0 has q = (1, 0.1)/1.1, target 0; sample 1 has q = (0.5, 0.2)/0.7, target 1
     # view 1: sample 0 has q = (1/3, 1/6)/(1/2), target 0; sample 1 has q = (0.2, 0.5)/0.7, target 1
     view0 = (math.log(1.1) + math.log(3.5)) / 2
     view1 = (math.log(1.5) + math.log(1.4)) / 2
-    assert loss.item() == pytest.approx((view0 + view1) / 4, rel=1e-12)
-    loss.backward()
-    for z in (z0, z1):
-        assert z.grad is not None and np.any(z.grad != 0)
+    assert value == pytest.approx((view0 + view1) / 4, rel=1e-12)
+    for grad in grads:
+        assert np.any(grad != 0)
 
 
 def test_guidance_zero_without_reliable_peers():
     # one view has no peer: its weight (1-1)/1^2 is 0
-    z = Tensor(np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]]), requires_grad=True)
-    loss = cross_view_guidance_loss([z], np.eye(2), [np.array([0, 1, 0])])
-    assert loss.item() == 0.0
-    loss.backward()
-    assert z.grad is None or not np.any(z.grad)
+    z = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]])
+    value, (grad,) = cross_view_guidance_loss([z], np.eye(2), [np.array([0, 1, 0])])
+    assert value == 0.0
+    assert not np.any(grad)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -595,7 +586,7 @@ def test_guidance_matches_the_matching_oracle(seed):
     k = LEVELS[-1]
     centroids = np.random.default_rng(seed).normal(size=(k, 4))
     split = np.split(common_labels[k], np.cumsum(SIZES)[:-1])
-    value = cross_view_guidance_loss([Tensor(z) for z in zs], centroids, split).item()
+    value = cross_view_guidance_loss(zs, centroids, split)[0]
     expected = brute_cross_view_guidance(zs, centroids, matchings[k], view_labels[k])
     assert value == pytest.approx(expected, rel=1e-12)
 
@@ -604,7 +595,7 @@ def test_guidance_on_a_refresh_state_matches_the_matching_oracle():
     state, zs, view_labels, common_labels, matchings = _refresh_case()
     k = max(common_labels)
     split = np.split(common_labels[k], len(zs))
-    value = cross_view_guidance_loss([Tensor(z) for z in zs], state.final_centroids, split).item()
+    value = cross_view_guidance_loss(zs, state.final_centroids, split)[0]
     expected = brute_cross_view_guidance(zs, state.final_centroids, matchings[k], view_labels[k])
     assert value == pytest.approx(expected, rel=1e-12)
 
@@ -615,23 +606,114 @@ def test_guidance_on_a_refresh_state_matches_the_matching_oracle():
 
 def test_total_loss_weighted_sum():
     w = LossWeights(lambda1=1.0, lambda2=2.0, lambda3=3.0, lambda4=4.0)
-    one = Tensor(1.0)
-    assert total_loss(one, one, one, one, w).item() == pytest.approx(10.0)
+    assert total_loss(1.0, 1.0, 1.0, 1.0, w) == pytest.approx(10.0)
     w0 = LossWeights(lambda2=0.0, lambda3=0.0, lambda4=0.0)
-    assert total_loss(Tensor(5.0), one, one, one, w0).item() == pytest.approx(5.0)
+    assert total_loss(5.0, 1.0, 1.0, 1.0, w0) == pytest.approx(5.0)
+
+
+class _Walk:
+    """A network's output for `walk_back`: records the gradient it is
+    walked back from, and returns `input_grad`."""
+
+    def __init__(self, input_grad=None):
+        self.input_grad, self.walked = input_grad, []
+
+    def backward(self, grad, update):
+        self.walked.append(grad.copy())
+        return self.input_grad
 
 
 def test_total_loss_gradient_is_weighted_sum():
+    # each encoder is walked back from l_ae's latent gradient, plus its
+    # decoder's input gradient, plus lambda2, lambda3 and lambda4 times the
+    # other terms', added in that order in the latents' dtype
     rng = np.random.default_rng(8)
-    x = Tensor(rng.normal(size=(3,)), requires_grad=True)
+    w = LossWeights(lambda2=0.01, lambda3=3.0, lambda4=1000.0)
+    arrays = lambda: [rng.normal(size=(4, 3)).astype(np.float32) for _ in range(2)]
+    ae_x_hat, ae_z, decoded, inner, common, guidance = (arrays() for _ in range(6))
+    zs, x_hats = [_Walk() for _ in range(2)], [_Walk(d) for d in decoded]
+    weighted = [(w.lambda2, list(inner)), (w.lambda3, list(common)), (w.lambda4, list(guidance))]
+    walk_back(list(zs), list(x_hats), [(x, z.copy()) for x, z in zip(ae_x_hat, ae_z)], weighted, None)
+    for v in range(2):
+        expected = ae_z[v] + decoded[v]
+        for weight, grads in ((w.lambda2, inner), (w.lambda3, common), (w.lambda4, guidance)):
+            expected += np.float32(weight) * grads[v]
+        assert [g.dtype for g in x_hats[v].walked + zs[v].walked] == [np.float32] * 2
+        assert np.array_equal(x_hats[v].walked[0], ae_x_hat[v])
+        assert np.array_equal(zs[v].walked[0], expected)
 
-    def parts():
-        # sum(x^2), then sum(c x) for c = 2, -1 and 0.5, each with its gradient
-        return closed_form(float(x.data @ x.data), (x, 2 * x.data)), *(
-            closed_form(c * float(x.data.sum()), (x, np.full(3, c))) for c in (2.0, -1.0, 0.5)
-        )
 
-    w = LossWeights(lambda2=2.0, lambda3=3.0, lambda4=4.0)
-    total_loss(*parts(), w).backward()
-    expected = 2 * x.data + 2 * 2.0 + 3 * -1.0 + 4 * 0.5
-    assert np.allclose(x.grad, expected, atol=1e-12)
+def test_total_loss_is_summed_in_float64_and_held_in_the_dtype_of_l_ae():
+    w = LossWeights(lambda2=0.01, lambda3=0.01, lambda4=1000.0)
+    terms = [np.float32(v) for v in (0.3, 1.7, -2.9, 1e-4)]
+    total = total_loss(*terms, w)
+    assert total.dtype == np.float32
+    assert total == np.float32(float(terms[0]) + 0.01 * float(terms[1]) + 0.01 * float(terms[2]) + 1000.0 * float(terms[3]))
+
+
+# ---------------------------------------------------------------------------
+# row normalization under the contrastive terms
+
+
+def row_normalize(z: np.ndarray, weights: np.ndarray | None = None):
+    """The unit rows u of `z`, normalized as the contrastive terms do, then
+    sum(weights * u), or sum(u * u) without `weights`, and its gradient in `z`."""
+    u, norm = _unit_rows(z)
+    if weights is None:
+        value, grad = (u * u).sum(), 2.0 * u
+    else:
+        value, grad = (u * weights).sum(), weights.astype(u.dtype)
+    return u, float(value), _from_unit_rows(grad, u, norm)
+
+
+def test_row_normalize_grad():
+    rng = np.random.default_rng(7)
+    z, w = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+    numeric = finite_difference_gradients({"z": z}, lambda: row_normalize(z, w)[1], h=1e-6)
+    assert np.allclose(row_normalize(z, w)[2], numeric["z"], atol=1e-6, rtol=1e-4)
+
+
+def test_row_normalize_zero_row_is_safe():
+    out, _, grad = row_normalize(np.array([[0.0, 0.0], [3.0, 4.0]]))
+    assert np.allclose(out, [[0.0, 0.0], [0.6, 0.8]])
+    assert np.isfinite(grad).all()
+    assert np.allclose(grad[0], 0.0)
+
+
+def test_row_normalize_zero_row_passes_zero_gradient():
+    rng = np.random.default_rng(7)
+    data = rng.normal(size=(4, 3))
+    data[1] = 0.0
+    w = rng.normal(size=(4, 3))  # non-zero upstream on the zero row too
+    out, _, grad = row_normalize(data, w)
+    assert np.array_equal(out[1], np.zeros(3))
+    assert np.array_equal(grad[1], np.zeros(3))
+    # the other rows match the same rows normalized without the zero row,
+    # bit for bit, and the unmasked formula
+    rows = np.array([0, 2, 3])
+    ref_out, _, ref_grad = row_normalize(data[rows], w[rows])
+    assert np.array_equal(out[rows], ref_out)
+    assert np.array_equal(grad[rows], ref_grad)
+    norm = np.sqrt((data[rows] ** 2).sum(axis=1, keepdims=True))
+    u = data[rows] / norm
+    assert np.allclose(out[rows], u, rtol=1e-14, atol=0.0)
+    expected = (w[rows] - u * (u * w[rows]).sum(axis=1, keepdims=True)) / norm
+    assert np.allclose(grad[rows], expected, rtol=1e-12, atol=1e-15)
+
+
+def test_row_normalize_zero_row_is_safe_in_float32():
+    # a fixed 1e-60 floor flushes to 0 in float32, and 0 / 0 warns
+    out, _, grad = row_normalize(np.array([[0.0, 0.0], [3.0, 4.0]], np.float32))
+    assert out.dtype == np.float32
+    assert np.array_equal(out[0], [0.0, 0.0]) and np.allclose(out[1], [0.6, 0.8], atol=1e-7)
+    assert grad.dtype == np.float32 and np.array_equal(grad[0], [0.0, 0.0])
+
+
+def test_row_normalize_zero_row_passes_zero_gradient_in_float32():
+    rng = np.random.default_rng(7)
+    data = rng.normal(size=(4, 3)).astype(np.float32)
+    data[1] = 0.0
+    w = rng.normal(size=(4, 3)).astype(np.float32)
+    _, _, grad = row_normalize(data, w)
+    assert grad.dtype == np.float32
+    assert np.array_equal(grad[1], np.zeros(3)) and np.isfinite(grad).all()

@@ -4,34 +4,31 @@ The guidance term is no longer gated on per-view silhouettes: the gate
 kept it at 0 for whole runs, so it was removed.
 """
 
+import functools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from damage import flip_a_data_byte
+from oracles import finite_difference_gradients, max_relative_gradient_error
 from umclust.cluster import kmeans
-from umclust.data import MultiViewDataset, SyntheticSpec, ViewData, synthesize, view_batches
+from umclust.data import MultiViewDataset, SyntheticSpec, ViewData, scale_dataset, synthesize, view_batches
 from umclust.errors import CheckpointError, DataError, NumericalError, ShapeError
 from umclust import losses
-from umclust.losses import (
-    ClusterSet,
-    LossWeights,
-    build_inner_pairs,
-    common_contrastive_loss,
-    cross_view_guidance_loss,
-    inner_contrastive_loss,
-    recon_orth_loss,
-    total_loss,
-)
+from umclust.losses import ClusterSet, LossWeights, recon_orth_loss
 from umclust.metrics import nmi
 from umclust import train as train_module
 from umclust.nn import Adam, Tensor, build_bundle, load_checkpoint
+from umclust.nn.mlp import Linear
 from umclust.train import (
     TrainConfig,
     refresh_level_state,
     run_hash,
+    step_objective,
     train,
+    walk_back,
 )
 
 
@@ -184,34 +181,31 @@ def test_one_float32_step_holds_every_model_array_in_float32(monkeypatch):
     state, latents = refresh_level_state(bundle, features, cs, cs.levels, cfg, {})
     assert all(z.dtype == np.float64 for z in latents) and state.final_centroids.dtype == np.float64
 
-    nodes, contributions, arrays = [], [], []
-    result, accumulate = Tensor._result, Tensor._accumulate
+    walked, handed, arrays = [], [], []
+    backward = Tensor.backward
 
-    def record_node(data, parents, backward):
-        nodes.append(result(data, parents, backward))
-        return nodes[-1]
+    def record_walk(self, grad, update):
+        def record_update(p, g):
+            handed.append(g.dtype)
+            update(p, g)
 
-    def record_contribution(self, grad):
-        accumulate(self, grad)
-        contributions.append((grad.dtype, self.grad.dtype))
+        walked.append((self.data.dtype, grad.dtype))
+        input_grad = backward(self, grad, record_update)
+        walked.append(None if input_grad is None else input_grad.dtype)
+        return input_grad
 
-    monkeypatch.setattr(Tensor, "_result", staticmethod(record_node))
-    monkeypatch.setattr(Tensor, "_accumulate", record_contribution)
+    monkeypatch.setattr(Tensor, "backward", record_walk)
     monkeypatch.setattr(losses, "np", _NumpySpy(arrays))
     batch = [np.arange(cfg.batch_size) for _ in ds.views]
-    rows = [offset + idx for offset, idx in zip(ds.row_offsets(), batch)]
-    l_ae, zs = recon_orth_loss([f[idx] for f, idx in zip(features, batch)], bundle, cfg.weights.lambda1)
-    pairs = [build_inner_pairs({k: state.view_labels[k][v] for k in cs.levels}, idx) for v, idx in enumerate(batch)]
-    l_in = inner_contrastive_loss(zs, pairs)
-    l_co = common_contrastive_loss(zs, {k: state.common_labels[k][np.concatenate(rows)] for k in cs.levels})
-    l_cr = cross_view_guidance_loss(zs, state.final_centroids, [state.common_labels[cs.final][r] for r in rows])
-    total = total_loss(l_ae, l_in, l_co, l_cr, cfg.weights)
-    assert nodes and all(t.data.dtype == np.float32 for t in nodes)
+    terms, walk = step_objective(bundle, features, ds.row_offsets(), batch, state, cs.levels, cs.final, cfg.weights)
+    assert all(t.dtype == np.float32 for t in terms)
     assert arrays and [a for a in arrays if a[2] != np.float32] == []
     opt = Adam(bundle.named_parameters(), cfg.learning_rate)
-    opt.step(total)
-    assert contributions and set(contributions) == {(np.dtype(np.float32), np.dtype(np.float32))}
-    assert all(p.data.dtype == np.float32 for p in bundle.named_parameters().values())
+    opt.step(walk)
+    f32 = np.dtype(np.float32)
+    assert walked and set(walked) == {(f32, f32), f32, None}
+    assert len(handed) == len(bundle.named_parameters()) and set(handed) == {f32}
+    assert all(p.dtype == np.float32 for p in bundle.named_parameters().values())
     assert all(a.dtype == np.float32 for a in opt.state_arrays().values())
     assert all(z.dtype == np.float64 for z in bundle.encode_all(features, train=False))
 
@@ -288,8 +282,8 @@ def test_ablated_run_equals_plain_autoencoder(tmp_path):
         streams = [view_batches(cfg.seed + 1, cfg.batch_size, epoch, v, ds.views[v].n) for v in range(ds.n_views)]
         for _ in range(3):
             xb = [feats[v][next(streams[v])] for v in range(ds.n_views)]
-            loss, _ = recon_orth_loss(xb, bundle, 0.0)
-            opt.step(loss)
+            _, ae_grads, zs, x_hats = recon_orth_loss(xb, bundle, 0.0)
+            opt.step(functools.partial(walk_back, zs, x_hats, ae_grads, []))
     # the trainer run must land on numerically identical parameters; its
     # finished checkpoint holds the encoders, which every decoder step moved
     params, _ = bundle.model_arrays(encoders_only=True)
@@ -299,93 +293,126 @@ def test_ablated_run_equals_plain_autoencoder(tmp_path):
             assert np.array_equal(ck[f"param/{name}"], p), name
 
 
+def _spy_on_gradients(monkeypatch):
+    """Weak references to every parameter gradient the training steps
+    hand to Adam, and a list that gets each bundle `train` builds."""
+    built, handed = [], []
+    real_build, real_walk = train_module.build_bundle, train_module.walk_back
+
+    def build(*args, **kwargs):
+        built.append(real_build(*args, **kwargs))
+        return built[-1]
+
+    def walk(*args):
+        *walk_args, update = args
+
+        def spy(p, g):
+            handed.append((weakref.ref(g), g.nbytes))
+            update(p, g)
+
+        real_walk(*walk_args, spy)
+
+    monkeypatch.setattr(train_module, "build_bundle", build)
+    monkeypatch.setattr(train_module, "walk_back", walk)
+    return built, handed
+
+
+def _alive_bytes(handed) -> int:
+    return sum(nbytes for ref, nbytes in handed if ref() is not None)
+
+
 def test_no_parameter_gradient_outlives_its_step(tmp_path, monkeypatch):
     # every refresh, the final scoring and the checkpoint write run with no
     # gradient alive, and none is left when train() returns
-    built, seen = [], []
-
-    def build(*args, **kwargs):
-        built.append(build_bundle(*args, **kwargs))
-        return built[-1]
+    built, handed = _spy_on_gradients(monkeypatch)
+    seen = []
 
     def alive_then(name, fn):
         def wrapped(*args, **kwargs):
-            seen.append((name, sum(p.grad is not None for p in built[0].named_parameters().values())))
+            seen.append((name, _alive_bytes(handed)))
             return fn(*args, **kwargs)
 
         return wrapped
 
-    monkeypatch.setattr(train_module, "build_bundle", build)
     for name in ("refresh_level_state", "evaluate", "save_checkpoint"):
         monkeypatch.setattr(train_module, name, alive_then(name, getattr(train_module, name)))
     train(small_config(epochs=4), small_dataset(), out_dir=tmp_path)
     assert [name for name, _ in seen] == ["refresh_level_state"] * 4 + ["evaluate", "save_checkpoint"]
-    assert all(alive == 0 for _, alive in seen), seen
-    assert all(p.grad is None for p in built[0].named_parameters().values())
+    assert handed and all(alive == 0 for _, alive in seen), seen
+    assert _alive_bytes(handed) == 0
 
 
 @pytest.mark.parametrize("batchnorm", [True, False], ids=["batchnorm", "relu"])
-def test_every_training_step_records_its_layer_nodes_plus_five(monkeypatch, batchnorm):
-    # the graph of a step is a node list: one node per layer (a hidden
-    # layer's linear map, batch norm and ReLU are one node), and one per
-    # loss term (l_ae, l_in, l_co, l_cr) plus the total, whatever the
-    # number of views
-    spec = SyntheticSpec(clusters=3, views=3, dims=(6, 7, 5), samples_per_cluster=12, separation=8.0, noise_std=1.0)
-    built, counts, recorded = [], [], []
-    result, backward = Tensor._result, Tensor.backward
+def test_one_step_hands_update_the_finite_difference_gradient_of_the_total_loss(float64_model, batchnorm):
+    # one float64 step of three views at nonzero weights, as `train` takes
+    # it: the walk hands every parameter its gradient exactly once, and
+    # each is that of central differences of the total loss. Biases start
+    # off zero, so no latent row is exactly zero, where ReLU and the row
+    # normalization have kinks
+    spec = SyntheticSpec(clusters=3, views=3, dims=(4, 5, 3), samples_per_cluster=4, separation=8.0, noise_std=1.0)
+    ds = scale_dataset(synthesize(spec), "minmax")
+    weights = LossWeights(lambda1=0.7, lambda2=0.3, lambda3=0.2, lambda4=0.5)
+    cfg = small_config(latent_dim=3, hidden_dims=(4,), batchnorm=batchnorm, weights=weights)
+    bundle = build_bundle(ds.feature_dims(), cfg.latent_dim, cfg.hidden_dims, batchnorm, cfg.seed)
+    assert bundle.dtype == np.float64
+    rng = np.random.default_rng(3)
+    for name, p in bundle.named_parameters().items():
+        if name.endswith(("bias", "beta")):
+            p[...] = rng.normal(scale=0.1, size=p.shape)
+    features = ds.feature_matrices()
+    cs = ClusterSet.default(ds.n_clusters)
+    state, _ = refresh_level_state(bundle, features, cs, cs.levels, cfg, {})
+    batch = [np.arange(0, v.n, 2) for v in ds.views]
 
-    def build(*args, **kwargs):
-        built.append(build_bundle(*args, **kwargs))
-        return built[-1]
+    def objective():
+        return step_objective(bundle, features, ds.row_offsets(), batch, state, cs.levels, cs.final, weights)
 
-    def record_node(data, parents, rule):
-        out = result(data, parents, rule)
-        recorded.append(out._backward is not None)
-        return out
+    terms, walk = objective()
+    assert all(t != 0 for t in terms)
+    params = bundle.named_parameters()
+    grads = {}
 
-    def count_then_backward(self, on_leaf_done=None):
-        counts.append(sum(recorded))
-        recorded.clear()
-        backward(self, on_leaf_done)
+    def update(p, g):
+        assert id(p) not in grads
+        grads[id(p)] = g
 
-    monkeypatch.setattr(train_module, "build_bundle", build)
-    monkeypatch.setattr(Tensor, "_result", staticmethod(record_node))
-    monkeypatch.setattr(Tensor, "backward", count_then_backward)
-    train(small_config(epochs=4, batch_size=16, batchnorm=batchnorm), synthesize(spec))
-    bundle = built[0]
-    layers = sum(len(mlp.linears) for mlp in bundle.encoders + bundle.decoders)
-    assert layers == 2 * 2 * 3
-    assert counts == [layers + 5] * (4 * 3)
+    walk(update)
+    assert set(grads) == {id(p) for p in params.values()}
+    numeric = finite_difference_gradients(params, lambda: float(objective()[0][-1]))
+    analytic = {name: grads[id(p)] for name, p in params.items()}
+    assert max_relative_gradient_error(analytic, numeric) < 1e-5
 
 
 def test_a_training_step_holds_the_parameter_gradients_of_one_node_at_a_time(monkeypatch):
-    # Adam updates each parameter inside backward and drops its gradient
-    # once the walk has passed the layer that uses it, so the parameter
-    # gradients alive at any contribution never outweigh the parameters of
-    # the largest layer node (weight, bias, and a hidden layer's gamma and
-    # beta), let alone the whole model
-    built, alive = [], []
-    accumulate = Tensor._accumulate
+    # the walk hands each parameter's gradient to Adam and frees it once
+    # applied, so the parameter gradients alive at any update never
+    # outweigh the parameters of the largest layer (weight, bias, and a
+    # hidden layer's gamma and beta), let alone the whole model, and none
+    # is alive while the next layer's rule computes
+    built, handed = _spy_on_gradients(monkeypatch)
+    alive, between = [], []
+    update, linear_backward = Adam._update, Linear.backward
 
-    def build(*args, **kwargs):
-        built.append(build_bundle(*args, **kwargs))
-        return built[-1]
+    def record(self, *args):
+        alive.append(_alive_bytes(handed))
+        update(self, *args)
 
-    def record(self, grad):
-        accumulate(self, grad)
-        alive.append(sum(p.grad.nbytes for p in built[0].named_parameters().values() if p.grad is not None))
+    def record_rule(self, *args):
+        between.append(_alive_bytes(handed))
+        return linear_backward(self, *args)
 
-    monkeypatch.setattr(train_module, "build_bundle", build)
-    monkeypatch.setattr(Tensor, "_accumulate", record)
+    monkeypatch.setattr(Adam, "_update", record)
+    monkeypatch.setattr(Linear, "backward", record_rule)
     train(small_config(epochs=4, hidden_dims=(16, 16)), small_dataset())
+    assert between and max(between) == 0
     bundle = built[0]
     largest = max(
-        sum(p.data.nbytes for p in (lin.weight, lin.bias, *((norm.gamma, norm.beta) if norm else ())))
+        sum(p.nbytes for p in (lin.weight, lin.bias, *((norm.gamma, norm.beta) if norm else ())))
         for net in bundle.encoders + bundle.decoders
         for lin, norm in zip(net.linears, net.norms)
     )
     assert 0 < max(alive) <= largest
-    assert largest < sum(p.data.nbytes for p in bundle.named_parameters().values()) / 4
+    assert largest < sum(p.nbytes for p in bundle.named_parameters().values()) / 4
 
 
 def test_checkpoint_resume_bit_identical(tmp_path):
