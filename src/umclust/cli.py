@@ -7,8 +7,8 @@ checkpoint holds nothing else, so `eval` builds the encoders alone,
 draws no weights for them and reads only encoder entries. The checkpoint
 of a run that stopped early is refused before any entry is read.
 
-Exit codes: 0 on success, 2 for configuration or input errors, 3 for
-numerical failures during training.
+Exit codes: 0 on success, 2 for configuration, input or output errors,
+3 for numerical failures during training.
 """
 
 from __future__ import annotations
@@ -40,12 +40,14 @@ logger = logging.getLogger("umclust")
 
 
 def _resolve_out(args) -> Path:
+    """`--out`, else $UMCLUST_OUT_ROOT/<command>-<config stem>; eval reads train's."""
     if args.out is not None:
         return Path(args.out)
     root = os.environ.get(OUT_ROOT_ENV)
     if root is None:
         raise ConfigError(f"--out not given and ${OUT_ROOT_ENV} is unset")
-    return Path(root) / f"{args.command}-{Path(args.config).stem}"
+    command = "train" if args.command == "eval" else args.command
+    return Path(root) / f"{command}-{Path(args.config).stem}"
 
 
 def _prepare_run_dir(out: Path, force: bool) -> Path:
@@ -268,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except UmclustError as exc:
+    except (UmclustError, OSError) as exc:  # an OSError names the path it could not read or write
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,13 +7,12 @@ maximum-weight bipartite matching, and cluster-structure matching
 between views that share no space; each matching is an index map.
 
 Training re-clusters every view at every level of every refresh, so
-K-means carries the cost: in a cProfile of a `many-samples` bench train
-(dataset seed 11, 2 cores) it took 2.0 s of 5.0 s, mostly in `_sqdist`
-(0.97 s) and `cluster_means` (0.57 s, one `bincount` that adds rows in
-index order). `_pairwise_distances` sees only k x k centroid
-distances. `match_structure` screens all k^2 / 2 swaps of a sweep in
-O(k^3) and computes the O(k^2) objective only for swaps that may lower
-it. `silhouette_view` runs on no training path; it stays because the
+K-means carries the cost of a narrow-view train, mostly in `_sqdist`
+and `cluster_means` (one `bincount` that adds rows in index order).
+`_pairwise_distances` sees only k x k centroid distances.
+`match_structure` screens all k^2 / 2 swaps of a sweep in O(k^3) and
+computes the O(k^2) objective only for swaps that may lower it.
+`silhouette_view` runs on no training path; it stays because the
 benchmark's tracer (`bench/spans.py`) wraps it.
 """
 

@@ -13,7 +13,9 @@ samples that share the anchor's common-view cluster, and l_cr guides
 every view: each of its samples' heavy-tailed assignments to the
 common centroids is pulled, by cross-entropy, toward the centroid of
 the sample's common cluster, weighted (V-1)/V^2 per view. The lambdas
-are the `LossWeights` of YAML section ``train.weights``.
+are the `LossWeights` of YAML section ``train.weights``; lambda1 is
+read by l_ae itself, and `train.step_objective` pairs lambda2-lambda4
+with their terms and sums the total.
 
 The common view enters both cross-view terms as labels only: one
 common cluster per sample and level. How the views' clusters were
@@ -22,29 +24,29 @@ assignments, centroids and common labels are all recomputed outside
 the loss terms and enter them as constants; gradients flow only through
 the current batch representations.
 
-Every term computes its value and its gradient in each view's latent
-batch (and, for l_ae, in each reconstruction) together, in numpy, over
-all views. l_in, l_co and l_cr take the latent arrays and return
-(value, per-view gradients); `recon_orth_loss` runs the recorded
-forward and also returns the latents and reconstructions that
-`train.walk_back` walks back. Each value is held in the latents' dtype,
-and so is `total_loss`, the weighted sum of the four values. l_ae and
-l_cr have textbook gradients (l_cr's is DEC's, Xie et al. 2016). l_in
-and l_co, both NT-Xent at the constant `TEMPERATURE`, normalize each
-latent row inside the term (`_unit_rows`) and map their gradient in the
-unit rows back to the latents; an all-zero row gets a finite value and
-a gradient of exactly 0. l_in runs `_nt_xent_rows` per view. l_co takes
-one similarity product and one exponent per anchor view (b_v x N, for
-the N rows of the concatenated batch) and reads every active level off
-them through cluster-indicator products, so its cost does not grow with
-the number of levels. Its two b_max x N buffers are allocated once per
-call.
+Every term takes plain arrays, one per view, and returns its value and
+its per-view gradients, computed together in numpy over all views; no
+term runs a network. l_in, l_co and l_cr take the latent batches and
+return one latent gradient per view. `recon_orth_loss` takes the input
+batches, their reconstructions and the latents, and returns per view
+the pair (gradient in the reconstruction, gradient in the latents).
+l_ae and l_cr have textbook gradients (l_cr's is DEC's, Xie et al.
+2016). l_in and l_co, both NT-Xent at the constant `TEMPERATURE`,
+normalize each latent row inside the term (`_unit_rows`) and map their
+gradient in the unit rows back to the latents; an all-zero row gets a
+finite value and a gradient of exactly 0. l_in runs `_nt_xent_rows` per
+view. l_co takes one similarity product and one exponent per anchor
+view (b_v x N, for the N rows of the concatenated batch) and reads
+every active level off them through cluster-indicator products, so its
+cost does not grow with the number of levels. Its two b_max x N buffers
+are allocated once per call.
 
-Every term computes in the dtype of the latents it is given. Its
-constants (the identity of the Gram term, the guidance targets and
-centroids, l_co's cluster indicators, weights and buffers) are built in
-that dtype, so a float32 model's step holds no float64 array of the
-batch's size.
+Every term computes, and holds its value, in the dtype of the arrays
+it is given: `recon_orth_loss` casts each input batch to its
+reconstruction's dtype. A term's constants (the identity of the Gram
+term, the guidance targets and centroids, l_co's cluster indicators,
+weights and buffers) are built in that dtype, so a float32 model's step
+holds no float64 array of the batch's size.
 """
 
 from __future__ import annotations
@@ -55,8 +57,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .nn.mlp import AutoencoderBundle
-from .nn.tensor import Tensor
 
 DISTRIBUTION_FLOOR = 1e-8
 TEMPERATURE = 0.1  # tau of both NT-Xent terms
@@ -177,26 +177,18 @@ def recon_orth_term(
 
 
 def recon_orth_loss(
-    x_batches: list[np.ndarray],
-    bundle: AutoencoderBundle,
-    lambda1: float,
-) -> tuple[np.floating, list[tuple[np.ndarray, np.ndarray]], list[Tensor], list[Tensor]]:
-    """Sum of per-view reconstruction terms from a recorded train-mode
-    forward; per view its gradients (in the reconstruction, in the
-    latents); the recorded latents; the recorded reconstructions. Each
-    batch is taken in the model's dtype."""
+    x_batches: list[np.ndarray], x_hats: list[np.ndarray], z_batches: list[np.ndarray], lambda1: float
+) -> tuple[np.floating, list[tuple[np.ndarray, np.ndarray]]]:
+    """Sum of per-view `recon_orth_term`s, and per view its gradients in
+    the reconstruction and in the latents. Each input batch is cast to
+    its reconstruction's dtype."""
     value = 0.0
-    grads, zs, x_hats = [], [], []
-    for v, xb in enumerate(x_batches):
-        x = np.asarray(xb, dtype=bundle.dtype)
-        z = bundle.encode(v, x, train=True)
-        x_hat = bundle.decode(v, z.data, train=True)
-        term, grad_x_hat, grad_z = recon_orth_term(x, x_hat.data, z.data, lambda1)
+    grads = []
+    for x, x_hat, z in zip(x_batches, x_hats, z_batches):
+        term, grad_x_hat, grad_z = recon_orth_term(np.asarray(x, dtype=x_hat.dtype), x_hat, z, lambda1)
         value += term
         grads.append((grad_x_hat, grad_z))
-        zs.append(z)
-        x_hats.append(x_hat)
-    return bundle.dtype.type(value), grads, zs, x_hats
+    return x_hats[0].dtype.type(value), grads
 
 
 # ---------------------------------------------------------------------------
@@ -444,14 +436,3 @@ def cross_view_guidance_loss(
         grad_z -= g @ centroids
         grads.append(grad_z)
     return z_batches[0].dtype.type(value), grads
-
-
-# ---------------------------------------------------------------------------
-# combination
-
-
-def total_loss(l_ae, l_in, l_co, l_cr, weights: LossWeights) -> np.floating:
-    """l_ae + lambda2 l_in + lambda3 l_co + lambda4 l_cr, summed in float64
-    and held in the dtype of `l_ae`."""
-    terms = ((l_ae, 1.0), (l_in, weights.lambda2), (l_co, weights.lambda3), (l_cr, weights.lambda4))
-    return np.asarray(l_ae).dtype.type(sum(float(t) * w for t, w in terms))

@@ -20,17 +20,21 @@ mode applies the running ones. A train-mode forward is recorded unless
 returns a `Tensor` that keeps one backward rule per layer, which
 `Tensor.backward` walks once (see `nn.tensor`). An unrecorded forward
 (a full-data encode) keeps nothing and leaves the statistics alone, so
-each layer's output is freed once the next layer has read it.
+each layer's output is freed once the next layer has read it. Whether
+a walk returns the gradient in the network's input is its caller's
+choice, so an encoder and a decoder are the same `Mlp`.
 
-A rule returns its input gradient and its (parameter, gradient) pairs.
-The last layer is a `Linear`, whose rule keeps only its input. A hidden
-layer (`hidden_layer`) is the linear map, then batch norm and ReLU, or
-ReLU alone. It writes the linear output into an array of its own and
-normalizes and rectifies it there, in place. A batch-norm layer's rule
-keeps the centered linear output, the per-feature denominator and the
-layer's output; it recomputes the normalized input and the ReLU mask
-from them, bit for bit the forward's values. Without batch norm the
-rule keeps only the output. Eval mode records nothing.
+A rule takes the gradient in its layer's output and whether to compute
+the one in its input, and returns that input gradient (or None) and its
+(parameter, gradient) pairs. The last layer is a `Linear`, whose rule
+keeps only its input. A hidden layer (`hidden_layer`) is the linear map,
+then batch norm and ReLU, or ReLU alone. It writes the linear output
+into an array of its own and normalizes and rectifies it there, in
+place. A batch-norm layer's rule keeps the centered linear output, the
+per-feature denominator and the layer's output; it recomputes the
+normalized input and the ReLU mask from them, bit for bit the forward's
+values. Without batch norm the rule keeps only the output. Eval mode
+records nothing.
 
 A hidden layer, and `Mlp` after its last layer, refuse a non-finite
 linear output with `NumericalError` naming the layer. The check comes
@@ -176,14 +180,11 @@ def hidden_layer(
 
 class Mlp:
     """Hidden layers (`hidden_layer`) through `dims`, then one purely
-    linear layer. `input_grad` says whether backward returns the
-    gradient in the input: a decoder's is a latent batch, an encoder's
-    is data."""
+    linear layer."""
 
-    def __init__(self, dims: tuple[int, ...], batchnorm: bool, rng: np.random.Generator | None, input_grad=False):
+    def __init__(self, dims: tuple[int, ...], batchnorm: bool, rng: np.random.Generator | None):
         self.linears = [Linear(a, b, rng) for a, b in zip(dims, dims[1:])]
         self.norms = [BatchNorm(d) if batchnorm else None for d in dims[1:-1]] + [None]
-        self.input_grad = input_grad
 
     def __call__(self, x: np.ndarray, train: bool, record: bool = True) -> Tensor:
         """The output; `train` and `record` keep every layer's backward
@@ -199,7 +200,7 @@ class Mlp:
             raise NumericalError(f"non-finite linear output in layer {last}")
         if not (train and record):
             return Tensor(out)
-        return Tensor(out, [*rules, functools.partial(head.backward, x)], self.input_grad)
+        return Tensor(out, [*rules, functools.partial(head.backward, x)])
 
 
 class AutoencoderBundle:
@@ -312,5 +313,5 @@ def build_bundle(
             continue
         rng = np.random.default_rng(np.random.SeedSequence([seed, v]))
         encoders.append(Mlp(dims, batchnorm, rng))
-        decoders.append(Mlp(dims[::-1], batchnorm, rng, input_grad=True))
+        decoders.append(Mlp(dims[::-1], batchnorm, rng))
     return AutoencoderBundle(list(input_dims), latent_dim, encoders, decoders)

@@ -39,17 +39,20 @@ copy. What clusters and scores the model stays in float64:
 call, so each refresh, its K-means and correspondence, the guidance
 centroids and the final assignment and report see float64 latents.
 
-A step (`step_objective`) forwards each view's encoder and decoder,
-recording one backward rule per layer, and computes each loss term's
-value and per-view gradients in plain arrays. `Adam.step` then runs
-`walk_back`, which walks each view's decoder, then its encoder, back
-once. The walk frees each layer's kept arrays as it passes the layer,
-and hands each parameter's gradient to Adam as soon as the layer's
-rule has run; Adam updates the parameter and the gradient is freed. So
-one layer's parameter gradients are alive at a time, and none beside a
-refresh, `evaluate` or a checkpoint write. A non-finite gradient raises
-`NumericalError` before its own parameter moves but after earlier
-layers of that step have, and the run ends without a checkpoint.
+A step (`step_objective`) owns the objective. It runs each view's
+encoder and decoder forward, recording one backward rule per layer, and
+hands their outputs as plain arrays to the four loss terms, each of
+which returns its value and per-view gradients. One list pairs
+lambda2-lambda4 with l_in, l_co and l_cr; the total and the gradient
+sums of `walk_back` are both read from it. `Adam.step` runs the walk:
+each view's decoder goes back, asked for its input gradient, then its
+encoder. Each layer's kept arrays are freed as the walk passes it, and
+each parameter's gradient goes to Adam as soon as its layer's rule has
+run, so one layer's parameter gradients are alive at a time, and none
+beside a refresh, `evaluate` or a checkpoint write. A non-finite
+gradient raises `NumericalError` before its own parameter moves but
+after earlier layers of that step have, and the run ends without a
+checkpoint.
 """
 
 from __future__ import annotations
@@ -79,7 +82,6 @@ from .losses import (
     cross_view_guidance_loss,
     inner_contrastive_loss,
     recon_orth_loss,
-    total_loss,
 )
 from .metrics import MetricsReport, build_report, export_embeddings
 from .nn import Adam, build_bundle, load_checkpoint, save_checkpoint
@@ -267,24 +269,27 @@ def step_objective(
     data, at the `active` levels and the `final` one: the terms [l_ae,
     l_in, l_co, l_cr, total], each in the model's dtype, and the
     `walk_back` that `Adam.step` takes."""
-    l_ae, ae_grads, zs, x_hats = recon_orth_loss(
-        [f[idx] for f, idx in zip(features, batch_idx)], bundle, weights.lambda1
-    )
+    x_batches = [f[idx] for f, idx in zip(features, batch_idx)]
+    zs, x_hats = [], []
+    for v, x in enumerate(x_batches):
+        zs.append(bundle.encode(v, x, train=True))
+        x_hats.append(bundle.decode(v, zs[v].data, train=True))
     latents = [z.data for z in zs]
+    l_ae, ae_grads = recon_orth_loss(x_batches, [x.data for x in x_hats], latents, weights.lambda1)
     pair_sets = [
         build_inner_pairs({k: level_state.view_labels[k][v] for k in active}, idx)
         for v, idx in enumerate(batch_idx)
     ]
-    l_in, in_grads = inner_contrastive_loss(latents, pair_sets)
     rows = [offset + idx for offset, idx in zip(offsets, batch_idx)]
-    l_co, co_grads = common_contrastive_loss(
-        latents, {k: level_state.common_labels[k][np.concatenate(rows)] for k in active}
-    )
-    l_cr, cr_grads = cross_view_guidance_loss(
-        latents, level_state.final_centroids, [level_state.common_labels[final][r] for r in rows]
-    )
-    terms = [l_ae, l_in, l_co, l_cr, total_loss(l_ae, l_in, l_co, l_cr, weights)]
-    weighted = [(weights.lambda2, in_grads), (weights.lambda3, co_grads), (weights.lambda4, cr_grads)]
+    common = {k: level_state.common_labels[k][np.concatenate(rows)] for k in active}
+    targets = [level_state.common_labels[final][r] for r in rows]
+    weighted = [
+        (weights.lambda2, *inner_contrastive_loss(latents, pair_sets)),
+        (weights.lambda3, *common_contrastive_loss(latents, common)),
+        (weights.lambda4, *cross_view_guidance_loss(latents, level_state.final_centroids, targets)),
+    ]
+    total = l_ae.dtype.type(sum((weight * float(value) for weight, value, _ in weighted), float(l_ae)))
+    terms = [l_ae, *(value for _, value, _ in weighted), total]
     return terms, functools.partial(walk_back, zs, x_hats, ae_grads, weighted)
 
 
@@ -293,10 +298,10 @@ def walk_back(zs: list, x_hats: list, ae_grads: list, weighted: list, update) ->
     parameter's gradient to `update`. View v's latent gradient is l_ae's
     (`ae_grads[v]` holds it in the reconstruction and in the latents),
     plus the decoder's input gradient, plus weight * gradient for each
-    (weight, per-view term gradients) pair of `weighted`, added in order."""
+    (weight, value, per-view gradients) row of `weighted`, added in order."""
     for v, (grad_x_hat, grad_z) in enumerate(ae_grads):
-        grad_z += x_hats[v].backward(grad_x_hat, update)
-        for weight, grads in weighted:
+        grad_z += x_hats[v].backward(grad_x_hat, update, input_grad=True)
+        for weight, _, grads in weighted:
             grad_z += weight * grads[v]
         zs[v].backward(grad_z, update)
 

@@ -132,6 +132,20 @@ def test_eval_reproduces_train_and_refuses_other_checkpoints(tmp_path, capsys):
     assert "checkpoint was written with a different configuration" in capsys.readouterr().err
 
 
+def test_eval_without_out_scores_the_run_train_wrote(tmp_path, monkeypatch):
+    config = _write_config(tmp_path)
+    assert cli.main(["generate", "-c", str(config), "-o", str(tmp_path / "data"), "--quiet"]) == 0
+    monkeypatch.setenv(cli.OUT_ROOT_ENV, str(tmp_path / "runs"))
+    assert cli.main(["train", "-c", str(config), "--quiet"]) == 0
+    run = tmp_path / "runs" / "train-run"
+    trained = json.loads((run / "metrics.json").read_text(encoding="utf-8"))
+    (run / "metrics.json").unlink()
+    assert cli.main(["eval", "-c", str(config), "--quiet"]) == 0
+    evaluated = json.loads((run / "metrics.json").read_text(encoding="utf-8"))
+    assert evaluated["scopes"] == trained["scopes"]
+    assert [p.name for p in (tmp_path / "runs").iterdir()] == ["train-run"]
+
+
 def test_metrics_csv_lists_the_scopes_of_metrics_json(tmp_path):
     config = _write_config(tmp_path)
     assert cli.main(["generate", "-c", str(config), "-o", str(tmp_path / "data"), "--quiet"]) == 0
@@ -416,6 +430,22 @@ def test_unreadable_paths_exit_2_without_a_traceback(tmp_path, capsys, case):
     assert cli.main(["train", "-c", str(config), "-o", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, name", [("train", "checkpoint.npz"), ("eval", "metrics.json")])
+def test_an_output_that_cannot_be_written_exits_2_without_a_traceback(tmp_path, capsys, command, name):
+    config = _write_config(tmp_path)
+    assert cli.main(["generate", "-c", str(config), "-o", str(tmp_path / "data"), "--quiet"]) == 0
+    out = tmp_path / "run"
+    assert cli.main(["train", "-c", str(config), "-o", str(out), "--quiet"]) == 0
+    _replace_with_directory(out / name)
+    capsys.readouterr()
+    force = ["--force"] if command == "train" else []
+    assert cli.main([command, "-c", str(config), "-o", str(out), "--quiet", *force]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert f"'{out / name}'" in err
+    assert not list(out.glob(".checkpoint.npz.*.tmp"))
 
 
 @pytest.mark.parametrize("name", ["view0.csv", "labels.csv"])

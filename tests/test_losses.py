@@ -1,6 +1,9 @@
 """Loss builders: hand cases, brute-force pair oracles, gradient behavior."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -22,6 +25,7 @@ from umclust.errors import ConfigError, ShapeError
 from umclust.losses import (
     TEMPERATURE,
     ClusterSet,
+    LevelState,
     LossWeights,
     _from_unit_rows,
     _unit_rows,
@@ -30,10 +34,10 @@ from umclust.losses import (
     cross_view_guidance_loss,
     inner_contrastive_loss,
     recon_orth_term,
-    total_loss,
 )
+from umclust import train as train_module
 from umclust.nn import build_bundle
-from umclust.train import TrainConfig, refresh_level_state, walk_back
+from umclust.train import TrainConfig, refresh_level_state, step_objective, walk_back
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +576,7 @@ def test_guidance_hand_case_pulls_every_view():
         assert np.any(grad != 0)
 
 
-def test_guidance_zero_without_reliable_peers():
+def test_guidance_is_zero_for_a_single_view():
     # one view has no peer: its weight (1-1)/1^2 is 0
     z = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]])
     value, (grad,) = cross_view_guidance_loss([z], np.eye(2), [np.array([0, 1, 0])])
@@ -604,51 +608,91 @@ def test_guidance_on_a_refresh_state_matches_the_matching_oracle():
 # total
 
 
-def test_total_loss_weighted_sum():
+def _stubbed_step_terms(monkeypatch, values, weights: LossWeights) -> list:
+    """`step_objective`'s [l_ae, l_in, l_co, l_cr, total] on a two-view
+    batch, with the four loss terms stubbed to return `values`, in that
+    order, and zero gradients."""
+    l_ae, *others = values
+
+    def recon(xs, x_hats, zs, lambda1):
+        return l_ae, [(np.zeros_like(x_hat), np.zeros_like(z)) for x_hat, z in zip(x_hats, zs)]
+
+    monkeypatch.setattr(train_module, "recon_orth_loss", recon)
+    for name, value in zip(("inner_contrastive_loss", "common_contrastive_loss", "cross_view_guidance_loss"), others):
+        monkeypatch.setattr(train_module, name, lambda zs, *_, value=value: (value, [np.zeros_like(z) for z in zs]))
+    bundle = build_bundle([3, 4], 2, (5,), True, 0)
+    rng = np.random.default_rng(0)
+    features = [rng.normal(size=(6, d)).astype(bundle.dtype) for d in (3, 4)]
+    labels = np.arange(6) % 2
+    state = LevelState({2: [labels, labels]}, {2: np.tile(labels, 2)}, np.zeros((2, 2)))
+    terms, _ = step_objective(bundle, features, [0, 6], [np.arange(6)] * 2, state, (2,), 2, weights)
+    assert terms[:4] == list(values)
+    return terms
+
+
+def test_total_loss_weighted_sum(monkeypatch):
     w = LossWeights(lambda1=1.0, lambda2=2.0, lambda3=3.0, lambda4=4.0)
-    assert total_loss(1.0, 1.0, 1.0, 1.0, w) == pytest.approx(10.0)
+    assert _stubbed_step_terms(monkeypatch, [np.float64(1.0), 1.0, 1.0, 1.0], w)[-1] == pytest.approx(10.0)
     w0 = LossWeights(lambda2=0.0, lambda3=0.0, lambda4=0.0)
-    assert total_loss(5.0, 1.0, 1.0, 1.0, w0) == pytest.approx(5.0)
+    assert _stubbed_step_terms(monkeypatch, [np.float64(5.0), 1.0, 1.0, 1.0], w0)[-1] == pytest.approx(5.0)
+    # 1 + 2^-53 rounds back to 1, so adding l_ae, l_in, l_co, l_cr from the
+    # left gives exactly 0; starting from l_cr, or adding l_ae and l_cr
+    # first, gives 2^-52
+    tiny, ones = 2.0**-53, LossWeights(lambda2=1.0, lambda3=1.0, lambda4=1.0)
+    assert _stubbed_step_terms(monkeypatch, [np.float64(1.0), tiny, tiny, -1.0], ones)[-1] == 0.0
 
 
 class _Walk:
     """A network's output for `walk_back`: records the gradient it is
-    walked back from, and returns `input_grad`."""
+    walked back from and whether its input gradient was asked for, and
+    returns `input_grad`."""
 
     def __init__(self, input_grad=None):
         self.input_grad, self.walked = input_grad, []
 
-    def backward(self, grad, update):
-        self.walked.append(grad.copy())
+    def backward(self, grad, update, input_grad=False):
+        self.walked.append((grad.copy(), input_grad))
         return self.input_grad
 
 
 def test_total_loss_gradient_is_weighted_sum():
     # each encoder is walked back from l_ae's latent gradient, plus its
     # decoder's input gradient, plus lambda2, lambda3 and lambda4 times the
-    # other terms', added in that order in the latents' dtype
+    # other terms', added in that order in the latents' dtype; only the
+    # decoders are asked for their input gradient
     rng = np.random.default_rng(8)
     w = LossWeights(lambda2=0.01, lambda3=3.0, lambda4=1000.0)
     arrays = lambda: [rng.normal(size=(4, 3)).astype(np.float32) for _ in range(2)]
     ae_x_hat, ae_z, decoded, inner, common, guidance = (arrays() for _ in range(6))
     zs, x_hats = [_Walk() for _ in range(2)], [_Walk(d) for d in decoded]
-    weighted = [(w.lambda2, list(inner)), (w.lambda3, list(common)), (w.lambda4, list(guidance))]
+    weighted = [(w.lambda2, 0.5, list(inner)), (w.lambda3, 0.5, list(common)), (w.lambda4, 0.5, list(guidance))]
     walk_back(list(zs), list(x_hats), [(x, z.copy()) for x, z in zip(ae_x_hat, ae_z)], weighted, None)
     for v in range(2):
         expected = ae_z[v] + decoded[v]
         for weight, grads in ((w.lambda2, inner), (w.lambda3, common), (w.lambda4, guidance)):
             expected += np.float32(weight) * grads[v]
-        assert [g.dtype for g in x_hats[v].walked + zs[v].walked] == [np.float32] * 2
-        assert np.array_equal(x_hats[v].walked[0], ae_x_hat[v])
-        assert np.array_equal(zs[v].walked[0], expected)
+        (x_hat_grad, x_hat_asked), (z_grad, z_asked) = x_hats[v].walked + zs[v].walked
+        assert x_hat_grad.dtype == z_grad.dtype == np.float32
+        assert (x_hat_asked, z_asked) == (True, False)
+        assert np.array_equal(x_hat_grad, ae_x_hat[v])
+        assert np.array_equal(z_grad, expected)
 
 
-def test_total_loss_is_summed_in_float64_and_held_in_the_dtype_of_l_ae():
+def test_total_loss_is_summed_in_float64_and_held_in_the_dtype_of_l_ae(monkeypatch):
     w = LossWeights(lambda2=0.01, lambda3=0.01, lambda4=1000.0)
     terms = [np.float32(v) for v in (0.3, 1.7, -2.9, 1e-4)]
-    total = total_loss(*terms, w)
+    total = _stubbed_step_terms(monkeypatch, terms, w)[-1]
     assert total.dtype == np.float32
     assert total == np.float32(float(terms[0]) + 0.01 * float(terms[1]) + 0.01 * float(terms[2]) + 1000.0 * float(terms[3]))
+
+
+def test_importing_the_losses_loads_no_network_module():
+    # the loss terms take plain arrays; running the networks is the step's
+    # business, so the losses need nothing from umclust.nn
+    code = "import sys, umclust.losses; print(sorted(m for m in sys.modules if m.startswith('umclust.nn')))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,17 @@ def squared_error(bundle, x: np.ndarray):
     return value, functools.partial(walk_back, [z], [x_hat], [(2.0 * diff, 2.0 * z.data)], [])
 
 
+def recon_orth_walk(bundle, xs: list[np.ndarray], lambda1: float):
+    """A recorded train-mode forward of every view's encoder and decoder
+    on its batch in `xs`, as `train.step_objective` runs it: the encoder
+    outputs, the decoder outputs, and the walk back from the
+    reconstruction term alone."""
+    zs = [bundle.encode(v, x, train=True) for v, x in enumerate(xs)]
+    x_hats = [bundle.decode(v, z.data, train=True) for v, z in enumerate(zs)]
+    _, ae_grads = recon_orth_loss(xs, [x.data for x in x_hats], [z.data for z in zs], lambda1)
+    return zs, x_hats, functools.partial(walk_back, zs, x_hats, ae_grads, [])
+
+
 def view0_gradients(bundle, backward) -> dict[str, np.ndarray]:
     """View 0's parameters' gradients from `backward`, by name: every one
     of them, each handed over once, and no other parameter's."""
@@ -365,9 +376,11 @@ def test_backward_walks_once_and_drops_each_rule_before_its_update(input_grad):
     params, calls, dead = [np.zeros(2), np.zeros(3)], [], []
     rules = [_Rule(p, calls) for p in params]
     refs = {id(p): weakref.ref(r) for p, r in zip(params, rules)}
-    out = Tensor(np.zeros((1, 1)), rules, input_grad)
+    out = Tensor(np.zeros((1, 1)), rules)
     del rules
-    result = out.backward(np.zeros((1, 1)), lambda p, g: dead.append((p.size, float(g[0, 0]), refs[id(p)]() is None)))
+    result = out.backward(
+        np.zeros((1, 1)), lambda p, g: dead.append((p.size, float(g[0, 0]), refs[id(p)]() is None)), input_grad
+    )
     assert calls == [(3, True), (2, input_grad)]
     assert dead == [(3, 0.0, True), (2, 1.0, True)]
     assert (result is None) != input_grad and (result is None or result[0, 0] == 2.0)
@@ -539,7 +552,7 @@ def test_a_recorded_forward_keeps_only_what_the_hidden_layers_backward_reads(bat
     bundle, xs, per_layer = _memory_case(batchnorm)
     tracemalloc.start()
     try:
-        _, _, zs, x_hats = recon_orth_loss(xs, bundle, 0.1)
+        zs, x_hats, walk = recon_orth_walk(bundle, xs, 0.1)  # the walk holds l_ae's gradients, as in a step
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -559,8 +572,7 @@ def test_recon_orth_backward_stays_within_its_memory_bound():
     param_bytes = sum(p.nbytes for p in bundle.named_parameters().values())
     tracemalloc.start()
     try:
-        _, ae_grads, zs, x_hats = recon_orth_loss(xs, bundle, 0.1)
-        grads = collected(functools.partial(walk_back, zs, x_hats, ae_grads, []))
+        grads = collected(recon_orth_walk(bundle, xs, 0.1)[2])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -664,8 +676,7 @@ def test_fused_adam_step_matches_the_two_phase_step_bit_for_bit(monkeypatch, dty
         xs = [rng.normal(size=(6, 3)), rng.normal(size=(6, 4))]
         walks = []
         for bundle in (fused, reference):
-            _, ae_grads, zs, x_hats = recon_orth_loss(xs, bundle, 0.5)
-            walks.append(functools.partial(walk_back, zs, x_hats, ae_grads, []))
+            walks.append(recon_orth_walk(bundle, xs, 0.5)[2])
         opt.step(walks[0])
         two_phase_adam_step(reference.named_parameters(), moments, t, 0.01, walks[1])
         for k, p in fused.named_parameters().items():

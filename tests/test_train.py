@@ -184,15 +184,15 @@ def test_one_float32_step_holds_every_model_array_in_float32(monkeypatch):
     walked, handed, arrays = [], [], []
     backward = Tensor.backward
 
-    def record_walk(self, grad, update):
+    def record_walk(self, grad, update, input_grad=False):
         def record_update(p, g):
             handed.append(g.dtype)
             update(p, g)
 
         walked.append((self.data.dtype, grad.dtype))
-        input_grad = backward(self, grad, record_update)
-        walked.append(None if input_grad is None else input_grad.dtype)
-        return input_grad
+        grad_in = backward(self, grad, record_update, input_grad)
+        walked.append(None if grad_in is None else grad_in.dtype)
+        return grad_in
 
     monkeypatch.setattr(Tensor, "backward", record_walk)
     monkeypatch.setattr(losses, "np", _NumpySpy(arrays))
@@ -282,7 +282,9 @@ def test_ablated_run_equals_plain_autoencoder(tmp_path):
         streams = [view_batches(cfg.seed + 1, cfg.batch_size, epoch, v, ds.views[v].n) for v in range(ds.n_views)]
         for _ in range(3):
             xb = [feats[v][next(streams[v])] for v in range(ds.n_views)]
-            _, ae_grads, zs, x_hats = recon_orth_loss(xb, bundle, 0.0)
+            zs = [bundle.encode(v, x, train=True) for v, x in enumerate(xb)]
+            x_hats = [bundle.decode(v, z.data, train=True) for v, z in enumerate(zs)]
+            _, ae_grads = recon_orth_loss(xb, [x.data for x in x_hats], [z.data for z in zs], 0.0)
             opt.step(functools.partial(walk_back, zs, x_hats, ae_grads, []))
     # the trainer run must land on numerically identical parameters; its
     # finished checkpoint holds the encoders, which every decoder step moved
