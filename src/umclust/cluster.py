@@ -417,29 +417,26 @@ def correspondence(spaces: list[np.ndarray], labels: list[np.ndarray], k: int) -
 
 def match_views(
     spaces: list[np.ndarray], view_labels: dict[int, list[np.ndarray]], final: int
-) -> dict[int, np.ndarray]:
-    """Common label of every sample at every level of `view_labels`.
+) -> dict[int, list[np.ndarray]]:
+    """Common label of every sample at every level of `view_labels`, in
+    the layout of `view_labels`: per level, one (n_v,) array per view.
 
     The `final` level is the `correspondence` of the views' clusters. A
     coarser level inherits it: each coarse cluster of a later view joins
     view 0's coarse cluster whose mix of final-level common clusters is
     most alike, and view 0's coarse clusters name the common ones.
-
-    Returns, per level of `view_labels` and in its order, the common
-    label of every sample, views in order.
     """
     fine = correspondence(spaces, view_labels[final], final)
-    common: dict[int, np.ndarray] = {}
+    common: dict[int, list[np.ndarray]] = {}
     for level, labels_per_view in view_labels.items():
-        joined = fine
+        common[level] = fine
         if level != final:
             mixes = [
                 np.bincount(labels * final + f, minlength=level * final).reshape(level, final).astype(np.float64)
                 for labels, f in zip(labels_per_view, fine)
             ]
-            joined = [labels_per_view[0]] + [
+            common[level] = [labels_per_view[0]] + [
                 np.argsort(hungarian_max(cosine_matrix(mixes[0], mix)))[labels]
                 for mix, labels in zip(mixes[1:], labels_per_view[1:])
             ]
-        common[level] = np.concatenate(joined)
     return common

@@ -9,12 +9,15 @@ Keys, types and defaults are read from those dataclasses, so this
 module keeps no key list and no default; constants such as
 `losses.TEMPERATURE` have no key. Unknown keys anywhere are errors,
 not warnings: a silently ignored typo in a hyperparameter name would
-invalidate a reproduction. ``resolved_dict`` materializes every default
-so a run directory can carry the exact effective configuration.
+invalidate a reproduction. So is a key written twice in one mapping,
+which YAML would resolve to its last value without a word.
+``resolved_dict`` materializes every default so a run directory can
+carry the exact effective configuration.
 """
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -25,6 +28,41 @@ from .data import SCALINGS, SyntheticSpec, UnpairRecipe, is_integer
 from .errors import ConfigError, UmclustError
 from .losses import LossWeights
 from .train import TrainConfig
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """A `yaml.SafeLoader` that refuses a key written twice in one mapping.
+
+    The check walks the composed document before anything is built, and
+    reads only each mapping's explicit keys, so a key that overrides one
+    merged in by ``<<:`` stays legal.
+    """
+
+    def construct_document(self, node):
+        self._refuse_repeated_keys(node, "", set())
+        return super().construct_document(node)
+
+    def _refuse_repeated_keys(self, node, path: str, walked: set[int]) -> None:
+        if id(node) in walked:  # an alias of a node already checked
+            return
+        walked.add(id(node))
+        if isinstance(node, yaml.SequenceNode):
+            for i, item in enumerate(node.value):
+                self._refuse_repeated_keys(item, f"{path}[{i}]", walked)
+        if not isinstance(node, yaml.MappingNode):
+            return
+        lines: dict = {}
+        for key_node, value_node in node.value:
+            where = path
+            if key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node, deep=True)
+                where = f"{path}.{key}" if path else str(key)
+                line = key_node.start_mark.line + 1
+                if isinstance(key, Hashable):  # PyYAML refuses any other key when it builds the mapping
+                    if key in lines:
+                        raise ConfigError(f"config key '{where}' is repeated at line {line} (first at line {lines[key]})")
+                    lines[key] = line
+            self._refuse_repeated_keys(value_node, where, walked)
 
 
 def _expect_mapping(obj, path: str) -> dict:
@@ -173,7 +211,7 @@ def load_config(path: str | Path) -> RunConfig:
     if not path.exists():
         raise ConfigError(f"missing config file {path}")
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=_UniqueKeyLoader)
     except (OSError, ValueError, yaml.YAMLError) as exc:
         raise ConfigError(f"unreadable config {path}: {exc}") from exc
     return parse_config(raw if raw is not None else {})

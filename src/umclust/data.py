@@ -9,10 +9,14 @@ through :func:`unpair`.
 On disk a dataset is a JSON manifest naming per-view feature files and
 a labels file. Feature files are headerless CSV with the global id in
 the first column; the labels file maps ``id,class``. All text is UTF-8
-with LF line endings. Every CSV the package writes goes through
-:func:`write_csv`: integers with ``%d`` and each float at the round-trip
-digits of its array's dtype, so a parsed value cast to that dtype is the
-written one bit for bit. Feature files are float64, the loaders' dtype.
+with LF line endings. The feature files, the labels file, a run's
+``loss_curve.csv`` and ``embeddings.csv`` go through :func:`write_csv`:
+integers with ``%d`` and each float at the round-trip digits of its
+array's dtype, so a parsed value cast to that dtype is the written one
+bit for bit. Feature files are float64, the loaders' dtype. The two
+CSVs of rounded scores are written on their own: ``metrics.csv`` by
+`metrics.MetricsReport.to_csv` and a sweep's ``summary.csv`` by
+`csv.writer`.
 """
 
 from __future__ import annotations
@@ -80,10 +84,6 @@ class MultiViewDataset:
 
     def all_ids(self) -> np.ndarray:
         return np.concatenate([v.ids for v in self.views])
-
-    def row_offsets(self) -> np.ndarray:
-        """Start row of each view inside the concatenated representation."""
-        return np.cumsum([0] + [v.n for v in self.views])[:-1]
 
     def validate(self) -> None:
         if self.n_views < 1:

@@ -1,4 +1,4 @@
-"""The four training-objective terms and their supporting state.
+"""The four training-objective terms and l_in's pair sets.
 
 Per mini-batch the objective is
 
@@ -17,12 +17,15 @@ are the `LossWeights` of YAML section ``train.weights``; lambda1 is
 read by l_ae itself, and `train.step_objective` pairs lambda2-lambda4
 with their terms and sums the total.
 
-The common view enters both cross-view terms as labels only: one
-common cluster per sample and level. How the views' clusters were
-joined into it is the refresh's business, not the losses'. Cluster
-assignments, centroids and common labels are all recomputed outside
-the loss terms and enter them as constants; gradients flow only through
-the current batch representations.
+The common view enters both cross-view terms as labels only: l_co
+takes one array per level over the rows of the concatenated batch, l_cr
+one array per view of its batch rows' final-level labels. How the
+views' clusters were joined into it, and the clustering levels and
+state it comes from (`train.ClusterSet`, `train.LevelState`), are the
+refresh's business, not the losses'. Cluster assignments, centroids and
+common labels are all recomputed outside the loss terms and enter them
+as constants; gradients flow only through the current batch
+representations.
 
 Every term takes plain arrays, one per view, and returns its value and
 its per-view gradients, computed together in numpy over all views; no
@@ -76,58 +79,6 @@ class LossWeights:
             value = getattr(self, f.name)
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"{f.name} must be non-negative and finite")
-
-
-@dataclass(frozen=True)
-class ClusterSet:
-    """Ordered clustering levels; the last level is the true cluster count."""
-
-    levels: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.levels:
-            raise ConfigError("cluster_levels must contain at least one level")
-        if any(k < 1 for k in self.levels):
-            raise ConfigError("cluster_levels entries must be >= 1")
-        if list(self.levels) != sorted(set(self.levels)):
-            raise ConfigError(f"cluster_levels must be strictly increasing, got {list(self.levels)}")
-        object.__setattr__(self, "levels", tuple(int(k) for k in self.levels))
-
-    @staticmethod
-    def default(n_clusters: int) -> "ClusterSet":
-        """{2, ceil(K/2), K} clipped to [2, K] and deduplicated."""
-        raw = {2, math.ceil(n_clusters / 2), n_clusters}
-        levels = tuple(sorted(k for k in raw if 2 <= k <= n_clusters))
-        if not levels:
-            levels = (n_clusters,)
-        return ClusterSet(levels)
-
-    @property
-    def final(self) -> int:
-        return self.levels[-1]
-
-    def active(self, epoch: int, total_epochs: int) -> tuple[int, ...]:
-        """Levels active in 1-based `epoch`: the coarsest for the first quarter
-        of `total_epochs`, the two coarsest through the half point, then all."""
-        if epoch <= total_epochs / 4:
-            return self.levels[:1]
-        if epoch <= total_epochs / 2:
-            return self.levels[:2]
-        return self.levels
-
-
-@dataclass
-class LevelState:
-    """Per-epoch clustering snapshot over full representations.
-
-    Holds every active level plus the final one. `common_labels` is the
-    common view: one common cluster per sample, views in order, each
-    view's clusters mapped one-to-one onto common clusters.
-    """
-
-    view_labels: dict[int, list[np.ndarray]]       # level -> per view (n_v,)
-    common_labels: dict[int, np.ndarray]           # level -> (N,)
-    final_centroids: np.ndarray                    # (K, D) latent mean per final common cluster
 
 
 @dataclass

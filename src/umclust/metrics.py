@@ -164,6 +164,7 @@ def score_scope(name: str, pred, truth) -> ScopeScores:
 def build_report(
     view_latents: list[np.ndarray],
     view_labels: list[np.ndarray],
+    view_ids: list[int],
     all_view_pred: np.ndarray,
     n_clusters: int,
     kmeans_seed: int,
@@ -172,11 +173,12 @@ def build_report(
     config_hash: str,
     started_at: float,
 ) -> MetricsReport:
-    """Score the all-view assignment plus a fresh K-means per single view."""
+    """Score the all-view assignment plus a fresh K-means per single view,
+    whose scope is named by its id in `view_ids` (``view<id>``)."""
     scopes = [score_scope("all-view", all_view_pred, np.concatenate(view_labels))]
-    for v, (z, y) in enumerate(zip(view_latents, view_labels)):
+    for v, (view_id, z, y) in enumerate(zip(view_ids, view_latents, view_labels, strict=True)):
         assignment, _ = kmeans(z, n_clusters, seed=kmeans_seed + 1 + v, max_iter=max_iter, restarts=restarts)
-        scopes.append(score_scope(f"view{v}", assignment.labels, y))
+        scopes.append(score_scope(f"view{view_id}", assignment.labels, y))
     return MetricsReport(
         scopes=scopes,
         config_hash=config_hash,

@@ -17,7 +17,12 @@ moments move; parameters updated earlier in the walk have moved.
 The update goes `CHUNK` elements at a time through two reused scratch
 buffers. A parameter-sized temporary (4 MB for a float32 1024 x 1024
 weight) would be fresh memory faulted in on every step; the two buffers
-are faulted in once. The moments and the scratch buffers a parameter
+are faulted in once. The loop is also cache blocking, and that pays in
+wall time: on the `wide` bench workload's 15.3 M float32 parameters
+(2-core Xeon, median of 6 steps, 3 repetitions) a whole-array update
+of the same operations gave bit-identical parameters in 79-97 ms per
+step, the loop in 62-82 ms. Chunking matters, the chunk size does not
+(16K to 256K measured alike). The moments and the scratch buffers a parameter
 uses are of that parameter's dtype. Each element goes through the same
 operations in the same order as a whole-array update. The update writes
 through flat views, and a flat "view" of a parameter that is not

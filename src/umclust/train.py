@@ -3,8 +3,9 @@
 Each epoch starts by re-clustering the full representations of every
 view at all active levels and joining the views' clusters into a
 common view by cluster-structure matching. The common view leaves the
-refresh as labels only (one common cluster per sample and level),
-which is all the cross-view loss terms read. The epoch then takes
+refresh as labels only, per level one array per view as the views' own
+labels are (`LevelState`); the cross-view terms read nothing else of
+it. The epoch then takes
 ceil(max n_v / batch_size) steps of one `data.view_batches` batch per
 view (a shorter view starts another reshuffled pass), building the
 four-term objective and applying an adaptive-moment update.
@@ -74,8 +75,6 @@ from .cluster import silhouette_view  # noqa: F401
 from .data import MultiViewDataset, view_batches, write_csv
 from .errors import ConfigError, DataError, NumericalError
 from .losses import (
-    ClusterSet,
-    LevelState,
     LossWeights,
     build_inner_pairs,
     common_contrastive_loss,
@@ -87,6 +86,59 @@ from .metrics import MetricsReport, build_report, export_embeddings
 from .nn import Adam, build_bundle, load_checkpoint, save_checkpoint
 
 logger = logging.getLogger("umclust")
+
+
+@dataclass(frozen=True)
+class ClusterSet:
+    """Ordered clustering levels; the last level is the true cluster count."""
+
+    levels: tuple[int, ...]
+
+    def __post_init__(self):
+        if not self.levels:
+            raise ConfigError("cluster_levels must contain at least one level")
+        if any(k < 1 for k in self.levels):
+            raise ConfigError("cluster_levels entries must be >= 1")
+        if list(self.levels) != sorted(set(self.levels)):
+            raise ConfigError(f"cluster_levels must be strictly increasing, got {list(self.levels)}")
+        object.__setattr__(self, "levels", tuple(int(k) for k in self.levels))
+
+    @staticmethod
+    def default(n_clusters: int) -> "ClusterSet":
+        """{2, ceil(K/2), K} clipped to [2, K] and deduplicated."""
+        raw = {2, math.ceil(n_clusters / 2), n_clusters}
+        levels = tuple(sorted(k for k in raw if 2 <= k <= n_clusters))
+        if not levels:
+            levels = (n_clusters,)
+        return ClusterSet(levels)
+
+    @property
+    def final(self) -> int:
+        return self.levels[-1]
+
+    def active(self, epoch: int, total_epochs: int) -> tuple[int, ...]:
+        """Levels active in 1-based `epoch`: the coarsest for the first quarter
+        of `total_epochs`, the two coarsest through the half point, then all."""
+        if epoch <= total_epochs / 4:
+            return self.levels[:1]
+        if epoch <= total_epochs / 2:
+            return self.levels[:2]
+        return self.levels
+
+
+@dataclass
+class LevelState:
+    """Per-epoch clustering snapshot over full representations, at the
+    `active` levels plus the `final` one. Both label maps take one layout,
+    level -> one (n_v,) array per view: `view_labels` are each view's own
+    clusters, `common_labels` their one-to-one map onto the common view.
+    """
+
+    view_labels: dict[int, list[np.ndarray]]       # level -> per view (n_v,)
+    common_labels: dict[int, list[np.ndarray]]     # level -> per view (n_v,)
+    final_centroids: np.ndarray                    # (K, D) latent mean per final common cluster
+    active: tuple[int, ...]                        # the levels a step trains at
+    final: int                                     # the last level, the cluster count
 
 
 @dataclass(frozen=True)
@@ -195,7 +247,7 @@ def refresh_level_state(
     level when available. Views share no samples, so `match_views` joins
     their clusters into the common view, through
     `cluster.correspondence` on the latents' cluster structure, and
-    returns it as one common label per sample and level.
+    returns it as one common label per sample and level, per view.
     Each final common centroid is the latent mean of its joined clusters.
 
     Latents come from a train-mode pass with frozen running statistics:
@@ -222,7 +274,9 @@ def refresh_level_state(
     state = LevelState(
         view_labels=view_labels,
         common_labels=common_labels,
-        final_centroids=cluster_means(np.concatenate(latents, axis=0), common_labels[final], final),
+        final_centroids=cluster_means(np.concatenate(latents, axis=0), np.concatenate(common_labels[final]), final),
+        active=active,
+        final=final,
     )
     return state, latents
 
@@ -250,6 +304,7 @@ def evaluate(
     report = build_report(
         latents,
         [v.labels for v in dataset.views],
+        [v.view_id for v in dataset.views],
         assignment.labels,
         dataset.n_clusters,
         kmeans_seed=config.kmeans_seed,
@@ -262,13 +317,12 @@ def evaluate(
 
 
 def step_objective(
-    bundle, features, offsets, batch_idx, level_state: LevelState, active, final: int, weights: LossWeights
+    bundle, features, batch_idx, state: LevelState, weights: LossWeights
 ) -> tuple[list[np.floating], functools.partial]:
     """One step's objective on rows `batch_idx[v]` of each view's
-    `features[v]`, which start at row `offsets[v]` of the concatenated
-    data, at the `active` levels and the `final` one: the terms [l_ae,
-    l_in, l_co, l_cr, total], each in the model's dtype, and the
-    `walk_back` that `Adam.step` takes."""
+    `features[v]` and of its labels in `state`, at the state's active
+    levels and its final one: the terms [l_ae, l_in, l_co, l_cr, total],
+    each in the model's dtype, and the `walk_back` that `Adam.step` takes."""
     x_batches = [f[idx] for f, idx in zip(features, batch_idx)]
     zs, x_hats = [], []
     for v, x in enumerate(x_batches):
@@ -277,16 +331,15 @@ def step_objective(
     latents = [z.data for z in zs]
     l_ae, ae_grads = recon_orth_loss(x_batches, [x.data for x in x_hats], latents, weights.lambda1)
     pair_sets = [
-        build_inner_pairs({k: level_state.view_labels[k][v] for k in active}, idx)
+        build_inner_pairs({k: state.view_labels[k][v] for k in state.active}, idx)
         for v, idx in enumerate(batch_idx)
     ]
-    rows = [offset + idx for offset, idx in zip(offsets, batch_idx)]
-    common = {k: level_state.common_labels[k][np.concatenate(rows)] for k in active}
-    targets = [level_state.common_labels[final][r] for r in rows]
+    common = {k: np.concatenate([c[idx] for c, idx in zip(state.common_labels[k], batch_idx)]) for k in state.active}
+    targets = [labels[idx] for labels, idx in zip(state.common_labels[state.final], batch_idx)]
     weighted = [
         (weights.lambda2, *inner_contrastive_loss(latents, pair_sets)),
         (weights.lambda3, *common_contrastive_loss(latents, common)),
-        (weights.lambda4, *cross_view_guidance_loss(latents, level_state.final_centroids, targets)),
+        (weights.lambda4, *cross_view_guidance_loss(latents, state.final_centroids, targets)),
     ]
     total = l_ae.dtype.type(sum((weight * float(value) for weight, value, _ in weighted), float(l_ae)))
     terms = [l_ae, *(value for _, value, _ in weighted), total]
@@ -316,8 +369,6 @@ def train(
     started_at = time.time()
     n_views = dataset.n_views
     cluster_set = cluster_set_for(config, dataset)
-
-    offsets = dataset.row_offsets()
     cfg_hash = run_hash(config, dataset)
     bundle = build_bundle(
         dataset.feature_dims(),
@@ -361,9 +412,7 @@ def train(
         sums = np.zeros(5)
         for step in range(steps):
             batch_idx = [next(streams[v]) for v in range(n_views)]
-            terms, backward = step_objective(
-                bundle, features, offsets, batch_idx, level_state, active, cluster_set.final, config.weights
-            )
+            terms, backward = step_objective(bundle, features, batch_idx, level_state, config.weights)
             if not np.isfinite(terms[-1]):
                 raise NumericalError(f"non-finite total loss at epoch {epoch} step {step}")
             opt.step(backward)

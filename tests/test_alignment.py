@@ -11,10 +11,9 @@ from umclust.baselines import structure_matched_kmeans
 from umclust.cluster import centroid_distances, match_structure, match_views
 from umclust.data import SyntheticSpec, synthesize
 from umclust.errors import ShapeError
-from umclust.losses import ClusterSet
 from umclust.metrics import nmi
 from umclust.nn import build_bundle
-from umclust.train import TrainConfig, refresh_level_state
+from umclust.train import ClusterSet, TrainConfig, refresh_level_state
 
 # four class centres with pairwise-distinct distances, so the structure
 # identifies every class
@@ -84,16 +83,16 @@ def test_match_views_joins_views_at_every_level():
     common = match_views(feats, view_labels, final=4)
     assert list(common) == [2, 4]
     truth = np.concatenate(classes)
-    assert nmi(common[4], truth) == pytest.approx(1.0)
-    assert nmi(common[2], truth // 2) == pytest.approx(1.0)
-    ends = np.cumsum([y.size for y in classes])[:-1]
+    assert nmi(np.concatenate(common[4]), truth) == pytest.approx(1.0)
+    assert nmi(np.concatenate(common[2]), truth // 2) == pytest.approx(1.0)
     for level in (2, 4):
         # each view's clusters map one-to-one onto the common clusters
-        for labels, joined in zip(view_labels[level], np.split(common[level], ends)):
+        for labels, joined in zip(view_labels[level], common[level], strict=True):
+            assert joined.shape == labels.shape
             pairs = np.unique(np.stack([labels, joined]), axis=1)
             assert sorted(pairs[0]) == sorted(pairs[1]) == list(range(level))
     # view 0 names the common clusters
-    assert np.array_equal(common[4][: ids[0].size], ids[0])
+    assert np.array_equal(common[4][0], ids[0])
 
 
 def test_refresh_final_centroids_are_latent_means_of_joined_clusters():
@@ -101,13 +100,14 @@ def test_refresh_final_centroids_are_latent_means_of_joined_clusters():
     cfg = TrainConfig(epochs=4, latent_dim=4, hidden_dims=(8,))
     bundle = build_bundle(ds.feature_dims(), cfg.latent_dim, cfg.hidden_dims, True, 1)
     state, latents = refresh_level_state(bundle, ds.feature_matrices(), ClusterSet((2, 3)), (2, 3), cfg, {})
-    z = np.concatenate(latents)
     common = match_views(latents, state.view_labels, final=3)
     for level in (2, 3):
-        assert np.array_equal(state.common_labels[level], common[level])
+        for labels, joined in zip(state.common_labels[level], common[level], strict=True):
+            assert np.array_equal(labels, joined)
     assert state.final_centroids.shape == (3, 4)
     for c in range(3):
-        assert np.allclose(state.final_centroids[c], z[state.common_labels[3] == c].mean(axis=0))
+        members = np.concatenate([z[labels == c] for z, labels in zip(latents, state.common_labels[3])])
+        assert np.allclose(state.final_centroids[c], members.mean(axis=0))
 
 
 def _three_views():
@@ -120,8 +120,7 @@ def _refresh_per_view(ds):
     cfg = TrainConfig(epochs=4, latent_dim=4, hidden_dims=(8,))
     bundle = build_bundle(ds.feature_dims(), cfg.latent_dim, cfg.hidden_dims, True, 1)
     state, _ = refresh_level_state(bundle, ds.feature_matrices(), ClusterSet((2, 3, 4)), (2, 3, 4), cfg, {})
-    ends = np.cumsum([v.n for v in ds.views])[:-1]
-    return state.view_labels, {k: np.split(common, ends) for k, common in state.common_labels.items()}
+    return state.view_labels, state.common_labels
 
 
 def _count_calls(monkeypatch, name, counts):

@@ -1,6 +1,7 @@
 """Command-line runs end to end on a tiny synthetic dataset."""
 
 import csv
+import dataclasses
 import json
 import os
 import tracemalloc
@@ -144,6 +145,23 @@ def test_eval_without_out_scores_the_run_train_wrote(tmp_path, monkeypatch):
     evaluated = json.loads((run / "metrics.json").read_text(encoding="utf-8"))
     assert evaluated["scopes"] == trained["scopes"]
     assert [p.name for p in (tmp_path / "runs").iterdir()] == ["train-run"]
+
+
+def test_report_names_each_view_scope_by_its_view_id(tmp_path):
+    # the scopes use the ids that embeddings.csv and the feature files use,
+    # not the views' positions
+    config = _write_config(tmp_path)
+    ds = data.synthesize(cfg.load_config(config).dataset.synthetic)
+    views = [dataclasses.replace(v, view_id=view_id) for v, view_id in zip(ds.views, (2, 7))]
+    data.save_dataset(data.MultiViewDataset(ds.name, ds.n_clusters, views), tmp_path / "data")
+    out = tmp_path / "run"
+    assert cli.main(["train", "-c", str(config), "-o", str(out), "--quiet"]) == 0
+    trained = json.loads((out / "metrics.json").read_text(encoding="utf-8"))["scopes"]
+    assert [s["scope"] for s in trained] == ["all-view", "view2", "view7"]
+    with open(out / "embeddings.csv", encoding="utf-8", newline="") as fh:
+        assert {int(row[1]) for row in csv.reader(fh)} == {2, 7}
+    assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 0
+    assert json.loads((out / "metrics.json").read_text(encoding="utf-8"))["scopes"] == trained
 
 
 def test_metrics_csv_lists_the_scopes_of_metrics_json(tmp_path):

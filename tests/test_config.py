@@ -7,7 +7,8 @@ from dataclasses import replace
 import pytest
 import yaml
 
-from umclust.config import DatasetSection, apply_seed_override, parse_config, with_weights
+from umclust import cli
+from umclust.config import DatasetSection, apply_seed_override, load_config, parse_config, with_weights
 from umclust.data import SyntheticSpec, UnpairRecipe
 from umclust.errors import ConfigError
 from umclust.losses import LossWeights
@@ -260,3 +261,31 @@ def test_dataset_section_round_trips_through_resolved_yaml():
 def test_bad_dataset_values_name_their_path(dataset, path):
     with pytest.raises(ConfigError, match=re.escape(path)):
         parse_config({"dataset": dataset})
+
+
+@pytest.mark.parametrize(
+    "text, key, line, first",
+    [
+        ("train:\n  epochs: 10\n  batch_size: 32\n  epochs: 200\n", "train.epochs", 4, 2),
+        ("train:\n  epochs: 10\ntrain:\n  batch_size: 32\n", "train", 3, 1),
+    ],
+    ids=["train.epochs", "train"],
+)
+def test_a_repeated_key_is_refused_with_its_line(tmp_path, capsys, text, key, line, first):
+    # YAML keeps a repeated key's last value without a word, so a run
+    # would train some other config than the one its author reads
+    config = tmp_path / "run.yaml"
+    config.write_text(text, encoding="utf-8")
+    message = f"config key '{key}' is repeated at line {line} (first at line {first})"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(config)
+    out = tmp_path / "run"
+    assert cli.main(["train", "-c", str(config), "-o", str(out), "--quiet"]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_key_may_override_one_merged_in(tmp_path):
+    config = tmp_path / "run.yaml"
+    config.write_text("train:\n  <<: {epochs: 10, batch_size: 32}\n  epochs: 20\n", encoding="utf-8")
+    assert load_config(config).train == TrainConfig(epochs=20, batch_size=32)

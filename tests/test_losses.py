@@ -24,8 +24,6 @@ from umclust.data import SyntheticSpec, synthesize
 from umclust.errors import ConfigError, ShapeError
 from umclust.losses import (
     TEMPERATURE,
-    ClusterSet,
-    LevelState,
     LossWeights,
     _from_unit_rows,
     _unit_rows,
@@ -37,7 +35,7 @@ from umclust.losses import (
 )
 from umclust import train as train_module
 from umclust.nn import build_bundle
-from umclust.train import TrainConfig, refresh_level_state, step_objective, walk_back
+from umclust.train import ClusterSet, LevelState, TrainConfig, refresh_level_state, step_objective, walk_back
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +274,9 @@ def _contrastive_case(seed: int):
     """Two views of unequal batch size at three levels, with an all-zero
     latent row and an inner anchor without negatives. Per level, common
     cluster g of each view is its cluster perm[g] for a random index map
-    perm; the common labels follow from it, and so do the
-    (common x view-cluster) matrices the oracles read."""
+    perm; the common labels follow from it, one array per view as a
+    refresh holds them, and so do the (common x view-cluster) matrices
+    the oracles read."""
     rng = np.random.default_rng(seed)
     zs = [rng.normal(size=(b, 4)) for b in SIZES]
     zs[0][2] = 0.0
@@ -287,12 +286,15 @@ def _contrastive_case(seed: int):
     first[0] = 0
     second[first != 0] = second[0]
     perms = {k: [rng.permutation(k) for _ in SIZES] for k in LEVELS}
-    common_labels = {
-        k: np.concatenate([np.argsort(perm)[labels] for perm, labels in zip(perms[k], view_labels[k])])
-        for k in LEVELS
-    }
+    common_labels = {k: [np.argsort(perm)[labels] for perm, labels in zip(perms[k], view_labels[k])] for k in LEVELS}
     matchings = {k: [np.eye(k, dtype=np.int64)[perm] for perm in perms[k]] for k in LEVELS}
     return zs, view_labels, common_labels, matchings
+
+
+def _batch_common(common_labels, levels=None):
+    """l_co's labels, as `train.step_objective` hands them: per level of
+    `levels` (default all), the views' common labels concatenated."""
+    return {k: np.concatenate(common_labels[k]) for k in (common_labels if levels is None else levels)}
 
 
 def _matrices(common_labels, view_labels):
@@ -300,9 +302,8 @@ def _matrices(common_labels, view_labels):
     (g, c) is 1 when a sample of view cluster c has common label g."""
     out = {}
     for k, per_view in view_labels.items():
-        ends = np.cumsum([labels.size for labels in per_view])[:-1]
         out[k] = []
-        for labels, common in zip(per_view, np.split(common_labels[k], ends)):
+        for labels, common in zip(per_view, common_labels[k], strict=True):
             a = np.zeros((k, k), dtype=np.int64)
             a[common, labels] = 1
             out[k].append(a)
@@ -321,10 +322,9 @@ def _refresh_case(batch: int = 7):
     cluster_set = ClusterSet((2, 3, 4))
     state, latents = refresh_level_state(bundle, ds.feature_matrices(), cluster_set, cluster_set.levels, cfg, {})
     matchings = _matrices(match_views(latents, state.view_labels, cluster_set.final), state.view_labels)
-    rows = np.concatenate([offset + np.arange(batch) for offset in ds.row_offsets()])
     zs = [z[:batch] for z in latents]
     view_labels = {k: [labels[:batch] for labels in state.view_labels[k]] for k in cluster_set.levels}
-    common_labels = {k: state.common_labels[k][rows] for k in cluster_set.levels}
+    common_labels = {k: [labels[:batch] for labels in state.common_labels[k]] for k in cluster_set.levels}
     return state, zs, view_labels, common_labels, matchings
 
 
@@ -368,8 +368,8 @@ def test_contrastive_losses_match_oracles(seed, active, temperature):
     tn_sets = [[set(np.flatnonzero(p.tn[i])) for i in range(b)] for p, b in zip(pairs, SIZES)]
     inner = _inner_loss(zs, view_labels, active)[0]
     assert inner == pytest.approx(brute_inner_contrastive(zs, tp_sets, tn_sets, temperature), rel=1e-12)
-    common = common_contrastive_loss(zs, {k: common_labels[k] for k in active})[0]
-    expected = brute_common_contrastive(zs, common_labels, view_labels, matchings, active, temperature)
+    common = common_contrastive_loss(zs, _batch_common(common_labels, active))[0]
+    expected = brute_common_contrastive(zs, _batch_common(common_labels), view_labels, matchings, active, temperature)
     assert common == pytest.approx(expected, rel=1e-12)
 
 
@@ -381,8 +381,8 @@ def test_common_loss_on_a_refresh_state_matches_the_matching_oracle(temperature)
     for k in levels:
         for a in matchings[k]:
             assert np.array_equal(a.sum(axis=0), np.ones(k)) and np.array_equal(a.sum(axis=1), np.ones(k))
-    value = common_contrastive_loss(zs, common_labels)[0]
-    expected = brute_common_contrastive(zs, common_labels, view_labels, matchings, levels, temperature)
+    value = common_contrastive_loss(zs, _batch_common(common_labels))[0]
+    expected = brute_common_contrastive(zs, _batch_common(common_labels), view_labels, matchings, levels, temperature)
     assert value == pytest.approx(expected, rel=1e-12)
 
 
@@ -393,7 +393,7 @@ def _guidance_targets(common_labels, rng):
     `DISTRIBUTION_FLOOR`."""
     k = LEVELS[-1]
     centroids = np.vstack([rng.normal(size=(k, 4)), np.full((1, 4), 5e4)])
-    targets = np.split(common_labels[k].copy(), np.cumsum(SIZES)[:-1])
+    targets = [labels.copy() for labels in common_labels[k]]
     targets[0][0] = k
     return centroids, targets
 
@@ -416,7 +416,7 @@ def test_contrastive_gradients_match_finite_differences(seed, active, which):
         if which == "inner":
             value, grads = _inner_loss(zs, view_labels, active)
         elif which == "common":
-            value, grads = common_contrastive_loss(zs, {k: common_labels[k] for k in active})
+            value, grads = common_contrastive_loss(zs, _batch_common(common_labels, active))
         elif which == "guidance":
             value, grads = cross_view_guidance_loss(zs, centroids, targets)
         else:  # summed over both views, as recon_orth_loss sums it
@@ -448,7 +448,7 @@ def test_an_all_zero_latent_row_gives_a_finite_value_and_a_zero_gradient(which, 
     if which == "inner":
         value, grads = _inner_loss(zs, view_labels, (2,))
     else:
-        value, grads = common_contrastive_loss(zs, common_labels)
+        value, grads = common_contrastive_loss(zs, _batch_common(common_labels))
     assert value.dtype == dtype and np.isfinite(value)
     assert all(g.dtype == dtype and np.isfinite(g).all() for g in grads)
     assert np.all(grads[0][2] == 0.0)
@@ -462,7 +462,7 @@ def test_contrastive_losses_stay_non_finite_on_non_finite_latents(which):
     if which == "inner":
         value, _ = _inner_loss(zs, view_labels, LEVELS)
     else:
-        value, _ = common_contrastive_loss(zs, common_labels)
+        value, _ = common_contrastive_loss(zs, _batch_common(common_labels))
     assert not np.isfinite(value)
 
 
@@ -589,8 +589,7 @@ def test_guidance_matches_the_matching_oracle(seed):
     zs, view_labels, common_labels, matchings = _contrastive_case(seed)
     k = LEVELS[-1]
     centroids = np.random.default_rng(seed).normal(size=(k, 4))
-    split = np.split(common_labels[k], np.cumsum(SIZES)[:-1])
-    value = cross_view_guidance_loss(zs, centroids, split)[0]
+    value = cross_view_guidance_loss(zs, centroids, common_labels[k])[0]
     expected = brute_cross_view_guidance(zs, centroids, matchings[k], view_labels[k])
     assert value == pytest.approx(expected, rel=1e-12)
 
@@ -598,8 +597,7 @@ def test_guidance_matches_the_matching_oracle(seed):
 def test_guidance_on_a_refresh_state_matches_the_matching_oracle():
     state, zs, view_labels, common_labels, matchings = _refresh_case()
     k = max(common_labels)
-    split = np.split(common_labels[k], len(zs))
-    value = cross_view_guidance_loss(zs, state.final_centroids, split)[0]
+    value = cross_view_guidance_loss(zs, state.final_centroids, common_labels[k])[0]
     expected = brute_cross_view_guidance(zs, state.final_centroids, matchings[k], view_labels[k])
     assert value == pytest.approx(expected, rel=1e-12)
 
@@ -624,8 +622,11 @@ def _stubbed_step_terms(monkeypatch, values, weights: LossWeights) -> list:
     rng = np.random.default_rng(0)
     features = [rng.normal(size=(6, d)).astype(bundle.dtype) for d in (3, 4)]
     labels = np.arange(6) % 2
-    state = LevelState({2: [labels, labels]}, {2: np.tile(labels, 2)}, np.zeros((2, 2)))
-    terms, _ = step_objective(bundle, features, [0, 6], [np.arange(6)] * 2, state, (2,), 2, weights)
+    state = LevelState(
+        view_labels={2: [labels, labels]}, common_labels={2: [labels, labels]},
+        final_centroids=np.zeros((2, 2)), active=(2,), final=2,
+    )
+    terms, _ = step_objective(bundle, features, [np.arange(6)] * 2, state, weights)
     assert terms[:4] == list(values)
     return terms
 
@@ -640,6 +641,44 @@ def test_total_loss_weighted_sum(monkeypatch):
     # first, gives 2^-52
     tiny, ones = 2.0**-53, LossWeights(lambda2=1.0, lambda3=1.0, lambda4=1.0)
     assert _stubbed_step_terms(monkeypatch, [np.float64(1.0), tiny, tiny, -1.0], ones)[-1] == 0.0
+
+
+def test_the_step_reads_each_views_labels_at_its_own_batch_rows(monkeypatch):
+    # views of unequal size, batches that are no prefix of their view: l_co
+    # gets each active level's common labels at every view's own batch
+    # rows, views concatenated in order, and l_cr the final level's, one
+    # array per view
+    seen = {}
+
+    def common(zs, batch_common_labels):
+        seen["l_co"] = batch_common_labels
+        return zs[0].dtype.type(0.0), [np.zeros_like(z) for z in zs]
+
+    def guidance(zs, centroids, targets):
+        seen["l_cr"] = targets
+        return zs[0].dtype.type(0.0), [np.zeros_like(z) for z in zs]
+
+    monkeypatch.setattr(train_module, "common_contrastive_loss", common)
+    monkeypatch.setattr(train_module, "cross_view_guidance_loss", guidance)
+    sizes, levels = (9, 14), (2, 3, 4)
+    rng = np.random.default_rng(5)
+    bundle = build_bundle([3, 4], 2, (5,), True, 0)
+    features = [rng.normal(size=(n, d)).astype(bundle.dtype) for n, d in zip(sizes, (3, 4))]
+    # row i of view v has common label 1000 k + 100 v + i at level k, so a
+    # label read at another view's rows, or off the wrong view, shows
+    state = LevelState(
+        view_labels={k: [rng.integers(0, k, n) for n in sizes] for k in levels},
+        common_labels={k: [1000 * k + 100 * v + np.arange(n) for v, n in enumerate(sizes)] for k in levels},
+        final_centroids=np.zeros((4, 2)), active=(2, 3), final=4,
+    )
+    batch_idx = [np.array([7, 2, 5, 0]), np.array([12, 3, 9, 6, 1])]
+    step_objective(bundle, features, batch_idx, state, LossWeights())
+    assert list(seen["l_co"]) == [2, 3]
+    for k in (2, 3):
+        assert np.array_equal(seen["l_co"][k], [*(1000 * k + batch_idx[0]), *(1000 * k + 100 + batch_idx[1])])
+    assert len(seen["l_cr"]) == 2
+    assert np.array_equal(seen["l_cr"][0], 4000 + batch_idx[0])
+    assert np.array_equal(seen["l_cr"][1], 4100 + batch_idx[1])
 
 
 class _Walk:

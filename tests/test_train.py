@@ -17,12 +17,13 @@ from umclust.cluster import kmeans
 from umclust.data import MultiViewDataset, SyntheticSpec, ViewData, scale_dataset, synthesize, view_batches
 from umclust.errors import CheckpointError, DataError, NumericalError, ShapeError
 from umclust import losses
-from umclust.losses import ClusterSet, LossWeights, recon_orth_loss
+from umclust.losses import LossWeights, recon_orth_loss
 from umclust.metrics import nmi
 from umclust import train as train_module
 from umclust.nn import Adam, Tensor, build_bundle, load_checkpoint
 from umclust.nn.mlp import Linear
 from umclust.train import (
+    ClusterSet,
     TrainConfig,
     refresh_level_state,
     run_hash,
@@ -96,15 +97,15 @@ def test_refresh_holds_one_active_level_plus_final():
     bundle = build_bundle(ds.feature_dims(), cfg.latent_dim, cfg.hidden_dims, True, 1)
     cs = ClusterSet.default(ds.n_clusters)  # (2, 3)
     state, latents = refresh_level_state(bundle, ds.feature_matrices(), cs, active=(2,), config=cfg, warm={})
+    assert state.active == (2,) and state.final == 3
     assert sorted(state.view_labels) == [2, 3]  # final level always present
     assert sorted(state.common_labels) == [2, 3]
     assert len(latents) == ds.n_views
-    offsets = ds.row_offsets()
     for level, groups in state.view_labels.items():
-        for v, labels in enumerate(groups):
-            assert labels.shape[0] == ds.views[v].n
+        assert len(groups) == len(state.common_labels[level]) == ds.n_views
+        for v, (labels, common) in enumerate(zip(groups, state.common_labels[level])):
+            assert labels.shape == common.shape == (ds.views[v].n,)
             # the common labels relabel each view's clusters one-to-one
-            common = state.common_labels[level][offsets[v]:offsets[v] + ds.views[v].n]
             pairs = np.unique(np.stack([labels, common]), axis=1)
             assert pairs.shape[1] == level
             assert sorted(pairs[0]) == sorted(pairs[1]) == list(range(level))
@@ -119,9 +120,9 @@ def test_refresh_deterministic():
     s2, _ = refresh_level_state(bundle, ds.feature_matrices(), cs, (2, 3), cfg, {})
     assert np.array_equal(s1.final_centroids, s2.final_centroids)
     for level in s1.common_labels:
-        assert np.array_equal(s1.common_labels[level], s2.common_labels[level])
-        for a, b in zip(s1.view_labels[level], s2.view_labels[level]):
-            assert np.array_equal(a, b)
+        for maps in ("view_labels", "common_labels"):
+            for a, b in zip(getattr(s1, maps)[level], getattr(s2, maps)[level], strict=True):
+                assert np.array_equal(a, b)
 
 
 def test_refresh_holds_no_n_by_n_array():
@@ -197,7 +198,7 @@ def test_one_float32_step_holds_every_model_array_in_float32(monkeypatch):
     monkeypatch.setattr(Tensor, "backward", record_walk)
     monkeypatch.setattr(losses, "np", _NumpySpy(arrays))
     batch = [np.arange(cfg.batch_size) for _ in ds.views]
-    terms, walk = step_objective(bundle, features, ds.row_offsets(), batch, state, cs.levels, cs.final, cfg.weights)
+    terms, walk = step_objective(bundle, features, batch, state, cfg.weights)
     assert all(t.dtype == np.float32 for t in terms)
     assert arrays and [a for a in arrays if a[2] != np.float32] == []
     opt = Adam(bundle.named_parameters(), cfg.learning_rate)
@@ -367,7 +368,7 @@ def test_one_step_hands_update_the_finite_difference_gradient_of_the_total_loss(
     batch = [np.arange(0, v.n, 2) for v in ds.views]
 
     def objective():
-        return step_objective(bundle, features, ds.row_offsets(), batch, state, cs.levels, cs.final, weights)
+        return step_objective(bundle, features, batch, state, weights)
 
     terms, walk = objective()
     assert all(t != 0 for t in terms)
