@@ -3,9 +3,9 @@
 `train` and `eval` score a model through the one `train.evaluate`; `eval`
 first restores it from the checkpoint of a finished run written under
 the same run hash. Scoring runs only the encoders, and a finished run's
-checkpoint holds nothing else, so `eval` builds the encoders alone,
-draws no weights for them and reads only encoder entries. The checkpoint
-of a run that stopped early is refused before any entry is read.
+checkpoint holds nothing else (`train.checkpoint_arrays`), so `eval` builds
+the encoders alone, draws no weights for them, and refuses before any entry
+is read a checkpoint that holds more or was saved before the last epoch.
 
 Exit codes: 0 on success, 2 for configuration, input or output errors,
 3 for numerical failures during training.
@@ -30,7 +30,7 @@ from .errors import CheckpointError, ConfigError, NumericalError, UmclustError
 # build_report and final_assignment are not called here: bench/spans.py wraps them by name in this module.
 from .metrics import build_report  # noqa: F401
 from .nn import build_bundle, load_checkpoint
-from .train import cluster_set_for, evaluate, final_assignment, run_hash, train  # noqa: F401
+from .train import checkpoint_arrays, cluster_set_for, evaluate, final_assignment, run_hash, train  # noqa: F401
 
 if TYPE_CHECKING:
     from concurrent.futures import Future
@@ -139,15 +139,14 @@ def cmd_eval(args) -> int:
         run_config.train.seed,
         encoders_only=True,
     )
-    params, stats = bundle.model_arrays()
     epochs = run_config.train.epochs
 
-    def finished_model(epoch: int) -> dict:
+    def finished_model(epoch: int) -> dict[str, dict]:
         if epoch != epochs:
             raise CheckpointError(f"{ckpt_path} was saved at epoch {epoch} of {epochs}; only a finished run is scored")
-        return params
+        return checkpoint_arrays(bundle, None, {}, epoch, epochs)
 
-    load_checkpoint(ckpt_path, expect_config_hash=expected, params=finished_model, stats=stats)
+    load_checkpoint(ckpt_path, expect_config_hash=expected, into=finished_model)
     _, _, report = evaluate(bundle, ds, run_config.train, expected, time.time())
     report.save(out)
     print(report.to_json(), end="")

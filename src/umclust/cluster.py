@@ -177,6 +177,8 @@ def kmeans(
         raise ShapeError("kmeans expects a 2-D sample matrix")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     if z.shape[0] < k:
         raise ValueError(f"kmeans needs at least k={k} rows, got {z.shape[0]}")
     zz = _row_sq_norms(z)
@@ -186,7 +188,7 @@ def kmeans(
             raise ShapeError(f"warm-start centroids must be {(k, z.shape[1])}, got {init.shape}")
         return _lloyd(z, zz, init.copy(), max_iter)
     best: tuple[Assignment, np.ndarray] | None = None
-    for r in range(max(1, int(restarts))):
+    for r in range(int(restarts)):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), r]))
         assignment, centers = _lloyd(z, zz, _kmeanspp_init(z, k, rng, zz), max_iter)
         if best is None or assignment.inertia < best[0].inertia:

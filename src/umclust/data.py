@@ -32,6 +32,16 @@ import numpy as np
 
 from .errors import DataError
 
+# Feature files parse their id column through float64, which holds every
+# integer of smaller magnitude exactly and rounds some beyond it.
+ID_LIMIT = 2**53
+
+
+def _refuse_inexact_ids(ids: np.ndarray, where: str) -> None:
+    bad = (ids <= -ID_LIMIT) | (ids >= ID_LIMIT)
+    if bad.any():
+        raise DataError(f"{where}: sample id {int(ids[bad][0])} is outside (-2^53, 2^53), which float64 holds exactly")
+
 
 # ---------------------------------------------------------------------------
 # core types
@@ -100,6 +110,7 @@ class MultiViewDataset:
                 raise DataError(f"view {v.view_id} is empty")
             if not np.isfinite(v.features).all():
                 raise DataError(f"view {v.view_id} contains non-finite features")
+            _refuse_inexact_ids(v.ids, f"view {v.view_id}")
             for sid in v.ids.tolist():
                 if sid in seen:
                     raise DataError(
@@ -136,6 +147,7 @@ class PairedDataset:
             raise DataError("labels length mismatch")
         if len(set(self.ids.tolist())) != n:
             raise DataError("duplicate sample ids in paired dataset")
+        _refuse_inexact_ids(self.ids, "paired dataset")
         bad = (self.labels < 0) | (self.labels >= self.n_clusters)
         if bad.any():
             raise DataError(f"label {int(self.labels[bad][0])} out of range [0, {self.n_clusters})")
@@ -193,6 +205,8 @@ def _read_feature_csv(path: Path, expect_dim: int) -> tuple[np.ndarray, np.ndarr
     ids = raw[:, 0]
     if not np.array_equal(ids, np.round(ids)):
         raise DataError(f"{path}: first column must contain integer sample ids")
+    if (np.abs(ids) >= ID_LIMIT).any():
+        raise DataError(f"{path}: sample ids must lie in (-2^53, 2^53), where float64 parses them exactly")
     return ids.astype(np.int64), raw[:, 1:]
 
 

@@ -32,7 +32,7 @@ check; `build_bundle` makes parameters C-contiguous, and
 saved layout.
 
 `state_arrays()` gives the live moments by name. A resumed run restores
-them by passing that dict to `load_checkpoint`, which fills it in place;
+them by handing that dict to `load_checkpoint`'s `into`, which fills it;
 the optimizer has no loader of its own, and the caller sets `t`.
 """
 

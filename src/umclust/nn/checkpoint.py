@@ -15,23 +15,22 @@ over the target, so a crash mid-write leaves the previous checkpoint
 intact.
 
 Loading reads each entry straight into the array that owns it, so no
-second copy of the model exists at any moment. A caller passes
-destinations (`params`, `stats`, `adam_arrays`: name -> array, as
-`save_checkpoint` takes them), or for each a function of the saved
-epoch that returns them, and each entry is read, checked and copied
-into its destination before the next one is read. An entry with no
-destination (a warm centroid, or every entry when none are given) is
-returned as a fresh array. Everything that needs no array data is
-checked before the first write: the format and config hash from the
-metadata, then the entry names, shapes and dtypes against the
-destinations from the member headers alone, so a checkpoint holding an
-entry its reader has no array for is refused whole. An entry whose
-dtype is not its destination's is refused, not cast: a float64 weight
-would otherwise be rounded into the float32 model without a word. Bad
-entry data (a failed CRC, a non-finite value) raises `CheckpointError`
-only when its entry is read, after earlier entries may have been
-written: the destinations are then undefined, and the caller must
-discard them.
+second copy of the model exists at any moment. The caller's `into`, a
+function of the saved epoch, returns destinations (name -> array) keyed
+by `save_checkpoint`'s keywords, as `train.checkpoint_arrays` gives
+them; it runs once the metadata has passed its checks, so it may also
+refuse the checkpoint. A kind it leaves out (every kind, without
+`into`) is read into fresh arrays. Everything that needs no array data
+is checked before the first write: the format and config hash from the
+metadata, then each named kind's entry names, shapes and dtypes from
+the member headers alone, so a checkpoint holding an entry its reader
+has no array for, or lacking one it has, is refused whole. An entry
+whose dtype is not its destination's is refused, not cast: a float64
+weight would otherwise be rounded into the float32 model without a
+word. Entries are then read and copied one at a time. Bad entry data (a
+failed CRC, a non-finite value) raises `CheckpointError` only when its
+entry is read, after earlier entries may have been written: the
+destinations are then undefined, and the caller must discard them.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from __future__ import annotations
 import json
 import os
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -50,13 +49,13 @@ from ..errors import CheckpointError, ShapeError
 
 FORMAT_VERSION = 3  # 3: a finished run saves only the encoders; 2 saved the whole float32 model; 1 held float64 arrays
 
-# Entry kinds with caller destinations, and how a mismatch names them.
-_LABELS = {"param": "parameter", "stat": "statistic", "adam": "Adam moment"}
+# Each entry kind (its name's first part): the `save_checkpoint` keyword
+# and `CheckpointData` field that hold it, and how a mismatch names it.
+_KINDS = {"param": ("params", "parameter"), "stat": ("stats", "statistic"),
+          "adam": ("adam_arrays", "Adam moment"), "warm": ("warm_centroids", "warm centroid")}
 _HEADER_READERS = {(1, 0): npy.read_array_header_1_0, (2, 0): npy.read_array_header_2_0}
 
 Layout = tuple[tuple[int, ...], np.dtype]  # an entry's shape and dtype
-# name -> array to fill, or a function of the saved epoch that returns them
-Destinations = dict[str, np.ndarray] | Callable[[int], dict[str, np.ndarray]]
 
 
 @dataclass
@@ -104,34 +103,30 @@ def save_checkpoint(
         tmp.unlink(missing_ok=True)
 
 
-def _check_like(kind: str, saved: dict[str, Layout], own: dict[str, Layout], path) -> None:
+def _check_like(kind: str, saved: dict, own: dict, path) -> None:
     """Refuse `saved` unless it has exactly `own`'s names, each with the
     shape (else a `ShapeError`) and the dtype (else a `CheckpointError`)
     `own` gives it."""
     if set(saved) != set(own):
         raise ShapeError(f"{kind} name set mismatch")
-    for name, (shape, dtype) in saved.items():
-        if shape != own[name][0]:
+    for key, (shape, dtype) in saved.items():
+        name = key if isinstance(key, str) else "/".join(map(str, key))  # a warm centroid's (scope, level)
+        if shape != own[key][0]:
             raise ShapeError(f"shape mismatch for {kind} {name}")
-        if dtype != own[name][1]:
-            raise CheckpointError(f"dtype mismatch for {kind} {name} in {path}: {dtype}, not {own[name][1]}")
+        if dtype != own[key][1]:
+            raise CheckpointError(f"dtype mismatch for {kind} {name} in {path}: {dtype}, not {own[key][1]}")
 
 
 def load_checkpoint(
     path: str | Path,
     *,
     expect_config_hash: str | None = None,
-    params: Destinations | None = None,
-    stats: Destinations | None = None,
-    adam_arrays: Destinations | None = None,
+    into: Callable[[int], dict[str, dict]] | None = None,
 ) -> CheckpointData:
-    """Read `path`, filling the given destinations in place; the returned
-    `CheckpointData` holds the destination dicts themselves, and fresh
-    dicts of fresh arrays for the kinds given none. Each kind may also
-    be given as a function of the saved epoch that returns its
-    destinations, for a caller whose needs depend on how far the saved
-    run got; it is called once the metadata has passed its checks and
-    before any entry is read, so it may also refuse the checkpoint."""
+    """Read `path`, filling the destinations `into(saved epoch)` gives in
+    place; the returned `CheckpointData` holds those destination dicts
+    themselves, and fresh dicts of fresh arrays for the kinds they leave
+    out."""
     try:
         zf = zipfile.ZipFile(path)
     except (OSError, zipfile.BadZipFile) as exc:
@@ -154,24 +149,23 @@ def load_checkpoint(
                 "checkpoint was written with a different configuration "
                 f"(hash {data.config_hash[:12]}... != {expect_config_hash[:12]}...)"
             )
-        given = {"param": params, "stat": stats, "adam": adam_arrays}
-        given = {kind: dest(data.epoch) if callable(dest) else dest for kind, dest in given.items()}
-        data.params, data.stats, data.adam_arrays = ({} if dest is None else dest for dest in given.values())
+        given = {} if into is None else into(data.epoch)
+        data = replace(data, **given)
 
         entries = _entry_headers(zf, path)
-        for kind, dest in given.items():
-            if dest is not None:
+        for kind, (field_name, label) in _KINDS.items():
+            if field_name in given:
                 saved = {key: layout for k, key, layout in entries.values() if k == kind}
-                _check_like(_LABELS[kind], saved, {key: (arr.shape, arr.dtype) for key, arr in dest.items()}, path)
-        named = {"param": data.params, "stat": data.stats, "adam": data.adam_arrays, "warm": data.warm_centroids}
+                _check_like(label, saved, {key: (a.shape, a.dtype) for key, a in given[field_name].items()}, path)
         for name, (kind, key, _) in entries.items():
             arr = _read_entry(zf, name, path)
             if not np.isfinite(arr).all():
                 raise CheckpointError(f"non-finite values in checkpoint entry {name!r} of {path}")
-            if key in named[kind]:
-                named[kind][key][...] = arr
+            named = getattr(data, _KINDS[kind][0])
+            if key in named:
+                named[key][...] = arr
             else:
-                named[kind][key] = arr
+                named[key] = arr
             del arr  # freed before the next entry is read
     return data
 
@@ -185,7 +179,7 @@ def _entry_headers(zf: zipfile.ZipFile, path) -> dict[str, tuple[str, str | tupl
             continue
         name = member.removesuffix(".npy")
         kind, _, key = name.partition("/")
-        if name == member or kind not in (*_LABELS, "warm"):
+        if name == member or kind not in _KINDS:
             raise CheckpointError(f"unrecognized checkpoint entry {name!r}")
         try:
             if kind == "warm":

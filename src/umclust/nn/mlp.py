@@ -45,8 +45,8 @@ hide them.
 `AutoencoderBundle` names the model's state once, when it is built: a
 parameter map (``v{v}.enc.lin{i}.weight`` ...) and a map of batch-norm
 running statistics, which the layers update in place. Restoring a
-checkpoint fills these same arrays in place (`load_checkpoint` with
-destinations); the bundle has no loader of its own.
+checkpoint fills these same arrays in place (`load_checkpoint`'s
+`into`); the bundle has no loader of its own.
 
 Scoring a saved model runs only the encoders, so
 ``build_bundle(..., encoders_only=True)`` builds the eval model: the

@@ -20,18 +20,18 @@ latents, and the report scores it and a K-means of each view alone.
 `umclust eval` calls the same `evaluate` on a model restored from its
 checkpoint.
 
-A run that stops before its last epoch saves everything it needs to
-resume: the whole model, the Adam moments and the warm centroids. A
-finished run saves only the model it is scored with, the encoders'
-parameters and batch-norm statistics (`AutoencoderBundle.model_arrays`
-with `encoders_only`): the decoders serve only the reconstruction term,
-and a finished run has nothing left to train. Resuming builds the model
-and the optimizer first, then reads the checkpoint entry by entry
-straight into their parameters, statistics and moments, so the model is
-never held twice; resuming a finished run reads only its encoders and
-trains nothing. A checkpoint that is refused part-way raises before the
-first epoch, and the half-filled model is dropped. Full-data encodes
-record nothing.
+`checkpoint_arrays` says what a checkpoint holds. A run that stops
+before its last epoch saves everything it needs to resume: the whole
+model, the Adam moments and the warm centroids (per view ``v{v}`` and
+level a refresh has clustered). A finished run saves only the model
+it is scored with, the encoders' parameters and batch-norm statistics
+(`AutoencoderBundle.model_arrays` with `encoders_only`): the decoders
+serve only the reconstruction term, and a finished run has nothing left
+to train. Resuming builds the model, the optimizer and the warm
+centroids first, then reads the checkpoint straight into them entry by
+entry, so the model is never held twice and an entry of any kind that
+is missing, extra or misshaped is refused. A checkpoint refused part-way
+raises before the first epoch. Full-data encodes record nothing.
 
 The model trains in its own dtype (`nn.mlp.DTYPE`, float32): `train`
 casts the features to it once, and every batch is a slice of that one
@@ -124,6 +124,10 @@ class ClusterSet:
         if epoch <= total_epochs / 2:
             return self.levels[:2]
         return self.levels
+
+    def refreshed(self, active: tuple[int, ...]) -> list[int]:
+        """The levels a refresh at `active` levels clusters: those and the final one."""
+        return sorted({*active, self.final})
 
 
 @dataclass
@@ -258,18 +262,17 @@ def refresh_level_state(
     """
     latents = bundle.encode_all(features, train=True)
     final = cluster_set.final
-    needed = sorted(set(active) | {final})
     view_labels: dict[int, list[np.ndarray]] = {}
-    for level in needed:
+    for level in cluster_set.refreshed(active):
         view_labels[level] = []
         for v, z in enumerate(latents):
             seed = _derived_seed(config.kmeans_seed, v + 1, level)
             a_v, c_v = kmeans(
                 z, level, seed=seed, max_iter=config.kmeans_max_iter,
-                init_centroids=warm.get((f"view{v}", level)),
+                init_centroids=warm.get((f"v{v}", level)),
             )
             view_labels[level].append(a_v.labels)
-            warm[(f"view{v}", level)] = c_v
+            warm[(f"v{v}", level)] = c_v
     common_labels = match_views(latents, view_labels, final)
     state = LevelState(
         view_labels=view_labels,
@@ -359,6 +362,17 @@ def walk_back(zs: list, x_hats: list, ae_grads: list, weighted: list, update) ->
         zs[v].backward(grad_z, update)
 
 
+def checkpoint_arrays(bundle, opt: Adam | None, warm: dict, epoch: int, epochs: int) -> dict[str, dict]:
+    """What a checkpoint at `epoch` of `epochs` holds, keyed by
+    `save_checkpoint`'s keywords: a finished run its encoders alone, any
+    other the whole model, `opt`'s moments and the `warm` centroids."""
+    if epoch == epochs:
+        params, stats = bundle.model_arrays(encoders_only=True)
+        return dict(params=params, stats=stats, adam_arrays={}, warm_centroids={})
+    params, stats = bundle.model_arrays()
+    return dict(params=params, stats=stats, adam_arrays=opt.state_arrays(), warm_centroids=warm)
+
+
 def train(
     config: TrainConfig,
     dataset: MultiViewDataset,
@@ -382,16 +396,13 @@ def train(
     warm: dict[tuple[str, int], np.ndarray] = {}
     start_epoch = 1
     if resume is not None:
-        def model(epoch: int):  # a finished run saved only the encoders, and of Adam only its step count
-            return bundle.model_arrays(encoders_only=epoch == config.epochs)
+        def saved_state(epoch: int) -> dict[str, dict]:
+            ts = range(1, min(epoch, config.epochs) + 1)  # the saved epochs; their refreshes' levels, first met first
+            levels = dict.fromkeys(k for t in ts for k in cluster_set.refreshed(cluster_set.active(t, config.epochs)))
+            centroids = {(f"v{v}", k): np.empty((k, config.latent_dim)) for k in levels for v in range(n_views)}
+            return checkpoint_arrays(bundle, opt, centroids, epoch, config.epochs)
 
-        ck = load_checkpoint(
-            resume,
-            expect_config_hash=cfg_hash,
-            params=lambda epoch: model(epoch)[0],
-            stats=lambda epoch: model(epoch)[1],
-            adam_arrays=lambda epoch: opt.state_arrays() if epoch < config.epochs else {},
-        )
+        ck = load_checkpoint(resume, expect_config_hash=cfg_hash, into=saved_state)
         opt.t = ck.adam_t
         warm = ck.warm_centroids
         start_epoch = ck.epoch + 1
@@ -438,17 +449,12 @@ def train(
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        finished = last_epoch == config.epochs
-        params, stats = bundle.model_arrays(encoders_only=finished)
         save_checkpoint(
             out / "checkpoint.npz",
             config_hash=cfg_hash,
             epoch=last_epoch,
             adam_t=opt.t,
-            params=params,
-            stats=stats,
-            adam_arrays={} if finished else opt.state_arrays(),
-            warm_centroids={} if finished else warm,
+            **checkpoint_arrays(bundle, opt, warm, last_epoch, config.epochs),
         )
         _write_loss_csv(out / "loss_curve.csv", columns, artifacts.loss_table)
         report.save(out)

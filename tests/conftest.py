@@ -13,3 +13,17 @@ def float64_model(monkeypatch):
     from umclust.nn import mlp
 
     monkeypatch.setattr(mlp, "DTYPE", np.float64)
+
+
+@pytest.fixture
+def no_entry_data_read(monkeypatch):
+    """Once called, make reading any checkpoint entry but the metadata fail the test."""
+    from umclust.nn import checkpoint
+
+    real = checkpoint._read_entry
+
+    def read_entry(zf, name, path):
+        assert name == "__meta__", f"entry {name} was read"
+        return real(zf, name, path)
+
+    return lambda: monkeypatch.setattr(checkpoint, "_read_entry", read_entry)

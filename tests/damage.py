@@ -20,10 +20,19 @@ def flip_a_data_byte(path, name: str) -> None:
     path.write_bytes(bytes(raw))
 
 
-def set_first_value(path, name: str, value: float) -> None:
-    """Rewrite the checkpoint with the first element of entry `name` set to `value`."""
+def rewrite_entries(path, edit) -> None:
+    """Save the checkpoint at `path` again after `edit(arrays)` has changed its entries."""
     with np.load(path, allow_pickle=False) as npz:
         arrays = {k: npz[k] for k in npz.files}
-    arrays[name].reshape(-1)[0] = value
+    edit(arrays)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
+
+
+def set_first_value(path, name: str, value: float) -> None:
+    """Rewrite the checkpoint with the first element of entry `name` set to `value`."""
+
+    def edit(arrays):
+        arrays[name].reshape(-1)[0] = value
+
+    rewrite_entries(path, edit)

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 import yaml
 
-from damage import flip_a_data_byte, set_first_value
+from damage import flip_a_data_byte, rewrite_entries, set_first_value
 from umclust import cli, data
 from umclust import config as cfg
 from umclust import train as train_module
-from umclust.nn import checkpoint, load_checkpoint, save_checkpoint
+from umclust.nn import load_checkpoint, save_checkpoint
 
 
 _real_sweep_point = cli._sweep_point
@@ -244,15 +244,6 @@ def test_eval_of_a_checkpoint_with_bad_entry_data_exits_2(tmp_path, capsys):
     assert "unreadable checkpoint" in err and "Bad CRC-32" in err
 
 
-def _rewrite(path, edit) -> None:
-    """Save the checkpoint at `path` again after `edit(arrays)` has changed its entries."""
-    with np.load(path, allow_pickle=False) as npz:
-        arrays = {k: npz[k] for k in npz.files}
-    edit(arrays)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-
-
 def test_eval_of_a_checkpoint_of_another_dtype_or_format_exits_2(tmp_path, capsys):
     # a float64 entry is refused, not rounded into the float32 model; so is
     # a float64 checkpoint of format 1, and a format-2 one that still holds
@@ -265,7 +256,7 @@ def test_eval_of_a_checkpoint_of_another_dtype_or_format_exits_2(tmp_path, capsy
     sound = path.read_bytes()
     capsys.readouterr()
     for entry, label in (("param/v0.enc.lin0.weight", "parameter"), ("stat/v1.enc.bn0.running_var", "statistic")):
-        _rewrite(path, lambda arrays: arrays.update({entry: arrays[entry].astype(np.float64)}))
+        rewrite_entries(path, lambda arrays: arrays.update({entry: arrays[entry].astype(np.float64)}))
         assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 2, entry
         assert f"dtype mismatch for {label} {entry.partition('/')[2]}" in capsys.readouterr().err
         path.write_bytes(sound)
@@ -281,7 +272,7 @@ def test_eval_of_a_checkpoint_of_another_dtype_or_format_exits_2(tmp_path, capsy
 
     for version, dtype in ((1, np.float64), (2, np.float32)):
         path.write_bytes(sound)
-        _rewrite(path, older_format(version, dtype))
+        rewrite_entries(path, older_format(version, dtype))
         assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 2, version
         assert f"unsupported checkpoint format {version}" in capsys.readouterr().err
 
@@ -359,18 +350,6 @@ def test_train_exports_the_float32_latents_in_at_most_9_significant_digits(tmp_p
     assert max(digits) <= 9
 
 
-@pytest.fixture
-def no_entry_data_read(monkeypatch):
-    """Once called, make reading any checkpoint entry but the metadata fail the test."""
-    real = checkpoint._read_entry
-
-    def read_entry(zf, name, path):
-        assert name == "__meta__", f"entry {name} was read"
-        return real(zf, name, path)
-
-    return lambda: monkeypatch.setattr(checkpoint, "_read_entry", read_entry)
-
-
 def test_eval_refuses_a_finished_checkpoint_with_a_decoder_entry(tmp_path, capsys, eval_spy, no_entry_data_read):
     # the eval model has no array for it: refused from the member headers alone
     config = _write_config(tmp_path)
@@ -383,10 +362,31 @@ def test_eval_refuses_a_finished_checkpoint_with_a_decoder_entry(tmp_path, capsy
     metrics = (out / "metrics.json").read_bytes()
     capsys.readouterr()
 
-    _rewrite(path, lambda arrays: arrays.update({"param/v0.dec.lin0.weight": arrays["param/v0.enc.lin0.weight"]}))
+    rewrite_entries(
+        path, lambda arrays: arrays.update({"param/v0.dec.lin0.weight": arrays["param/v0.enc.lin0.weight"]})
+    )
     no_entry_data_read()
     assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 2
     assert "parameter name set mismatch" in capsys.readouterr().err
+    assert (out / "metrics.json").read_bytes() == metrics
+
+
+@pytest.mark.parametrize("entry, label", [("adam/m/v0.enc.lin0.weight", "Adam moment"), ("warm/v0/2", "warm centroid")])
+def test_eval_refuses_a_finished_checkpoint_with_training_state(tmp_path, capsys, no_entry_data_read, entry, label):
+    # a finished run saves no Adam moment and no warm centroid, so eval has
+    # no array for one: refused from the member headers alone
+    config = _write_config(tmp_path)
+    assert cli.main(["generate", "-c", str(config), "-o", str(tmp_path / "data"), "--quiet"]) == 0
+    out = tmp_path / "run"
+    assert cli.main(["train", "-c", str(config), "-o", str(out), "--quiet"]) == 0
+    metrics = (out / "metrics.json").read_bytes()
+    stray = np.zeros((2, cfg.load_config(config).train.latent_dim))  # a warm centroid's float64 (k, latent_dim)
+    rewrite_entries(out / "checkpoint.npz", lambda arrays: arrays.update({entry: stray}))
+    capsys.readouterr()
+
+    no_entry_data_read()
+    assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 2
+    assert f"{label} name set mismatch" in capsys.readouterr().err
     assert (out / "metrics.json").read_bytes() == metrics
 
 

@@ -119,6 +119,16 @@ def test_kmeans_rejects_too_few_rows():
         kmeans(np.zeros((2, 2)), 3)
 
 
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_kmeans_refuses_fewer_than_one_restart(restarts):
+    # it used to run one restart for any count below one, without a word
+    z = np.random.default_rng(0).normal(size=(10, 2))
+    with pytest.raises(ValueError, match=f"restarts must be >= 1, got {restarts}"):
+        kmeans(z, 2, restarts=restarts)
+    with pytest.raises(ValueError, match="restarts"):
+        kmeans(z, 2, init_centroids=z[:2], restarts=restarts)
+
+
 def test_kmeans_warm_start_and_empty_repair():
     z = np.array([[0.0, 0.0], [0.1, 0.0], [10.0, 0.0], [10.1, 0.0]])
     # second centroid starts absurdly far: its cluster is empty on the first

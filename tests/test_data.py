@@ -152,6 +152,42 @@ def test_duplicate_id_across_views_rejected():
         )
 
 
+@pytest.mark.parametrize("sid", [2**53, 2**53 + 1, -(2**53), np.iinfo(np.int64).min])
+def test_a_sample_id_float64_cannot_hold_is_refused(sid):
+    # a feature file would hold it, and parsing it back through float64 would give another id
+    with pytest.raises(DataError, match=f"view 1: sample id {sid} is outside"):
+        MultiViewDataset(
+            name="big",
+            n_clusters=2,
+            views=[
+                ViewData(0, np.array([0, 1]), np.zeros((2, 2)), np.array([0, 1])),
+                ViewData(1, np.array([2, sid]), np.zeros((2, 2)), np.array([0, 1])),
+            ],
+        )
+    with pytest.raises(DataError, match=f"paired dataset: sample id {sid} is outside"):
+        PairedDataset(
+            name="big", n_clusters=2, ids=np.array([0, sid]), features=[np.zeros((2, 2))], labels=np.array([0, 1])
+        )
+
+
+def test_a_feature_file_id_float64_cannot_hold_is_refused(tmp_path):
+    # 2^53 + 1 parses to 2^53, an id that appears in no file
+    manifest = save_dataset(toy_unpaired(), tmp_path)
+    (tmp_path / "view1.csv").write_text("2,4\n9007199254740993,5\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"view1\.csv: sample ids must lie in \(-2\^53, 2\^53\)"):
+        load(manifest)
+
+
+def test_the_largest_ids_float64_holds_round_trip_exactly(tmp_path):
+    big = 2**53 - 1
+    ds = MultiViewDataset(
+        name="big", n_clusters=2, views=[ViewData(0, np.array([-big, big]), np.array([[0.5], [1.5]]), np.array([0, 1]))]
+    )
+    loaded = load(save_dataset(ds, tmp_path))
+    assert loaded.views[0].ids.tolist() == [-big, big]
+    assert loaded.views[0].labels.tolist() == [0, 1]
+
+
 def test_repeated_view_id_rejected(tmp_path):
     manifest = save_dataset(toy_unpaired(), tmp_path)
     raw = json.loads(manifest.read_text(encoding="utf-8"))

@@ -322,6 +322,11 @@ def _param_arrays(bundle):
     return dict(bundle.named_parameters())
 
 
+def _into(**destinations):
+    """`load_checkpoint`'s `into` that gives `destinations` whatever the saved epoch."""
+    return lambda epoch: destinations
+
+
 @pytest.mark.parametrize("edit", ["missing", "shape"])
 def test_load_arrays_refuses_mismatched_stats_and_writes_nothing(tmp_path, edit):
     # the checkpoint loader, given the bundle's arrays as destinations
@@ -336,7 +341,7 @@ def test_load_arrays_refuses_mismatched_stats_and_writes_nothing(tmp_path, edit)
     before = {k: p.copy() for k, p in target.named_parameters().items()}
     stats_before = {k: s.copy() for k, s in target.named_stats().items()}
     with pytest.raises(ShapeError, match="statistic"):
-        load_checkpoint(path, params=_param_arrays(target), stats=target.named_stats())
+        load_checkpoint(path, into=_into(params=_param_arrays(target), stats=target.named_stats()))
     assert all(np.array_equal(p, before[k]) for k, p in target.named_parameters().items())
     assert all(np.array_equal(s, stats_before[k]) for k, s in target.named_stats().items())
 
@@ -349,7 +354,7 @@ def test_load_arrays_gives_adam_parameters_it_can_update_in_place(tmp_path):
     path = _model_checkpoint(tmp_path / "ck.npz", bundle, params=params)
     with np.load(path, allow_pickle=False) as npz:
         assert not npz["param/v0.enc.lin0.weight"].flags.c_contiguous
-    load_checkpoint(path, params=_param_arrays(bundle), stats=bundle.named_stats())
+    load_checkpoint(path, into=_into(params=_param_arrays(bundle), stats=bundle.named_stats()))
     opt = Adam(bundle.named_parameters(), lr=0.1)
     assert all(p.flags.c_contiguous for p in bundle.named_parameters().values())
     opt.step(gradient_step(*((p, np.ones(p.shape)) for p in bundle.named_parameters().values())))
@@ -734,7 +739,7 @@ def test_adam_load_state_restores_saved_moments(tmp_path):
     assert fresh.t == 0 and fresh.state_arrays().keys() == saved.state_arrays().keys()
     assert not any(a.any() for a in fresh.state_arrays().values())
     moments = dict(fresh.state_arrays())
-    ck = load_checkpoint(path, adam_arrays=fresh.state_arrays())
+    ck = load_checkpoint(path, into=_into(adam_arrays=fresh.state_arrays()))
     assert ck.adam_t == 1 and ck.adam_arrays is fresh.state_arrays()
     for k, a in fresh.state_arrays().items():
         assert a is moments[k]
@@ -760,9 +765,11 @@ def test_adam_load_state_refuses_mismatched_moments_and_changes_nothing(tmp_path
     with pytest.raises(ShapeError, match="Adam moment"):
         load_checkpoint(
             path,
-            params=_param_arrays(target_bundle),
-            stats=target_bundle.named_stats(),
-            adam_arrays=target.state_arrays(),
+            into=_into(
+                params=_param_arrays(target_bundle),
+                stats=target_bundle.named_stats(),
+                adam_arrays=target.state_arrays(),
+            ),
         )
     assert target.t == 1
     assert all(np.array_equal(a, before[k]) for k, a in target.state_arrays().items())
@@ -802,7 +809,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(ck.warm_centroids[("common", 2)], np.ones((2, 2)))
     fresh = tiny_bundle(seed=99)
     destinations = _param_arrays(fresh)
-    ck = load_checkpoint(path, params=destinations, stats=fresh.named_stats())
+    ck = load_checkpoint(path, into=_into(params=destinations, stats=fresh.named_stats()))
     assert ck.params is destinations and ck.stats is fresh.named_stats()
     for k, p in fresh.named_parameters().items():
         assert p is destinations[k]
@@ -890,7 +897,7 @@ def test_checkpoint_with_a_nonfinite_entry_is_refused(tmp_path, entry, value, in
     target = tiny_bundle(seed=4)
     destinations = {} if into == "fresh_arrays" else dict(params=_param_arrays(target), stats=target.named_stats())
     with pytest.raises(CheckpointError, match=f"non-finite values in checkpoint entry '{entry}'"):
-        load_checkpoint(path, **destinations)
+        load_checkpoint(path, into=_into(**destinations))
 
 
 @pytest.mark.parametrize("into", ["fresh_arrays", "destinations"])
@@ -901,7 +908,7 @@ def test_checkpoint_with_a_flipped_data_byte_is_refused(tmp_path, into):
     target = tiny_bundle(seed=4)
     destinations = {} if into == "fresh_arrays" else dict(params=_param_arrays(target), stats=target.named_stats())
     with pytest.raises(CheckpointError, match="unreadable checkpoint .* Bad CRC-32"):
-        load_checkpoint(path, **destinations)
+        load_checkpoint(path, into=_into(**destinations))
 
 
 def test_names_and_shapes_are_checked_before_any_entry_data_is_read(tmp_path):
@@ -916,7 +923,7 @@ def test_names_and_shapes_are_checked_before_any_entry_data_is_read(tmp_path):
     target = tiny_bundle(seed=4, dims=(32, 4), hidden=(64,))
     before = {k: p.copy() for k, p in target.named_parameters().items()}
     with pytest.raises(ShapeError, match="statistic name set mismatch"):
-        load_checkpoint(path, params=_param_arrays(target), stats=target.named_stats())
+        load_checkpoint(path, into=_into(params=_param_arrays(target), stats=target.named_stats()))
     assert all(np.array_equal(p, before[k]) for k, p in target.named_parameters().items())
 
 
@@ -938,9 +945,9 @@ def test_an_entry_of_another_dtype_is_refused_before_any_entry_data_is_read(tmp_
     kind, _, name = entry.partition("/")
     label = {"param": "parameter", "stat": "statistic", "adam": "Adam moment"}[kind]
     with pytest.raises(CheckpointError, match=f"dtype mismatch for {label} {name} .*: float64, not float32"):
-        load_checkpoint(
-            path, params=_param_arrays(target), stats=target.named_stats(), adam_arrays=target_opt.state_arrays()
-        )
+        load_checkpoint(path, into=_into(
+            params=_param_arrays(target), stats=target.named_stats(), adam_arrays=target_opt.state_arrays()
+        ))
     assert all(np.array_equal(p, before[k]) for k, p in target.named_parameters().items())
     assert not any(a.any() for a in target_opt.state_arrays().values())
 
@@ -956,7 +963,7 @@ def _load_peak(path, **destinations) -> int:
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        load_checkpoint(path, **destinations)
+        load_checkpoint(path, into=_into(**destinations))
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -1035,6 +1042,6 @@ def test_an_encoders_only_load_checks_every_entry(tmp_path, edit):
     }[edit]
     params, stats = bundle.model_arrays()
     with pytest.raises(expected[0], match=expected[1]):
-        load_checkpoint(path, params=params, stats=stats)
+        load_checkpoint(path, into=_into(params=params, stats=stats))
     if edit != "nan":  # refused from the member headers, before any entry data is read
         assert all(np.array_equal(p, before[k], equal_nan=True) for k, p in bundle.named_parameters().items())

@@ -11,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from damage import flip_a_data_byte
+from damage import flip_a_data_byte, rewrite_entries
 from oracles import finite_difference_gradients, max_relative_gradient_error
 from umclust.cluster import kmeans
 from umclust.data import MultiViewDataset, SyntheticSpec, ViewData, scale_dataset, synthesize, view_batches
@@ -418,20 +418,43 @@ def test_a_training_step_holds_the_parameter_gradients_of_one_node_at_a_time(mon
     assert largest < sum(p.nbytes for p in bundle.named_parameters().values()) / 4
 
 
-def test_checkpoint_resume_bit_identical(tmp_path):
-    ds = small_dataset()
-    cfg = small_config()
+def _assert_resume_bit_identical(tmp_path, ds, cfg, stop: int) -> None:
+    """A run stopped after epoch `stop` and resumed ends exactly as the straight run."""
     straight = train(cfg, ds, out_dir=tmp_path / "straight")
-    partial = train(cfg, ds, out_dir=tmp_path / "partial", stop_after_epoch=4)
+    train(cfg, ds, out_dir=tmp_path / "partial", stop_after_epoch=stop)
     resumed = train(cfg, ds, out_dir=tmp_path / "resumed", resume=tmp_path / "partial" / "checkpoint.npz")
-    s = np.load(tmp_path / "straight" / "checkpoint.npz", allow_pickle=False)
-    r = np.load(tmp_path / "resumed" / "checkpoint.npz", allow_pickle=False)
-    for key in s.files:
-        if key == "__meta__":
-            continue
-        assert np.array_equal(s[key], r[key]), key
+    with np.load(tmp_path / "straight" / "checkpoint.npz", allow_pickle=False) as s, \
+            np.load(tmp_path / "resumed" / "checkpoint.npz", allow_pickle=False) as r:
+        assert sorted(s.files) == sorted(r.files)
+        for key in s.files:
+            if key == "__meta__":
+                continue
+            assert np.array_equal(s[key], r[key]), key
     assert np.array_equal(straight.final_assignment.labels, resumed.final_assignment.labels)
-    assert np.array_equal(straight.loss_table[4:], resumed.loss_table)
+    assert np.array_equal(straight.loss_table[stop:], resumed.loss_table)
+
+
+def test_checkpoint_resume_bit_identical(tmp_path):
+    _assert_resume_bit_identical(tmp_path, small_dataset(), small_config(), stop=4)
+
+
+@pytest.mark.parametrize("stop", [0, 2, 4, 7])
+def test_checkpoint_resume_bit_identical_on_three_levels(tmp_path, stop):
+    # of 8 epochs on levels (2, 3, 4): a stop at 0 has refreshed nothing,
+    # and one at 2 resumes into epoch 3, whose level 3 starts cold
+    _assert_resume_bit_identical(tmp_path, small_dataset(clusters=4), small_config(cluster_levels=(2, 3, 4)), stop)
+
+
+def test_a_resumed_run_stopped_again_saves_the_straight_runs_checkpoint_byte_for_byte(tmp_path):
+    # stopped at 2 and again at 6 of 8 on levels (2, 3, 4): level 3 joins the
+    # warm centroids in epoch 3, after levels 2 and 4, in both runs
+    ds = small_dataset(clusters=4)
+    cfg = small_config(cluster_levels=(2, 3, 4))
+    train(cfg, ds, out_dir=tmp_path / "straight", stop_after_epoch=6)
+    train(cfg, ds, out_dir=tmp_path / "first", stop_after_epoch=2)
+    train(cfg, ds, out_dir=tmp_path / "again", stop_after_epoch=6, resume=tmp_path / "first" / "checkpoint.npz")
+    straight = (tmp_path / "straight" / "checkpoint.npz").read_bytes()
+    assert (tmp_path / "again" / "checkpoint.npz").read_bytes() == straight
 
 
 def _checkpoint_names(path):
@@ -458,6 +481,8 @@ def test_only_an_unfinished_run_saves_optimizer_state(tmp_path):
     decoders = {f"param/{k}" for k in full.named_parameters() if ".dec." in k}
     decoders |= {f"stat/{k}" for k in full.named_stats() if ".dec." in k}
     assert decoders and decoders <= partial
+    # epoch 4 of 8 refreshed both levels, (2, 3), in each view, named by its position as the parameters are
+    assert {k for k in partial if k.startswith("warm/")} == {f"warm/v{v}/{k}" for v in (0, 1) for k in (2, 3)}
 
 
 def test_finished_checkpoint_is_about_the_size_of_the_model(tmp_path):
@@ -500,6 +525,39 @@ def test_resume_refuses_a_partial_checkpoint_without_its_moments(tmp_path):
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
     with pytest.raises(ShapeError, match="Adam moment name set mismatch"):
+        train(cfg, ds, resume=path)
+
+
+@pytest.mark.parametrize(
+    "edit, error, message",
+    [
+        ("missing", ShapeError, "warm centroid name set mismatch"),
+        ("extra", ShapeError, "warm centroid name set mismatch"),
+        ("shape", ShapeError, "shape mismatch for warm centroid v0/2$"),
+        ("dtype", CheckpointError, "dtype mismatch for warm centroid v1/2 .*: float32, not float64"),
+    ],
+    ids=["missing", "extra", "shape", "dtype"],
+)
+def test_resume_refuses_a_missing_extra_or_misshaped_warm_centroid(tmp_path, no_entry_data_read, edit, error, message):
+    # epoch 2 of 8 on levels (2, 3, 4) refreshed each view at levels 2 and 4
+    ds = small_dataset(clusters=4)
+    cfg = small_config(cluster_levels=(2, 3, 4))
+    train(cfg, ds, out_dir=tmp_path, stop_after_epoch=2)
+    path = tmp_path / "checkpoint.npz"
+
+    def damage(arrays):
+        if edit == "missing":
+            del arrays["warm/v1/4"]
+        elif edit == "extra":  # level 3 is not active before epoch 3
+            arrays["warm/v0/3"] = arrays["warm/v0/4"][:3]
+        elif edit == "shape":
+            arrays["warm/v0/2"] = arrays["warm/v0/2"][:, :-1]
+        else:
+            arrays["warm/v1/2"] = arrays["warm/v1/2"].astype(np.float32)
+
+    rewrite_entries(path, damage)
+    no_entry_data_read()
+    with pytest.raises(error, match=message):
         train(cfg, ds, resume=path)
 
 
