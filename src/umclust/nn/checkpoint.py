@@ -9,10 +9,12 @@ parameters and batch-norm running statistics, under the names an
 picks them), since scoring needs nothing else and resuming a finished
 run trains nothing. A run that stopped early saves everything resuming
 reads: the whole model, the optimizer moments and the warm-start
-centroids (float64, as K-means makes them). Saving is atomic: the file
-is written under a temporary name in the same directory and renamed
-over the target, so a crash mid-write leaves the previous checkpoint
-intact.
+centroids (float64, as K-means makes them). An entry is stored as
+``<kind>/<name>``: the kind names the keyword that holds it, and the
+name is opaque, the key its writer gave it, written in the writer's
+order. Saving is atomic: the file is written under a temporary name in
+the same directory and renamed over the target, so a crash mid-write
+leaves the previous checkpoint intact.
 
 Loading reads each entry straight into the array that owns it, so no
 second copy of the model exists at any moment. The caller's `into`, a
@@ -22,15 +24,17 @@ them; it runs once the metadata has passed its checks, so it may also
 refuse the checkpoint. A kind it leaves out (every kind, without
 `into`) is read into fresh arrays. Everything that needs no array data
 is checked before the first write: the format and config hash from the
-metadata, then each named kind's entry names, shapes and dtypes from
-the member headers alone, so a checkpoint holding an entry its reader
-has no array for, or lacking one it has, is refused whole. An entry
-whose dtype is not its destination's is refused, not cast: a float64
-weight would otherwise be rounded into the float32 model without a
-word. Entries are then read and copied one at a time. Bad entry data (a
-failed CRC, a non-finite value) raises `CheckpointError` only when its
-entry is read, after earlier entries may have been written: the
-destinations are then undefined, and the caller must discard them.
+metadata, an entry of no known kind or with an empty name, then each
+named kind's entry names, shapes and dtypes from the member headers
+alone, so a checkpoint holding an entry its reader has no array for,
+or lacking one it has, is refused whole, naming the first of each. An
+entry whose dtype is not its destination's is refused, not cast: a
+float64 weight would otherwise be rounded into the float32 model
+without a word. Entries are then read and copied one at a time. Bad
+entry data (a failed CRC, a non-finite value) raises `CheckpointError`
+only when its entry is read, after earlier entries may have been
+written: the destinations are then undefined, and the caller must
+discard them.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ class CheckpointData:
     params: dict[str, np.ndarray] = field(default_factory=dict)
     stats: dict[str, np.ndarray] = field(default_factory=dict)
     adam_arrays: dict[str, np.ndarray] = field(default_factory=dict)
-    warm_centroids: dict[tuple[str, int], np.ndarray] = field(default_factory=dict)
+    warm_centroids: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def save_checkpoint(
@@ -78,7 +82,7 @@ def save_checkpoint(
     params: dict[str, np.ndarray],
     stats: dict[str, np.ndarray],
     adam_arrays: dict[str, np.ndarray],
-    warm_centroids: dict[tuple[str, int], np.ndarray],
+    warm_centroids: dict[str, np.ndarray],
 ) -> None:
     meta = {
         "format": FORMAT_VERSION,
@@ -87,11 +91,9 @@ def save_checkpoint(
         "adam_t": int(adam_t),
     }
     arrays: dict[str, np.ndarray] = {"__meta__": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
-    for kind, named in (("param", params), ("stat", stats), ("adam", adam_arrays)):
+    for kind, named in (("param", params), ("stat", stats), ("adam", adam_arrays), ("warm", warm_centroids)):
         for name, arr in named.items():
             arrays[f"{kind}/{name}"] = arr
-    for (scope, level), arr in warm_centroids.items():
-        arrays[f"warm/{scope}/{int(level)}"] = arr
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -106,15 +108,17 @@ def save_checkpoint(
 def _check_like(kind: str, saved: dict, own: dict, path) -> None:
     """Refuse `saved` unless it has exactly `own`'s names, each with the
     shape (else a `ShapeError`) and the dtype (else a `CheckpointError`)
-    `own` gives it."""
-    if set(saved) != set(own):
-        raise ShapeError(f"{kind} name set mismatch")
-    for key, (shape, dtype) in saved.items():
-        name = key if isinstance(key, str) else "/".join(map(str, key))  # a warm centroid's (scope, level)
-        if shape != own[key][0]:
+    `own` gives it; a name set mismatch names the first name `saved`
+    lacks and the first it adds."""
+    missing = next((name for name in own if name not in saved), None)
+    extra = next((name for name in saved if name not in own), None)
+    if missing is not None or extra is not None:
+        raise ShapeError(f"{kind} name set mismatch: first missing {missing}, first extra {extra}")
+    for name, (shape, dtype) in saved.items():
+        if shape != own[name][0]:
             raise ShapeError(f"shape mismatch for {kind} {name}")
-        if dtype != own[key][1]:
-            raise CheckpointError(f"dtype mismatch for {kind} {name} in {path}: {dtype}, not {own[key][1]}")
+        if dtype != own[name][1]:
+            raise CheckpointError(f"dtype mismatch for {kind} {name} in {path}: {dtype}, not {own[name][1]}")
 
 
 def load_checkpoint(
@@ -155,49 +159,43 @@ def load_checkpoint(
         entries = _entry_headers(zf, path)
         for kind, (field_name, label) in _KINDS.items():
             if field_name in given:
-                saved = {key: layout for k, key, layout in entries.values() if k == kind}
-                _check_like(label, saved, {key: (a.shape, a.dtype) for key, a in given[field_name].items()}, path)
-        for name, (kind, key, _) in entries.items():
-            arr = _read_entry(zf, name, path)
+                saved = {name: layout for k, name, layout in entries.values() if k == kind}
+                _check_like(label, saved, {name: (a.shape, a.dtype) for name, a in given[field_name].items()}, path)
+        for entry, (kind, name, _) in entries.items():
+            arr = _read_entry(zf, entry, path)
             if not np.isfinite(arr).all():
-                raise CheckpointError(f"non-finite values in checkpoint entry {name!r} of {path}")
+                raise CheckpointError(f"non-finite values in checkpoint entry {entry!r} of {path}")
             named = getattr(data, _KINDS[kind][0])
-            if key in named:
-                named[key][...] = arr
+            if name in named:
+                named[name][...] = arr
             else:
-                named[key] = arr
+                named[name] = arr
             del arr  # freed before the next entry is read
     return data
 
 
-def _entry_headers(zf: zipfile.ZipFile, path) -> dict[str, tuple[str, str | tuple[str, int], Layout]]:
-    """name -> (kind, key in its dict, (shape, dtype)) for every array
+def _entry_headers(zf: zipfile.ZipFile, path) -> dict[str, tuple[str, str, Layout]]:
+    """entry -> (kind, name in its dict, (shape, dtype)) for every array
     entry, from the member headers alone; the metadata is left out."""
     entries = {}
     for member in zf.namelist():
         if member == "__meta__.npy":
             continue
-        name = member.removesuffix(".npy")
-        kind, _, key = name.partition("/")
-        if name == member or kind not in _KINDS:
-            raise CheckpointError(f"unrecognized checkpoint entry {name!r}")
-        try:
-            if kind == "warm":
-                scope, _, level = key.rpartition("/")
-                key = (scope, int(level))
-        except ValueError as exc:
-            raise CheckpointError(f"malformed checkpoint {path}: {exc!r}") from exc
+        entry = member.removesuffix(".npy")
+        kind, _, name = entry.partition("/")
+        if entry == member or kind not in _KINDS or not name:
+            raise CheckpointError(f"unrecognized checkpoint entry {entry!r}")
         try:
             with zf.open(member) as fh:
                 version = npy.read_magic(fh)
                 if version not in _HEADER_READERS:
-                    raise ValueError(f"unsupported npy version {version} in {name}")
+                    raise ValueError(f"unsupported npy version {version} in {entry}")
                 shape, _, dtype = _HEADER_READERS[version](fh)
         except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
             raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
         if dtype.kind not in "biuf":
-            raise CheckpointError(f"malformed checkpoint {path}: entry {name!r} holds {dtype}, not numbers")
-        entries[name] = (kind, key, (shape, dtype))
+            raise CheckpointError(f"malformed checkpoint {path}: entry {entry!r} holds {dtype}, not numbers")
+        entries[entry] = (kind, name, (shape, dtype))
     return entries
 
 

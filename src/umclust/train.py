@@ -22,16 +22,19 @@ checkpoint.
 
 `checkpoint_arrays` says what a checkpoint holds. A run that stops
 before its last epoch saves everything it needs to resume: the whole
-model, the Adam moments and the warm centroids (per view ``v{v}`` and
-level a refresh has clustered). A finished run saves only the model
-it is scored with, the encoders' parameters and batch-norm statistics
-(`AutoencoderBundle.model_arrays` with `encoders_only`): the decoders
-serve only the reconstruction term, and a finished run has nothing left
-to train. Resuming builds the model, the optimizer and the warm
-centroids first, then reads the checkpoint straight into them entry by
-entry, so the model is never held twice and an entry of any kind that
-is missing, extra or misshaped is refused. A checkpoint refused part-way
-raises before the first epoch. Full-data encodes record nothing.
+model, the Adam moments and the warm centroids, sorted by the name a
+refresh keys each by, ``v{v}/{level}``. A finished run saves only the
+model it is scored with, the encoders' parameters and batch-norm
+statistics (`AutoencoderBundle.model_arrays` with `encoders_only`): the
+decoders serve only the reconstruction term, and a finished run has
+nothing left to train. Resuming builds the model, the optimizer and the
+warm centroids first, then reads the checkpoint straight into them
+entry by entry, so the model is never held twice and an entry of any
+kind that is missing, extra or misshaped is refused. Active levels only
+grow and the final level is refreshed from epoch 1, so the warm
+centroids of saved epoch e are those its own refresh clustered (none
+at 0). A checkpoint refused part-way raises before the first epoch.
+Full-data encodes record nothing.
 
 The model trains in its own dtype (`nn.mlp.DTYPE`, float32): `train`
 casts the features to it once, and every batch is a slice of that one
@@ -240,7 +243,7 @@ def refresh_level_state(
     cluster_set: ClusterSet,
     active: tuple[int, ...],
     config: TrainConfig,
-    warm: dict[tuple[str, int], np.ndarray],
+    warm: dict[str, np.ndarray],
 ) -> tuple[LevelState, list[np.ndarray]]:
     """Recluster full representations of every view (`features`, one
     matrix per view) at every needed level.
@@ -267,12 +270,10 @@ def refresh_level_state(
         view_labels[level] = []
         for v, z in enumerate(latents):
             seed = _derived_seed(config.kmeans_seed, v + 1, level)
-            a_v, c_v = kmeans(
-                z, level, seed=seed, max_iter=config.kmeans_max_iter,
-                init_centroids=warm.get((f"v{v}", level)),
-            )
+            name = f"v{v}/{level}"
+            a_v, c_v = kmeans(z, level, seed=seed, max_iter=config.kmeans_max_iter, init_centroids=warm.get(name))
             view_labels[level].append(a_v.labels)
-            warm[(f"v{v}", level)] = c_v
+            warm[name] = c_v
     common_labels = match_views(latents, view_labels, final)
     state = LevelState(
         view_labels=view_labels,
@@ -365,12 +366,12 @@ def walk_back(zs: list, x_hats: list, ae_grads: list, weighted: list, update) ->
 def checkpoint_arrays(bundle, opt: Adam | None, warm: dict, epoch: int, epochs: int) -> dict[str, dict]:
     """What a checkpoint at `epoch` of `epochs` holds, keyed by
     `save_checkpoint`'s keywords: a finished run its encoders alone, any
-    other the whole model, `opt`'s moments and the `warm` centroids."""
+    other the whole model, `opt`'s moments and the `warm` centroids sorted."""
     if epoch == epochs:
         params, stats = bundle.model_arrays(encoders_only=True)
         return dict(params=params, stats=stats, adam_arrays={}, warm_centroids={})
     params, stats = bundle.model_arrays()
-    return dict(params=params, stats=stats, adam_arrays=opt.state_arrays(), warm_centroids=warm)
+    return dict(params=params, stats=stats, adam_arrays=opt.state_arrays(), warm_centroids=dict(sorted(warm.items())))
 
 
 def train(
@@ -393,13 +394,12 @@ def train(
     )
     features = [np.asarray(m, dtype=bundle.dtype) for m in dataset.feature_matrices()]
     opt = Adam(bundle.named_parameters(), config.learning_rate)
-    warm: dict[tuple[str, int], np.ndarray] = {}
+    warm: dict[str, np.ndarray] = {}
     start_epoch = 1
     if resume is not None:
         def saved_state(epoch: int) -> dict[str, dict]:
-            ts = range(1, min(epoch, config.epochs) + 1)  # the saved epochs; their refreshes' levels, first met first
-            levels = dict.fromkeys(k for t in ts for k in cluster_set.refreshed(cluster_set.active(t, config.epochs)))
-            centroids = {(f"v{v}", k): np.empty((k, config.latent_dim)) for k in levels for v in range(n_views)}
+            levels = cluster_set.refreshed(cluster_set.active(epoch, config.epochs)) if epoch > 0 else []
+            centroids = {f"v{v}/{k}": np.empty((k, config.latent_dim)) for v in range(n_views) for k in levels}
             return checkpoint_arrays(bundle, opt, centroids, epoch, config.epochs)
 
         ck = load_checkpoint(resume, expect_config_hash=cfg_hash, into=saved_state)

@@ -195,6 +195,7 @@ def test_eval_of_a_damaged_checkpoint_exits_2(tmp_path, capsys):
     out = tmp_path / "run"
     assert cli.main(["train", "-c", str(config), "-o", str(out), "--quiet"]) == 0
     path = out / "checkpoint.npz"
+    finished = path.read_bytes()
     capsys.readouterr()
 
     ck = load_checkpoint(path)
@@ -207,14 +208,11 @@ def test_eval_of_a_damaged_checkpoint_exits_2(tmp_path, capsys):
     assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 2
     assert f"shape mismatch for statistic {name}" in capsys.readouterr().err
 
-    # a finished run saves no warm centroids, so inject one whose level is no integer
-    with np.load(path, allow_pickle=False) as npz:
-        arrays = {k: npz[k] for k in npz.files}
-    arrays["warm/view0/level2"] = np.zeros((2, 3))
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    # a finished run saves no warm centroids, so eval has no array for any
+    path.write_bytes(finished)
+    rewrite_entries(path, lambda arrays: arrays.update({"warm/view0/level2": np.zeros((2, 3))}))
     assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 2
-    assert "malformed checkpoint" in capsys.readouterr().err
+    assert "warm centroid name set mismatch: first missing None, first extra view0/level2" in capsys.readouterr().err
 
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) // 2])
@@ -386,7 +384,8 @@ def test_eval_refuses_a_finished_checkpoint_with_training_state(tmp_path, capsys
 
     no_entry_data_read()
     assert cli.main(["eval", "-c", str(config), "-o", str(out), "--quiet"]) == 2
-    assert f"{label} name set mismatch" in capsys.readouterr().err
+    name = entry.partition("/")[2]
+    assert f"{label} name set mismatch: first missing None, first extra {name}" in capsys.readouterr().err
     assert (out / "metrics.json").read_bytes() == metrics
 
 

@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     blockwise_common_contrastive,
@@ -66,6 +68,21 @@ def test_cluster_set_prefix_and_validation():
     assert [ClusterSet((2, 3)).active(t, 4) for t in range(1, 5)] == [(2,), (2, 3), (2, 3), (2, 3)]
     with pytest.raises(ConfigError):
         ClusterSet((5, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=6, unique=True).map(sorted), st.integers(4, 50))
+def test_active_levels_only_grow_and_each_refresh_covers_every_earlier_one(levels, epochs):
+    # what a resume relies on to allocate the warm centroids of a saved
+    # epoch t from t alone: they are the levels refreshed in epoch t
+    cs = ClusterSet(tuple(levels))
+    met = set()
+    for t in range(1, epochs + 1):
+        active = cs.active(t, epochs)
+        if t < epochs:
+            assert cs.active(t + 1, epochs)[: len(active)] == active
+        met.update(cs.refreshed(active))
+        assert sorted(met) == cs.refreshed(active)
 
 
 # ---------------------------------------------------------------------------

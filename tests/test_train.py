@@ -445,13 +445,15 @@ def test_checkpoint_resume_bit_identical_on_three_levels(tmp_path, stop):
     _assert_resume_bit_identical(tmp_path, small_dataset(clusters=4), small_config(cluster_levels=(2, 3, 4)), stop)
 
 
-def test_a_resumed_run_stopped_again_saves_the_straight_runs_checkpoint_byte_for_byte(tmp_path):
-    # stopped at 2 and again at 6 of 8 on levels (2, 3, 4): level 3 joins the
-    # warm centroids in epoch 3, after levels 2 and 4, in both runs
+@pytest.mark.parametrize("first_stop", [1, 2, 3, 5])
+def test_a_resumed_run_stopped_again_saves_the_straight_runs_checkpoint_byte_for_byte(tmp_path, first_stop):
+    # stopped at `first_stop` and again at 6 of 8 on levels (2, 3, 4): level 3
+    # joins the warm centroids (2 and 4) in epoch 3, and level 4, refreshed
+    # from epoch 1, becomes active in epoch 5; the stops fall around both
     ds = small_dataset(clusters=4)
     cfg = small_config(cluster_levels=(2, 3, 4))
     train(cfg, ds, out_dir=tmp_path / "straight", stop_after_epoch=6)
-    train(cfg, ds, out_dir=tmp_path / "first", stop_after_epoch=2)
+    train(cfg, ds, out_dir=tmp_path / "first", stop_after_epoch=first_stop)
     train(cfg, ds, out_dir=tmp_path / "again", stop_after_epoch=6, resume=tmp_path / "first" / "checkpoint.npz")
     straight = (tmp_path / "straight" / "checkpoint.npz").read_bytes()
     assert (tmp_path / "again" / "checkpoint.npz").read_bytes() == straight
@@ -531,8 +533,8 @@ def test_resume_refuses_a_partial_checkpoint_without_its_moments(tmp_path):
 @pytest.mark.parametrize(
     "edit, error, message",
     [
-        ("missing", ShapeError, "warm centroid name set mismatch"),
-        ("extra", ShapeError, "warm centroid name set mismatch"),
+        ("missing", ShapeError, "warm centroid name set mismatch: first missing v1/4, first extra None$"),
+        ("extra", ShapeError, "warm centroid name set mismatch: first missing None, first extra v0/3$"),
         ("shape", ShapeError, "shape mismatch for warm centroid v0/2$"),
         ("dtype", CheckpointError, "dtype mismatch for warm centroid v1/2 .*: float32, not float64"),
     ],
